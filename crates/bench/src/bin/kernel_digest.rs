@@ -13,10 +13,12 @@
 
 use vbr_fft::{plan_for, real_plan_for, Complex, Direction};
 use vbr_fgn::{BatchFgn, DaviesHarte, MarginalTransform, TableMode};
-use vbr_qsim::FluidQueue;
+use vbr_fgn::TraceReplay;
+use vbr_qsim::{required_capacity_model, FluidQueue, LossMetric, LossTarget, MuxSim};
 use vbr_stats::dist::GammaPareto;
 use vbr_stats::rng::Xoshiro256;
 use vbr_stats::{norm_quantile_slice, simd};
+use vbr_video::{generate_screenplay, ScreenplayConfig};
 
 /// FNV-1a over a stream of u64 words.
 struct Digest(u64);
@@ -220,4 +222,33 @@ fn main() {
     d.push_f64s(&scaled);
     d.push(simd::sum_sequential(&normals).to_bits());
     println!("simd_helpers {}", d.hex());
+
+    // Q-C capacity searches: the lane-batched queue kernel behind the
+    // speculative bisection, at N = 3 (six lag combinations) for every
+    // target x metric pair, plus one model-driven search. 14 levels
+    // leave a ragged final pass.
+    let screenplay = generate_screenplay(&ScreenplayConfig::short(1_000, 3));
+    let sim = MuxSim::new(&screenplay, 3, 11);
+    let mut d = Digest::new();
+    for target in [LossTarget::Zero, LossTarget::Rate(1e-3)] {
+        for metric in [LossMetric::Overall, LossMetric::WorstSecond] {
+            d.push(sim.required_capacity(0.004, target, metric, 14).to_bits());
+        }
+    }
+    let series: Vec<f64> = screenplay.slice_bytes().iter().map(|&b| b as f64).collect();
+    let slots = series.len();
+    let mut model = TraceReplay::new(series);
+    d.push(
+        required_capacity_model(
+            &mut model,
+            slots,
+            screenplay.slice_duration(),
+            0.004,
+            LossTarget::Rate(1e-3),
+            LossMetric::Overall,
+            14,
+        )
+        .to_bits(),
+    );
+    println!("qc_search {}", d.hex());
 }

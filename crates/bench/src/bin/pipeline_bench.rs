@@ -1334,6 +1334,46 @@ fn bench_simulation(sizes: &Sizes, report: &mut PerfReport) {
         ),
     );
 
+    // One Q-C point: the capacity bisection at N = 3. The baseline is the
+    // one-probe-per-replay loop on the public one-lane `run`; the new
+    // path decides three levels per shared arrival pass through the
+    // lane-batched queue kernel. Both return the same capacity bits.
+    let (t_max, target, metric) = (0.002, LossTarget::Rate(1e-3), LossMetric::Overall);
+    let scalar_search = || {
+        let mut lo = sim.mean_rate();
+        let mut hi = sim.peak_slot_rate().max(lo * 1.001);
+        for _ in 0..sizes.qc_iters {
+            let mid = 0.5 * (lo + hi);
+            if sim.run(mid, t_max * mid).p_l <= 1e-3 {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi
+    };
+    let speculative = || sim.required_capacity(t_max, target, metric, sizes.qc_iters);
+    assert_eq!(scalar_search().to_bits(), speculative().to_bits(), "speculative bisection drifted");
+    let t_scalar = time_median(1, sizes.reps, || {
+        std::hint::black_box(scalar_search());
+    });
+    let t_speculative = time_median(1, sizes.reps, || {
+        std::hint::black_box(speculative());
+    });
+    report.record_vs(
+        "simulation",
+        "qc_search_scalar_vs_speculative",
+        t_scalar,
+        t_speculative,
+        (1, sizes.reps),
+        &format!(
+            "{} bisection levels at N = {n_sources}, 6 lag combinations x {slots} slots; baseline \
+             replays once per probe through MuxSim::run, new path decides 3 levels per shared \
+             arrival pass (bit-identical capacity)",
+            sizes.qc_iters
+        ),
+    );
+
     // Small-batch screenplay generation: the regime where the recorded
     // bench showed the always-fork scheduler 0.88x vs serial. Baseline
     // forces the old dispatch through a pinned 4-worker pool; the new

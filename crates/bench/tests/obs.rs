@@ -11,7 +11,7 @@ use std::sync::{Mutex, OnceLock};
 use proptest::prelude::*;
 use vbr_fgn::DaviesHarte;
 use vbr_lrd::robust_hurst;
-use vbr_qsim::{FluidQueue, MuxSim};
+use vbr_qsim::{FluidQueue, LossMetric, LossTarget, MuxSim};
 use vbr_stats::obs;
 use vbr_video::{generate_screenplay, ScreenplayConfig};
 
@@ -83,7 +83,8 @@ proptest! {
         let cap = sim.mean_rate() * 1.2;
         let (off, on) = with_and_without_collector(|| {
             let l = sim.run(cap, 0.002 * cap);
-            (l.p_l.to_bits(), l.p_wes.to_bits())
+            let c = sim.required_capacity(0.002, LossTarget::Rate(1e-3), LossMetric::Overall, 5);
+            (l.p_l.to_bits(), l.p_wes.to_bits(), c.to_bits())
         });
         prop_assert_eq!(off, on);
     }

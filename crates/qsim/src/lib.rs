@@ -31,6 +31,7 @@ pub mod shaping;
 pub mod source;
 pub mod qc;
 pub mod queue;
+mod search;
 pub mod smg;
 
 pub use admission::{admit_by_norros, admit_by_simulation, AdmissionResult};

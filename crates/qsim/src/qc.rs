@@ -6,14 +6,10 @@ use crate::error::QsimError;
 use crate::metrics::SimResult;
 use crate::mux::{lag_combinations, ArrivalCursor, LagCombination};
 use crate::queue::FluidQueue;
-use vbr_stats::error::{DataError, NumericError};
+use crate::search::{self, check_search_args, LaneQueues, SEARCH_DEPTH, STREAM_CHUNK};
+use vbr_stats::error::DataError;
 use vbr_stats::obs::{self, Counter};
 use vbr_video::Trace;
-
-/// Slots per streaming chunk: the working-set size of every sweep in
-/// this module. Big enough that the per-chunk cursor bookkeeping is
-/// noise, small enough (32 KiB) to stay cache-resident.
-const STREAM_CHUNK: usize = 4096;
 
 /// Which loss statistic a capacity search targets.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -162,85 +158,73 @@ impl<'a> MuxSim<'a> {
     /// Runs all combinations and averages the loss metrics (the paper
     /// averages the resulting loss rates over the 6 lag combinations).
     ///
-    /// Metrics are accumulated streaming — the aggregate series is
-    /// regenerated through wrap cursors in cache-sized chunks, with no
-    /// per-slot allocation — since the Q-C searches call this thousands
-    /// of times over multi-million-slot series.
+    /// The one-lane case of [`run_lanes`](Self::run_lanes): metrics are
+    /// accumulated streaming — the aggregate series is regenerated
+    /// through wrap cursors in cache-sized chunks, with no per-slot
+    /// allocation.
     pub fn run(&self, capacity_bps: f64, buffer_bytes: f64) -> AveragedLoss {
         let _span = obs::span("qsim.mux_run");
+        let [loss] = self.run_lanes(&[capacity_bps], &[buffer_bytes]);
+        loss
+    }
+
+    /// Runs `L` queues, one per `(capacity, buffer)` lane, over one
+    /// shared pass of the arrivals: lane `l` returns exactly what
+    /// [`run`](Self::run) returns at `(capacities[l], buffers[l])`, bit
+    /// for bit, for about the cost of one run up to eight lanes.
+    ///
+    /// Counts one `MuxRuns` pass and every lane's overflow slots.
+    pub fn run_lanes<const L: usize>(
+        &self,
+        capacities: &[f64; L],
+        buffers: &[f64; L],
+    ) -> [AveragedLoss; L] {
         obs::counter_add(Counter::MuxRuns, 1);
-        // Per-run overflow accounting: the process-global counter keeps
-        // accumulating (monotone, as every counter must), but this run's
-        // own contribution is captured as a snapshot delta so callers —
-        // and the bench metrics — get a per-run figure instead of a
-        // process-lifetime sum. Concurrent runs on other threads can
-        // inflate the delta; the Q-C searches and benches that read it
-        // run their `MuxSim::run` calls one at a time.
-        let before = obs::CounterSnapshot::capture();
-        // Overload is deliberately legal here (transient studies run below
-        // the mean rate); `try_run` is the variant that rejects it.
-        //
-        // Each combination is an independent queue replay, so the (up to
-        // six) replays run on the worker pool when the trace is long
-        // enough to amortize the spawn cost; the metrics come back in
-        // combo order and are summed left-to-right, making the averages
-        // bit-identical to the serial loop.
-        let slots_per_sec = (1.0 / self.dt).round() as usize;
+        let losses = self.replay(capacities, buffers);
+        let overflow = losses.iter().map(|l| l.overflow_slots).sum();
+        obs::counter_add(Counter::QueueOverflowSlots, overflow);
+        losses
+    }
+
+    /// One shared arrival pass per combination through `L` queue lanes,
+    /// touching no counter. Overload is deliberately legal here
+    /// (transient studies run below the mean rate); `try_run` is the
+    /// variant that rejects it.
+    ///
+    /// Each combination is an independent replay, so the (up to six)
+    /// replays run on the worker pool when the trace is long enough to
+    /// amortize the spawn cost; the metrics come back in combo order and
+    /// are summed left-to-right, making the averages bit-identical to
+    /// the serial loop. Overflow slots are counted in registers per
+    /// lane, so a run's figure is its own whatever runs concurrently.
+    fn replay<const L: usize>(&self, capacities: &[f64; L], buffers: &[f64; L]) -> [AveragedLoss; L] {
         let work = self.trace.slice_bytes().len().saturating_mul(self.combos.len());
-        let per_combo: Vec<(f64, f64)> =
+        let per_combo: Vec<[AveragedLoss; L]> =
             vbr_stats::par::par_map_sized(work, &self.combos, |combo| {
                 let mut cursor = ArrivalCursor::new(self.trace, combo);
-                let total = cursor.len();
+                let mut lanes = LaneQueues::new(capacities, buffers, self.dt, cursor.len());
                 let mut buf = [0.0f64; STREAM_CHUNK];
-                let mut q = FluidQueue::new(buffer_bytes, capacity_bps);
-                let mut worst = 0.0f64;
-                let mut win_loss = 0.0;
-                let mut win_arr = 0.0;
-                let mut i = 0usize;
                 loop {
                     let k = cursor.next_block(&mut buf);
                     if k == 0 {
                         break;
                     }
-                    // Feed the queue in runs that stop at each
-                    // errored-second boundary: the block recurrence
-                    // (`step_block`) and the 4-lane arrival sum then do
-                    // the per-slot work, with window accounting hoisted
-                    // out of the slot loop entirely.
-                    let mut pos = 0usize;
-                    while pos < k {
-                        let to_boundary = if slots_per_sec == 0 {
-                            k - pos
-                        } else {
-                            slots_per_sec - (i % slots_per_sec)
-                        };
-                        let run = (k - pos).min(to_boundary);
-                        let chunk = &buf[pos..pos + run];
-                        win_loss += q.step_block(chunk, self.dt);
-                        win_arr += vbr_stats::simd::sum_sequential(chunk);
-                        pos += run;
-                        i += run;
-                        if i.is_multiple_of(slots_per_sec) || i == total {
-                            if win_arr > 0.0 {
-                                worst = worst.max(win_loss / win_arr);
-                            }
-                            win_loss = 0.0;
-                            win_arr = 0.0;
-                        }
-                    }
+                    lanes.feed(&buf[..k]);
                 }
-                (q.loss_rate(), worst)
+                lanes.totals()
             });
-        let mut p_l = 0.0;
-        let mut p_wes = 0.0;
-        for (l, w) in per_combo {
-            p_l += l;
-            p_wes += w;
-        }
         let k = self.combos.len() as f64;
-        let overflow_slots = obs::CounterSnapshot::capture()
-            .delta_of(&before, Counter::QueueOverflowSlots);
-        AveragedLoss { p_l: p_l / k, p_wes: p_wes / k, overflow_slots }
+        std::array::from_fn(|l| {
+            let mut p_l = 0.0;
+            let mut p_wes = 0.0;
+            let mut overflow_slots = 0;
+            for totals in &per_combo {
+                p_l += totals[l].p_l;
+                p_wes += totals[l].p_wes;
+                overflow_slots += totals[l].overflow_slots;
+            }
+            AveragedLoss { p_l: p_l / k, p_wes: p_wes / k, overflow_slots }
+        })
     }
 
     /// Fallible [`run`](Self::run): rejects an invalid capacity or buffer
@@ -260,6 +244,11 @@ impl<'a> MuxSim<'a> {
     /// Smallest total capacity (bytes/s) achieving `target` under `metric`
     /// with the buffer tied to the capacity through
     /// `Q = t_max × C_total` — one point of a Q-C curve.
+    ///
+    /// `iterations` bisection levels between the mean rate and the peak
+    /// slot rate, decided three at a time from one shared arrival pass
+    /// (see the `search` module); the result is bit-identical to probing
+    /// one midpoint per [`run`](Self::run).
     pub fn required_capacity(
         &self,
         t_max_secs: f64,
@@ -282,60 +271,12 @@ impl<'a> MuxSim<'a> {
         metric: LossMetric,
         iterations: usize,
     ) -> Result<f64, QsimError> {
-        if !(t_max_secs >= 0.0 && t_max_secs.is_finite()) {
-            return Err(NumericError::OutOfRange {
-                what: "t_max_secs",
-                value: t_max_secs,
-                lo: 0.0,
-                hi: f64::INFINITY,
-            }
-            .into());
-        }
-        if let LossTarget::Rate(r) = target {
-            if !(r >= 0.0 && r.is_finite()) {
-                return Err(NumericError::OutOfRange {
-                    what: "loss target rate",
-                    value: r,
-                    lo: 0.0,
-                    hi: f64::INFINITY,
-                }
-                .into());
-            }
-        }
-        Ok(self.bisect_capacity(t_max_secs, target, metric, iterations))
-    }
-
-    /// The bisection itself, assuming validated inputs.
-    fn bisect_capacity(
-        &self,
-        t_max_secs: f64,
-        target: LossTarget,
-        metric: LossMetric,
-        iterations: usize,
-    ) -> f64 {
-        let mut lo = self.mean_rate; // below the mean, loss is unavoidable
-        let mut hi = self.peak_slot_rate.max(lo * 1.001); // provably lossless
-        let meets = |c: f64| -> bool {
-            let loss = self.run(c, t_max_secs * c);
-            let v = match metric {
-                LossMetric::Overall => loss.p_l,
-                LossMetric::WorstSecond => loss.p_wes,
-            };
-            match target {
-                LossTarget::Zero => v == 0.0,
-                LossTarget::Rate(r) => v <= r,
-            }
-        };
-        for _ in 0..iterations {
-            obs::counter_add(Counter::QcProbes, 1);
-            let mid = 0.5 * (lo + hi);
-            if meets(mid) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        hi
+        check_search_args(t_max_secs, target)?;
+        let lo = self.mean_rate; // below the mean, loss is unavoidable
+        let hi = self.peak_slot_rate.max(lo * 1.001); // provably lossless
+        search::bisect(lo, hi, iterations, t_max_secs, target, metric, |caps, bufs| {
+            Ok(self.replay(caps, bufs))
+        })
     }
 }
 
@@ -347,9 +288,24 @@ pub struct AveragedLoss {
     /// Worst-errored-second loss rate.
     pub p_wes: f64,
     /// Buffer-overflow slots in *this* run, summed over the lag
-    /// combinations (a per-run snapshot delta of the process-global
-    /// `queue_overflow_slots` counter, which itself keeps accumulating).
+    /// combinations. Counted per run in registers (and then added to
+    /// the process-global `queue_overflow_slots` counter once), so it
+    /// is exact even while other threads run the queue.
     pub overflow_slots: u64,
+}
+
+impl AveragedLoss {
+    /// Whether this run meets `target` under `metric`.
+    pub(crate) fn meets(&self, target: LossTarget, metric: LossMetric) -> bool {
+        let v = match metric {
+            LossMetric::Overall => self.p_l,
+            LossMetric::WorstSecond => self.p_wes,
+        };
+        match target {
+            LossTarget::Zero => v == 0.0,
+            LossTarget::Rate(r) => v <= r,
+        }
+    }
 }
 
 /// One point of a Q-C curve (Fig 14's axes).
@@ -375,13 +331,14 @@ pub fn qc_curve(
     // pool. The nested `MuxSim::run` parallelism automatically degrades
     // to serial inside these workers, so the thread count stays bounded,
     // and grid order is preserved in the returned curve. Each grid point
-    // costs `iterations` full replays of every combination.
+    // costs one full replay of every combination per `SEARCH_DEPTH`
+    // bisection levels.
     let work = sim
         .trace()
         .slice_bytes()
         .len()
         .saturating_mul(sim.combos().len())
-        .saturating_mul(iterations.max(1))
+        .saturating_mul(iterations.div_ceil(SEARCH_DEPTH).max(1))
         .saturating_mul(t_max_grid.len());
     vbr_stats::par::par_map_sized(work, t_max_grid, |&t| QcPoint {
         t_max_secs: t,
@@ -543,6 +500,34 @@ mod tests {
         assert_eq!(rerun.overflow_slots, lossy.overflow_slots);
         // A lossless run reports zero despite the lossy history.
         assert_eq!(sim.run(sim.peak_slot_rate(), 0.0).overflow_slots, 0);
+    }
+
+    #[test]
+    fn overflow_slots_are_exact_under_concurrent_runs() {
+        let t = test_trace();
+        let sim = MuxSim::new(&t, 3, 13);
+        let (c_a, c_b) = (sim.mean_rate() * 1.01, sim.mean_rate() * 1.1);
+        let solo_a = sim.run(c_a, 100.0).overflow_slots;
+        let solo_b = sim.run(c_b, 300.0).overflow_slots;
+        assert!(solo_a > 0 && solo_b > 0 && solo_a != solo_b);
+        // Two threads replay at once (the barrier lines each pair of runs
+        // up); each must see its own count, not the other's slots
+        // leaking in through the global counter.
+        let start = std::sync::Barrier::new(2);
+        let runs = |c: f64, buffer: f64| {
+            (0..4)
+                .map(|_| {
+                    start.wait();
+                    sim.run(c, buffer).overflow_slots
+                })
+                .collect::<Vec<_>>()
+        };
+        std::thread::scope(|s| {
+            let a = s.spawn(|| runs(c_a, 100.0));
+            let b = s.spawn(|| runs(c_b, 300.0));
+            assert_eq!(a.join().unwrap(), vec![solo_a; 4]);
+            assert_eq!(b.join().unwrap(), vec![solo_b; 4]);
+        });
     }
 
     #[test]

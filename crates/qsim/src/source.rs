@@ -14,9 +14,7 @@ use vbr_stats::obs::{self, Counter};
 
 use crate::error::QsimError;
 use crate::qc::{LossMetric, LossTarget};
-use crate::queue::FluidQueue;
-
-const STREAM_CHUNK: usize = 4096;
+use crate::search::{self, check_search_args, LaneQueues, STREAM_CHUNK};
 
 /// Streaming statistics of one model-driven queue run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,53 +44,38 @@ pub fn run_source_queue(
     assert!(slots > 0, "need at least one slot");
     let _span = obs::span("qsim.source_run");
     obs::counter_add(Counter::MuxRuns, 1);
-    let slots_per_sec = (1.0 / dt).round() as usize;
-    let mut q = FluidQueue::new(buffer_bytes, capacity_bps);
+    let (lanes, peak_slot) = replay_source(src, slots, dt, &[capacity_bps], &[buffer_bytes]);
+    let [lane] = lanes.totals();
+    obs::counter_add(Counter::QueueOverflowSlots, lane.overflow_slots);
+    SourceRunStats {
+        loss_rate: lane.p_l,
+        worst_second_loss: lane.p_wes,
+        mean_rate: lanes.offered() / (slots as f64 * dt),
+        peak_slot_rate: peak_slot / dt,
+    }
+}
+
+/// Streams `slots` samples from `src` through `L` queue lanes, returning
+/// the lanes and the peak single-slot arrival.
+fn replay_source<const L: usize>(
+    src: &mut dyn BlockSource,
+    slots: usize,
+    dt: f64,
+    capacities: &[f64; L],
+    buffers: &[f64; L],
+) -> (LaneQueues<L>, f64) {
+    let mut lanes = LaneQueues::new(capacities, buffers, dt, slots);
     let mut buf = [0.0f64; STREAM_CHUNK];
-    let mut total_arr = 0.0;
     let mut peak_slot = 0.0f64;
-    let mut worst = 0.0f64;
-    let mut win_loss = 0.0;
-    let mut win_arr = 0.0;
     let mut i = 0usize;
     while i < slots {
         let k = (slots - i).min(STREAM_CHUNK);
         src.next_block(&mut buf[..k]);
-        // Feed in runs that stop at each errored-second boundary, as the
-        // trace-driven multiplexer does.
-        let mut pos = 0usize;
-        while pos < k {
-            let to_boundary = if slots_per_sec == 0 {
-                k - pos
-            } else {
-                slots_per_sec - (i % slots_per_sec)
-            };
-            let run = (k - pos).min(to_boundary);
-            let chunk = &buf[pos..pos + run];
-            win_loss += q.step_block(chunk, dt);
-            let chunk_sum = vbr_stats::simd::sum_sequential(chunk);
-            win_arr += chunk_sum;
-            total_arr += chunk_sum;
-            for &a in chunk {
-                peak_slot = peak_slot.max(a);
-            }
-            pos += run;
-            i += run;
-            if (slots_per_sec > 0 && i.is_multiple_of(slots_per_sec)) || i == slots {
-                if win_arr > 0.0 {
-                    worst = worst.max(win_loss / win_arr);
-                }
-                win_loss = 0.0;
-                win_arr = 0.0;
-            }
-        }
+        lanes.feed(&buf[..k]);
+        peak_slot = buf[..k].iter().fold(peak_slot, |p, &a| p.max(a));
+        i += k;
     }
-    SourceRunStats {
-        loss_rate: q.loss_rate(),
-        worst_second_loss: worst,
-        mean_rate: total_arr / (slots as f64 * dt),
-        peak_slot_rate: peak_slot / dt,
-    }
+    (lanes, peak_slot)
 }
 
 /// Smallest capacity (bytes/s) achieving `target` under `metric` for a
@@ -100,11 +83,13 @@ pub fn run_source_queue(
 /// buffer tied to the capacity through `Q = t_max × C` — one point of a
 /// model-driven Q-C curve.
 ///
-/// The model is snapshotted on entry and restored before every probe, so
-/// each candidate capacity faces the identical sample path and the
-/// bisection is exactly as deterministic as the stored-trace search; on
-/// return the model is restored to its entry state, then advanced by one
-/// run (`slots` samples), leaving its stream position well-defined.
+/// The model is snapshotted on entry and restored before every shared
+/// arrival pass of the speculative bisection (one pass decides up to
+/// three levels), so each candidate capacity faces the identical sample
+/// path and the search is exactly as deterministic as the stored-trace
+/// one; on return the model is restored to its entry state, then
+/// advanced by one run (`slots` samples), leaving its stream position
+/// well-defined.
 pub fn try_required_capacity_model(
     model: &mut dyn TrafficModel,
     slots: usize,
@@ -114,55 +99,21 @@ pub fn try_required_capacity_model(
     metric: LossMetric,
     iterations: usize,
 ) -> Result<f64, QsimError> {
-    if !(t_max_secs >= 0.0 && t_max_secs.is_finite()) {
-        return Err(vbr_stats::error::NumericError::OutOfRange {
-            what: "t_max_secs",
-            value: t_max_secs,
-            lo: 0.0,
-            hi: f64::INFINITY,
-        }
-        .into());
-    }
-    if let LossTarget::Rate(r) = target {
-        if !(r >= 0.0 && r.is_finite()) {
-            return Err(vbr_stats::error::NumericError::OutOfRange {
-                what: "loss target rate",
-                value: r,
-                lo: 0.0,
-                hi: f64::INFINITY,
-            }
-            .into());
-        }
-    }
+    check_search_args(t_max_secs, target)?;
     let entry = model.snapshot(0);
     // Calibration pass: mean and peak rates bound the bisection bracket.
     let probe = run_source_queue(model, slots, dt, f64::MAX / 4.0, 0.0);
-    let mut lo = probe.mean_rate; // below the mean, loss is unavoidable
-    let mut hi = probe.peak_slot_rate.max(lo * 1.001); // provably lossless
-    for _ in 0..iterations {
-        obs::counter_add(Counter::QcProbes, 1);
-        let mid = 0.5 * (lo + hi);
-        model
-            .restore(&entry)
-            .map_err(|_| QsimError::from(vbr_stats::error::NumericError::NotConverged {
+    let lo = probe.mean_rate; // below the mean, loss is unavoidable
+    let hi = probe.peak_slot_rate.max(lo * 1.001); // provably lossless
+    search::bisect(lo, hi, iterations, t_max_secs, target, metric, |caps, bufs| {
+        model.restore(&entry).map_err(|_| {
+            QsimError::from(vbr_stats::error::NumericError::NotConverged {
                 what: "model snapshot replay",
-            }))?;
-        let stats = run_source_queue(model, slots, dt, mid, t_max_secs * mid);
-        let v = match metric {
-            LossMetric::Overall => stats.loss_rate,
-            LossMetric::WorstSecond => stats.worst_second_loss,
-        };
-        let meets = match target {
-            LossTarget::Zero => v == 0.0,
-            LossTarget::Rate(r) => v <= r,
-        };
-        if meets {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    Ok(hi)
+            })
+        })?;
+        let (lanes, _) = replay_source(model, slots, dt, caps, bufs);
+        Ok(lanes.totals())
+    })
 }
 
 /// Panicking [`try_required_capacity_model`].
@@ -183,6 +134,7 @@ pub fn required_capacity_model(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::FluidQueue;
     use vbr_fgn::TraceReplay;
 
     fn sawtooth(n: usize) -> Vec<f64> {
@@ -215,14 +167,12 @@ mod tests {
         let trace = sawtooth(10_000);
         let cap = 170.0 / dt;
         let mut q = FluidQueue::new(cap * 0.02, cap);
-        let mut lost = 0.0;
         for &a in &trace {
-            lost += q.step(a, dt);
+            q.step(a, dt);
         }
         let mut m = TraceReplay::new(trace);
         let stats = run_source_queue(&mut m, 10_000, dt, cap, cap * 0.02);
-        assert!((stats.loss_rate - q.loss_rate()).abs() < 1e-12);
-        let _ = lost;
+        assert_eq!(stats.loss_rate.to_bits(), q.loss_rate().to_bits());
     }
 
     #[test]

@@ -1,9 +1,54 @@
 //! Property-based tests for the queueing substrate: conservation laws and
-//! monotonicity of the fluid queue, and multiplexer invariants.
+//! monotonicity of the fluid queue, multiplexer invariants, and the
+//! speculative Q-C bisection against its scalar reference.
+
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use vbr_qsim::{aggregate_arrivals, ArrivalCursor, FluidQueue, LagCombination};
-use vbr_video::Trace;
+use vbr_fgn::{MwmConfig, MwmModel, TraceReplay};
+use vbr_qsim::{
+    aggregate_arrivals, required_capacity_model, ArrivalCursor, FluidQueue, LagCombination,
+    LossMetric, LossTarget, MuxSim,
+};
+use vbr_video::{generate_screenplay, ScreenplayConfig, Trace};
+
+/// A short screenplay shared by the search properties (600 frames of 30
+/// slices, so N = 5 still gets offsets 60 frames apart).
+fn search_trace() -> &'static Trace {
+    static TRACE: OnceLock<Trace> = OnceLock::new();
+    TRACE.get_or_init(|| generate_screenplay(&ScreenplayConfig::short(600, 17)))
+}
+
+/// The one-probe-per-replay bisection the speculative search replaced,
+/// built on the public one-lane `run`.
+fn scalar_bisection(
+    sim: &MuxSim,
+    t_max: f64,
+    target: LossTarget,
+    metric: LossMetric,
+    iterations: usize,
+) -> f64 {
+    let mut lo = sim.mean_rate();
+    let mut hi = sim.peak_slot_rate().max(lo * 1.001);
+    for _ in 0..iterations {
+        let mid = 0.5 * (lo + hi);
+        let loss = sim.run(mid, t_max * mid);
+        let v = match metric {
+            LossMetric::Overall => loss.p_l,
+            LossMetric::WorstSecond => loss.p_wes,
+        };
+        let meets = match target {
+            LossTarget::Zero => v == 0.0,
+            LossTarget::Rate(r) => v <= r,
+        };
+        if meets {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
+}
 
 proptest! {
     #[test]
@@ -155,5 +200,89 @@ proptest! {
         }
         prop_assert_eq!(q.loss_rate(), 0.0);
         prop_assert_eq!(q.backlog(), 0.0);
+    }
+
+    #[test]
+    fn speculative_search_equals_scalar_bisection(
+        n_pick in 0usize..4,
+        seed in 0u64..1_000,
+        t_max in 0.0f64..0.05,
+        rate in 1e-5f64..0.05,
+        zero_target in 0usize..2,
+        worst_second in 0usize..2,
+        iterations in 0usize..26,
+    ) {
+        // Both N rules (1 combo vs 6), both targets and metrics, and
+        // iteration counts across 0..=25, so ragged final passes (one or
+        // two levels) and the empty search are covered.
+        let n = [1usize, 2, 3, 5][n_pick];
+        let sim = MuxSim::new(search_trace(), n, seed);
+        let target = if zero_target == 1 { LossTarget::Zero } else { LossTarget::Rate(rate) };
+        let metric = if worst_second == 1 { LossMetric::WorstSecond } else { LossMetric::Overall };
+        let want = scalar_bisection(&sim, t_max, target, metric, iterations);
+        let got = sim.required_capacity(t_max, target, metric, iterations);
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "N={} {:?} {:?} x{}", n, target, metric, iterations);
+    }
+
+    #[test]
+    fn every_lane_equals_a_one_lane_run(
+        n_pick in 0usize..3,
+        seed in 0u64..1_000,
+        scales in prop::collection::vec(0.9f64..1.6, 8),
+        t_max in 0.0f64..0.02,
+    ) {
+        let n = [1usize, 3, 5][n_pick];
+        let sim = MuxSim::new(search_trace(), n, seed);
+        let caps: [f64; 8] = std::array::from_fn(|l| sim.mean_rate() * scales[l]);
+        let bufs = caps.map(|c| t_max * c);
+        let lanes = sim.run_lanes(&caps, &bufs);
+        for l in 0..8 {
+            let solo = sim.run(caps[l], bufs[l]);
+            prop_assert_eq!(lanes[l].p_l.to_bits(), solo.p_l.to_bits(), "lane {}", l);
+            prop_assert_eq!(lanes[l].p_wes.to_bits(), solo.p_wes.to_bits(), "lane {}", l);
+            prop_assert_eq!(lanes[l].overflow_slots, solo.overflow_slots, "lane {}", l);
+        }
+    }
+}
+
+fn golden_series() -> Vec<f64> {
+    (0..6000usize)
+        .map(|i| 100.0 + ((i * 7919) % 97) as f64 * 3.0 + if i % 50 == 0 { 400.0 } else { 0.0 })
+        .collect()
+}
+
+fn golden_mwm() -> MwmConfig {
+    MwmConfig {
+        root_mean: 1000.0 * 2.0f64.powi(3),
+        root_sd: 500.0,
+        shapes: vec![3.0, 2.5, 2.0, 1.5, 1.2, 1.0],
+        nominal_hurst: Some(0.8),
+        nominal_mean: 1000.0,
+        nominal_variance: 120_000.0,
+    }
+}
+
+/// Capacities the one-probe-per-replay model search returned; the
+/// speculative search must reproduce them bit for bit.
+#[test]
+fn model_search_reproduces_scalar_answers() {
+    let dt = 1.0 / 30.0;
+    for (target, metric, iterations, bits) in [
+        (LossTarget::Zero, LossMetric::Overall, 25, 0x40c2_7800_0553_dc28u64),
+        (LossTarget::Rate(1e-3), LossMetric::Overall, 25, 0x40c0_e1d7_f209_fc29),
+        (LossTarget::Rate(1e-2), LossMetric::WorstSecond, 20, 0x40c0_a260_1e1b_3332),
+        (LossTarget::Zero, LossMetric::WorstSecond, 16, 0x40c2_781a_463d_70a4),
+    ] {
+        let mut m = TraceReplay::new(golden_series());
+        let c = required_capacity_model(&mut m, 6000, dt, 0.05, target, metric, iterations);
+        assert_eq!(c.to_bits(), bits, "TraceReplay {target:?} {metric:?} x{iterations}: {c}");
+    }
+    for (target, metric, iterations, bits) in [
+        (LossTarget::Rate(0.01), LossMetric::Overall, 25, 0x410a_64d5_e739_e522u64),
+        (LossTarget::Zero, LossMetric::WorstSecond, 16, 0x411c_c219_b998_82f1),
+    ] {
+        let mut m = MwmModel::new(golden_mwm(), 42);
+        let c = required_capacity_model(&mut m, 4096, dt, 0.02, target, metric, iterations);
+        assert_eq!(c.to_bits(), bits, "MwmModel {target:?} {metric:?} x{iterations}: {c}");
     }
 }

@@ -81,10 +81,15 @@ pub enum Counter {
     /// `robust_hurst`: headline answered by a non-Whittle fallback.
     EstimatorFallback,
     /// Fluid queue: slots in which the buffer overflowed (lost > 0).
+    /// A speculative Q-C search adds only the lanes on its decision
+    /// path, so the count equals a one-probe-per-replay search's.
     QueueOverflowSlots,
-    /// MuxSim: full multiplexer runs completed.
+    /// Multiplexer replays: shared arrival passes over every lag
+    /// combination (`MuxSim::run`/`run_lanes`, one per speculative Q-C
+    /// pass of up to three levels) and model-driven source runs.
     MuxRuns,
-    /// Q–C sweeps: capacity bisection probes (queue runs) executed.
+    /// Q–C sweeps: capacity bisection levels decided (one per level,
+    /// however many levels a shared pass decides).
     QcProbes,
     /// Checkpoint store: snapshots durably written (tmp + rename).
     CheckpointWrites,
@@ -233,9 +238,12 @@ pub fn counters() -> Vec<(&'static str, u64)> {
 /// [`delta`](CounterSnapshot::delta) yields per-region counts even
 /// though the underlying counters are process-global and monotone.
 ///
-/// This is how per-run figures (e.g. one `MuxSim::run`'s
-/// `queue_overflow_slots`) are separated from process totals without
-/// resetting shared state out from under concurrent readers.
+/// This is how per-region figures (e.g. one benchmark pass's
+/// `qc_probes`) are separated from process totals without resetting
+/// shared state out from under concurrent readers. The delta includes
+/// whatever other threads did meanwhile, so per-call figures that must
+/// be exact under concurrency are counted locally instead (as
+/// `MuxSim::run` does for its overflow slots).
 #[derive(Debug, Clone)]
 pub struct CounterSnapshot {
     values: [u64; Counter::ALL.len()],
@@ -266,15 +274,10 @@ impl CounterSnapshot {
             })
             .collect()
     }
-
-    /// One counter's increase since `earlier` (saturating).
-    pub fn delta_of(&self, earlier: &CounterSnapshot, c: Counter) -> u64 {
-        self.values[c as usize].saturating_sub(earlier.values[c as usize])
-    }
 }
 
-/// Zeroes one counter (per-run isolation, e.g. a fresh `MuxSim` run's
-/// `queue_overflow_slots`). Only the locally-accumulated count is
+/// Zeroes one counter (test isolation, e.g. a fresh
+/// `queue_overflow_slots` total). Only the locally-accumulated count is
 /// cleared; the `FftPlan*` counters also merge fft-side totals that
 /// this cannot touch — use [`CounterSnapshot`] deltas for those.
 pub fn reset_counter(c: Counter) {
