@@ -1374,6 +1374,41 @@ fn bench_simulation(sizes: &Sizes, report: &mut PerfReport) {
         ),
     );
 
+    // One 8-lane pass over the six lag combinations at N = 20, one
+    // worker. The baseline replays each combination alone, summing its
+    // 20 sources per slot in f64; the new path interleaves three
+    // combinations per pass and sums sources in exact u32 batches.
+    let sim20 = MuxSim::new(&trace, 20, seed);
+    let caps: [f64; 8] = std::array::from_fn(|l| sim20.mean_rate() * (1.02 + 0.04 * l as f64));
+    let bufs = caps.map(|c| 0.002 * c);
+    let grouped = || with_threads(1, || sim20.run_lanes(&caps, &bufs));
+    let lane_bits = |losses: &[vbr_qsim::AveragedLoss; 8]| {
+        losses.map(|l| (l.p_l.to_bits(), l.p_wes.to_bits(), l.overflow_slots))
+    };
+    assert_eq!(
+        lane_bits(&per_combo_mux_pass(&sim20, &caps, &bufs)),
+        lane_bits(&grouped()),
+        "grouped mux pass drifted"
+    );
+    let t_per_combo = time_median(1, sizes.reps, || {
+        std::hint::black_box(per_combo_mux_pass(&sim20, &caps, &bufs));
+    });
+    let t_grouped = time_median(1, sizes.reps, || {
+        std::hint::black_box(grouped());
+    });
+    report.record_vs(
+        "simulation",
+        "mux_pass_grouped_n20",
+        t_per_combo,
+        t_grouped,
+        (1, sizes.reps),
+        &format!(
+            "one 8-lane pass at N = 20, 6 lag combinations x {slots} slots, 1 worker; baseline \
+             replays one combination at a time with per-source f64 sums, new path interleaves \
+             3 combinations per pass over exact u32 source sums (bit-identical losses)"
+        ),
+    );
+
     // Small-batch screenplay generation: the regime where the recorded
     // bench showed the always-fork scheduler 0.88x vs serial. Baseline
     // forces the old dispatch through a pinned 4-worker pool; the new
@@ -1405,6 +1440,131 @@ fn bench_simulation(sizes: &Sizes, report: &mut PerfReport) {
              (old always-fork scheduler), auto applies the par_map_sized work threshold"
         ),
     );
+}
+
+/// Queue state of eight `(C, Q)` lanes fed by one combination.
+#[derive(Default)]
+struct EightLanes {
+    backlog: [f64; 8],
+    lost: [f64; 8],
+    win_loss: [f64; 8],
+    worst: [f64; 8],
+    overflow: [u64; 8],
+    arrived: f64,
+    win_arr: f64,
+}
+
+impl EightLanes {
+    /// One run of the clamp recurrence, in `FluidQueue::step_block` op
+    /// order per lane.
+    #[inline(always)]
+    fn step_run_body(&mut self, service: &[f64; 8], buffer: &[f64; 8], run: &[f64]) {
+        let (service, buffer) = (*service, *buffer);
+        let (mut backlog, mut lost, mut overflow) = (self.backlog, self.lost, self.overflow);
+        let mut arrived = self.arrived;
+        let mut run_loss = [0.0f64; 8];
+        let mut run_arr = 0.0f64;
+        for &a in run {
+            arrived += a;
+            run_arr += a;
+            for l in 0..8 {
+                let unserved = (backlog[l] + a - service[l]).max(0.0);
+                let loss = (unserved - buffer[l]).max(0.0);
+                backlog[l] = unserved - loss;
+                lost[l] += loss;
+                run_loss[l] += loss;
+                overflow[l] += (loss > 0.0) as u64;
+            }
+        }
+        (self.backlog, self.lost, self.overflow, self.arrived) = (backlog, lost, overflow, arrived);
+        for (w, r) in self.win_loss.iter_mut().zip(run_loss) {
+            *w += r;
+        }
+        self.win_arr += run_arr;
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn step_run_avx2(&mut self, service: &[f64; 8], buffer: &[f64; 8], run: &[f64]) {
+        self.step_run_body(service, buffer, run);
+    }
+
+    fn step_run(&mut self, service: &[f64; 8], buffer: &[f64; 8], run: &[f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the running CPU has AVX2.
+            unsafe { self.step_run_avx2(service, buffer, run) };
+            return;
+        }
+        self.step_run_body(service, buffer, run);
+    }
+}
+
+/// [`MuxSim::run_lanes`] as one combination per pass with per-source
+/// `f64` aggregation: the baseline of `mux_pass_grouped_n20`.
+fn per_combo_mux_pass(
+    sim: &MuxSim,
+    caps: &[f64; 8],
+    bufs: &[f64; 8],
+) -> [vbr_qsim::AveragedLoss; 8] {
+    let trace = sim.trace();
+    let slices = trace.slice_bytes();
+    let n = slices.len();
+    let dt = sim.dt();
+    let sps = (1.0 / dt).round() as usize;
+    let service = caps.map(|c| c * dt);
+    let mut sums = [(0.0f64, 0.0f64, 0u64); 8];
+    for combo in sim.combos() {
+        let mut cursors: Vec<usize> =
+            combo.offsets.iter().map(|&o| (o * trace.slices_per_frame()) % n).collect();
+        let mut q = EightLanes::default();
+        let mut block = [0.0f64; 4096];
+        let mut fed = 0;
+        while fed < n {
+            let take = block.len().min(n - fed);
+            let out = &mut block[..take];
+            out.fill(0.0);
+            for c in &mut cursors {
+                let mut filled = 0;
+                while filled < take {
+                    let run = (take - filled).min(n - *c);
+                    vbr_stats::simd::accumulate_u32(
+                        &mut out[filled..filled + run],
+                        &slices[*c..*c + run],
+                    );
+                    *c = (*c + run) % n;
+                    filled += run;
+                }
+            }
+            let mut pos = 0;
+            while pos < take {
+                let run = (take - pos).min(sps - fed % sps);
+                q.step_run(&service, bufs, &out[pos..pos + run]);
+                pos += run;
+                fed += run;
+                if fed % sps == 0 || fed == n {
+                    for l in 0..8 {
+                        if q.win_arr > 0.0 {
+                            q.worst[l] = q.worst[l].max(q.win_loss[l] / q.win_arr);
+                        }
+                        q.win_loss[l] = 0.0;
+                    }
+                    q.win_arr = 0.0;
+                }
+            }
+        }
+        for (s, l) in sums.iter_mut().zip(0..8) {
+            s.0 += if q.arrived > 0.0 { q.lost[l] / q.arrived } else { 0.0 };
+            s.1 += q.worst[l];
+            s.2 += q.overflow[l];
+        }
+    }
+    let k = sim.combos().len() as f64;
+    sums.map(|(p_l, p_wes, overflow_slots)| vbr_qsim::AveragedLoss {
+        p_l: p_l / k,
+        p_wes: p_wes / k,
+        overflow_slots,
+    })
 }
 
 // ---------------------------------------------------------------------------

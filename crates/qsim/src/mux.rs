@@ -80,12 +80,37 @@ pub fn aggregate_arrivals(trace: &Trace, lags: &LagCombination) -> Vec<f64> {
     out
 }
 
+/// Largest per-slot aggregate the batched cursor sums exactly: every
+/// partial sum of non-negative integers below 2⁵³ is an exact `f64`, so
+/// any grouping of the adds gives the same bits.
+pub(crate) const EXACT_AGGREGATE: u64 = 1 << 53;
+
+/// Slots per u32 scratch batch in [`ArrivalCursor::next_block`]
+/// (4 KiB on the stack).
+const SCRATCH_SLOTS: usize = 1024;
+
+/// Sources [`ArrivalCursor::next_block`] sums in `u32` before one
+/// conversion to `f64`: as many as cannot overflow `u32` at the trace's
+/// largest slice. `None` when `n_sources × max_slice` reaches
+/// [`EXACT_AGGREGATE`], where regrouping the sum could round
+/// differently.
+pub(crate) fn u32_batch(n_sources: usize, max_slice: u32) -> Option<usize> {
+    let peak = (n_sources as u64).saturating_mul(u64::from(max_slice));
+    (peak < EXACT_AGGREGATE).then(|| (u32::MAX / max_slice.max(1)) as usize)
+}
+
 /// Single-pass aggregate-arrival generator: walks the trace once with
 /// one wrap-around cursor per source instead of materializing an offset
 /// copy of the trace per lag combination. Yields exactly one aggregate
 /// value per slice slot (`len()` of them), bit-identical to
-/// [`aggregate_arrivals`] — per slot, sources are accumulated in offset
-/// order, the same float-op order as the materializing sweep.
+/// [`aggregate_arrivals`], which accumulates sources in offset order.
+///
+/// The block path sums sources in exact `u32` batches (as many per batch
+/// as cannot overflow at the largest slice) and converts each batch to
+/// `f64` once. While the per-slot aggregate stays below 2⁵³ every
+/// partial sum is an exact integer in both orders, so the bits match
+/// the per-source `f64` sweep; past that bound the cursor falls back to
+/// one source per batch, which *is* that sweep.
 ///
 /// Memory is `O(n_sources)` beyond the borrowed trace, which is what
 /// lets multi-million-slot Q-C sweeps run in `O(block)` space: the six
@@ -96,16 +121,29 @@ pub struct ArrivalCursor<'a> {
     /// Per-source read position, pre-advanced to the source's offset.
     cursors: Vec<usize>,
     emitted: usize,
+    /// Sources summed in `u32` per `f64` conversion ([`u32_batch`]).
+    batch: usize,
 }
 
 impl<'a> ArrivalCursor<'a> {
-    /// Positions one cursor per source at its slice offset.
+    /// Positions one cursor per source at its slice offset. Scans the
+    /// trace once for its largest slice to size the `u32` batches;
+    /// [`MuxSim`](crate::MuxSim) does that once per simulator instead.
     pub fn new(trace: &'a Trace, lags: &LagCombination) -> Self {
+        let max_slice = trace.slice_bytes().iter().copied().max().unwrap_or(0);
+        // Past the exact bound, batches of one source are the per-source
+        // `f64` sweep itself.
+        let batch = u32_batch(lags.offsets.len(), max_slice).unwrap_or(1);
+        Self::with_batch(trace, lags, batch)
+    }
+
+    /// [`new`](Self::new) with a precomputed [`u32_batch`].
+    pub(crate) fn with_batch(trace: &'a Trace, lags: &LagCombination, batch: usize) -> Self {
         let slices = trace.slice_bytes();
         let n = slices.len();
         let spf = trace.slices_per_frame();
         let cursors = lags.offsets.iter().map(|&off| (off * spf) % n).collect();
-        ArrivalCursor { slices, cursors, emitted: 0 }
+        ArrivalCursor { slices, cursors, emitted: 0, batch }
     }
 
     /// Total slots the cursor will yield (the trace length in slices).
@@ -126,31 +164,44 @@ impl<'a> ArrivalCursor<'a> {
     /// Fills `out` with the next aggregate slots, returning how many
     /// were written (short only at the end of the sweep). Equivalent to
     /// the [`Iterator`] path but amortises the wrap bookkeeping over
-    /// contiguous runs, so the inner loop is a straight sum.
+    /// contiguous runs and sums each batch of sources in `u32`, so the
+    /// inner loops are straight integer adds plus one convert-and-add
+    /// per slot and batch.
     pub fn next_block(&mut self, out: &mut [f64]) -> usize {
         let n = self.slices.len();
         let take = out.len().min(n - self.emitted);
         let out = &mut out[..take];
         out.fill(0.0);
-        for c in &mut self.cursors {
-            let mut filled = 0;
-            let mut idx = *c;
-            while filled < take {
-                let run = (take - filled).min(n - idx);
-                // 4-lane convert+add kernel; one add per slot per source
-                // (in source order), so the aggregate stays bit-identical
-                // to the scalar sweep whatever the block size.
-                vbr_stats::simd::accumulate_u32(
-                    &mut out[filled..filled + run],
-                    &self.slices[idx..idx + run],
-                );
-                idx += run;
-                if idx == n {
-                    idx = 0;
+        let mut scratch = [0u32; SCRATCH_SLOTS];
+        for part in out.chunks_mut(SCRATCH_SLOTS) {
+            let sum = &mut scratch[..part.len()];
+            for batch in self.cursors.chunks_mut(self.batch) {
+                for (j, c) in batch.iter_mut().enumerate() {
+                    let mut filled = 0;
+                    while filled < sum.len() {
+                        let run = (sum.len() - filled).min(n - *c);
+                        let src = &self.slices[*c..*c + run];
+                        let dst = &mut sum[filled..filled + run];
+                        if j == 0 {
+                            dst.copy_from_slice(src);
+                        } else {
+                            // Cannot overflow: `batch` caps the sum at
+                            // `u32::MAX`.
+                            for (d, &s) in dst.iter_mut().zip(src) {
+                                *d += s;
+                            }
+                        }
+                        *c += run;
+                        if *c == n {
+                            *c = 0;
+                        }
+                        filled += run;
+                    }
                 }
-                filled += run;
+                // One convert+add per slot per batch, batches in source
+                // order.
+                vbr_stats::simd::accumulate_u32(part, sum);
             }
-            *c = idx;
         }
         self.emitted += take;
         // Tripwire (debug builds): the aggregate is a sum of u32
@@ -407,6 +458,50 @@ mod tests {
         }
         assert_eq!(got, want);
         assert!(cursor.is_empty());
+    }
+
+    #[test]
+    fn batched_cursor_is_exact_near_u32_limit() {
+        // Slices near 2³¹ cap the u32 batches at one source (largest
+        // slice 2³¹) or two (2³¹ − 1), so 3 and 5 sources split into
+        // ragged batches whose sums would wrap at a third source.
+        for (top, batch) in [(1u32 << 31, 1usize), ((1 << 31) - 1, 2)] {
+            let slices: Vec<u32> = (0..26u32).map(|i| top - i * 7919).collect();
+            let t = Trace::from_slices(slices, 2, 24.0);
+            // Offsets on the last frame wrap mid-block.
+            for offsets in [vec![0, 12, 5], vec![3, 12, 7, 1, 9]] {
+                let lags = LagCombination { offsets };
+                let want = aggregate_arrivals(&t, &lags);
+                for block in [1, 5, 7, 26, 40] {
+                    let mut cursor = ArrivalCursor::new(&t, &lags);
+                    assert_eq!(cursor.batch, batch);
+                    let mut got = Vec::new();
+                    let mut buf = vec![0.0; block];
+                    loop {
+                        let k = cursor.next_block(&mut buf);
+                        if k == 0 {
+                            break;
+                        }
+                        got.extend_from_slice(&buf[..k]);
+                    }
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "top {top}, {:?}, block {block}", lags.offsets);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn u32_batch_respects_both_exactness_bounds() {
+        // Batch sums stay within u32…
+        assert_eq!(u32_batch(20, 1 << 16), Some((u32::MAX >> 16) as usize));
+        assert_eq!(u32_batch(20, u32::MAX), Some(1));
+        // …an all-zero trace puts every source in one batch…
+        assert!(u32_batch(20, 0) >= Some(20));
+        // …and no batching applies once the aggregate can reach 2⁵³,
+        // where regrouping could round differently.
+        assert_eq!(u32_batch(1 << 40, 1 << 13), None);
+        assert_eq!(u32_batch((1 << 40) - 1, 1 << 13), Some((u32::MAX >> 13) as usize));
     }
 
     #[test]

@@ -4,10 +4,12 @@
 
 use crate::error::QsimError;
 use crate::metrics::SimResult;
-use crate::mux::{lag_combinations, ArrivalCursor, LagCombination};
+use crate::mux::{lag_combinations, u32_batch, ArrivalCursor, LagCombination, EXACT_AGGREGATE};
 use crate::queue::FluidQueue;
-use crate::search::{self, check_search_args, LaneQueues, SEARCH_DEPTH, STREAM_CHUNK};
-use vbr_stats::error::DataError;
+use crate::search::{
+    self, check_search_args, LaneQueues, MAX_GROUPS, SEARCH_DEPTH, STREAM_CHUNK,
+};
+use vbr_stats::error::{DataError, NumericError};
 use vbr_stats::obs::{self, Counter};
 use vbr_video::Trace;
 
@@ -54,6 +56,9 @@ pub struct MuxSim<'a> {
     mean_rate: f64,
     peak_slot_rate: f64,
     combos: Vec<LagCombination>,
+    /// Sources per exact `u32` batch in every cursor (`mux::u32_batch`),
+    /// fixed by the trace's largest slice.
+    batch: usize,
 }
 
 impl<'a> MuxSim<'a> {
@@ -64,8 +69,10 @@ impl<'a> MuxSim<'a> {
         Self::try_new(trace, n_sources, seed).unwrap_or_else(|e| panic!("MuxSim::new: {e}"))
     }
 
-    /// Fallible [`new`](Self::new): rejects zero sources and an empty
-    /// trace with typed errors.
+    /// Fallible [`new`](Self::new): rejects zero sources, an empty trace
+    /// and a trace whose aggregate could reach 2⁵³ bytes in one slot
+    /// (`n_sources × largest slice`), past which `f64` sums stop being
+    /// exact integers, with typed errors.
     pub fn try_new(trace: &'a Trace, n_sources: usize, seed: u64) -> Result<Self, QsimError> {
         if n_sources == 0 {
             return Err(QsimError::NoSources);
@@ -73,6 +80,13 @@ impl<'a> MuxSim<'a> {
         if trace.frames() == 0 {
             return Err(DataError::Empty.into());
         }
+        let max_slice = trace.slice_bytes().iter().copied().max().unwrap_or(0);
+        let batch = u32_batch(n_sources, max_slice).ok_or(NumericError::OutOfRange {
+            what: "peak aggregate slot bytes",
+            value: n_sources as f64 * f64::from(max_slice),
+            lo: 0.0,
+            hi: EXACT_AGGREGATE as f64,
+        })?;
         let min_sep = if n_sources == 1 { 0 } else { 1000.min(trace.frames() / (2 * n_sources)) };
         let combos = lag_combinations(n_sources, trace.frames(), min_sep, seed);
         // One streaming pass per combination for the rate summaries —
@@ -83,7 +97,7 @@ impl<'a> MuxSim<'a> {
         let dt = trace.slice_duration();
         let work = trace.slice_bytes().len().saturating_mul(combos.len());
         let per_combo: Vec<(f64, f64)> = vbr_stats::par::par_map_sized(work, &combos, |c| {
-            let mut cursor = ArrivalCursor::new(trace, c);
+            let mut cursor = ArrivalCursor::with_batch(trace, c, batch);
             let mut buf = [0.0f64; STREAM_CHUNK];
             let mut total = 0.0f64;
             let mut peak = 0.0f64;
@@ -102,7 +116,7 @@ impl<'a> MuxSim<'a> {
         let slots = trace.slice_bytes().len();
         let mean_rate = per_combo[0].0 / (slots as f64 * dt);
         let peak_slot_rate = per_combo.iter().map(|&(_, p)| p).fold(0.0f64, f64::max) / dt;
-        Ok(MuxSim { trace, n_sources, dt, mean_rate, peak_slot_rate, combos })
+        Ok(MuxSim { trace, n_sources, dt, mean_rate, peak_slot_rate, combos, batch })
     }
 
     /// The borrowed arrival trace.
@@ -141,7 +155,7 @@ impl<'a> MuxSim<'a> {
     /// path that still materializes per-slot series — its *output* is
     /// `O(slots)` by contract.
     pub fn run_single(&self, combo: usize, capacity_bps: f64, buffer_bytes: f64) -> SimResult {
-        let cursor = ArrivalCursor::new(self.trace, &self.combos[combo]);
+        let cursor = ArrivalCursor::with_batch(self.trace, &self.combos[combo], self.batch);
         let n = cursor.len();
         let mut q = FluidQueue::new(buffer_bytes, capacity_bps);
         let mut loss = Vec::with_capacity(n);
@@ -191,40 +205,64 @@ impl<'a> MuxSim<'a> {
     /// (transient studies run below the mean rate); `try_run` is the
     /// variant that rejects it.
     ///
-    /// Each combination is an independent replay, so the (up to six)
-    /// replays run on the worker pool when the trace is long enough to
-    /// amortize the spawn cost; the metrics come back in combo order and
-    /// are summed left-to-right, making the averages bit-identical to
-    /// the serial loop. Overflow slots are counted in registers per
-    /// lane, so a run's figure is its own whatever runs concurrently.
+    /// Each combination is an independent replay. The replays are dealt
+    /// out in groups of `⌈combos / workers⌉` (at most [`MAX_GROUPS`]), and
+    /// one [`LaneQueues`] pass advances a whole group slot by slot, so
+    /// its independent recurrences overlap. Groups run on the worker pool
+    /// when the trace is long enough to amortize the spawn cost. Every
+    /// combination's metrics are its own whatever its group, come back
+    /// in combo order and are summed left-to-right, making the averages
+    /// bit-identical to the serial one-combination loop at any thread
+    /// count. Overflow slots are counted in registers per lane, so a
+    /// run's figure is its own whatever runs concurrently.
     fn replay<const L: usize>(&self, capacities: &[f64; L], buffers: &[f64; L]) -> [AveragedLoss; L] {
         let work = self.trace.slice_bytes().len().saturating_mul(self.combos.len());
-        let per_combo: Vec<[AveragedLoss; L]> =
-            vbr_stats::par::par_map_sized(work, &self.combos, |combo| {
-                let mut cursor = ArrivalCursor::new(self.trace, combo);
-                let mut lanes = LaneQueues::new(capacities, buffers, self.dt, cursor.len());
-                let mut buf = [0.0f64; STREAM_CHUNK];
-                loop {
-                    let k = cursor.next_block(&mut buf);
-                    if k == 0 {
-                        break;
-                    }
-                    lanes.feed(&buf[..k]);
-                }
-                lanes.totals()
+        let workers = vbr_stats::par::sized_width(work);
+        let group = self.combos.len().div_ceil(workers).min(MAX_GROUPS);
+        let groups: Vec<&[LagCombination]> = self.combos.chunks(group).collect();
+        let per_group: Vec<Vec<[AveragedLoss; L]>> =
+            vbr_stats::par::par_map_with(workers, &groups, |combos| match combos.len() {
+                1 => self.replay_group::<L, 1>(combos, capacities, buffers).to_vec(),
+                2 => self.replay_group::<L, 2>(combos, capacities, buffers).to_vec(),
+                _ => self.replay_group::<L, MAX_GROUPS>(combos, capacities, buffers).to_vec(),
             });
         let k = self.combos.len() as f64;
         std::array::from_fn(|l| {
             let mut p_l = 0.0;
             let mut p_wes = 0.0;
             let mut overflow_slots = 0;
-            for totals in &per_combo {
+            for totals in per_group.iter().flatten() {
                 p_l += totals[l].p_l;
                 p_wes += totals[l].p_wes;
                 overflow_slots += totals[l].overflow_slots;
             }
             AveragedLoss { p_l: p_l / k, p_wes: p_wes / k, overflow_slots }
         })
+    }
+
+    /// Replays the `G` combinations in `combos` through one interleaved
+    /// pass of `G × L` queue lanes.
+    fn replay_group<const L: usize, const G: usize>(
+        &self,
+        combos: &[LagCombination],
+        capacities: &[f64; L],
+        buffers: &[f64; L],
+    ) -> [[AveragedLoss; L]; G] {
+        let mut cursors: [ArrivalCursor; G] =
+            std::array::from_fn(|g| ArrivalCursor::with_batch(self.trace, &combos[g], self.batch));
+        let mut lanes = LaneQueues::<L, G>::new(capacities, buffers, self.dt, cursors[0].len());
+        let mut bufs = [[0.0f64; STREAM_CHUNK]; G];
+        loop {
+            let mut k = 0;
+            for (cursor, buf) in cursors.iter_mut().zip(&mut bufs) {
+                k = cursor.next_block(buf);
+            }
+            if k == 0 {
+                break;
+            }
+            lanes.feed(bufs.each_ref().map(|b| &b[..k]));
+        }
+        lanes.totals()
     }
 
     /// Fallible [`run`](Self::run): rejects an invalid capacity or buffer
@@ -486,6 +524,45 @@ mod tests {
             .try_required_capacity(0.01, LossTarget::Rate(1e-2), LossMetric::Overall, 15)
             .unwrap();
         assert!(c > sim.mean_rate() && c.is_finite());
+    }
+
+    #[test]
+    fn search_rejects_all_zero_trace() {
+        // Mean and peak rates are both zero: no positive capacity to
+        // probe, so the search must fail typed instead of building a
+        // zero-capacity queue.
+        let t = Trace::from_slices(vec![0; 600], 30, 24.0);
+        for n in [1, 3] {
+            let sim = MuxSim::try_new(&t, n, 1).unwrap();
+            for iterations in [0, 10] {
+                let got =
+                    sim.try_required_capacity(0.01, LossTarget::Zero, LossMetric::Overall, iterations);
+                assert!(
+                    matches!(
+                        got,
+                        Err(QsimError::Numeric(NumericError::NonPositive {
+                            what: "mean arrival rate",
+                            ..
+                        }))
+                    ),
+                    "N = {n}, {iterations} levels: {got:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn try_new_rejects_aggregates_past_exact_f64_sums() {
+        // (2²¹ + 1) sources of a u32::MAX slice can aggregate past 2⁵³.
+        // Rejected before any offsets are drawn.
+        let t = Trace::from_slices(vec![u32::MAX; 4], 2, 24.0);
+        match MuxSim::try_new(&t, (1 << 21) + 1, 1) {
+            Err(QsimError::Numeric(NumericError::OutOfRange { hi, .. })) => {
+                assert_eq!(hi, 2f64.powi(53))
+            }
+            other => panic!("expected OutOfRange, got {other:?}"),
+        }
+        assert!(MuxSim::try_new(&t, 3, 1).is_ok());
     }
 
     #[test]

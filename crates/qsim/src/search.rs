@@ -14,7 +14,11 @@
 //! Lane contract (as for the lane-batched FFT): every lane runs exactly
 //! the op sequence of [`FluidQueue::step_block`] on its own `(C, Q)`,
 //! and nothing crosses lanes. Only lane-invariant work — the running
-//! `arrived` total and the per-window arrival sum — is shared.
+//! `arrived` total and the per-window arrival sum — is shared, within
+//! one group of lanes fed by one arrival stream. A pass may interleave
+//! up to [`MAX_GROUPS`] such groups (one per lag combination), slot by
+//! slot, so their latency-bound recurrences overlap; no op crosses
+//! groups either.
 
 use crate::error::QsimError;
 use crate::qc::{AveragedLoss, LossMetric, LossTarget};
@@ -39,31 +43,41 @@ pub(crate) const SEARCH_DEPTH: usize = 3;
 /// a power of two (the pad lane replays the root capacity).
 pub(crate) const SEARCH_LANES: usize = 1 << SEARCH_DEPTH;
 
-/// `L` fluid queues, one per `(capacity, buffer)` lane, fed by a single
-/// arrival stream with errored-second window accounting.
+/// Most lag combinations one [`LaneQueues`] pass interleaves. Three
+/// groups of eight lanes keep the AVX2 copy's backlog chains in
+/// registers; on a 2-vCPU Xeon an 8-lane, 3-group pass costs 0.6–0.75×
+/// three 1-group passes (DESIGN.md §10, "Combination interleaving").
+pub(crate) const MAX_GROUPS: usize = 3;
+
+/// `G` groups of `L` fluid queues. Every group shares the `L`
+/// `(capacity, buffer)` lanes but has its own arrival stream, with
+/// errored-second window accounting per group.
 ///
 /// Bit-identical per lane to a [`FluidQueue`] fed through `step_block`
 /// in runs that stop at every errored-second boundary: each lane keeps
 /// `step_block`'s per-slot op order, sums each run's loss from zero
 /// before adding it to its window total, and closes windows exactly
-/// where the scalar loop did. Overflow slots are tallied per lane in
+/// where the scalar loop did. Groups only interleave in time — no op
+/// reads another group's state — so a group's bits do not depend on `G`
+/// or on its neighbours. Overflow slots are tallied per lane in
 /// registers and never touch the process-global counter; the caller
 /// decides which lanes count.
-pub(crate) struct LaneQueues<const L: usize> {
+pub(crate) struct LaneQueues<const L: usize, const G: usize = 1> {
     service: [f64; L],
     buffer: [f64; L],
-    backlog: [f64; L],
-    lost: [f64; L],
-    win_loss: [f64; L],
-    worst: [f64; L],
-    overflow: [u64; L],
-    /// Running per-slot arrival total (`FluidQueue::arrived`), shared.
-    arrived: f64,
-    /// Arrivals in the open errored-second window, shared.
-    win_arr: f64,
+    backlog: [[f64; L]; G],
+    lost: [[f64; L]; G],
+    win_loss: [[f64; L]; G],
+    worst: [[f64; L]; G],
+    overflow: [[u64; L]; G],
+    /// Running per-slot arrival total (`FluidQueue::arrived`), shared
+    /// by a group's lanes.
+    arrived: [f64; G],
+    /// Arrivals in the open errored-second window, per group.
+    win_arr: [f64; G],
     /// Sum of the per-run arrival sums: the offered total as the
     /// window accounting groups it.
-    offered: f64,
+    offered: [f64; G],
     slots_per_sec: usize,
     fed: usize,
     total: usize,
@@ -71,8 +85,8 @@ pub(crate) struct LaneQueues<const L: usize> {
     avx2: bool,
 }
 
-impl<const L: usize> LaneQueues<L> {
-    /// Empty queues for a replay of `total` slots of `dt` seconds.
+impl<const L: usize, const G: usize> LaneQueues<L, G> {
+    /// Empty queues for replays of `total` slots of `dt` seconds.
     /// Every lane is validated exactly as [`FluidQueue::new`] validates.
     pub fn new(capacities: &[f64; L], buffers: &[f64; L], dt: f64, total: usize) -> Self {
         let mut service = [0.0; L];
@@ -82,14 +96,14 @@ impl<const L: usize> LaneQueues<L> {
         LaneQueues {
             service,
             buffer: *buffers,
-            backlog: [0.0; L],
-            lost: [0.0; L],
-            win_loss: [0.0; L],
-            worst: [0.0; L],
-            overflow: [0; L],
-            arrived: 0.0,
-            win_arr: 0.0,
-            offered: 0.0,
+            backlog: [[0.0; L]; G],
+            lost: [[0.0; L]; G],
+            win_loss: [[0.0; L]; G],
+            worst: [[0.0; L]; G],
+            overflow: [[0; L]; G],
+            arrived: [0.0; G],
+            win_arr: [0.0; G],
+            offered: [0.0; G],
             slots_per_sec: (1.0 / dt).round() as usize,
             fed: 0,
             total,
@@ -98,29 +112,34 @@ impl<const L: usize> LaneQueues<L> {
         }
     }
 
-    /// Feeds the next block of arrivals, split into runs at every
-    /// errored-second boundary.
-    pub fn feed(&mut self, block: &[f64]) {
+    /// Feeds the next block of arrivals of every group (all the same
+    /// length), split into runs at every errored-second boundary.
+    pub fn feed(&mut self, blocks: [&[f64]; G]) {
+        let len = blocks[0].len();
+        assert!(blocks.iter().all(|b| b.len() == len), "ragged group blocks");
         let sps = self.slots_per_sec;
         let mut pos = 0usize;
-        while pos < block.len() {
-            let left = block.len() - pos;
+        while pos < len {
+            let left = len - pos;
             let run = if sps == 0 {
                 left
             } else {
                 left.min(sps - self.fed % sps)
             };
-            self.step_run(&block[pos..pos + run]);
+            self.step_run(blocks.map(|b| &b[pos..pos + run]));
             pos += run;
             self.fed += run;
             if (sps > 0 && self.fed.is_multiple_of(sps)) || self.fed == self.total {
-                for l in 0..L {
-                    if self.win_arr > 0.0 {
-                        self.worst[l] = self.worst[l].max(self.win_loss[l] / self.win_arr);
+                for g in 0..G {
+                    for l in 0..L {
+                        if self.win_arr[g] > 0.0 {
+                            self.worst[g][l] =
+                                self.worst[g][l].max(self.win_loss[g][l] / self.win_arr[g]);
+                        }
+                        self.win_loss[g][l] = 0.0;
                     }
-                    self.win_loss[l] = 0.0;
+                    self.win_arr[g] = 0.0;
                 }
-                self.win_arr = 0.0;
             }
         }
     }
@@ -133,77 +152,94 @@ impl<const L: usize> LaneQueues<L> {
     /// 1-lane pass, where AVX2 holds it in registers (about 1.1×). The
     /// body has no multiplies and Rust never contracts or reassociates
     /// float ops, so both copies produce the same bits (tested below).
-    fn step_run(&mut self, arrivals: &[f64]) {
+    fn step_run(&mut self, runs: [&[f64]; G]) {
         #[cfg(target_arch = "x86_64")]
         if self.avx2 {
             // SAFETY: `avx2` is set only when the running CPU has AVX2.
-            unsafe { self.step_run_avx2(arrivals) };
+            unsafe { self.step_run_avx2(runs) };
             return;
         }
-        self.step_run_body(arrivals);
+        self.step_run_body(runs);
     }
 
     /// [`step_run_body`](Self::step_run_body) compiled for AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn step_run_avx2(&mut self, arrivals: &[f64]) {
-        self.step_run_body(arrivals);
+    fn step_run_avx2(&mut self, runs: [&[f64]; G]) {
+        self.step_run_body(runs);
     }
 
     /// [`step_run`](Self::step_run) for whatever target the crate is
-    /// built for.
+    /// built for. Slot-major, group-minor: the `G` independent backlog
+    /// chains of one slot are in flight together, which is what hides
+    /// the recurrence's latency.
+    // The slot index walks `G` slices at once, which no iterator adapter
+    // expresses for a const-generic `G`.
+    #[allow(clippy::needless_range_loop)]
     #[inline(always)]
-    fn step_run_body(&mut self, arrivals: &[f64]) {
+    fn step_run_body(&mut self, runs: [&[f64]; G]) {
+        let n = runs[0].len();
+        let runs = runs.map(|r| &r[..n]);
         let (service, buffer) = (self.service, self.buffer);
         let mut backlog = self.backlog;
         let mut lost = self.lost;
         let mut overflow = self.overflow;
-        let mut run_loss = [0.0f64; L];
+        let mut run_loss = [[0.0f64; L]; G];
         let mut arrived = self.arrived;
         // `simd::sum_sequential`'s strict left-to-right order, fused here
         // so its add chain overlaps the lanes' instead of following them.
-        let mut run_arr = 0.0f64;
-        for &a in arrivals {
-            debug_assert!(a >= 0.0);
-            arrived += a;
-            run_arr += a;
-            for l in 0..L {
-                let unserved = (backlog[l] + a - service[l]).max(0.0);
-                let loss = (unserved - buffer[l]).max(0.0);
-                backlog[l] = unserved - loss;
-                lost[l] += loss;
-                run_loss[l] += loss;
-                overflow[l] += (loss > 0.0) as u64;
+        let mut run_arr = [0.0f64; G];
+        for i in 0..n {
+            for g in 0..G {
+                let a = runs[g][i];
+                debug_assert!(a >= 0.0);
+                arrived[g] += a;
+                run_arr[g] += a;
+                for l in 0..L {
+                    let unserved = (backlog[g][l] + a - service[l]).max(0.0);
+                    let loss = (unserved - buffer[l]).max(0.0);
+                    backlog[g][l] = unserved - loss;
+                    lost[g][l] += loss;
+                    run_loss[g][l] += loss;
+                    overflow[g][l] += (loss > 0.0) as u64;
+                }
             }
         }
         self.backlog = backlog;
         self.lost = lost;
         self.overflow = overflow;
         self.arrived = arrived;
-        for (w, r) in self.win_loss.iter_mut().zip(run_loss) {
-            *w += r;
+        for g in 0..G {
+            for (w, r) in self.win_loss[g].iter_mut().zip(run_loss[g]) {
+                *w += r;
+            }
+            self.win_arr[g] += run_arr[g];
+            self.offered[g] += run_arr[g];
         }
-        self.win_arr += run_arr;
-        self.offered += run_arr;
     }
 
+    /// Per-group, per-lane losses of the replay: `p_l = lost / arrived`
+    /// (0 when nothing arrived), the worst errored second, and overflow
+    /// slots.
+    pub fn totals(&self) -> [[AveragedLoss; L]; G] {
+        std::array::from_fn(|g| {
+            std::array::from_fn(|l| AveragedLoss {
+                p_l: if self.arrived[g] > 0.0 {
+                    self.lost[g][l] / self.arrived[g]
+                } else {
+                    0.0
+                },
+                p_wes: self.worst[g][l],
+                overflow_slots: self.overflow[g][l],
+            })
+        })
+    }
+}
+
+impl<const L: usize> LaneQueues<L> {
     /// Offered bytes so far, summed run by run.
     pub fn offered(&self) -> f64 {
-        self.offered
-    }
-
-    /// Per-lane losses of the replay: `p_l = lost / arrived` (0 when
-    /// nothing arrived), the worst errored second, and overflow slots.
-    pub fn totals(&self) -> [AveragedLoss; L] {
-        std::array::from_fn(|l| AveragedLoss {
-            p_l: if self.arrived > 0.0 {
-                self.lost[l] / self.arrived
-            } else {
-                0.0
-            },
-            p_wes: self.worst[l],
-            overflow_slots: self.overflow[l],
-        })
+        self.offered[0]
     }
 }
 
@@ -256,6 +292,10 @@ fn midpoint_tree(mids: &mut [f64; SEARCH_LANES], node: usize, levels: usize, lo:
 /// Counters: `QcProbes` counts decided levels, `MuxRuns` counts passes,
 /// and `QueueOverflowSlots` adds only the lanes on the decision path, so
 /// it equals what a one-probe-per-replay search would have counted.
+///
+/// `lo` is the mean arrival rate; a zero (all-silent arrivals) or
+/// non-finite one leaves no positive capacity to probe and is rejected
+/// before any pass.
 pub(crate) fn bisect(
     mut lo: f64,
     mut hi: f64,
@@ -268,6 +308,9 @@ pub(crate) fn bisect(
         &[f64; SEARCH_LANES],
     ) -> Result<[AveragedLoss; SEARCH_LANES], QsimError>,
 ) -> Result<f64, QsimError> {
+    if !(lo > 0.0 && lo.is_finite()) {
+        return Err(NumericError::NonPositive { what: "mean arrival rate", value: lo }.into());
+    }
     let mut left = iterations;
     while left > 0 {
         let depth = left.min(SEARCH_DEPTH);
@@ -331,76 +374,98 @@ mod tests {
         );
     }
 
+    /// Arrivals for group `g`: the same shape per group, phase-shifted,
+    /// so every group's queues see different traffic.
+    fn group_arrivals(g: usize, n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| {
+                let bump = if i % (13 + g) == 0 { 400.0 } else { 0.0 };
+                ((i as f64 * 0.37 + g as f64).sin().abs() * 120.0) + bump
+            })
+            .collect()
+    }
+
     #[test]
     fn dispatched_kernel_matches_portable_body_bitwise() {
         // On an AVX2 host `step_run` runs the AVX2 copy; the portable body
         // is what every other x86-64 host runs.
         let dt = 1.0 / 30.0;
-        let arrivals: Vec<f64> = (0..997).map(|i| ((i * 7919) % 251) as f64 * 2.5).collect();
+        let arrivals: [Vec<f64>; MAX_GROUPS] = std::array::from_fn(|g| {
+            (0..997).map(|i| ((i * 7919 + 31 * g) % 251) as f64 * 2.5).collect()
+        });
         let caps: [f64; SEARCH_LANES] = std::array::from_fn(|l| 7_000.0 + 600.0 * l as f64);
         let bufs = caps.map(|c| 0.01 * c);
-        let mut dispatched = LaneQueues::new(&caps, &bufs, dt, arrivals.len());
-        let mut portable = LaneQueues::new(&caps, &bufs, dt, arrivals.len());
-        for run in arrivals.chunks(30) {
-            dispatched.step_run(run);
-            portable.step_run_body(run);
+        let mut dispatched = LaneQueues::<SEARCH_LANES, MAX_GROUPS>::new(&caps, &bufs, dt, 997);
+        let mut portable = LaneQueues::<SEARCH_LANES, MAX_GROUPS>::new(&caps, &bufs, dt, 997);
+        for start in (0..997).step_by(30) {
+            let runs = arrivals.each_ref().map(|a| &a[start..997.min(start + 30)]);
+            dispatched.step_run(runs);
+            portable.step_run_body(runs);
         }
-        let bits = |q: &LaneQueues<SEARCH_LANES>| {
+        let bits = |q: &LaneQueues<SEARCH_LANES, MAX_GROUPS>| {
             let lanes = [q.backlog, q.lost, q.win_loss];
-            let mut v: Vec<u64> = lanes.iter().flatten().map(|x| x.to_bits()).collect();
-            v.extend(q.overflow);
-            v.extend([
-                q.arrived.to_bits(),
-                q.win_arr.to_bits(),
-                q.offered.to_bits(),
-            ]);
+            let mut v: Vec<u64> = lanes.iter().flatten().flatten().map(|x| x.to_bits()).collect();
+            v.extend(q.overflow.iter().flatten());
+            for shared in [q.arrived, q.win_arr, q.offered] {
+                v.extend(shared.map(f64::to_bits));
+            }
             v
         };
         assert_eq!(bits(&dispatched), bits(&portable));
         assert!(
-            portable.overflow.iter().any(|&o| o > 0),
-            "no lane overflowed: weak test"
+            portable.overflow.iter().all(|g| g.iter().any(|&o| o > 0)),
+            "a group never overflowed: weak test"
         );
+    }
+
+    /// Feeds `G` groups of different arrivals and checks every lane of
+    /// every group against the scalar `step_block` replay of its own
+    /// group's arrivals.
+    fn check_groups_against_step_block<const G: usize>() {
+        let dt = 1.0 / 30.0;
+        let n = 1000;
+        let arrivals: [Vec<f64>; G] = std::array::from_fn(|g| group_arrivals(g, n));
+        let caps = [2400.0, 3000.0, 3300.0];
+        let bufs = [0.0, 60.0, 200.0];
+        let mut lanes = LaneQueues::<3, G>::new(&caps, &bufs, dt, n);
+        for start in (0..n).step_by(64) {
+            lanes.feed(arrivals.each_ref().map(|a| &a[start..n.min(start + 64)]));
+        }
+        for (g, group) in lanes.totals().iter().enumerate() {
+            for (l, got) in group.iter().enumerate() {
+                // The scalar replay the lanes replaced: `step_block` per
+                // run, runs cut at block and errored-second (30-slot)
+                // boundaries.
+                let mut q = FluidQueue::new(bufs[l], caps[l]);
+                let (mut worst, mut win_loss, mut win_arr, mut i) = (0.0f64, 0.0, 0.0, 0);
+                for block in arrivals[g].chunks(64) {
+                    let mut pos = 0;
+                    while pos < block.len() {
+                        let run = &block[pos..block.len().min(pos + 30 - i % 30)];
+                        win_loss += q.step_block(run, dt);
+                        win_arr += vbr_stats::simd::sum_sequential(run);
+                        pos += run.len();
+                        i += run.len();
+                        if i % 30 == 0 || i == n {
+                            if win_arr > 0.0 {
+                                worst = worst.max(win_loss / win_arr);
+                            }
+                            (win_loss, win_arr) = (0.0, 0.0);
+                        }
+                    }
+                }
+                let at = format!("G = {G}, group {g}, lane {l}");
+                assert_eq!(got.p_l.to_bits(), q.loss_rate().to_bits(), "{at}");
+                assert_eq!(got.p_wes.to_bits(), worst.to_bits(), "{at}");
+                assert!(got.p_wes > 0.0, "{at} never lost: weak test");
+            }
+        }
     }
 
     #[test]
     fn lanes_match_step_block_bitwise() {
-        let dt = 1.0 / 30.0;
-        let arrivals: Vec<f64> = (0..1000)
-            .map(|i| {
-                ((i as f64 * 0.37).sin().abs() * 120.0) + if i % 13 == 0 { 400.0 } else { 0.0 }
-            })
-            .collect();
-        let caps = [2400.0, 3000.0, 3300.0];
-        let bufs = [0.0, 60.0, 200.0];
-        let mut lanes = LaneQueues::new(&caps, &bufs, dt, arrivals.len());
-        for block in arrivals.chunks(64) {
-            lanes.feed(block);
-        }
-        for (l, got) in lanes.totals().iter().enumerate() {
-            // The scalar replay the lanes replaced: `step_block` per run,
-            // runs cut at block and errored-second (30-slot) boundaries.
-            let mut q = FluidQueue::new(bufs[l], caps[l]);
-            let (mut worst, mut win_loss, mut win_arr, mut i) = (0.0f64, 0.0, 0.0, 0);
-            for block in arrivals.chunks(64) {
-                let mut pos = 0;
-                while pos < block.len() {
-                    let run = &block[pos..block.len().min(pos + 30 - i % 30)];
-                    win_loss += q.step_block(run, dt);
-                    win_arr += vbr_stats::simd::sum_sequential(run);
-                    pos += run.len();
-                    i += run.len();
-                    if i % 30 == 0 || i == arrivals.len() {
-                        if win_arr > 0.0 {
-                            worst = worst.max(win_loss / win_arr);
-                        }
-                        (win_loss, win_arr) = (0.0, 0.0);
-                    }
-                }
-            }
-            assert_eq!(got.p_l.to_bits(), q.loss_rate().to_bits(), "lane {l}");
-            assert_eq!(got.p_wes.to_bits(), worst.to_bits(), "lane {l}");
-            assert!(got.p_wes > 0.0, "lane {l} never lost: weak test");
-        }
+        check_groups_against_step_block::<1>();
+        check_groups_against_step_block::<2>();
+        check_groups_against_step_block::<MAX_GROUPS>();
     }
 }

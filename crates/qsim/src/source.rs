@@ -10,6 +10,7 @@
 
 use vbr_fgn::stream::BlockSource;
 use vbr_fgn::traffic::TrafficModel;
+use vbr_stats::error::{DataError, NumericError};
 use vbr_stats::obs::{self, Counter};
 
 use crate::error::QsimError;
@@ -45,7 +46,7 @@ pub fn run_source_queue(
     let _span = obs::span("qsim.source_run");
     obs::counter_add(Counter::MuxRuns, 1);
     let (lanes, peak_slot) = replay_source(src, slots, dt, &[capacity_bps], &[buffer_bytes]);
-    let [lane] = lanes.totals();
+    let [[lane]] = lanes.totals();
     obs::counter_add(Counter::QueueOverflowSlots, lane.overflow_slots);
     SourceRunStats {
         loss_rate: lane.p_l,
@@ -71,7 +72,7 @@ fn replay_source<const L: usize>(
     while i < slots {
         let k = (slots - i).min(STREAM_CHUNK);
         src.next_block(&mut buf[..k]);
-        lanes.feed(&buf[..k]);
+        lanes.feed([&buf[..k]]);
         peak_slot = buf[..k].iter().fold(peak_slot, |p, &a| p.max(a));
         i += k;
     }
@@ -90,6 +91,10 @@ fn replay_source<const L: usize>(
 /// one; on return the model is restored to its entry state, then
 /// advanced by one run (`slots` samples), leaving its stream position
 /// well-defined.
+///
+/// Rejects zero `slots`, a non-positive or non-finite `dt` and the
+/// [`check_search_args`] cases before touching the model, and a model
+/// whose calibration pass offers no traffic.
 pub fn try_required_capacity_model(
     model: &mut dyn TrafficModel,
     slots: usize,
@@ -100,6 +105,15 @@ pub fn try_required_capacity_model(
     iterations: usize,
 ) -> Result<f64, QsimError> {
     check_search_args(t_max_secs, target)?;
+    if slots == 0 {
+        return Err(DataError::Empty.into());
+    }
+    if !dt.is_finite() {
+        return Err(NumericError::NonFinite { what: "dt", value: dt }.into());
+    }
+    if dt <= 0.0 {
+        return Err(NumericError::NonPositive { what: "dt", value: dt }.into());
+    }
     let entry = model.snapshot(0);
     // Calibration pass: mean and peak rates bound the bisection bracket.
     let probe = run_source_queue(model, slots, dt, f64::MAX / 4.0, 0.0);
@@ -107,12 +121,13 @@ pub fn try_required_capacity_model(
     let hi = probe.peak_slot_rate.max(lo * 1.001); // provably lossless
     search::bisect(lo, hi, iterations, t_max_secs, target, metric, |caps, bufs| {
         model.restore(&entry).map_err(|_| {
-            QsimError::from(vbr_stats::error::NumericError::NotConverged {
+            QsimError::from(NumericError::NotConverged {
                 what: "model snapshot replay",
             })
         })?;
         let (lanes, _) = replay_source(model, slots, dt, caps, bufs);
-        Ok(lanes.totals())
+        let [totals] = lanes.totals();
+        Ok(totals)
     })
 }
 
@@ -222,6 +237,59 @@ mod tests {
         );
         assert_eq!(ca, cb);
         assert!(ca.is_finite() && ca > 0.0);
+    }
+
+    /// Runs the model search with `slots` and `dt`, expecting a typed
+    /// error and an untouched model (validation precedes the snapshot).
+    fn rejected_before_model(slots: usize, dt: f64) -> QsimError {
+        let mut m = TraceReplay::new(sawtooth(300));
+        let err = try_required_capacity_model(
+            &mut m, slots, dt, 0.01, LossTarget::Zero, LossMetric::Overall, 10,
+        )
+        .expect_err("degenerate input accepted");
+        let mut first = [0.0];
+        m.next_block(&mut first);
+        assert_eq!(first, [100.0], "model advanced before validation");
+        err
+    }
+
+    #[test]
+    fn model_search_rejects_zero_slots() {
+        assert_eq!(rejected_before_model(0, 1.0 / 30.0), QsimError::Data(DataError::Empty));
+    }
+
+    #[test]
+    fn model_search_rejects_non_positive_dt() {
+        for dt in [0.0, -1.0 / 30.0] {
+            assert!(matches!(
+                rejected_before_model(300, dt),
+                QsimError::Numeric(NumericError::NonPositive { what: "dt", .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn model_search_rejects_non_finite_dt() {
+        for dt in [f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                rejected_before_model(300, dt),
+                QsimError::Numeric(NumericError::NonFinite { what: "dt", .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn model_search_rejects_silent_model() {
+        // The calibration pass finds a zero mean rate: no positive
+        // capacity to probe.
+        let mut m = TraceReplay::new(vec![0.0; 300]);
+        let got = try_required_capacity_model(
+            &mut m, 300, 1.0 / 30.0, 0.01, LossTarget::Zero, LossMetric::Overall, 10,
+        );
+        assert!(matches!(
+            got,
+            Err(QsimError::Numeric(NumericError::NonPositive { what: "mean arrival rate", .. }))
+        ));
     }
 
     fn test_mwm_cfg() -> vbr_fgn::MwmConfig {

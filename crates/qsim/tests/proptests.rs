@@ -243,6 +243,42 @@ proptest! {
             prop_assert_eq!(lanes[l].overflow_slots, solo.overflow_slots, "lane {}", l);
         }
     }
+
+    #[test]
+    fn thread_count_grouping_is_bit_invisible(
+        n_pick in 0usize..3,
+        seed in 0u64..1_000,
+        scales in prop::collection::vec(0.9f64..1.6, 8),
+        t_max in 0.0f64..0.02,
+        rate in 1e-5f64..0.05,
+        iterations in 1usize..14,
+    ) {
+        // The pool width sets how many lag combinations share one
+        // interleaved pass (6 workers: one each; 1 worker: three each),
+        // so the width must change scheduling only, never a bit.
+        let n = [3usize, 5, 20][n_pick];
+        let sim = MuxSim::new(search_trace(), n, seed);
+        let caps: [f64; 8] = std::array::from_fn(|l| sim.mean_rate() * scales[l]);
+        let bufs = caps.map(|c| t_max * c);
+        let run = |threads: usize| {
+            vbr_stats::par::with_threads(threads, || {
+                let lanes = sim.run_lanes(&caps, &bufs);
+                let mut bits: Vec<u64> = lanes
+                    .iter()
+                    .flat_map(|l| [l.p_l.to_bits(), l.p_wes.to_bits(), l.overflow_slots])
+                    .collect();
+                for target in [LossTarget::Zero, LossTarget::Rate(rate)] {
+                    let c = sim.required_capacity(t_max, target, LossMetric::Overall, iterations);
+                    bits.push(c.to_bits());
+                }
+                bits
+            })
+        };
+        let serial = run(1);
+        for threads in [2, 4, 6] {
+            prop_assert_eq!(&run(threads), &serial, "N={} threads={}", n, threads);
+        }
+    }
 }
 
 fn golden_series() -> Vec<f64> {

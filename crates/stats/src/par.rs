@@ -125,10 +125,20 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    if work < MIN_PARALLEL_WORK && !threads_pinned() {
-        return items.iter().map(f).collect();
+    par_map_with(sized_width(work), items, f)
+}
+
+/// Workers a [`par_map_sized`] call with this `work` estimate would use
+/// here and now: 1 inside a pool worker or below the work threshold,
+/// else [`num_threads`]. Callers that batch items per worker size their
+/// batches from it.
+pub fn sized_width(work: usize) -> usize {
+    let nested = IN_WORKER.with(|w| w.get());
+    if nested || (work < MIN_PARALLEL_WORK && !threads_pinned()) {
+        1
+    } else {
+        num_threads()
     }
-    par_map(items, f)
 }
 
 /// [`par_map`] with an explicit worker count, bypassing configuration.
@@ -272,6 +282,9 @@ mod tests {
         // for tiny work) without changing values.
         with_threads(4, || {
             assert_eq!(par_map_sized(0, &xs, noisy), serial);
+            assert_eq!(sized_width(0), 4);
+            // Inside a worker every sized call is serial.
+            assert_eq!(par_map_with(2, &[0, 1], |_| sized_width(usize::MAX)), [1, 1]);
         });
     }
 
