@@ -1,15 +1,13 @@
 //! Prints a bit-level digest of every vectorised kernel's output on a
 //! fixed workload, one `name digest` line per kernel.
 //!
-//! This is the cross-flag *and* cross-width portability gate: the
-//! kernels are width-generic chunk loops dispatched once per process
-//! (see DESIGN.md §14), written so the chunk width cannot change output
-//! bits. CI builds this binary under default flags and
-//! `target-cpu=native`, runs each build at every forced width
-//! (`VBR_SIMD_WIDTH=2/4/8`) plus auto-detect, and diffs all outputs;
-//! any difference means a kernel's arithmetic order leaked a build-flag
-//! or lane-width dependence. The output deliberately contains no
-//! width/feature banner — every line must be invariant.
+//! This is the cross-flag portability gate: the kernels are chunk loops
+//! at one compile-time width (see DESIGN.md §14), written so where
+//! chunk boundaries fall cannot change output bits. CI builds this
+//! binary under default flags and `target-cpu=native` and diffs the two
+//! outputs; any difference means a kernel's arithmetic order leaked a
+//! build-flag dependence. The output deliberately contains no
+//! feature banner — every line must be invariant.
 
 use vbr_fft::{plan_for, real_plan_for, Complex, Direction};
 use vbr_fgn::{BatchFgn, DaviesHarte, MarginalTransform, TableMode};
@@ -84,12 +82,12 @@ fn main() {
     }
     println!("fft_radix4 {}", d.hex());
 
-    // Lane-parallel batched FFT at the dispatched lane count. The lane
+    // Lane-parallel batched FFT at the generators' lane count. The lane
     // kernels are bit-identical per lane to the scalar plan for every
-    // `l`, so this digest must not move across forced widths even
-    // though `lanes()` itself differs — the strongest single check of
-    // the §16 lane contract.
-    let l = vbr_fft::lanes();
+    // `l`, and the digest covers only the first two lanes, so it does
+    // not depend on `LANES` — the strongest single check of the §16
+    // lane contract.
+    let l = vbr_fft::LANES;
     let mut d = Digest::new();
     for logn in [12u32, 13] {
         let m = 1usize << logn;
@@ -117,36 +115,6 @@ fn main() {
         }
     }
     println!("batch_fft {}", d.hex());
-
-    // Split-radix DIF kernel, scalar and lane paths, both directions.
-    let mut d = Digest::new();
-    for logn in [12u32, 13] {
-        let m = 1usize << logn;
-        let plan = vbr_fft::SplitRadixPlan::new(m);
-        let mut buf: Vec<Complex> = normals[..m].iter().map(|&x| Complex::from_re(x)).collect();
-        for dir in [Direction::Forward, Direction::Inverse] {
-            plan.process(&mut buf, dir);
-            for z in &buf {
-                d.push(z.re.to_bits());
-                d.push(z.im.to_bits());
-            }
-        }
-        let mut interleaved = vec![Complex::ZERO; m * l];
-        for v in 0..l {
-            for j in 0..m {
-                interleaved[j * l + v] = Complex::from_re(normals[(j + 53 * v) % n]);
-            }
-        }
-        plan.forward_lanes(&mut interleaved, l);
-        for v in 0..l.min(2) {
-            for j in 0..m {
-                let z = interleaved[j * l + v];
-                d.push(z.re.to_bits());
-                d.push(z.im.to_bits());
-            }
-        }
-    }
-    println!("split_radix {}", d.hex());
 
     // Half-size-complex real FFT: forward, Hermitian synthesis, and the
     // normalised inverse round trip, even and odd log2 n.
@@ -215,11 +183,8 @@ fn main() {
     let words: Vec<u32> = normals.iter().map(|&x| x.to_bits() as u32).collect();
     let mut acc = vec![0.0f64; n];
     simd::accumulate_u32(&mut acc, &words);
-    let mut scaled = vec![0.0f64; n];
-    simd::scale_into(&mut scaled, &normals, std::f64::consts::PI);
     let mut d = Digest::new();
     d.push_f64s(&acc);
-    d.push_f64s(&scaled);
     d.push(simd::sum_sequential(&normals).to_bits());
     println!("simd_helpers {}", d.hex());
 

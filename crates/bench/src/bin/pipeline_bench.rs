@@ -13,8 +13,9 @@
 //! per-entry minimum (see [`PerfReport::merge_min`]) — use it when
 //! regenerating the checked-in reference so the file records floors.
 //! `--check-against <report.json>` compares this run's per-group summed
-//! secs against the reference and exits nonzero on any regression past
-//! the tolerance recorded in the file; on a miss the suite re-runs (up
+//! secs against the reference and exits nonzero on any reference entry
+//! the run does not produce or any regression past the tolerance
+//! recorded in the file; on a miss the suite re-runs (up
 //! to 3 passes total) and the gate judges the merged floor, so timing
 //! noise cannot fail the job but a real slowdown still does.
 //!
@@ -934,90 +935,14 @@ fn bench_kernels_simd(sizes: &Sizes, report: &mut PerfReport) {
 }
 
 // ---------------------------------------------------------------------------
-// Width-dispatch tier: the process-wide chunk width (vbr_fft::lanes)
-// against the narrowest 2-lane monomorphisation of the same kernels, and
-// the half-size-complex real FFT against the full-complex Hermitian
-// synthesis it replaced. Outputs are bit-identical across all of these
-// by construction (see DESIGN.md §14); only the wall clock differs.
+// Real-FFT tier: the half-size-complex real FFT against the full-complex
+// Hermitian synthesis it replaced. Outputs are bit-identical by
+// construction (see DESIGN.md §16); only the wall clock differs. The
+// group keeps its historical `kernels_wide` name so the checked-in
+// reference still gates it.
 // ---------------------------------------------------------------------------
 
 fn bench_kernels_wide(sizes: &Sizes, report: &mut PerfReport) {
-    let n = sizes.stream_n;
-    let width = vbr_stats::simd::lanes();
-    let wnote = if width == 2 {
-        "detected width is 2, so both sides run the same code".to_string()
-    } else {
-        format!("dispatched width is {width}")
-    };
-
-    // AS241 quantile kernel: forced 2-lane chunks vs the dispatched width.
-    let mut rng = Xoshiro256::seed_from_u64(21);
-    let uniforms: Vec<f64> = (0..n).map(|_| rng.open01()).collect();
-    let mut buf = vec![0.0f64; n];
-    let t_w2 = time_median(1, sizes.reps, || {
-        buf.copy_from_slice(&uniforms);
-        vbr_stats::special::norm_quantile_slice_w::<2>(&mut buf);
-        std::hint::black_box(buf[n - 1]);
-    });
-    let t_disp = time_median(1, sizes.reps, || {
-        buf.copy_from_slice(&uniforms);
-        vbr_stats::norm_quantile_slice(&mut buf);
-        std::hint::black_box(buf[n - 1]);
-    });
-    report.record_vs(
-        "kernels_wide",
-        "norm_quantile_w2_vs_dispatched",
-        t_w2,
-        t_disp,
-        (1, sizes.reps),
-        &format!("{n} AS241 quantiles; baseline pins 2-lane chunks, {wnote}"),
-    );
-
-    // Arrival aggregation: the multiplexer's convert+add kernel.
-    let src: Vec<u32> = (0..n).map(|i| (i as u32).wrapping_mul(2_654_435_761)).collect();
-    let t_w2 = time_median(1, sizes.reps, || {
-        buf.iter_mut().for_each(|x| *x = 0.0);
-        vbr_stats::simd::accumulate_u32_w::<2>(&mut buf, &src);
-        std::hint::black_box(buf[n - 1]);
-    });
-    let t_disp = time_median(1, sizes.reps, || {
-        buf.iter_mut().for_each(|x| *x = 0.0);
-        vbr_stats::simd::accumulate_u32(&mut buf, &src);
-        std::hint::black_box(buf[n - 1]);
-    });
-    report.record_vs(
-        "kernels_wide",
-        "accumulate_u32_w2_vs_dispatched",
-        t_w2,
-        t_disp,
-        (1, sizes.reps),
-        &format!("{n} convert+add lanes; baseline pins 2-lane chunks, {wnote}"),
-    );
-
-    // Marginal slope-table map.
-    let target = GammaPareto::from_params(27_791.0, 6_254.0, 9.0);
-    let xform = MarginalTransform::new(&target, 0.0, 1.0, TableMode::Table(10_000));
-    let mut rng = Xoshiro256::seed_from_u64(22);
-    let gauss: Vec<f64> = (0..n).map(|_| rng.standard_normal()).collect();
-    let t_w2 = time_median(1, sizes.reps, || {
-        buf.copy_from_slice(&gauss);
-        xform.map_table_inplace_w::<2>(&mut buf);
-        std::hint::black_box(buf[n - 1]);
-    });
-    let t_disp = time_median(1, sizes.reps, || {
-        buf.copy_from_slice(&gauss);
-        xform.map_inplace(&mut buf);
-        std::hint::black_box(buf[n - 1]);
-    });
-    report.record_vs(
-        "kernels_wide",
-        "marginal_table_w2_vs_dispatched",
-        t_w2,
-        t_disp,
-        (1, sizes.reps),
-        &format!("{n} slope-table lookups; baseline pins 2-lane chunks, {wnote}"),
-    );
-
     // Hermitian synthesis — the Davies–Harte hot path: full-length
     // complex FFT over the mirrored spectrum (the pre-real-FFT code)
     // vs the half-size-complex RealFftPlan kernel.
@@ -1061,11 +986,11 @@ fn bench_kernels_wide(sizes: &Sizes, report: &mut PerfReport) {
     );
 }
 
-/// The §16 lane-parallel batch kernels: l = lanes() sources per call,
+/// The §16 lane-parallel batch kernels: l = LANES sources per call,
 /// lane-interleaved SoA, bit-identical per lane to the scalar plan.
 /// Baselines run the same work as l scalar calls.
 fn bench_kernels_batch_fft(sizes: &Sizes, report: &mut PerfReport) {
-    let l = vbr_fft::lanes();
+    let l = vbr_fft::LANES;
     // A fleet-shaped transform size: small enough that per-call
     // overhead matters, which is exactly what lane batching amortises.
     let n = (sizes.fft_n >> 4).max(16);
@@ -1147,38 +1072,6 @@ fn bench_kernels_batch_fft(sizes: &Sizes, report: &mut PerfReport) {
         &format!(
             "{l} Hermitian syntheses of n={n}; baseline loops the scalar kernel, \
              new path one synthesize_hermitian_lanes pass over interleaved bins"
-        ),
-    );
-
-    // Split-radix audition: the DIF kernel owed by ROADMAP item 4
-    // against the production radix-4 plan, same size, same data. The
-    // radix-4 plan is the deliberate winner on this host (DESIGN.md
-    // §16); this entry keeps the comparison honest under the gate so
-    // a future host can re-audition split-radix with one bench run.
-    let sr = vbr_fft::SplitRadixPlan::new(n);
-    let t_sr = time_median(1, reps, || {
-        for sig in &signals {
-            solo.copy_from_slice(sig);
-            sr.forward(&mut solo);
-            std::hint::black_box(solo[n - 1]);
-        }
-    });
-    let t_r4 = time_median(1, reps, || {
-        for sig in &signals {
-            solo.copy_from_slice(sig);
-            plan.forward(&mut solo);
-            std::hint::black_box(solo[n - 1]);
-        }
-    });
-    report.record_vs(
-        "kernels_batch_fft",
-        "split_radix_vs_radix4",
-        t_sr,
-        t_r4,
-        (1, reps),
-        &format!(
-            "{l} forward transforms of n={n}; baseline split-radix DIF recursion, \
-             new path the production radix-4 SoA plan (measured winner on this host)"
         ),
     );
 }

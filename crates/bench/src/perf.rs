@@ -3,10 +3,9 @@
 //!
 //! The workspace has no serde, so the report is hand-rolled JSON: a flat
 //! list of entries, each with a measured median time, an optional
-//! baseline it is compared against, and the resulting speedup. The
-//! Criterion benches (`cargo bench`) remain the fine-grained view; this
-//! module exists so a single binary can emit one machine-readable
-//! before/after file (`BENCH_pipeline.json`) that CI checks in.
+//! baseline it is compared against, and the resulting speedup, so a
+//! single binary can emit one machine-readable before/after file
+//! (`BENCH_pipeline.json`) that CI checks in.
 
 use std::fmt::Write as _;
 use std::io;
@@ -205,7 +204,7 @@ impl PerfReport {
     /// time, plus the process peak RSS, so a checked-in report also
     /// records *what the benchmark exercised* (cache hits, fallbacks,
     /// overflow slots), not just how long it took. Schema v4 adds the
-    /// detected SIMD chunk width and CPU target features (entries are
+    /// SIMD chunk width and CPU target features (entries are
     /// only comparable across hosts when these match), the documented
     /// regression tolerance the CI gate enforces (see
     /// [`check_against`]), and per-entry `metrics`: each entry's own
@@ -217,7 +216,7 @@ impl PerfReport {
         let _ = writeln!(s, "  \"schema\": \"vbr-bench/pipeline/v4\",");
         let _ = writeln!(s, "  \"host_threads\": {host_threads},");
         let _ = writeln!(s, "  \"rustc\": {},", json_str(rustc));
-        let _ = writeln!(s, "  \"simd_width\": {},", vbr_stats::simd::lanes());
+        let _ = writeln!(s, "  \"simd_width\": {},", vbr_stats::simd::LANES);
         let _ = writeln!(
             s,
             "  \"target_features\": {},",
@@ -228,8 +227,9 @@ impl PerfReport {
             s,
             "  \"regression_note\": {},",
             json_str(
-                "CI gate: pipeline_bench --check-against fails if any group's \
-                 summed secs exceeds this file's by more than the tolerance \
+                "CI gate: pipeline_bench --check-against fails if any entry \
+                 of this file is missing from the run or any group's summed \
+                 secs exceeds this file's by more than the tolerance \
                  factor; both sides are per-entry minima over repeated runs \
                  (--best-of / gate retries), so the comparison is floor vs \
                  floor, not one noisy sample vs another"
@@ -305,15 +305,16 @@ impl PerfReport {
     }
 }
 
-/// Extracts the `(group, secs)` pair of every entry from a previously
-/// written report (hand-rolled line scan — the workspace has no serde;
-/// the emitter in [`PerfReport::to_json`] pins the line shapes this
-/// reads). `baseline_secs` lines do not match the `"secs"` prefix, so
-/// only measured times are collected.
-pub fn parse_group_secs(json: &str) -> Vec<(String, f64)> {
+/// Extracts the `(group, name, secs)` triple of every entry from a
+/// previously written report (hand-rolled line scan — the workspace has
+/// no serde; the emitter in [`PerfReport::to_json`] pins the line
+/// shapes this reads). `baseline_secs` lines do not match the `"secs"`
+/// prefix, so only measured times are collected.
+pub fn parse_entry_secs(json: &str) -> Vec<(String, String, f64)> {
     let mut out = Vec::new();
     let mut in_entries = false;
     let mut group: Option<String> = None;
+    let mut name: Option<String> = None;
     for line in json.lines() {
         let t = line.trim();
         if t.starts_with("\"entries\"") {
@@ -325,10 +326,12 @@ pub fn parse_group_secs(json: &str) -> Vec<(String, f64)> {
         }
         if let Some(rest) = t.strip_prefix("\"group\": \"") {
             group = rest.strip_suffix("\",").map(|s| s.to_string());
+        } else if let Some(rest) = t.strip_prefix("\"name\": \"") {
+            name = rest.strip_suffix("\",").map(|s| s.to_string());
         } else if let Some(rest) = t.strip_prefix("\"secs\": ") {
-            if let Some(g) = group.take() {
+            if let (Some(g), Some(n)) = (group.take(), name.take()) {
                 if let Ok(v) = rest.trim_end_matches(',').parse::<f64>() {
-                    out.push((g, v));
+                    out.push((g, n, v));
                 }
             }
         }
@@ -337,51 +340,61 @@ pub fn parse_group_secs(json: &str) -> Vec<(String, f64)> {
 }
 
 /// The CI bench regression gate: compares this run's entries against a
-/// checked-in report, group by group. For every group present in both,
-/// the new summed `secs` must not exceed the old sum by more than
-/// `tolerance` (a factor, e.g. [`REGRESSION_TOLERANCE`] = 1.15 → 15%
-/// slowdown budget). A group present in the old report but absent from
-/// this run also fails — silently dropping a benchmark must not pass
-/// the gate. New groups (absent from the old report) are allowed; they
+/// checked-in report, group by group. Every `(group, name)` entry of
+/// the old report must appear in this run — silently dropping a
+/// benchmark must not pass the gate, and dropping one would otherwise
+/// shrink its group's sum. For every group whose entries are all
+/// present, the new summed `secs` over those entries must not exceed
+/// the old sum by more than `tolerance` (a factor, e.g.
+/// [`REGRESSION_TOLERANCE`] = 1.15 → 15% slowdown budget). New entries
+/// (absent from the old report) are allowed and not summed; they
 /// become gated once the report is regenerated.
 ///
 /// Returns the per-group comparison lines on success, or the failure
-/// lines (regressed / missing groups) on failure.
+/// lines (regressed groups / missing entries) on failure.
 pub fn check_against(
     old_json: &str,
     entries: &[PerfEntry],
     tolerance: f64,
 ) -> Result<Vec<String>, Vec<String>> {
     use std::collections::BTreeMap;
-    let mut old: BTreeMap<String, f64> = BTreeMap::new();
-    for (g, secs) in parse_group_secs(old_json) {
-        *old.entry(g).or_insert(0.0) += secs;
-    }
-    let mut new: BTreeMap<&str, f64> = BTreeMap::new();
-    for e in entries {
-        *new.entry(&e.group).or_insert(0.0) += e.secs;
-    }
+    let new: BTreeMap<(&str, &str), f64> =
+        entries.iter().map(|e| ((e.group.as_str(), e.name.as_str()), e.secs)).collect();
+    let old = parse_entry_secs(old_json);
     let mut report = Vec::new();
     let mut failures = Vec::new();
-    for (g, &old_sum) in &old {
-        match new.get(g.as_str()) {
-            None => failures.push(format!("group '{g}' in baseline report but not in this run")),
-            Some(&new_sum) => {
-                let ratio = new_sum / old_sum;
-                let line = format!(
-                    "group '{g}': {new_sum:.6}s vs baseline {old_sum:.6}s ({ratio:.3}x, budget {tolerance:.2}x)"
-                );
-                if new_sum > old_sum * tolerance {
-                    failures.push(format!("REGRESSION {line}"));
-                } else {
-                    report.push(line);
-                }
+    // Per group: (old sum, new sum, every entry present).
+    let mut sums: BTreeMap<&str, (f64, f64, bool)> = BTreeMap::new();
+    for (g, n, old_secs) in &old {
+        let sum = sums.entry(g.as_str()).or_insert((0.0, 0.0, true));
+        match new.get(&(g.as_str(), n.as_str())) {
+            None => {
+                failures.push(format!("entry '{g}/{n}' in baseline report but not in this run"));
+                sum.2 = false;
+            }
+            Some(&new_secs) => {
+                sum.0 += old_secs;
+                sum.1 += new_secs;
             }
         }
     }
-    for g in new.keys() {
-        if !old.contains_key(*g) {
-            report.push(format!("group '{g}': new (no baseline, not gated)"));
+    for (g, &(old_sum, new_sum, complete)) in &sums {
+        if !complete {
+            continue;
+        }
+        let ratio = new_sum / old_sum;
+        let line = format!(
+            "group '{g}': {new_sum:.6}s vs baseline {old_sum:.6}s ({ratio:.3}x, budget {tolerance:.2}x)"
+        );
+        if new_sum > old_sum * tolerance {
+            failures.push(format!("REGRESSION {line}"));
+        } else {
+            report.push(line);
+        }
+    }
+    for &(g, n) in new.keys() {
+        if !old.iter().any(|(og, on, _)| og == g && on == n) {
+            report.push(format!("entry '{g}/{n}': new (no baseline, not gated)"));
         }
     }
     if failures.is_empty() {
@@ -480,9 +493,9 @@ mod tests {
         assert_eq!(e.speedup(), Some(4.0));
     }
 
-    /// Round-trips a report through `to_json` → `parse_group_secs` and
+    /// Round-trips a report through `to_json` → `parse_entry_secs` and
     /// exercises the gate: pass within tolerance, fail beyond it, fail
-    /// on a dropped group, ignore brand-new groups.
+    /// on a dropped group or entry, ignore brand-new entries.
     #[test]
     fn check_against_gate() {
         let mut old = PerfReport::new();
@@ -491,9 +504,9 @@ mod tests {
         old.record_vs("streaming", "s", 4.0, 2.0, (1, 3), "baseline_secs must not be summed");
         let old_json = old.to_json(4, "rustc test");
 
-        let parsed = parse_group_secs(&old_json);
-        assert_eq!(parsed.len(), 3, "one (group, secs) per entry: {parsed:?}");
-        assert!(parsed.contains(&("streaming".to_string(), 2.0)));
+        let parsed = parse_entry_secs(&old_json);
+        assert_eq!(parsed.len(), 3, "one (group, name, secs) per entry: {parsed:?}");
+        assert!(parsed.contains(&("streaming".to_string(), "s".to_string(), 2.0)));
 
         // Same groups, slightly faster → pass, with one line per group.
         let mut ok = PerfReport::new();
@@ -517,8 +530,27 @@ mod tests {
         // Dropping a benchmarked group entirely must not pass the gate.
         let mut dropped = PerfReport::new();
         dropped.record("kernels", "a", 0.1, (1, 3), "");
+        dropped.record("kernels", "b", 0.1, (1, 3), "");
         let fails = check_against(&old_json, dropped.entries(), REGRESSION_TOLERANCE).unwrap_err();
         assert!(fails.iter().any(|l| l.contains("streaming") && l.contains("not in this run")));
+
+        // Dropping one entry of a group must not pass either, even
+        // though the group's remaining sum is well inside the budget.
+        let mut one_gone = PerfReport::new();
+        one_gone.record("kernels", "a", 1.0, (1, 3), "");
+        one_gone.record("streaming", "s", 2.0, (1, 3), "");
+        let fails = check_against(&old_json, one_gone.entries(), REGRESSION_TOLERANCE).unwrap_err();
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        assert!(fails[0].contains("kernels/b") && fails[0].contains("not in this run"));
+
+        // A new entry in a gated group is reported, not summed.
+        let mut extra = PerfReport::new();
+        extra.record("kernels", "a", 1.0, (1, 3), "");
+        extra.record("kernels", "b", 1.0, (1, 3), "");
+        extra.record("kernels", "c", 50.0, (1, 3), "");
+        extra.record("streaming", "s", 2.0, (1, 3), "");
+        let lines = check_against(&old_json, extra.entries(), REGRESSION_TOLERANCE).unwrap();
+        assert!(lines.iter().any(|l| l.contains("kernels/c") && l.contains("not gated")));
     }
 
     /// `merge_min` keeps the fastest observation per `(group, name)` on

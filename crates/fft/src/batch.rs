@@ -21,10 +21,9 @@
 //! [`RealFftPlan`]) at the same indices in the same stage order. No
 //! operation ever mixes lanes. A lane-batched transform is therefore
 //! **bit-identical** per lane to `l` scalar transforms, for every `l` —
-//! which is what makes `l = lanes()` dispatch legal under the
-//! bit-invisible-dispatch policy (DESIGN.md §14, §16), proven by the
-//! `batch_fft` section of `kernel_digest` and the scalar-twin
-//! proptests.
+//! which is what lets the generators batch `l = LANES` windows without
+//! moving a bit (DESIGN.md §16), proven by the `batch_fft` section of
+//! `kernel_digest` and the scalar-twin proptests.
 
 use crate::complex::Complex;
 use crate::plan::{first_radix4_span, radix4_core, FftPlan};

@@ -29,7 +29,6 @@ pub mod convolve;
 pub mod plan;
 pub mod radix2;
 pub mod real;
-pub mod splitradix;
 pub mod width;
 
 pub use bluestein::{bluestein_plan_for, fft_any, fft_any_in_place, BluesteinPlan};
@@ -44,8 +43,7 @@ pub use real::{
     fft_real, fft_real_into, ifft_real, ifft_real_into, power_spectrum, power_spectrum_into,
     real_plan_for, RealFftPlan,
 };
-pub use splitradix::SplitRadixPlan;
-pub use width::{lanes, target_features, MAX_LANES};
+pub use width::{target_features, LANES};
 
 /// Forward DFT of a complex sequence (any length, unnormalised).
 ///

@@ -12,11 +12,11 @@
 //!
 //! Twiddle factors live in split re/im (structure-of-arrays) tables so
 //! the butterfly loop reads contiguous `f64` lanes instead of
-//! interleaved pairs — the shape LLVM autovectorizes from plain chunked
-//! loops at the process-wide dispatch width ([`crate::width::lanes`]).
-//! Each butterfly is per-`j` math independent of chunk boundaries, so
-//! the width choice cannot change an output bit and results stay
-//! bit-identical across hosts (see DESIGN.md §11 and §14).
+//! interleaved pairs — the shape LLVM autovectorizes from plain loops
+//! chunked at the workspace width ([`crate::LANES`]). Each butterfly is
+//! per-`j` math independent of chunk boundaries, so the width cannot
+//! change an output bit and results stay bit-identical across hosts
+//! (see DESIGN.md §11 and §14).
 //! Each twiddle is evaluated *directly* from `sin`/`cos` (never by
 //! repeated multiplication), so the worst-case twiddle error is one ulp
 //! regardless of `n`.
@@ -32,6 +32,7 @@
 
 use crate::complex::Complex;
 use crate::radix2::{is_pow2, Direction};
+use crate::width::LANES;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -156,20 +157,12 @@ impl FftPlan {
             }
         }
 
-        // One width decision per transform; the butterfly math is
-        // per-j, so the chunk width only changes the unroll shape,
-        // never an output bit (DESIGN.md §14).
-        let lanes = crate::width::lanes();
         let mut base = 0usize;
         while len <= n {
             let quarter = len / 4;
             let stage_re = &self.tw_re[base..base + 3 * quarter];
             let stage_im = &self.tw_im[base..base + 3 * quarter];
-            match lanes {
-                2 => radix4_stage::<FWD, 2>(data, len, stage_re, stage_im),
-                8 => radix4_stage::<FWD, 8>(data, len, stage_re, stage_im),
-                _ => radix4_stage::<FWD, 4>(data, len, stage_re, stage_im),
-            }
+            radix4_stage::<FWD>(data, len, stage_re, stage_im);
             base += 3 * quarter;
             len <<= 2;
         }
@@ -203,11 +196,11 @@ pub(crate) fn first_radix4_span(n: usize) -> usize {
 ///
 /// The inverse additionally conjugates the twiddles. Every output lane
 /// depends only on its own `j`, so results are independent of how the
-/// loop is chunked — which is exactly why the `W`-chunked unroll below
-/// (the process-wide dispatch width) cannot change an output bit (the
-/// determinism contract for all kernels in this workspace).
+/// loop is chunked — which is exactly why the [`LANES`]-chunked unroll
+/// below cannot change an output bit (the determinism contract for all
+/// kernels in this workspace).
 #[inline]
-fn radix4_stage<const FWD: bool, const W: usize>(
+fn radix4_stage<const FWD: bool>(
     data: &mut [Complex],
     len: usize,
     w_re: &[f64],
@@ -223,18 +216,18 @@ fn radix4_stage<const FWD: bool, const W: usize>(
         let (q0, rest) = chunk.split_at_mut(quarter);
         let (q1, rest) = rest.split_at_mut(quarter);
         let (q2, q3) = rest.split_at_mut(quarter);
-        // W independent butterflies per iteration; LLVM vectorizes the
-        // straight-line lane bodies at the dispatched width.
-        let main = quarter - quarter % W;
+        // LANES independent butterflies per iteration; LLVM vectorizes
+        // the straight-line lane bodies.
+        let main = quarter - quarter % LANES;
         let mut j = 0;
         while j < main {
-            for l in 0..W {
+            for l in 0..LANES {
                 radix4_butterfly::<FWD>(
                     q0, q1, q2, q3, w1re, w1im, w2re, w2im, w3re, w3im,
                     j + l,
                 );
             }
-            j += W;
+            j += LANES;
         }
         for j in main..quarter {
             radix4_butterfly::<FWD>(q0, q1, q2, q3, w1re, w1im, w2re, w2im, w3re, w3im, j);
@@ -243,7 +236,7 @@ fn radix4_stage<const FWD: bool, const W: usize>(
 }
 
 /// One radix-4 butterfly at index `j` — the single source of butterfly
-/// arithmetic for every width (see [`radix4_stage`]).
+/// arithmetic for the chunked and remainder loops of [`radix4_stage`].
 #[expect(clippy::too_many_arguments, reason = "split-borrow SoA hot path")]
 #[inline(always)]
 fn radix4_butterfly<const FWD: bool>(

@@ -1,66 +1,25 @@
-//! The process-wide SIMD chunk-width decision.
+//! The workspace's one SIMD chunk width.
 //!
 //! This lives in `vbr-fft` (the workspace's root crate) so every layer
 //! — the FFT butterflies here, the sampling/marginal/queue kernels in
-//! `vbr-stats` and above — routes through **one** decision: the width
-//! is chosen once per process and never changes mid-run. Downstream
-//! crates re-export [`lanes`] (e.g. `vbr_stats::simd::lanes`) rather
-//! than detecting on their own.
+//! `vbr-stats` and above — shares **one** compile-time constant.
+//! Downstream crates re-export [`LANES`] (e.g. `vbr_stats::simd::LANES`)
+//! rather than defining their own.
 //!
-//! Dispatch is only legal for kernels whose per-element math is
-//! independent of chunk boundaries (or whose reductions preserve the
-//! exact scalar accumulation order at any unroll), so the width choice
-//! is invisible in output bits — enforced by the `kernel_digest`
-//! binary, which CI runs at every forced width and diffs. See
-//! DESIGN.md §14 for the policy.
+//! Every chunked kernel computes each output element with per-element
+//! math independent of where chunk boundaries fall (or, for
+//! reductions, preserves the exact scalar accumulation order), so the
+//! width is invisible in output bits — enforced by the `kernel_digest`
+//! binary, which CI builds under default flags and `target-cpu=native`
+//! and diffs. See DESIGN.md §14.
 
-use std::sync::OnceLock;
-
-/// Widest chunk any kernel uses — the compile-time bound for
-/// stack scratch in width-generic code.
-pub const MAX_LANES: usize = 8;
-
-static LANES_ONCE: OnceLock<usize> = OnceLock::new();
-
-/// The chunk width (in `f64` lanes) every dispatched kernel uses for
-/// this process: the `VBR_SIMD_WIDTH` env override (`2`/`4`/`8`) if
-/// set and valid, else detected from the CPU once and cached.
+/// The chunk width (in `f64` lanes) of every chunked kernel and the
+/// number of windows the lane-batched generators synthesise per pass.
 ///
-/// Detection maps AVX-512F → 8, AVX2 → 4, anything else (plain x86-64
-/// SSE2, aarch64 NEON, other arches) → 2. The mapping is deliberately
-/// conservative: a wider chunk than the hardware's registers just
-/// spills, and 2 lanes is the narrowest shape that still unrolls the
-/// scalar loop.
-#[inline]
-pub fn lanes() -> usize {
-    *LANES_ONCE.get_or_init(|| {
-        if let Ok(v) = std::env::var("VBR_SIMD_WIDTH") {
-            match v.trim() {
-                "2" => return 2,
-                "4" => return 4,
-                "8" => return 8,
-                _ => {} // unrecognised → fall through to detection
-            }
-        }
-        detect_lanes()
-    })
-}
-
-#[cfg(target_arch = "x86_64")]
-fn detect_lanes() -> usize {
-    if std::arch::is_x86_feature_detected!("avx512f") {
-        8
-    } else if std::arch::is_x86_feature_detected!("avx2") {
-        4
-    } else {
-        2
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn detect_lanes() -> usize {
-    2
-}
+/// Eight lanes is one AVX-512 register of `f64`s; on narrower hardware
+/// a chunk just spans two or four registers. Output bits do not depend
+/// on it (DESIGN.md §14).
+pub const LANES: usize = 8;
 
 /// Human-readable summary of the relevant CPU features for bench
 /// provenance (`BENCH_pipeline.json` schema v4 records it per run).
@@ -94,14 +53,6 @@ pub fn target_features() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lanes_is_stable_and_supported() {
-        let w = lanes();
-        assert!(w == 2 || w == 4 || w == 8, "unexpected width {w}");
-        assert_eq!(lanes(), w, "width must be cached");
-        assert!(w <= MAX_LANES);
-    }
 
     #[test]
     fn target_features_is_nonempty() {

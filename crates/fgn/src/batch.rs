@@ -41,7 +41,7 @@ use crate::stream::{
     StreamState, WindowScratch,
 };
 use std::sync::Arc;
-use vbr_fft::next_pow2;
+use vbr_fft::{next_pow2, LANES};
 use vbr_stats::obs::{self, Counter};
 use vbr_stats::rng::Xoshiro256;
 use vbr_stats::snapshot::SnapshotError;
@@ -65,7 +65,7 @@ pub struct BatchStream {
     scratch: WindowScratch,
     /// Lane-parallel refill workspace of [`advance_rows`]
     /// (`Self::advance_rows`): normal draws, interleaved half-spectra
-    /// and window samples for up to `lanes()` sources at a time.
+    /// and window samples for up to [`LANES`] sources at a time.
     lane_scratch: LaneSynthScratch,
     /// Lane-interleaved window samples of the current refill cohort.
     lane_buf: Vec<f64>,
@@ -178,10 +178,10 @@ impl BatchStream {
     /// This is the fleet hot path. Sources that are due a whole-window
     /// refill (the steady state of a lockstep fleet, where every group
     /// member sits at the same window position) are refilled in cohorts
-    /// of [`vbr_fft::lanes`] through the lane-parallel synthesis kernel
+    /// of [`LANES`] through the lane-parallel synthesis kernel
     /// — one batched normal draw, one lane FFT and one strided seam
     /// blend per cohort instead of a full scalar pipeline per source.
-    /// Sources mid-window, cohort remainders (`< lanes()`), white-noise
+    /// Sources mid-window, cohort remainders (`< LANES`), white-noise
     /// groups and `len > block` all take the scalar per-source path.
     /// Both paths are draw-for-draw bit-identical, so callers cannot
     /// observe which one ran (the lane-batching policy of DESIGN.md
@@ -216,11 +216,10 @@ impl BatchStream {
                 self.next_block(s, &mut buf[r * len..(r + 1) * len]);
             }
         }
-        let k = vbr_fft::lanes();
         let mut done = 0;
-        while done + k <= pending.len() {
-            self.refill_cohort(&sp, &pending[done..done + k]);
-            done += k;
+        while done + LANES <= pending.len() {
+            self.refill_cohort(&sp, &pending[done..done + LANES]);
+            done += LANES;
         }
         for &(s, _) in &pending[done..] {
             // Remainder refills scalar — bit-identical by contract.

@@ -337,8 +337,8 @@ impl LaneSynthScratch {
 /// the same draws, then the lane FFT whose per-lane bit-identity is
 /// proven in `vbr-fft` — so window `v`'s samples are bit-identical to a
 /// scalar synthesis from the same draws. That equivalence is what lets
-/// the streaming and fleet layers batch `l = lanes()` windows under the
-/// bit-invisible-dispatch policy.
+/// the streaming and fleet layers batch `l = LANES` windows without
+/// moving a bit.
 pub(crate) fn synthesise_real_lanes_into(
     scales: &SpectrumScales,
     plan: &RealFftPlan,

@@ -204,11 +204,11 @@ impl<D: ContinuousDist> MarginalTransform<D> {
     /// streaming pipeline: a Gaussian block becomes a traffic block
     /// without any intermediate vector.
     ///
-    /// Table mode runs the blocked width-dispatched kernel; since each
-    /// lane is the same inlined
+    /// Table mode runs the blocked [`LANES`](vbr_stats::simd::LANES)-chunk
+    /// kernel; since each lane is the same inlined
     /// [`map_table_one`](Self::map_table_one) the scalar path uses,
     /// results are bit-identical to mapping one sample at a time, for
-    /// any block size and any chunk width.
+    /// any block size.
     pub fn map_inplace(&self, xs: &mut [f64]) {
         match self.mode {
             TableMode::Exact => {
@@ -216,30 +216,20 @@ impl<D: ContinuousDist> MarginalTransform<D> {
                     *x = self.map_exact(*x);
                 }
             }
-            TableMode::Table(_) => match vbr_stats::simd::lanes() {
-                2 => self.map_table_inplace_w::<2>(xs),
-                8 => self.map_table_inplace_w::<8>(xs),
-                _ => self.map_table_inplace_w::<4>(xs),
-            },
-        }
-    }
-
-    /// Fixed-width table-mode body of [`map_inplace`](Self::map_inplace)
-    /// — public so `kernel_digest` and the width benches can pin a
-    /// width. Panics (debug) if the transform is not in table mode.
-    pub fn map_table_inplace_w<const W: usize>(&self, xs: &mut [f64]) {
-        debug_assert!(matches!(self.mode, TableMode::Table(_)));
-        let mut chunks = xs.chunks_exact_mut(W);
-        for c in &mut chunks {
-            // W independent table walks; the standardise + fused-lerp
-            // arithmetic vectorizes, the (short, grid-accelerated)
-            // index chase stays scalar.
-            for x in c.iter_mut() {
-                *x = self.map_table_one(*x);
+            TableMode::Table(_) => {
+                let mut chunks = xs.chunks_exact_mut(vbr_stats::simd::LANES);
+                for c in &mut chunks {
+                    // Independent table walks; the standardise +
+                    // fused-lerp arithmetic vectorizes, the (short,
+                    // grid-accelerated) index chase stays scalar.
+                    for x in c.iter_mut() {
+                        *x = self.map_table_one(*x);
+                    }
+                }
+                for x in chunks.into_remainder() {
+                    *x = self.map_table_one(*x);
+                }
             }
-        }
-        for x in chunks.into_remainder() {
-            *x = self.map_table_one(*x);
         }
     }
 

@@ -7,6 +7,8 @@
 //! Acklam's inverse-normal rational approximation with a Halley
 //! refinement step).
 
+use crate::simd::LANES;
+
 /// Natural log of the Gamma function, Lanczos approximation (g = 7, n = 9).
 ///
 /// Accurate to ~1e-13 relative over the positive axis; uses the reflection
@@ -419,30 +421,17 @@ pub fn norm_quantile(p: f64) -> f64 {
     }
 }
 
-/// In-place batch `Φ⁻¹`: replaces every probability in `ps` with its
-/// normal quantile. Bit-identical to mapping [`norm_quantile`] over the
-/// slice (same per-element math, so results do not depend on chunk
-/// boundaries or chunk width), but structured for the bulk case:
-/// `lanes()`-wide chunks whose central-branch polynomial runs as
-/// straight-line vectorizable code, with the (~15% of draws) tail lanes
-/// fixed up scalarly.
-///
-/// Endpoints follow [`norm_quantile`]: `0 → −∞`, `1 → +∞`. Panics if
-/// any element is outside `[0, 1]`.
-pub fn norm_quantile_slice(ps: &mut [f64]) {
-    crate::simd::dispatch_width!(W => norm_quantile_slice_w::<W>(ps))
-}
-
-/// Lane-staged tail evaluation for `W` deferred elements: the same
-/// per-element expression sequence as [`norm_quantile_tail`] (so bits
-/// are identical), but laid out as straight maps over `W` lanes. The
-/// tail branch is *latency*-bound scalar — three serial Horner chains
-/// plus a divide and a sqrt — so running `W` independent lanes
+/// Lane-staged tail evaluation for [`LANES`] deferred elements: the
+/// same per-element expression sequence as [`norm_quantile_tail`] (so
+/// bits are identical), but laid out as straight maps over the lanes.
+/// The tail branch is *latency*-bound scalar — three serial Horner
+/// chains plus a divide and a sqrt — so running independent lanes
 /// side-by-side hides most of that latency even where the compiler
 /// only unrolls. Callers guarantee every element is a genuine finite
 /// tail (`0 < p < 1`, `|p − ½| > 0.425`).
 #[inline(always)]
-fn tail_lanes<const W: usize>(ps: &mut [f64], idx: &[usize], orig: &[f64]) {
+fn tail_lanes(ps: &mut [f64], idx: &[usize], orig: &[f64]) {
+    const W: usize = LANES;
     let mut q = [0.0f64; W];
     let mut r = [0.0f64; W];
     let mut num = [0.0f64; W];
@@ -474,14 +463,22 @@ fn tail_lanes<const W: usize>(ps: &mut [f64], idx: &[usize], orig: &[f64]) {
     }
 }
 
-/// Fixed-width body of [`norm_quantile_slice`]; public so
-/// `kernel_digest` and the width benches can pin a width explicitly.
-pub fn norm_quantile_slice_w<const W: usize>(ps: &mut [f64]) {
-    const { assert!(W <= 8, "tail deferral buffers assume W <= 8") };
+/// In-place batch `Φ⁻¹`: replaces every probability in `ps` with its
+/// normal quantile. Bit-identical to mapping [`norm_quantile`] over the
+/// slice (same per-element math, so results do not depend on chunk
+/// boundaries), but structured for the bulk case:
+/// [`LANES`]-wide chunks whose central-branch polynomial runs as
+/// straight-line vectorizable code, with the (~15% of draws) tail lanes
+/// deferred to the lane-staged `tail_lanes` pass.
+///
+/// Endpoints follow [`norm_quantile`]: `0 → −∞`, `1 → +∞`. Panics if
+/// any element is outside `[0, 1]`.
+pub fn norm_quantile_slice(ps: &mut [f64]) {
+    const W: usize = LANES;
     // Deferred tail lanes, flushed W at a time through `tail_lanes`.
     // Up to W−1 carried between chunks plus W from the current chunk.
-    let mut tidx = [0usize; 16];
-    let mut torig = [0.0f64; 16];
+    let mut tidx = [0usize; 2 * W];
+    let mut torig = [0.0f64; 2 * W];
     let mut tcnt = 0usize;
     let n = ps.len();
     let main = n - n % W;
@@ -544,7 +541,7 @@ pub fn norm_quantile_slice_w<const W: usize>(ps: &mut [f64]) {
         }
         if tcnt >= W {
             tcnt -= W;
-            tail_lanes::<W>(ps, &tidx[tcnt..tcnt + W], &torig[tcnt..tcnt + W]);
+            tail_lanes(ps, &tidx[tcnt..tcnt + W], &torig[tcnt..tcnt + W]);
         }
         base += W;
     }

@@ -206,18 +206,6 @@ proptest! {
     }
 
     #[test]
-    fn scale_into_matches_scalar_bitwise(
-        xs in prop::collection::vec(-1e9f64..1e9, 0..300),
-        scale in -1e3f64..1e3,
-    ) {
-        let mut dst = vec![0.0f64; xs.len()];
-        simd::scale_into(&mut dst, &xs, scale);
-        for (d, &s) in dst.iter().zip(&xs) {
-            prop_assert_eq!(d.to_bits(), (s * scale).to_bits());
-        }
-    }
-
-    #[test]
     fn gamma_pareto_density_continuous(
         mu in 10.0f64..1e5,
         cv in 0.05f64..0.8,
