@@ -1227,45 +1227,11 @@ fn bench_simulation(sizes: &Sizes, report: &mut PerfReport) {
         ),
     );
 
-    // One Q-C point: the capacity bisection at N = 3. The baseline is the
-    // one-probe-per-replay loop on the public one-lane `run`; the new
-    // path decides three levels per shared arrival pass through the
-    // lane-batched queue kernel. Both return the same capacity bits.
-    let (t_max, target, metric) = (0.002, LossTarget::Rate(1e-3), LossMetric::Overall);
-    let scalar_search = || {
-        let mut lo = sim.mean_rate();
-        let mut hi = sim.peak_slot_rate().max(lo * 1.001);
-        for _ in 0..sizes.qc_iters {
-            let mid = 0.5 * (lo + hi);
-            if sim.run(mid, t_max * mid).p_l <= 1e-3 {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        hi
-    };
-    let speculative = || sim.required_capacity(t_max, target, metric, sizes.qc_iters);
-    assert_eq!(scalar_search().to_bits(), speculative().to_bits(), "speculative bisection drifted");
-    let t_scalar = time_median(1, sizes.reps, || {
-        std::hint::black_box(scalar_search());
-    });
-    let t_speculative = time_median(1, sizes.reps, || {
-        std::hint::black_box(speculative());
-    });
-    report.record_vs(
-        "simulation",
-        "qc_search_scalar_vs_speculative",
-        t_scalar,
-        t_speculative,
-        (1, sizes.reps),
-        &format!(
-            "{} bisection levels at N = {n_sources}, 6 lag combinations x {slots} slots; baseline \
-             replays once per probe through MuxSim::run, new path decides 3 levels per shared \
-             arrival pass (bit-identical capacity)",
-            sizes.qc_iters
-        ),
-    );
+    // One Q-C point each at N = 3 (six lag combinations interleaved per
+    // pass) and at N = 1 (one combination: the widest tree).
+    bench_qc_search(sizes, &sim, "qc_search_scalar_vs_speculative", report);
+    let sim1 = MuxSim::new(&trace, 1, seed);
+    bench_qc_search(sizes, &sim1, "qc_search_scalar_vs_speculative_n1", report);
 
     // One 8-lane pass over the six lag combinations at N = 20, one
     // worker. The baseline replays each combination alone, summing its
@@ -1391,6 +1357,53 @@ impl EightLanes {
         }
         self.step_run_body(service, buffer, run);
     }
+}
+
+/// One Q-C point: the capacity bisection on `sim`. The baseline is the
+/// one-probe-per-replay loop on the public one-lane `run`; the new path
+/// decides `log2(lanes)` levels per shared arrival pass through the
+/// lane-batched queue kernel, with the lane count set by the CPU and the
+/// combinations per pass. Both return the same capacity bits.
+fn bench_qc_search(sizes: &Sizes, sim: &MuxSim, name: &str, report: &mut PerfReport) {
+    let (t_max, target, metric) = (0.002, LossTarget::Rate(1e-3), LossMetric::Overall);
+    let scalar_search = || {
+        let mut lo = sim.mean_rate();
+        let mut hi = sim.peak_slot_rate().max(lo * 1.001);
+        for _ in 0..sizes.qc_iters {
+            let mid = 0.5 * (lo + hi);
+            if sim.run(mid, t_max * mid).p_l <= 1e-3 {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi
+    };
+    let speculative = || sim.required_capacity(t_max, target, metric, sizes.qc_iters);
+    assert_eq!(scalar_search().to_bits(), speculative().to_bits(), "speculative bisection drifted");
+    let t_scalar = time_median(1, sizes.reps, || {
+        std::hint::black_box(scalar_search());
+    });
+    let t_speculative = time_median(1, sizes.reps, || {
+        std::hint::black_box(speculative());
+    });
+    report.record_vs(
+        "simulation",
+        name,
+        t_scalar,
+        t_speculative,
+        (1, sizes.reps),
+        &format!(
+            "{} bisection levels at N = {}, {} lag combination(s) x {} slots; baseline replays \
+             once per probe through MuxSim::run, new path decides log2(lanes) levels per shared \
+             arrival pass, 8 lanes, or 16 (interleaved combinations) / 32 (one) with AVX-512 \
+             (bit-identical capacity)",
+            sizes.qc_iters,
+            sim.n_sources(),
+            sim.combos().len(),
+            sim.trace().slice_bytes().len(),
+        ),
+    );
 }
 
 /// [`MuxSim::run_lanes`] as one combination per pass with per-source

@@ -6,9 +6,7 @@ use crate::error::QsimError;
 use crate::metrics::SimResult;
 use crate::mux::{lag_combinations, u32_batch, ArrivalCursor, LagCombination, EXACT_AGGREGATE};
 use crate::queue::FluidQueue;
-use crate::search::{
-    self, check_search_args, LaneQueues, MAX_GROUPS, SEARCH_DEPTH, STREAM_CHUNK,
-};
+use crate::search::{self, check_search_args, LaneQueues, SearchPass, MAX_GROUPS, STREAM_CHUNK};
 use vbr_stats::error::{DataError, NumericError};
 use vbr_stats::obs::{self, Counter};
 use vbr_video::Trace;
@@ -215,10 +213,12 @@ impl<'a> MuxSim<'a> {
     /// bit-identical to the serial one-combination loop at any thread
     /// count. Overflow slots are counted in registers per lane, so a
     /// run's figure is its own whatever runs concurrently.
-    fn replay<const L: usize>(&self, capacities: &[f64; L], buffers: &[f64; L]) -> [AveragedLoss; L] {
-        let work = self.trace.slice_bytes().len().saturating_mul(self.combos.len());
-        let workers = vbr_stats::par::sized_width(work);
-        let group = self.combos.len().div_ceil(workers).min(MAX_GROUPS);
+    pub(crate) fn replay<const L: usize>(
+        &self,
+        capacities: &[f64; L],
+        buffers: &[f64; L],
+    ) -> [AveragedLoss; L] {
+        let (workers, group) = self.grouping();
         let groups: Vec<&[LagCombination]> = self.combos.chunks(group).collect();
         let per_group: Vec<Vec<[AveragedLoss; L]>> =
             vbr_stats::par::par_map_with(workers, &groups, |combos| match combos.len() {
@@ -238,6 +238,17 @@ impl<'a> MuxSim<'a> {
             }
             AveragedLoss { p_l: p_l / k, p_wes: p_wes / k, overflow_slots }
         })
+    }
+
+    /// Pool workers a replay started here and now runs on, and the lag
+    /// combinations each of its interleaved passes advances:
+    /// `⌈combos / workers⌉`, at most [`MAX_GROUPS`]. `workers` is what
+    /// `par_map_sized` would use (1 inside a pool worker or below the
+    /// work threshold).
+    fn grouping(&self) -> (usize, usize) {
+        let work = self.trace.slice_bytes().len().saturating_mul(self.combos.len());
+        let workers = vbr_stats::par::sized_width(work);
+        (workers, self.combos.len().div_ceil(workers).min(MAX_GROUPS))
     }
 
     /// Replays the `G` combinations in `combos` through one interleaved
@@ -284,9 +295,10 @@ impl<'a> MuxSim<'a> {
     /// `Q = t_max × C_total` — one point of a Q-C curve.
     ///
     /// `iterations` bisection levels between the mean rate and the peak
-    /// slot rate, decided three at a time from one shared arrival pass
-    /// (see the `search` module); the result is bit-identical to probing
-    /// one midpoint per [`run`](Self::run).
+    /// slot rate, decided three to five at a time from one shared
+    /// arrival pass, as the CPU's lane budget allows (see the `search`
+    /// module); the result is bit-identical to probing one midpoint per
+    /// [`run`](Self::run).
     pub fn required_capacity(
         &self,
         t_max_secs: f64,
@@ -312,9 +324,21 @@ impl<'a> MuxSim<'a> {
         check_search_args(t_max_secs, target)?;
         let lo = self.mean_rate; // below the mean, loss is unavoidable
         let hi = self.peak_slot_rate.max(lo * 1.001); // provably lossless
-        search::bisect(lo, hi, iterations, t_max_secs, target, metric, |caps, bufs| {
-            Ok(self.replay(caps, bufs))
-        })
+        search::search(lo, hi, iterations, t_max_secs, target, metric, self)
+    }
+}
+
+impl SearchPass for &MuxSim<'_> {
+    fn groups(&self) -> usize {
+        self.grouping().1
+    }
+
+    fn pass<const L: usize>(
+        &mut self,
+        capacities: &[f64; L],
+        buffers: &[f64; L],
+    ) -> Result<[AveragedLoss; L], QsimError> {
+        Ok(self.replay(capacities, buffers))
     }
 }
 
@@ -369,14 +393,14 @@ pub fn qc_curve(
     // pool. The nested `MuxSim::run` parallelism automatically degrades
     // to serial inside these workers, so the thread count stays bounded,
     // and grid order is preserved in the returned curve. Each grid point
-    // costs one full replay of every combination per `SEARCH_DEPTH`
-    // bisection levels.
+    // costs one full replay of every combination per search pass.
+    let passes = search::search_passes(iterations, search::search_lanes(sim.grouping().1));
     let work = sim
         .trace()
         .slice_bytes()
         .len()
         .saturating_mul(sim.combos().len())
-        .saturating_mul(iterations.div_ceil(SEARCH_DEPTH).max(1))
+        .saturating_mul(passes.max(1))
         .saturating_mul(t_max_grid.len());
     vbr_stats::par::par_map_sized(work, t_max_grid, |&t| QcPoint {
         t_max_secs: t,

@@ -9,7 +9,9 @@
 //! (`meets → hi = mid`) in order. The capacity it returns is therefore
 //! bit-identical to the one-probe-per-replay loop, while the arrival
 //! aggregation and the latency-bound clamp recurrence are paid once per
-//! `d` levels instead of once per level.
+//! `d` levels instead of once per level. The depth follows the lane
+//! budget: [`search_lanes`] picks `2^d` lanes from the CPU's kernel copy
+//! and the number of lag combinations a pass interleaves.
 //!
 //! Lane contract (as for the lane-batched FFT): every lane runs exactly
 //! the op sequence of [`FluidQueue::step_block`] on its own `(C, Q)`,
@@ -31,23 +33,60 @@ use vbr_stats::obs::{self, Counter};
 /// enough (32 KiB) to stay cache-resident.
 pub(crate) const STREAM_CHUNK: usize = 4096;
 
-/// Bisection levels decided per shared arrival pass. Three levels need
-/// `2³ − 1 = 7` live lanes; on a 2-vCPU Xeon an 8-lane pass costs about
-/// 1.1× a 1-lane pass, because the clamp recurrence is latency-bound.
-/// Depth 2 measured 15 % slower end to end; depth 4, 8 % faster but
-/// inside the host's run-to-run spread, for twice the lane state
-/// (DESIGN.md §10).
-pub(crate) const SEARCH_DEPTH: usize = 3;
-
-/// Lanes per search pass: the `2^SEARCH_DEPTH − 1` tree nodes, padded to
-/// a power of two (the pad lane replays the root capacity).
-pub(crate) const SEARCH_LANES: usize = 1 << SEARCH_DEPTH;
-
 /// Most lag combinations one [`LaneQueues`] pass interleaves. Three
 /// groups of eight lanes keep the AVX2 copy's backlog chains in
 /// registers; on a 2-vCPU Xeon an 8-lane, 3-group pass costs 0.6–0.75×
 /// three 1-group passes (DESIGN.md §10, "Combination interleaving").
 pub(crate) const MAX_GROUPS: usize = 3;
+
+/// The compiled copy of the lane kernel a [`LaneQueues`] runs: the
+/// widest the running CPU supports.
+#[derive(Debug, Clone, Copy)]
+enum Kernel {
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    Portable,
+}
+
+impl Kernel {
+    fn detect() -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return Kernel::Avx512;
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return Kernel::Avx2;
+            }
+        }
+        Kernel::Portable
+    }
+}
+
+/// The lane rule: lanes per speculative search pass when each pass
+/// interleaves `groups` lag combinations. A depth-`d` tree has
+/// `2^d − 1` midpoints, padded to `2^d` lanes. The AVX-512 copy's 32
+/// registers hold one group's 32-lane state or two to three groups at
+/// 16 lanes (32 lanes at three groups spill and lose); the AVX2 and
+/// portable copies keep 8 lanes, where three groups still fit
+/// (DESIGN.md §10, "Lane budget").
+pub(crate) fn search_lanes(groups: usize) -> usize {
+    match Kernel::detect() {
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx512 if groups <= 1 => 32,
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx512 => 16,
+        _ => 8,
+    }
+}
+
+/// Shared arrival passes a search of `iterations` levels makes at
+/// `lanes` lanes per pass (the final pass decides what is left).
+pub(crate) fn search_passes(iterations: usize, lanes: usize) -> usize {
+    iterations.div_ceil(lanes.trailing_zeros() as usize)
+}
 
 /// `G` groups of `L` fluid queues. Every group shares the `L`
 /// `(capacity, buffer)` lanes but has its own arrival stream, with
@@ -81,8 +120,7 @@ pub(crate) struct LaneQueues<const L: usize, const G: usize = 1> {
     slots_per_sec: usize,
     fed: usize,
     total: usize,
-    #[cfg(target_arch = "x86_64")]
-    avx2: bool,
+    kernel: Kernel,
 }
 
 impl<const L: usize, const G: usize> LaneQueues<L, G> {
@@ -107,8 +145,7 @@ impl<const L: usize, const G: usize> LaneQueues<L, G> {
             slots_per_sec: (1.0 / dt).round() as usize,
             fed: 0,
             total,
-            #[cfg(target_arch = "x86_64")]
-            avx2: std::arch::is_x86_feature_detected!("avx2"),
+            kernel: Kernel::detect(),
         }
     }
 
@@ -146,19 +183,30 @@ impl<const L: usize, const G: usize> LaneQueues<L, G> {
 
     /// The clamp recurrence over one run, all lanes in registers.
     ///
-    /// On x86-64 CPUs with AVX2 the body runs from a copy compiled for
-    /// AVX2: the default SSE2 build holds two lanes per register, spills
-    /// eight lanes' state and makes an 8-lane pass cost about 1.6× a
-    /// 1-lane pass, where AVX2 holds it in registers (about 1.1×). The
-    /// body has no multiplies and Rust never contracts or reassociates
-    /// float ops, so both copies produce the same bits (tested below).
+    /// On x86-64 the body runs from the copy compiled for the widest ISA
+    /// the CPU has. The default SSE2 build holds two lanes per register,
+    /// spills eight lanes' state and makes an 8-lane pass cost about 1.6×
+    /// a 1-lane pass; AVX2's 16 ymm registers hold it (about 1.1×), and
+    /// AVX-512's 32 zmm registers hold 32 lanes of one group or, with a
+    /// few spills, 16 lanes of each of three groups. The body has no multiplies and Rust never contracts or
+    /// reassociates float ops, so every copy produces the same bits
+    /// (tested below, copy by copy).
     fn step_run(&mut self, runs: [&[f64]; G]) {
-        #[cfg(target_arch = "x86_64")]
-        if self.avx2 {
-            // SAFETY: `avx2` is set only when the running CPU has AVX2.
-            unsafe { self.step_run_avx2(runs) };
-            return;
+        match self.kernel {
+            // SAFETY: `Kernel::detect` picks a copy only when the running
+            // CPU has its target features.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => unsafe { self.step_run_avx512(runs) },
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => unsafe { self.step_run_avx2(runs) },
+            Kernel::Portable => self.step_run_body(runs),
         }
+    }
+
+    /// [`step_run_body`](Self::step_run_body) compiled for AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn step_run_avx512(&mut self, runs: [&[f64]; G]) {
         self.step_run_body(runs);
     }
 
@@ -272,7 +320,13 @@ pub(crate) fn check_search_args(t_max_secs: f64, target: LossTarget) -> Result<(
 /// Fills `mids` (heap order: node `j` has children `2j+1`, `2j+2`) with
 /// the midpoints of the next `levels` bisection steps from `[lo, hi]`.
 /// The left child is the bracket after a *met* target (`hi = mid`).
-fn midpoint_tree(mids: &mut [f64; SEARCH_LANES], node: usize, levels: usize, lo: f64, hi: f64) {
+fn midpoint_tree<const L: usize>(
+    mids: &mut [f64; L],
+    node: usize,
+    levels: usize,
+    lo: f64,
+    hi: f64,
+) {
     if levels == 0 {
         return;
     }
@@ -285,9 +339,9 @@ fn midpoint_tree(mids: &mut [f64; SEARCH_LANES], node: usize, levels: usize, lo:
 /// The capacity bisection every Q-C search runs: `iterations` levels
 /// from the bracket `[lo, hi]`, with the buffer tied to the capacity
 /// through `Q = t_max × C`. `pass` replays the arrivals once through
-/// [`SEARCH_LANES`] lanes of `(capacities, buffers)` and returns each
-/// lane's losses; it runs once per [`SEARCH_DEPTH`] levels (the final
-/// pass is `iterations % SEARCH_DEPTH` deep when that is non-zero).
+/// `L` lanes of `(capacities, buffers)` and returns each lane's losses;
+/// it runs once per `log₂ L` levels (the final pass decides what is
+/// left when that does not divide `iterations`).
 ///
 /// Counters: `QcProbes` counts decided levels, `MuxRuns` counts passes,
 /// and `QueueOverflowSlots` adds only the lanes on the decision path, so
@@ -296,29 +350,28 @@ fn midpoint_tree(mids: &mut [f64; SEARCH_LANES], node: usize, levels: usize, lo:
 /// `lo` is the mean arrival rate; a zero (all-silent arrivals) or
 /// non-finite one leaves no positive capacity to probe and is rejected
 /// before any pass.
-pub(crate) fn bisect(
+pub(crate) fn bisect<const L: usize>(
     mut lo: f64,
     mut hi: f64,
     iterations: usize,
     t_max_secs: f64,
     target: LossTarget,
     metric: LossMetric,
-    mut pass: impl FnMut(
-        &[f64; SEARCH_LANES],
-        &[f64; SEARCH_LANES],
-    ) -> Result<[AveragedLoss; SEARCH_LANES], QsimError>,
+    mut pass: impl FnMut(&[f64; L], &[f64; L]) -> Result<[AveragedLoss; L], QsimError>,
 ) -> Result<f64, QsimError> {
+    const { assert!(L > 1 && L.is_power_of_two(), "L must be a power of two") };
     if !(lo > 0.0 && lo.is_finite()) {
         return Err(NumericError::NonPositive { what: "mean arrival rate", value: lo }.into());
     }
+    let tree_depth = L.trailing_zeros() as usize;
     let mut left = iterations;
     while left > 0 {
-        let depth = left.min(SEARCH_DEPTH);
+        let depth = left.min(tree_depth);
         let _span = obs::span("qsim.qc_pass");
         obs::counter_add(Counter::MuxRuns, 1);
         // Unused lanes replay the root midpoint; their verdicts are
         // never read.
-        let mut mids = [0.5 * (lo + hi); SEARCH_LANES];
+        let mut mids = [0.5 * (lo + hi); L];
         midpoint_tree(&mut mids, 0, depth, lo, hi);
         let buffers = mids.map(|c| t_max_secs * c);
         let losses = pass(&mids, &buffers)?;
@@ -339,25 +392,59 @@ pub(crate) fn bisect(
     Ok(hi)
 }
 
+/// The arrival replay behind a capacity search, at any lane width.
+pub(crate) trait SearchPass {
+    /// Lag combinations each pass interleaves: the lane rule's `G`.
+    fn groups(&self) -> usize;
+
+    /// One shared pass of the arrivals through `L` lanes of
+    /// `(capacities, buffers)`, returning each lane's losses.
+    fn pass<const L: usize>(
+        &mut self,
+        capacities: &[f64; L],
+        buffers: &[f64; L],
+    ) -> Result<[AveragedLoss; L], QsimError>;
+}
+
+/// [`bisect`] at the width [`search_lanes`] picks for `replay`'s groups.
+pub(crate) fn search(
+    lo: f64,
+    hi: f64,
+    iterations: usize,
+    t_max_secs: f64,
+    target: LossTarget,
+    metric: LossMetric,
+    mut replay: impl SearchPass,
+) -> Result<f64, QsimError> {
+    let (i, t) = (iterations, t_max_secs);
+    match search_lanes(replay.groups()) {
+        32 => bisect::<32>(lo, hi, i, t, target, metric, |c, b| replay.pass(c, b)),
+        16 => bisect::<16>(lo, hi, i, t, target, metric, |c, b| replay.pass(c, b)),
+        _ => bisect::<8>(lo, hi, i, t, target, metric, |c, b| replay.pass(c, b)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MuxSim;
+    use vbr_video::{generate_screenplay, ScreenplayConfig};
 
-    #[test]
-    fn midpoint_tree_matches_scalar_brackets() {
+    fn check_midpoint_tree<const L: usize>() {
+        let depth = L.trailing_zeros() as usize;
         let (lo, hi) = (1.0f64, 1.7f64);
-        let mut mids = [f64::NAN; SEARCH_LANES];
-        midpoint_tree(&mut mids, 0, SEARCH_DEPTH, lo, hi);
+        let mut mids = [f64::NAN; L];
+        midpoint_tree(&mut mids, 0, depth, lo, hi);
         // Every root-to-leaf verdict sequence reproduces the scalar
         // loop's midpoints bit for bit.
-        for path in 0..(1 << SEARCH_DEPTH) {
+        for path in 0..L {
             let (mut l, mut h, mut node) = (lo, hi, 0);
-            for level in 0..SEARCH_DEPTH {
+            for level in 0..depth {
                 let mid = 0.5 * (l + h);
                 assert_eq!(
                     mids[node].to_bits(),
                     mid.to_bits(),
-                    "path {path:b} level {level}"
+                    "L = {L}, path {path:b}, level {level}"
                 );
                 if path >> level & 1 == 1 {
                     h = mid;
@@ -368,10 +455,96 @@ mod tests {
                 }
             }
         }
-        assert!(
-            mids[SEARCH_LANES - 1].is_nan(),
-            "pad lane is not a tree node"
-        );
+        assert!(mids[L - 1].is_nan(), "L = {L}: pad lane is not a tree node");
+    }
+
+    #[test]
+    fn midpoint_tree_matches_scalar_brackets() {
+        check_midpoint_tree::<8>();
+        check_midpoint_tree::<16>();
+        check_midpoint_tree::<32>();
+    }
+
+    #[test]
+    fn lane_rule_follows_groups_and_cpu() {
+        for groups in 1..=MAX_GROUPS {
+            let lanes = search_lanes(groups);
+            match Kernel::detect() {
+                #[cfg(target_arch = "x86_64")]
+                Kernel::Avx512 => assert_eq!(lanes, if groups == 1 { 32 } else { 16 }),
+                _ => assert_eq!(lanes, 8, "hosts without AVX-512 keep the 8-lane tree"),
+            }
+        }
+        assert_eq!(search_passes(10, 8), 4);
+        assert_eq!(search_passes(10, 16), 3);
+        assert_eq!(search_passes(10, 32), 2);
+        assert_eq!(search_passes(0, 32), 0);
+    }
+
+    /// The one-probe-per-replay bisection the trees replace, on the
+    /// public one-lane `run`: entry `i` is its answer after `i` levels.
+    fn scalar_answers(
+        sim: &MuxSim,
+        t_max: f64,
+        target: LossTarget,
+        metric: LossMetric,
+        levels: usize,
+    ) -> Vec<f64> {
+        let mut lo = sim.mean_rate();
+        let mut hi = sim.peak_slot_rate().max(lo * 1.001);
+        let mut answers = vec![hi];
+        for _ in 0..levels {
+            let mid = 0.5 * (lo + hi);
+            if sim.run(mid, t_max * mid).meets(target, metric) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+            answers.push(hi);
+        }
+        answers
+    }
+
+    fn check_tree_width<const L: usize>(
+        sim: &MuxSim,
+        t_max: f64,
+        want: &[f64],
+        target: LossTarget,
+        metric: LossMetric,
+    ) {
+        let lo = sim.mean_rate();
+        let hi = sim.peak_slot_rate().max(lo * 1.001);
+        for (iterations, want) in want.iter().enumerate() {
+            let got = bisect::<L>(lo, hi, iterations, t_max, target, metric, |c, b| {
+                Ok(sim.replay(c, b))
+            })
+            .unwrap();
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "L = {L}, N = {}, {target:?} {metric:?} x{iterations}",
+                sim.n_sources()
+            );
+        }
+    }
+
+    #[test]
+    fn every_tree_width_matches_scalar_bisection() {
+        // Whatever width the lane rule picks on this CPU, every tree is
+        // checked, including ragged final passes at depths 3, 4 and 5.
+        let trace = generate_screenplay(&ScreenplayConfig::short(300, 5));
+        let t_max = 0.004;
+        for n in [1, 3] {
+            let sim = MuxSim::new(&trace, n, 7);
+            for target in [LossTarget::Zero, LossTarget::Rate(1e-3)] {
+                for metric in [LossMetric::Overall, LossMetric::WorstSecond] {
+                    let want = scalar_answers(&sim, t_max, target, metric, 25);
+                    check_tree_width::<8>(&sim, t_max, &want, target, metric);
+                    check_tree_width::<16>(&sim, t_max, &want, target, metric);
+                    check_tree_width::<32>(&sim, t_max, &want, target, metric);
+                }
+            }
+        }
     }
 
     /// Arrivals for group `g`: the same shape per group, phase-shifted,
@@ -385,37 +558,71 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn dispatched_kernel_matches_portable_body_bitwise() {
-        // On an AVX2 host `step_run` runs the AVX2 copy; the portable body
-        // is what every other x86-64 host runs.
-        let dt = 1.0 / 30.0;
-        let arrivals: [Vec<f64>; MAX_GROUPS] = std::array::from_fn(|g| {
-            (0..997).map(|i| ((i * 7919 + 31 * g) % 251) as f64 * 2.5).collect()
+    /// Runs one copy of the lane kernel over `G` fixed arrival streams
+    /// in 30-slot runs.
+    fn run_kernel_copy<const L: usize, const G: usize>(
+        step: impl Fn(&mut LaneQueues<L, G>, [&[f64]; G]),
+    ) -> LaneQueues<L, G> {
+        let (dt, n) = (1.0 / 30.0, 997);
+        let arrivals: [Vec<f64>; G] = std::array::from_fn(|g| {
+            (0..n).map(|i| ((i * 7919 + 31 * g) % 251) as f64 * 2.5).collect()
         });
-        let caps: [f64; SEARCH_LANES] = std::array::from_fn(|l| 7_000.0 + 600.0 * l as f64);
+        let caps: [f64; L] = std::array::from_fn(|l| 7_000.0 + 600.0 * l as f64);
         let bufs = caps.map(|c| 0.01 * c);
-        let mut dispatched = LaneQueues::<SEARCH_LANES, MAX_GROUPS>::new(&caps, &bufs, dt, 997);
-        let mut portable = LaneQueues::<SEARCH_LANES, MAX_GROUPS>::new(&caps, &bufs, dt, 997);
-        for start in (0..997).step_by(30) {
-            let runs = arrivals.each_ref().map(|a| &a[start..997.min(start + 30)]);
-            dispatched.step_run(runs);
-            portable.step_run_body(runs);
+        let mut q = LaneQueues::<L, G>::new(&caps, &bufs, dt, n);
+        for start in (0..n).step_by(30) {
+            step(&mut q, arrivals.each_ref().map(|a| &a[start..n.min(start + 30)]));
         }
-        let bits = |q: &LaneQueues<SEARCH_LANES, MAX_GROUPS>| {
-            let lanes = [q.backlog, q.lost, q.win_loss];
-            let mut v: Vec<u64> = lanes.iter().flatten().flatten().map(|x| x.to_bits()).collect();
-            v.extend(q.overflow.iter().flatten());
-            for shared in [q.arrived, q.win_arr, q.offered] {
-                v.extend(shared.map(f64::to_bits));
-            }
-            v
-        };
-        assert_eq!(bits(&dispatched), bits(&portable));
+        q
+    }
+
+    /// Every state word of `q`, as bits.
+    fn state_bits<const L: usize, const G: usize>(q: &LaneQueues<L, G>) -> Vec<u64> {
+        let lanes = [q.backlog, q.lost, q.win_loss];
+        let mut v: Vec<u64> = lanes.iter().flatten().flatten().map(|x| x.to_bits()).collect();
+        v.extend(q.overflow.iter().flatten());
+        for shared in [q.arrived, q.win_arr, q.offered] {
+            v.extend(shared.map(f64::to_bits));
+        }
+        v
+    }
+
+    /// Runs every kernel copy the CPU supports directly, whatever
+    /// `step_run` would dispatch to, and compares each with the
+    /// portable body.
+    fn check_kernel_copies<const L: usize, const G: usize>() {
+        let portable = run_kernel_copy::<L, G>(|q, r| q.step_run_body(r));
         assert!(
             portable.overflow.iter().all(|g| g.iter().any(|&o| o > 0)),
-            "a group never overflowed: weak test"
+            "L = {L}, G = {G}: a group never overflowed: weak test"
         );
+        let want = state_bits(&portable);
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the running CPU has AVX2.
+                let avx2 = run_kernel_copy::<L, G>(|q, r| unsafe { q.step_run_avx2(r) });
+                assert_eq!(state_bits(&avx2), want, "AVX2 copy, L = {L}, G = {G}");
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: the running CPU has AVX-512F.
+                let avx512 = run_kernel_copy::<L, G>(|q, r| unsafe { q.step_run_avx512(r) });
+                assert_eq!(state_bits(&avx512), want, "AVX-512 copy, L = {L}, G = {G}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_kernel_copy_matches_portable_body_bitwise() {
+        check_kernel_copies::<8, 1>();
+        check_kernel_copies::<8, 2>();
+        check_kernel_copies::<8, 3>();
+        check_kernel_copies::<16, 1>();
+        check_kernel_copies::<16, 2>();
+        check_kernel_copies::<16, 3>();
+        check_kernel_copies::<32, 1>();
+        check_kernel_copies::<32, 2>();
+        check_kernel_copies::<32, 3>();
     }
 
     /// Feeds `G` groups of different arrivals and checks every lane of

@@ -14,8 +14,8 @@ use vbr_stats::error::{DataError, NumericError};
 use vbr_stats::obs::{self, Counter};
 
 use crate::error::QsimError;
-use crate::qc::{LossMetric, LossTarget};
-use crate::search::{self, check_search_args, LaneQueues, STREAM_CHUNK};
+use crate::qc::{AveragedLoss, LossMetric, LossTarget};
+use crate::search::{self, check_search_args, LaneQueues, SearchPass, STREAM_CHUNK};
 
 /// Streaming statistics of one model-driven queue run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,11 +86,11 @@ fn replay_source<const L: usize>(
 ///
 /// The model is snapshotted on entry and restored before every shared
 /// arrival pass of the speculative bisection (one pass decides up to
-/// three levels), so each candidate capacity faces the identical sample
-/// path and the search is exactly as deterministic as the stored-trace
-/// one; on return the model is restored to its entry state, then
-/// advanced by one run (`slots` samples), leaving its stream position
-/// well-defined.
+/// five levels, as the CPU's lane budget allows), so each candidate
+/// capacity faces the identical sample path and the search is exactly
+/// as deterministic as the stored-trace one; on return the model is
+/// restored to its entry state, then advanced by one run (`slots`
+/// samples), leaving its stream position well-defined.
 ///
 /// Rejects zero `slots`, a non-positive or non-finite `dt` and the
 /// [`check_search_args`] cases before touching the model, and a model
@@ -119,16 +119,38 @@ pub fn try_required_capacity_model(
     let probe = run_source_queue(model, slots, dt, f64::MAX / 4.0, 0.0);
     let lo = probe.mean_rate; // below the mean, loss is unavoidable
     let hi = probe.peak_slot_rate.max(lo * 1.001); // provably lossless
-    search::bisect(lo, hi, iterations, t_max_secs, target, metric, |caps, bufs| {
-        model.restore(&entry).map_err(|_| {
+    let replay = ModelReplay { model, entry, slots, dt };
+    search::search(lo, hi, iterations, t_max_secs, target, metric, replay)
+}
+
+/// A model's sample path from a fixed snapshot, replayed once per search
+/// pass: one arrival stream, so one lane group.
+struct ModelReplay<'m> {
+    model: &'m mut dyn TrafficModel,
+    entry: Vec<u8>,
+    slots: usize,
+    dt: f64,
+}
+
+impl SearchPass for ModelReplay<'_> {
+    fn groups(&self) -> usize {
+        1
+    }
+
+    fn pass<const L: usize>(
+        &mut self,
+        capacities: &[f64; L],
+        buffers: &[f64; L],
+    ) -> Result<[AveragedLoss; L], QsimError> {
+        self.model.restore(&self.entry).map_err(|_| {
             QsimError::from(NumericError::NotConverged {
                 what: "model snapshot replay",
             })
         })?;
-        let (lanes, _) = replay_source(model, slots, dt, caps, bufs);
+        let (lanes, _) = replay_source(self.model, self.slots, self.dt, capacities, buffers);
         let [totals] = lanes.totals();
         Ok(totals)
-    })
+    }
 }
 
 /// Panicking [`try_required_capacity_model`].

@@ -50,6 +50,24 @@ fn scalar_bisection(
     hi
 }
 
+/// Checks an `L`-lane `run_lanes` at the first `L` capacity scales
+/// against the one-lane runs at those capacities, bit for bit.
+fn lanes_equal_solo_runs<const L: usize>(
+    sim: &MuxSim,
+    scales: &[f64],
+    t_max: f64,
+    solo: &[vbr_qsim::AveragedLoss],
+) -> Result<(), TestCaseError> {
+    let caps: [f64; L] = std::array::from_fn(|l| sim.mean_rate() * scales[l]);
+    let lanes = sim.run_lanes(&caps, &caps.map(|c| t_max * c));
+    for (l, (lane, solo)) in lanes.iter().zip(solo).enumerate() {
+        prop_assert_eq!(lane.p_l.to_bits(), solo.p_l.to_bits(), "L = {}, lane {}", L, l);
+        prop_assert_eq!(lane.p_wes.to_bits(), solo.p_wes.to_bits(), "L = {}, lane {}", L, l);
+        prop_assert_eq!(lane.overflow_slots, solo.overflow_slots, "L = {}, lane {}", L, l);
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn queue_conservation(
@@ -228,20 +246,20 @@ proptest! {
     fn every_lane_equals_a_one_lane_run(
         n_pick in 0usize..3,
         seed in 0u64..1_000,
-        scales in prop::collection::vec(0.9f64..1.6, 8),
+        scales in prop::collection::vec(0.9f64..1.6, 32),
         t_max in 0.0f64..0.02,
     ) {
+        // Every width a search pass can take: 8, 16 and 32 lanes.
         let n = [1usize, 3, 5][n_pick];
         let sim = MuxSim::new(search_trace(), n, seed);
-        let caps: [f64; 8] = std::array::from_fn(|l| sim.mean_rate() * scales[l]);
-        let bufs = caps.map(|c| t_max * c);
-        let lanes = sim.run_lanes(&caps, &bufs);
-        for l in 0..8 {
-            let solo = sim.run(caps[l], bufs[l]);
-            prop_assert_eq!(lanes[l].p_l.to_bits(), solo.p_l.to_bits(), "lane {}", l);
-            prop_assert_eq!(lanes[l].p_wes.to_bits(), solo.p_wes.to_bits(), "lane {}", l);
-            prop_assert_eq!(lanes[l].overflow_slots, solo.overflow_slots, "lane {}", l);
-        }
+        let solo: Vec<_> = scales
+            .iter()
+            .map(|s| sim.mean_rate() * s)
+            .map(|c| sim.run(c, t_max * c))
+            .collect();
+        lanes_equal_solo_runs::<8>(&sim, &scales, t_max, &solo)?;
+        lanes_equal_solo_runs::<16>(&sim, &scales, t_max, &solo)?;
+        lanes_equal_solo_runs::<32>(&sim, &scales, t_max, &solo)?;
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub enum Counter {
     QueueOverflowSlots,
     /// Multiplexer replays: shared arrival passes over every lag
     /// combination (`MuxSim::run`/`run_lanes`, one per speculative Q-C
-    /// pass of up to three levels) and model-driven source runs.
+    /// pass of up to five levels) and model-driven source runs.
     MuxRuns,
     /// Q–C sweeps: capacity bisection levels decided (one per level,
     /// however many levels a shared pass decides).
