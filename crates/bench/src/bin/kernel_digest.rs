@@ -10,7 +10,7 @@
 //! feature banner — every line must be invariant.
 
 use vbr_fft::{plan_for, real_plan_for, Complex, Direction};
-use vbr_fgn::{BatchFgn, DaviesHarte, MarginalTransform, TableMode};
+use vbr_fgn::{BatchStream, DaviesHarte, Family, MarginalTransform, TableMode};
 use vbr_fgn::TraceReplay;
 use vbr_qsim::{required_capacity_model, FluidQueue, LossMetric, LossTarget, MuxSim};
 use vbr_stats::dist::GammaPareto;
@@ -139,7 +139,8 @@ fn main() {
 
     // Shared-spectrum batch generation: 3 sources' draws plus one
     // mid-stream export/restore into a fresh batch.
-    let mut batch = BatchFgn::try_new(0.8, 1.0, 512, &[5, 6, 7]).expect("valid params");
+    let mut batch = BatchStream::try_new(Family::Fgn, 0.8, 1.0, 512, None, &[5, 6, 7])
+        .expect("valid params");
     let mut d = Digest::new();
     let mut block = vec![0.0f64; 512];
     for _ in 0..3 {
@@ -149,7 +150,8 @@ fn main() {
         }
     }
     let saved = batch.export_state(1);
-    let mut resumed = BatchFgn::try_new(0.8, 1.0, 512, &[5, 6, 7]).expect("valid params");
+    let mut resumed = BatchStream::try_new(Family::Fgn, 0.8, 1.0, 512, None, &[5, 6, 7])
+        .expect("valid params");
     resumed.restore_state(1, &saved).expect("own export restores");
     resumed.next_block(1, &mut block);
     d.push_f64s(&block);

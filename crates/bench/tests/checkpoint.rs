@@ -17,10 +17,16 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use proptest::prelude::*;
 use vbr_bench::checkpoint::{CheckpointStore, PipelineState, Recovery, TraceDigest};
 use vbr_bench::faults::{FaultInjector, FileCorruption};
-use vbr_fgn::{FarimaStream, FgnStream, StreamState};
+use vbr_fgn::{CirculantStream, Family, FgnStream, StreamState};
 use vbr_qsim::{ArrivalCursor, CursorState, FluidQueue, LagCombination, QueueState};
 use vbr_stats::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use vbr_video::{generate_screenplay, ScreenplayConfig};
+
+/// A stream with an explicit seam overlap (H = 0.8, unit variance).
+fn stream(family: Family, block: usize, overlap: usize, seed: u64) -> CirculantStream {
+    CirculantStream::try_from_family(family, 0.8, 1.0, block, Some(overlap), seed)
+        .expect("valid stream parameters")
+}
 
 /// Serializes a stream state through the real wire format and decodes
 /// it back — the restore path a process restart actually takes.
@@ -50,18 +56,18 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let overlap = ((block as f64 * overlap_frac) as usize).min(block);
-        let mut full = FgnStream::with_overlap(0.8, 1.0, block, overlap, seed);
+        let mut full = stream(Family::Fgn, block, overlap, seed);
         let mut want = vec![0.0f64; pre + post];
         full.next_block(&mut want);
 
-        let mut dying = FgnStream::with_overlap(0.8, 1.0, block, overlap, seed);
+        let mut dying = stream(Family::Fgn, block, overlap, seed);
         let mut head = vec![0.0f64; pre];
         dying.next_block(&mut head);
         prop_assert_eq!(&head[..], &want[..pre]);
         let st = wire_round_trip_stream(&dying.export_state());
         drop(dying); // the "kill": only the serialized state survives
 
-        let mut resumed = FgnStream::with_overlap(0.8, 1.0, block, overlap, seed);
+        let mut resumed = stream(Family::Fgn, block, overlap, seed);
         resumed.restore_state(&st).expect("clean state must restore");
         let mut tail = vec![0.0f64; post];
         resumed.next_block(&mut tail);
@@ -80,17 +86,17 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let overlap = overlap.min(block);
-        let mut full = FarimaStream::try_with_overlap(0.8, 1.0, block, overlap, seed).unwrap();
+        let mut full = stream(Family::Farima, block, overlap, seed);
         let mut want = vec![0.0f64; pre + post];
         full.next_block(&mut want);
 
-        let mut dying = FarimaStream::try_with_overlap(0.8, 1.0, block, overlap, seed).unwrap();
+        let mut dying = stream(Family::Farima, block, overlap, seed);
         let mut head = vec![0.0f64; pre];
         dying.next_block(&mut head);
         let st = wire_round_trip_stream(&dying.export_state());
         drop(dying);
 
-        let mut resumed = FarimaStream::try_with_overlap(0.8, 1.0, block, overlap, seed).unwrap();
+        let mut resumed = stream(Family::Farima, block, overlap, seed);
         resumed.restore_state(&st).expect("clean state must restore");
         let mut tail = vec![0.0f64; post];
         resumed.next_block(&mut tail);

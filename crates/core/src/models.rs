@@ -20,7 +20,7 @@
 
 use vbr_fgn::stream::BlockSource;
 use vbr_fgn::traffic::TrafficModel;
-use vbr_fgn::{FarimaStream, MarginalTransform, MwmConfig, MwmModel, TableMode};
+use vbr_fgn::{CirculantStream, Family, MarginalTransform, MwmConfig, MwmModel, TableMode};
 use vbr_lrd::{logscale_diagram, try_wavelet_hurst, WaveletOptions};
 use vbr_stats::dist::{ContinuousDist, GammaPareto};
 use vbr_stats::snapshot::{Payload, Section, SnapshotError};
@@ -41,7 +41,7 @@ pub const DEFAULT_MODEL_BLOCK: usize = 4096;
 pub struct FarimaGpModel {
     params: ModelParams,
     block: usize,
-    stream: FarimaStream,
+    stream: CirculantStream,
     xform: MarginalTransform<GammaPareto>,
     mean: f64,
     variance: f64,
@@ -63,7 +63,8 @@ impl FarimaGpModel {
         seed: u64,
     ) -> Result<Self, ModelError> {
         params.validate()?;
-        let stream = FarimaStream::try_new(params.hurst, 1.0, block, seed)?;
+        let stream =
+            CirculantStream::try_from_family(Family::Farima, params.hurst, 1.0, block, None, seed)?;
         let target = params.marginal();
         let (mean, variance) = (target.mean(), target.variance());
         let xform = MarginalTransform::new(target, 0.0, 1.0, TableMode::Table(10_000));

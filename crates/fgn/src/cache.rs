@@ -177,7 +177,7 @@ pub fn fgn_circulant_spectrum_cached(hurst: f64, m: usize) -> Result<Arc<Vec<f64
 }
 
 /// Memoized circulant eigenvalue spectrum for the fARIMA(0, d, 0)
-/// autocorrelation — the [`crate::FarimaStream`] / fast-batch analogue
+/// autocorrelation — the fARIMA stream / fast-batch analogue
 /// of [`fgn_circulant_spectrum_cached`]. Unlike the fGn embedding, the
 /// fARIMA embedding is not provably PSD at every `(d, m)`; a genuinely
 /// negative spectrum is reported as [`FgnError::NonPsdEmbedding`] and

@@ -315,8 +315,8 @@ pub(crate) struct LaneSynthScratch {
 
 impl LaneSynthScratch {
     /// Resizes the gauss buffer for `l` rows of `m` draws each and
-    /// returns it for the caller to fill (one RNG per row for batch
-    /// cohorts, one RNG sequentially for solo prefetch).
+    /// returns it for the caller to fill (one row per cohort source,
+    /// each from that source's own RNG).
     pub(crate) fn gauss_rows(&mut self, m: usize, l: usize) -> &mut [f64] {
         if self.gauss.len() != m * l {
             self.gauss.clear();
@@ -337,7 +337,7 @@ impl LaneSynthScratch {
 /// the same draws, then the lane FFT whose per-lane bit-identity is
 /// proven in `vbr-fft` — so window `v`'s samples are bit-identical to a
 /// scalar synthesis from the same draws. That equivalence is what lets
-/// the streaming and fleet layers batch `l = LANES` windows without
+/// the fleet's lane cohorts batch `l = LANES` windows without
 /// moving a bit.
 pub(crate) fn synthesise_real_lanes_into(
     scales: &SpectrumScales,

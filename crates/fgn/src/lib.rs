@@ -27,7 +27,6 @@
 
 pub mod acvf;
 pub mod arma;
-pub mod batch;
 pub mod cache;
 pub mod davies_harte;
 pub mod error;
@@ -44,7 +43,6 @@ pub use cache::{
     farima_acf_cached, farima_circulant_spectrum_cached, fgn_acvf_cached,
     fgn_circulant_spectrum_cached,
 };
-pub use batch::{BatchFarima, BatchFgn, BatchStream};
 pub use davies_harte::{circulant_spectrum, fbm_path, DaviesHarte};
 pub use error::FgnError;
 pub use hosking::Hosking;
@@ -53,5 +51,6 @@ pub use mwm::{MwmConfig, MwmModel};
 pub use robust::{FgnEngine, RobustFgn, RobustFgnResult};
 pub use traffic::{TraceReplay, TrafficModel, TRAFFIC_STATE_TAG};
 pub use stream::{
-    farima_via_circulant, BlockSource, CirculantStream, FarimaStream, FgnStream, StreamState,
+    farima_via_circulant, BatchStream, BlockSource, CirculantStream, Family, FgnStream,
+    StreamState,
 };

@@ -1,4 +1,5 @@
-//! Bounded-memory block streaming of LRD Gaussian sample paths.
+//! Bounded-memory block streaming of LRD Gaussian sample paths, for one
+//! source or many over one shared circulant spectrum.
 //!
 //! Batch Davies–Harte holds the whole circulant (`2n` complex values) in
 //! memory, so a 16M-slice trace costs ~0.5 GB of transform workspace
@@ -8,25 +9,31 @@
 //! and the iterator never terminates — callers take as much as they
 //! need.
 //!
+//! There is one engine, [`BatchStream`]: `S` independent sources of one
+//! [`Family`] driven by ONE circulant spectrum, one real-FFT plan and
+//! one synthesis scratch. A solo stream ([`CirculantStream`], alias
+//! [`FgnStream`]) is that engine holding one source.
+//!
 //! ## Exactness contract
 //!
-//! Two geometries are offered (see DESIGN.md §10):
+//! Two geometries are offered (see DESIGN.md §10), selected by the
+//! `overlap` argument of [`BatchStream::try_new`]:
 //!
-//! - **Prefix-exact** ([`FgnStream::new`]): the first window uses the
-//!   *same* circulant size, cached spectrum and RNG draw order as the
-//!   batch generator called with `n = B`, so the first `B` samples are
-//!   **bit-identical** to `DaviesHarte::generate(B, seed)` (resp. the
-//!   circulant fARIMA batch path, [`farima_via_circulant`]). Later
-//!   windows continue the same RNG stream; each window is internally an
-//!   exact sample of the target process, and consecutive windows are
-//!   joined over the free overlap `L = (m/2 + 1 − B).min(B)` by a
-//!   power-preserving cross-fade (below).
-//! - **Quality overlap** ([`FgnStream::with_overlap`]): the caller picks
-//!   the overlap `L ≤ B` and the circulant grows to cover `B + L`
-//!   samples per window. Longer overlaps track the target
-//!   autocovariance further across window seams, at the cost of the
-//!   bit-exact prefix (the circulant size — hence the spectrum and the
-//!   number of RNG draws per window — differs from the batch call).
+//! - **Prefix-exact** (`overlap: None`, and [`FgnStream::new`]): the
+//!   first window uses the *same* circulant size, cached spectrum and RNG
+//!   draw order as the batch generator called with `n = B`, so the first
+//!   `B` samples are **bit-identical** to `DaviesHarte::generate(B,
+//!   seed)` (resp. the circulant fARIMA batch path,
+//!   [`farima_via_circulant`]). Later windows continue the same RNG
+//!   stream; each window is internally an exact sample of the target
+//!   process, and consecutive windows are joined over the free overlap
+//!   `L = (m/2 + 1 − B).min(B)` by a power-preserving cross-fade (below).
+//! - **Quality overlap** (`overlap: Some(L)`): the caller picks the
+//!   overlap `L ≤ B` and the circulant grows to cover `B + L` samples per
+//!   window. Longer overlaps track the target autocovariance further
+//!   across window seams, at the cost of the bit-exact prefix (the
+//!   circulant size — hence the spectrum and the number of RNG draws per
+//!   window — differs from the batch call).
 //!
 //! The cross-fade blends the previous window's unused exact tail
 //! `p_0..p_{L−1}` into the new window's head `c_0..c_{L−1}`:
@@ -41,6 +48,27 @@
 //! exact within a window and approximate across the seam (the two
 //! windows are independent realisations); the overlap length bounds how
 //! far the seam error reaches.
+//!
+//! ## Bit-identity across sources
+//!
+//! Each source owns its RNG (seeded independently) and its window/seam
+//! buffers; only *stateless* scratch is shared. A source's refill reads
+//! and writes nothing outside its own state and the shared scratch it
+//! fully overwrites, so draws from a batched source are **bit-identical
+//! to the same-seed solo stream, draw for draw**, at any block / overlap
+//! geometry and any interleaving of `next_block` calls across sources.
+//! Proptests in `crates/fgn/tests/proptests.rs` pin this.
+//!
+//! ```
+//! use vbr_fgn::{BatchStream, Family, FgnStream};
+//! let mut batch = BatchStream::try_new(Family::Fgn, 0.8, 1.0, 64, None, &[1, 2, 3]).unwrap();
+//! let mut solo = FgnStream::new(0.8, 1.0, 64, 2);
+//! let mut a = vec![0.0; 100];
+//! let mut b = vec![0.0; 100];
+//! batch.next_block(1, &mut a); // source index 1 == seed 2
+//! solo.next_block(&mut b);
+//! assert_eq!(a, b);
+//! ```
 
 use crate::cache::{farima_circulant_spectrum_cached, fgn_circulant_spectrum_cached};
 use crate::davies_harte::{
@@ -50,12 +78,13 @@ use crate::davies_harte::{
 use crate::error::FgnError;
 use std::sync::Arc;
 use vbr_fft::{next_pow2, real_plan_for, RealFftPlan, LANES};
+use vbr_stats::error::NumericError;
 use vbr_stats::obs::{self, Counter};
 use vbr_stats::rng::Xoshiro256;
 use vbr_stats::snapshot::{Payload, Section, SnapshotError};
 
 /// Bulk sample source: anything that can fill a caller buffer with the
-/// next run of samples. Implemented by all streams here; consumed by
+/// next run of samples. Implemented by the solo stream here; consumed by
 /// the fused pipeline stages
 /// ([`MarginalTransform::map_block_from`](crate::MarginalTransform::map_block_from))
 /// so they work over any generator without per-sample dispatch.
@@ -64,10 +93,34 @@ pub trait BlockSource {
     fn next_block(&mut self, out: &mut [f64]);
 }
 
-/// Validates a block/overlap pair (`block ≥ 1`, `overlap ≤ block`).
-pub(crate) fn check_geometry(block: usize, overlap: usize) -> Result<(), FgnError> {
+/// Which LRD process a circulant stream synthesises. The family picks
+/// the Hurst domain and the circulant spectrum; everything else about
+/// the engine is shared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Family {
+    /// Fractional Gaussian noise (`H ∈ (0, 1)`; the embedding is always
+    /// PSD).
+    Fgn,
+    /// Fractional ARIMA(0, d, 0) noise, `d = H − 1/2` (`H ∈ [0.5, 1)`, as
+    /// for [`crate::Hosking`]). The circulant is not provably PSD at every
+    /// `(d, m)`, so construction can fail with
+    /// [`FgnError::NonPsdEmbedding`]; in practice it succeeds at all
+    /// power-of-two sizes we exercise.
+    Farima,
+}
+
+/// Window geometry of a circulant stream: `(m, overlap)`, where `m` is
+/// the circulant transform length and `m == 0` selects the degenerate
+/// `block == 1` white-noise path (matching the batch generators' `n ==
+/// 1` special case, where the circulant machinery is bypassed). `None`
+/// is the prefix-exact geometry: the circulant of the batch call with
+/// `n = block`, plus whatever exact overlap it yields for free.
+///
+/// All arithmetic is checked: a geometry whose circulant length would
+/// overflow `usize` is a typed error, never a wrapped length.
+fn circulant_geometry(block: usize, overlap: Option<usize>) -> Result<(usize, usize), FgnError> {
     if block == 0 {
-        return Err(vbr_stats::error::NumericError::OutOfRange {
+        return Err(NumericError::OutOfRange {
             what: "stream block size (must be >= 1)",
             value: 0.0,
             lo: 1.0,
@@ -75,53 +128,68 @@ pub(crate) fn check_geometry(block: usize, overlap: usize) -> Result<(), FgnErro
         }
         .into());
     }
-    if overlap > block {
-        return Err(vbr_stats::error::NumericError::OutOfRange {
+    if let Some(l) = overlap.filter(|&l| l > block) {
+        return Err(NumericError::OutOfRange {
             what: "stream overlap (must be <= block)",
-            value: overlap as f64,
+            value: l as f64,
             lo: 0.0,
             hi: block as f64,
         }
         .into());
     }
-    Ok(())
+    if block == 1 {
+        return Ok((0, 0));
+    }
+    // The window covers `run = block + overlap` samples, so the circulant
+    // is the power of two at or above `2·(run − 1)` (`run ≥ 2` here).
+    let run = block.checked_add(overlap.unwrap_or(0));
+    let m = run
+        .and_then(|r| (r - 1).checked_mul(2))
+        .and_then(usize::checked_next_power_of_two)
+        .ok_or(NumericError::OutOfRange {
+            what: "stream block + overlap (circulant length overflows usize)",
+            value: block as f64 + overlap.unwrap_or(0) as f64,
+            lo: 2.0,
+            hi: ((1usize << (usize::BITS - 2)) + 1) as f64,
+        })?;
+    Ok((m, overlap.unwrap_or((m / 2 + 1 - block).min(block))))
 }
 
 /// Per-source dynamic state of a circulant stream: the RNG, the window
 /// being emitted, the seam tail, and the emit position. Everything that
 /// differs between two sources driven by the same spectrum lives here —
-/// the batch engine ([`crate::batch::BatchStream`]) holds one of these
-/// per source over a *shared* spectrum and scratch, which is what makes
-/// batched draws bit-identical to independent streams by construction.
+/// [`BatchStream`] holds one of these per source over a *shared*
+/// spectrum and scratch, which is what makes batched draws bit-identical
+/// to solo streams by construction.
 #[derive(Debug, Clone)]
-pub(crate) struct SourceState {
-    pub(crate) rng: Xoshiro256,
+struct SourceState {
+    rng: Xoshiro256,
     /// The `block` samples currently being emitted.
-    pub(crate) cur: Vec<f64>,
+    cur: Vec<f64>,
     /// Exact tail of the previous window, cross-faded into the next.
-    pub(crate) tail: Vec<f64>,
-    pub(crate) pos: usize,
-    pub(crate) started: bool,
+    tail: Vec<f64>,
+    pos: usize,
+    started: bool,
     /// Owner identity carried through export/restore so a source moved
     /// between batch groups (shard migration) keeps its tenant, not just
     /// its positional index. `0` for solo streams.
-    pub(crate) tenant: u64,
+    tenant: u64,
 }
 
 impl SourceState {
-    pub(crate) fn new(rng: Xoshiro256, block: usize, overlap: usize) -> Self {
+    fn new(seed: u64, tenant: u64, block: usize, overlap: usize) -> Self {
         SourceState {
-            rng,
+            rng: Xoshiro256::seed_from_u64(seed),
             cur: Vec::with_capacity(block),
             tail: Vec::with_capacity(overlap),
             pos: 0,
             started: false,
-            tenant: 0,
+            tenant,
         }
     }
 
     /// Exports the dynamic state for checkpointing.
-    pub(crate) fn export(&self) -> StreamState {
+    fn export(&self) -> StreamState {
         StreamState {
             rng: self.rng.state(),
             cur: self.cur.clone(),
@@ -136,7 +204,7 @@ impl SourceState {
     /// structural invariant against the owning stream's geometry
     /// (`block`, `overlap`, and whether it is the white-noise path).
     /// Nothing is mutated until everything checks out.
-    pub(crate) fn restore(
+    fn restore(
         &mut self,
         st: &StreamState,
         block: usize,
@@ -178,31 +246,62 @@ impl SourceState {
         self.tenant = st.tenant;
         Ok(())
     }
-}
 
-/// Window-synthesis workspace shared across refills (and, in the batch
-/// engine, across *sources*): the real synthesis scratch plus the `m`
-/// real samples of the current circulant window.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct WindowScratch {
-    pub(crate) synth: SynthScratch,
-    /// The `m` real samples of the freshly synthesised window.
-    pub(crate) win: Vec<f64>,
+    /// Installs a freshly synthesised window at unit scale, read from
+    /// `win[t*stride + lane]` (stride 1, lane 0 for a scalar window; the
+    /// cohort width and the source's lane for a lane-interleaved one):
+    /// scales it by `sd`, cross-fades the seam against the previous tail
+    /// and keeps the window's unused exact tail for the next seam.
+    /// Always inlined, so the scalar caller's stride 1 folds into a
+    /// contiguous copy.
+    #[inline(always)]
+    fn install_window(
+        &mut self,
+        win: &[f64],
+        stride: usize,
+        lane: usize,
+        sd: f64,
+        block: usize,
+        overlap: usize,
+    ) {
+        let (b, l) = (block, overlap);
+        // Sample `t` is lane `lane` of the `t`-th `stride`-wide chunk.
+        let samples = |from: usize, n: usize| {
+            win[from * stride..].chunks_exact(stride).take(n).map(move |c| c[lane] * sd)
+        };
+        self.pos = 0;
+        self.cur.clear();
+        self.cur.extend(samples(0, b));
+        if self.started {
+            // Power-preserving cross-fade against the previous tail:
+            // weights sum to one in *variance*, so the N(0, σ²) marginal
+            // is preserved exactly at every blended sample.
+            if l > 0 {
+                obs::counter_add(Counter::SeamCrossFades, 1);
+            }
+            for i in 0..l {
+                let a = (i + 1) as f64 / (l + 1) as f64;
+                self.cur[i] = (1.0 - a).sqrt() * self.tail[i] + a.sqrt() * self.cur[i];
+            }
+        }
+        self.tail.clear();
+        self.tail.extend(samples(b, l));
+        self.started = true;
+    }
 }
 
 /// Everything a refill needs that is a pure function of the circulant
 /// spectrum: the precomputed per-bin amplitudes and the real-FFT plan.
-/// Built once at stream construction, shared (`Arc`) across a batch
-/// group, so the hot loop never touches the plan cache's mutex or
-/// recomputes `√(λ_k/2m)`.
+/// Built once at stream construction, so the hot loop never touches the
+/// plan cache's mutex or recomputes `√(λ_k/2m)`.
 #[derive(Debug, Clone)]
-pub(crate) struct SharedSpectrum {
-    pub(crate) scales: Arc<SpectrumScales>,
-    pub(crate) plan: Arc<RealFftPlan>,
+struct SharedSpectrum {
+    scales: Arc<SpectrumScales>,
+    plan: Arc<RealFftPlan>,
 }
 
 impl SharedSpectrum {
-    pub(crate) fn new(lambda: &[f64]) -> Self {
+    fn new(lambda: &[f64]) -> Self {
         SharedSpectrum {
             scales: Arc::new(SpectrumScales::new(lambda)),
             plan: real_plan_for(lambda.len()),
@@ -210,168 +309,110 @@ impl SharedSpectrum {
     }
 
     /// Circulant transform length `m`.
-    pub(crate) fn m(&self) -> usize {
+    fn m(&self) -> usize {
         self.scales.m()
     }
 }
 
-/// Window lookahead of a solo stream: [`LANES`] future circulant
-/// windows synthesised in one lane-parallel pass, then consumed one per
-/// refill. The RNG state snapshot taken after each window's draws is
-/// grafted back on consumption, so export/restore observes exactly the
-/// scalar stream's state at every point — lookahead is invisible to the
-/// checkpoint format and to every emitted bit (window `w`'s samples
-/// depend only on window `w`'s draws, and the lane FFT is bit-identical
-/// per lane).
-#[derive(Debug, Clone, Default)]
-struct Prefetch {
-    /// Lane-interleaved window samples at unit scale: sample `t` of
-    /// window `w` at `buf[t*LANES + w]`.
-    buf: Vec<f64>,
-    /// Next unconsumed window; `next >= rng_after.len()` means the
-    /// lookahead is empty.
-    next: usize,
-    /// RNG state after each window's `m` draws (`LANES` entries once
-    /// filled).
-    rng_after: Vec<Xoshiro256>,
-    scratch: LaneSynthScratch,
-}
-
-impl Prefetch {
-    fn clear(&mut self) {
-        self.next = self.rng_after.len();
-    }
-}
-
-/// Synthesises the next window of one source, cross-fading the seam.
-/// This is the engine step shared verbatim by [`CirculantStream`] and
-/// the batch engine — one source's refill depends only on its own
-/// [`SourceState`], so interleaving sources over a shared scratch
-/// cannot change any output bit.
-pub(crate) fn refill_source(
-    spectrum: Option<&SharedSpectrum>,
-    sd: f64,
-    block: usize,
-    overlap: usize,
-    st: &mut SourceState,
-    scratch: &mut WindowScratch,
-) {
-    let _span = obs::span("fgn.stream_refill");
-    obs::counter_add(Counter::StreamBlocks, 1);
-    st.pos = 0;
-    let Some(spectrum) = spectrum else {
-        // White-noise path: batch-draw the block through the
-        // vectorized quantile kernel, then scale. Per-element values
-        // are bit-identical to the old per-sample loop.
-        st.cur.clear();
-        st.cur.resize(block, 0.0);
-        st.rng.fill_standard_normal(&mut st.cur);
-        for x in &mut st.cur {
-            *x *= sd;
-        }
-        return;
-    };
-    synthesise_real_with(
-        &spectrum.scales,
-        &spectrum.plan,
-        &mut st.rng,
-        &mut scratch.synth,
-        &mut scratch.win,
-    );
-    let (b, l) = (block, overlap);
-    st.cur.clear();
-    st.cur.extend(scratch.win[..b].iter().map(|x| x * sd));
-    if st.started {
-        // Power-preserving cross-fade against the previous tail:
-        // weights sum to one in *variance*, so the N(0, σ²) marginal
-        // is preserved exactly at every blended sample.
-        if l > 0 {
-            obs::counter_add(Counter::SeamCrossFades, 1);
-        }
-        for i in 0..l {
-            let a = (i + 1) as f64 / (l + 1) as f64;
-            st.cur[i] = (1.0 - a).sqrt() * st.tail[i] + a.sqrt() * st.cur[i];
-        }
-    }
-    st.tail.clear();
-    st.tail.extend(scratch.win[b..b + l].iter().map(|x| x * sd));
-    st.started = true;
-}
-
-/// Fills `out` with the next `out.len()` samples of one source — the
-/// chunked emit loop shared by [`CirculantStream::next_block`] and the
-/// batch engine.
-pub(crate) fn next_block_source(
-    spectrum: Option<&SharedSpectrum>,
-    sd: f64,
-    block: usize,
-    overlap: usize,
-    st: &mut SourceState,
-    scratch: &mut WindowScratch,
-    out: &mut [f64],
-) {
-    let mut filled = 0;
-    while filled < out.len() {
-        if st.pos >= st.cur.len() {
-            refill_source(spectrum, sd, block, overlap, st, scratch);
-        }
-        let take = (out.len() - filled).min(st.cur.len() - st.pos);
-        out[filled..filled + take].copy_from_slice(&st.cur[st.pos..st.pos + take]);
-        st.pos += take;
-        filled += take;
-    }
-}
-
-/// The engine shared by [`FgnStream`] and [`FarimaStream`]: an infinite
-/// iterator over overlapped circulant windows of a fixed spectrum.
+/// The circulant engine: `S` independent sources of one [`Family`] over
+/// one shared spectrum; see the [module docs](self) for the exactness,
+/// memory and bit-identity contracts.
 ///
-/// All buffers (the synthesis scratch, `cur`, `tail`) are allocated once
-/// at construction and reused every window, so steady-state generation
-/// allocates nothing.
+/// All buffers (the synthesis scratch, every source's window and tail)
+/// are allocated once and reused every window, so steady-state
+/// generation allocates nothing.
 #[derive(Debug, Clone)]
-pub struct CirculantStream {
+pub struct BatchStream {
     sd: f64,
     block: usize,
     overlap: usize,
-    /// `None` is the degenerate `block == 1` white-noise path (matching
-    /// the batch generators' `n == 1` special case, where the circulant
-    /// machinery is bypassed entirely).
+    /// `None` is the degenerate `block == 1` white-noise path.
     spectrum: Option<SharedSpectrum>,
-    state: SourceState,
-    scratch: WindowScratch,
-    /// Lane-parallel window lookahead (spectrum streams only). Costs
-    /// `O(LANES · m)` extra floats per stream — the one place the
-    /// engine trades memory for lane parallelism on a solo source.
-    prefetch: Prefetch,
+    sources: Vec<SourceState>,
+    /// One synthesis workspace for the whole batch — fully overwritten
+    /// by every refill, so sharing it cannot couple sources.
+    synth: SynthScratch,
+    /// The `m` real samples of the freshly synthesised window.
+    win: Vec<f64>,
+    /// Lane-parallel refill workspace of
+    /// [`advance_rows`](Self::advance_rows): normal draws, interleaved
+    /// half-spectra and window samples for up to [`LANES`] sources at a
+    /// time. Stays empty unless `advance_rows` forms a cohort.
+    lane_scratch: LaneSynthScratch,
+    /// Lane-interleaved window samples of the current refill cohort.
+    lane_buf: Vec<f64>,
 }
 
-impl CirculantStream {
-    /// Builds a stream over an explicit circulant spectrum (`None` for
-    /// the white-noise path). Geometry must already be validated; the
-    /// spectrum window must cover `block + overlap` samples
-    /// (`lambda.len()/2 + 1 ≥ block + overlap`).
-    fn from_spectrum(
-        spectrum: Option<Arc<Vec<f64>>>,
-        sd: f64,
+impl BatchStream {
+    /// Builds the engine with one source per seed (none is fine: admit
+    /// sources later with [`push_source`](Self::push_source)).
+    ///
+    /// This is the one validated constructor of every circulant stream:
+    /// `hurst` must lie in the family's domain, `variance` must be
+    /// positive and finite, `block ≥ 1`, and `overlap` is either `None`
+    /// (prefix-exact geometry) or `Some(L)` with `L ≤ block` (quality
+    /// overlap; the circulant grows to cover `block + L` samples). A
+    /// geometry whose circulant length overflows `usize` is rejected.
+    pub fn try_new(
+        family: Family,
+        hurst: f64,
+        variance: f64,
         block: usize,
-        overlap: usize,
-        rng: Xoshiro256,
-    ) -> Self {
-        if let Some(lambda) = &spectrum {
-            debug_assert!(lambda.len() / 2 + 1 >= block + overlap);
+        overlap: Option<usize>,
+        seeds: &[u64],
+    ) -> Result<Self, FgnError> {
+        let (lo, in_domain) = match family {
+            Family::Fgn => (0.0, hurst > 0.0 && hurst < 1.0),
+            Family::Farima => (0.5, (0.5..1.0).contains(&hurst)),
+        };
+        if !in_domain {
+            return Err(FgnError::InvalidHurst { hurst, lo, hi: 1.0 });
         }
-        CirculantStream {
-            sd,
+        if !(variance > 0.0 && variance.is_finite()) {
+            return Err(FgnError::InvalidVariance { variance });
+        }
+        let (m, overlap) = circulant_geometry(block, overlap)?;
+        let lambda = match (m, family) {
+            (0, _) => None,
+            (m, Family::Fgn) => Some(fgn_circulant_spectrum_cached(hurst, m)?),
+            (m, Family::Farima) => {
+                Some(farima_circulant_spectrum_cached(crate::acvf::hurst_to_d(hurst), m)?)
+            }
+        };
+        Ok(BatchStream {
+            sd: variance.sqrt(),
             block,
             overlap,
-            spectrum: spectrum.map(|l| SharedSpectrum::new(&l)),
-            state: SourceState::new(rng, block, overlap),
-            scratch: WindowScratch::default(),
-            prefetch: Prefetch::default(),
-        }
+            spectrum: lambda.map(|l| SharedSpectrum::new(&l)),
+            sources: seeds.iter().map(|&s| SourceState::new(s, 0, block, overlap)).collect(),
+            synth: SynthScratch::new(),
+            win: Vec::new(),
+            lane_scratch: LaneSynthScratch::default(),
+            lane_buf: Vec::new(),
+        })
     }
 
-    /// Emitted samples per window.
+    /// Number of sources in the batch.
+    pub fn sources(&self) -> usize {
+        self.sources.len()
+    }
+
+    /// Admits one more source into the batch, seeded fresh and tagged
+    /// with `tenant`, and returns its index. The new source starts at
+    /// its very first draw — existing sources are unaffected (their
+    /// states are independent), so groups can grow while serving.
+    pub fn push_source(&mut self, seed: u64, tenant: u64) -> usize {
+        self.sources.push(SourceState::new(seed, tenant, self.block, self.overlap));
+        self.sources.len() - 1
+    }
+
+    /// The tenant identity of source `source` (0 unless assigned).
+    /// Panics if `source` is out of range.
+    pub fn tenant(&self, source: usize) -> u64 {
+        self.sources[source].tenant
+    }
+
+    /// Emitted samples per window (per source).
     pub fn block(&self) -> usize {
         self.block
     }
@@ -382,96 +423,247 @@ impl CirculantStream {
     }
 
     /// Circulant transform length per window (`0` on the white-noise
-    /// path) — the memory scale of the stream.
+    /// path) — the memory scale. This is the batch's *total* spectrum
+    /// footprint — shared, not per source.
     pub fn circulant_len(&self) -> usize {
         self.spectrum.as_ref().map_or(0, |sp| sp.m())
     }
 
-    /// Synthesises the next window, consuming the lane-parallel
-    /// lookahead (and refilling it [`LANES`] windows at a time) on the
-    /// spectrum path. Emitted bits and the externally visible state
-    /// (RNG position, window, tail) are identical to the scalar
-    /// [`refill_source`] at every refill — see [`Prefetch`].
-    fn refill(&mut self) {
-        let Some(sp) = &self.spectrum else {
-            refill_source(
-                None,
-                self.sd,
-                self.block,
-                self.overlap,
-                &mut self.state,
-                &mut self.scratch,
-            );
-            return;
-        };
+    /// Synthesises the next window of one source, cross-fading the seam.
+    /// One source's refill depends only on its own state, so
+    /// interleaving sources over the shared scratch cannot change any
+    /// output bit.
+    fn refill_source(&mut self, source: usize) {
         let _span = obs::span("fgn.stream_refill");
         obs::counter_add(Counter::StreamBlocks, 1);
-        let st = &mut self.state;
-        let pf = &mut self.prefetch;
-        st.pos = 0;
+        let st = &mut self.sources[source];
+        let Some(sp) = &self.spectrum else {
+            // White-noise path: batch-draw the block through the
+            // vectorized quantile kernel, then scale.
+            st.pos = 0;
+            st.cur.clear();
+            st.cur.resize(self.block, 0.0);
+            st.rng.fill_standard_normal(&mut st.cur);
+            for x in &mut st.cur {
+                *x *= self.sd;
+            }
+            return;
+        };
+        synthesise_real_with(&sp.scales, &sp.plan, &mut st.rng, &mut self.synth, &mut self.win);
+        st.install_window(&self.win, 1, 0, self.sd, self.block, self.overlap);
+    }
+
+    /// Fills `out` with the next `out.len()` samples of source
+    /// `source`. Sources advance independently: interleaving calls
+    /// across sources in any order yields the same per-source draw
+    /// sequences. Panics if `source ≥ self.sources()`.
+    pub fn next_block(&mut self, source: usize, out: &mut [f64]) {
+        let mut filled = 0;
+        while filled < out.len() {
+            if self.sources[source].pos >= self.sources[source].cur.len() {
+                self.refill_source(source);
+            }
+            let st = &mut self.sources[source];
+            let take = (out.len() - filled).min(st.cur.len() - st.pos);
+            out[filled..filled + take].copy_from_slice(&st.cur[st.pos..st.pos + take]);
+            st.pos += take;
+            filled += take;
+        }
+    }
+
+    /// Lockstep advance of many sources in one call: for every `(source,
+    /// row)` pair, fills `buf[row*len .. (row+1)*len]` with the next
+    /// `len` samples of that source. Rows must reference distinct
+    /// sources; row indices address the caller's slot buffer and need
+    /// not be contiguous or ordered.
+    ///
+    /// This is the fleet hot path. Sources that are due a whole-window
+    /// refill (the steady state of a lockstep fleet, where every group
+    /// member sits at the same window position) are refilled in cohorts
+    /// of [`LANES`] through the lane-parallel synthesis kernel
+    /// — one batched normal draw, one lane FFT and one strided seam
+    /// blend per cohort instead of a full scalar pipeline per source.
+    /// Sources mid-window, cohort remainders (`< LANES`), white-noise
+    /// groups and `len > block` all take the scalar per-source path.
+    /// Both paths are draw-for-draw bit-identical, so callers cannot
+    /// observe which one ran (the lane-batching policy of DESIGN.md
+    /// §16).
+    pub fn advance_rows(&mut self, len: usize, buf: &mut [f64], rows: &[(usize, usize)]) {
+        if len == 0 {
+            return;
+        }
+        debug_assert!(
+            {
+                let mut seen = vec![false; self.sources.len()];
+                rows.iter().all(|&(s, _)| !std::mem::replace(&mut seen[s], true))
+            },
+            "advance_rows requires distinct sources"
+        );
+        let Some(sp) = self.spectrum.clone() else {
+            for &(s, r) in rows {
+                self.next_block(s, &mut buf[r * len..(r + 1) * len]);
+            }
+            return;
+        };
+        // Partition once: a source is cohort-eligible when this advance
+        // is exactly "refill one window, then copy" — the emit loop
+        // degenerates to a single refill precisely when the window is
+        // exhausted and `len` fits inside a fresh one.
+        let mut pending: Vec<(usize, usize)> = Vec::with_capacity(rows.len());
+        for &(s, r) in rows {
+            let st = &self.sources[s];
+            if st.pos >= st.cur.len() && len <= self.block {
+                pending.push((s, r));
+            } else {
+                self.next_block(s, &mut buf[r * len..(r + 1) * len]);
+            }
+        }
+        let mut cohorts = pending.chunks_exact(LANES);
+        for cohort in &mut cohorts {
+            self.refill_cohort(&sp, cohort);
+        }
+        for &(s, _) in cohorts.remainder() {
+            // Remainder refills scalar — bit-identical by contract.
+            self.refill_source(s);
+        }
+        for &(s, r) in &pending {
+            let st = &mut self.sources[s];
+            buf[r * len..(r + 1) * len].copy_from_slice(&st.cur[..len]);
+            st.pos = len;
+        }
+    }
+
+    /// Refills one cohort of sources through the lane-parallel synthesis
+    /// kernel: each source draws its own window of normals (own RNG, the
+    /// contract order), all windows transform in one lane FFT, and each
+    /// source installs its lane of the result through the same
+    /// [`SourceState::install_window`] as the scalar refill — so each
+    /// source's state ends up bit-identical to a scalar refill from the
+    /// same RNG state.
+    fn refill_cohort(&mut self, sp: &SharedSpectrum, cohort: &[(usize, usize)]) {
+        let _span = obs::span("fgn.stream_refill");
+        obs::counter_add(Counter::StreamBlocks, cohort.len() as u64);
+        let k = cohort.len();
         let m = sp.m();
-        if pf.next >= pf.rng_after.len() {
-            // Synthesise the next LANES windows in one pass. Draws are
-            // sequential per window in the contract order, so the RNG
-            // stream is exactly the scalar stream's whatever the width.
-            pf.rng_after.clear();
-            let gauss = pf.scratch.gauss_rows(m, LANES);
-            for w in 0..LANES {
-                // Uniforms only here; the RNG snapshot is taken at the
-                // same stream position either way since the quantile
-                // transform consumes no draws. One elementwise quantile
-                // pass below then covers all LANES windows — bit-identical
-                // to per-window `fill_standard_normal`, with the
-                // kernel's setup cost amortised over the prefetch.
-                st.rng.fill_open01(&mut gauss[w * m..(w + 1) * m]);
-                pf.rng_after.push(st.rng.clone());
-            }
-            vbr_stats::special::norm_quantile_slice(gauss);
-            synthesise_real_lanes_into(&sp.scales, &sp.plan, LANES, &mut pf.scratch, &mut pf.buf);
-            pf.next = 0;
+        let gauss = self.lane_scratch.gauss_rows(m, k);
+        // Each source draws its uniforms from its own generator (so
+        // per-source draw accounting matches the scalar path exactly),
+        // then one quantile pass covers the whole m×k buffer: the
+        // transform is elementwise, so batching across sources is
+        // bit-identical to per-source `fill_standard_normal` while
+        // amortising the kernel's per-call setup over the cohort.
+        for (v, &(s, _)) in cohort.iter().enumerate() {
+            self.sources[s].rng.fill_open01(&mut gauss[v * m..(v + 1) * m]);
         }
-        let w = pf.next;
-        let (b, l) = (self.block, self.overlap);
-        let sd = self.sd;
-        // Sample `t` of window `w` lives at `buf[t*LANES + w]`; the strided
-        // reads below apply the very expressions of the scalar refill.
-        let win = &pf.buf;
-        st.cur.clear();
-        st.cur.extend((0..b).map(|t| win[t * LANES + w] * sd));
-        if st.started {
-            if l > 0 {
-                obs::counter_add(Counter::SeamCrossFades, 1);
-            }
-            for i in 0..l {
-                let a = (i + 1) as f64 / (l + 1) as f64;
-                st.cur[i] = (1.0 - a).sqrt() * st.tail[i] + a.sqrt() * st.cur[i];
-            }
+        vbr_stats::special::norm_quantile_slice(gauss);
+        synthesise_real_lanes_into(
+            &sp.scales,
+            &sp.plan,
+            k,
+            &mut self.lane_scratch,
+            &mut self.lane_buf,
+        );
+        for (v, &(s, _)) in cohort.iter().enumerate() {
+            self.sources[s].install_window(&self.lane_buf, k, v, self.sd, self.block, self.overlap);
         }
-        st.tail.clear();
-        st.tail.extend((b..b + l).map(|t| win[t * LANES + w] * sd));
-        st.started = true;
-        // Graft back the post-window RNG snapshot: the stream's state is
-        // now indistinguishable from having synthesised windows one at a
-        // time (export/restore relies on this).
-        st.rng = pf.rng_after[w].clone();
-        pf.next += 1;
+    }
+
+    /// Exports the dynamic state of one source for checkpointing —
+    /// interchangeable with [`CirculantStream::export_state`] for the
+    /// same-seed solo stream. Panics if `source` is out of range.
+    pub fn export_state(&self, source: usize) -> StreamState {
+        self.sources[source].export()
+    }
+
+    /// Restores one source from an exported state, with full structural
+    /// validation (nothing is mutated on error): buffer lengths must
+    /// match this batch's geometry, the position must lie within the
+    /// window, all samples must be finite, and the RNG state must not be
+    /// the degenerate all-zero word. Panics if `source` is out of range.
+    pub fn restore_state(&mut self, source: usize, st: &StreamState) -> Result<(), SnapshotError> {
+        self.sources[source].restore(st, self.block, self.overlap, self.spectrum.is_none())
+    }
+}
+
+/// A solo infinite bounded-memory stream of exact-in-window LRD noise:
+/// a [`BatchStream`] holding exactly one source.
+///
+/// ```
+/// use vbr_fgn::{DaviesHarte, FgnStream};
+/// let block = 1000;
+/// let streamed: Vec<f64> = FgnStream::new(0.8, 1.0, block, 42).take(block).collect();
+/// // Prefix-exact: bit-identical to the batch generator on the first block.
+/// assert_eq!(streamed, DaviesHarte::new(0.8, 1.0).generate(block, 42));
+/// ```
+#[derive(Debug, Clone)]
+pub struct CirculantStream(BatchStream);
+
+/// The fractional Gaussian noise stream: [`CirculantStream::new`] and
+/// [`CirculantStream::try_new`] build the prefix-exact fGn geometry.
+pub type FgnStream = CirculantStream;
+
+impl CirculantStream {
+    /// A solo stream of `family` seeded with `seed`; see
+    /// [`BatchStream::try_new`] for the parameters and their validation.
+    pub fn try_from_family(
+        family: Family,
+        hurst: f64,
+        variance: f64,
+        block: usize,
+        overlap: Option<usize>,
+        seed: u64,
+    ) -> Result<Self, FgnError> {
+        BatchStream::try_new(family, hurst, variance, block, overlap, &[seed]).map(CirculantStream)
+    }
+
+    /// Prefix-exact fGn stream: the first `block` samples are
+    /// bit-identical to `DaviesHarte::new(hurst, variance).generate(block,
+    /// seed)`. Panics on invalid parameters; see
+    /// [`try_new`](Self::try_new).
+    pub fn new(hurst: f64, variance: f64, block: usize, seed: u64) -> Self {
+        Self::try_new(hurst, variance, block, seed)
+            .unwrap_or_else(|e| panic!("FgnStream construction failed: {e}"))
+    }
+
+    /// Fallible [`new`](Self::new).
+    pub fn try_new(hurst: f64, variance: f64, block: usize, seed: u64) -> Result<Self, FgnError> {
+        Self::try_from_family(Family::Fgn, hurst, variance, block, None, seed)
+    }
+
+    /// Emitted samples per window.
+    pub fn block(&self) -> usize {
+        self.0.block()
+    }
+
+    /// Samples cross-faded at each window seam.
+    pub fn overlap(&self) -> usize {
+        self.0.overlap()
+    }
+
+    /// Circulant transform length per window (`0` on the white-noise
+    /// path) — the memory scale of the stream.
+    pub fn circulant_len(&self) -> usize {
+        self.0.circulant_len()
     }
 
     /// Fills `out` with the next `out.len()` samples of the stream —
     /// the chunked equivalent of calling [`Iterator::next`] in a loop,
     /// without per-sample dispatch.
     pub fn next_block(&mut self, out: &mut [f64]) {
-        let mut filled = 0;
-        while filled < out.len() {
-            if self.state.pos >= self.state.cur.len() {
-                self.refill();
-            }
-            let st = &mut self.state;
-            let take = (out.len() - filled).min(st.cur.len() - st.pos);
-            out[filled..filled + take].copy_from_slice(&st.cur[st.pos..st.pos + take]);
-            st.pos += take;
-            filled += take;
-        }
+        self.0.next_block(0, out);
+    }
+
+    /// Exports the dynamic state (RNG, current window, seam tail,
+    /// position) for checkpointing. `O(block + overlap)` copied floats.
+    pub fn export_state(&self) -> StreamState {
+        self.0.export_state(0)
+    }
+
+    /// Grafts an exported state onto this (same-configuration) stream;
+    /// a refused state leaves the stream untouched. See
+    /// [`BatchStream::restore_state`] for the validation.
+    pub fn restore_state(&mut self, st: &StreamState) -> Result<(), SnapshotError> {
+        self.0.restore_state(0, st)
     }
 }
 
@@ -479,25 +671,28 @@ impl Iterator for CirculantStream {
     type Item = f64;
 
     fn next(&mut self) -> Option<f64> {
-        if self.state.pos >= self.state.cur.len() {
-            self.refill();
-        }
-        let v = self.state.cur[self.state.pos];
-        self.state.pos += 1;
-        Some(v)
+        let mut x = 0.0;
+        self.next_block(std::slice::from_mut(&mut x));
+        Some(x)
     }
 }
 
-/// The dynamic (per-run) state of a circulant stream, exportable for
+impl BlockSource for CirculantStream {
+    fn next_block(&mut self, out: &mut [f64]) {
+        CirculantStream::next_block(self, out);
+    }
+}
+
+/// The dynamic (per-run) state of one circulant source, exportable for
 /// checkpoint/restore.
 ///
-/// Configuration — Hurst, variance, block, overlap, and hence the
-/// circulant spectrum — is deliberately *not* part of the state: a
+/// Configuration — family, Hurst, variance, block, overlap, and hence
+/// the circulant spectrum — is deliberately *not* part of the state: a
 /// restore target is rebuilt from its own configuration (whose
 /// parameter hash the snapshot envelope guards) and then has this
-/// dynamic state grafted on via [`CirculantStream::restore_state`].
-/// That keeps snapshots `O(block)` and makes a config/state mismatch a
-/// typed error instead of silent garbage.
+/// dynamic state grafted on via [`BatchStream::restore_state`]. That
+/// keeps snapshots `O(block)` and makes a config/state mismatch a typed
+/// error instead of silent garbage.
 ///
 /// The restore contract is **bit-identity**: a stream rebuilt from an
 /// exported state emits exactly the same remaining samples, whatever
@@ -536,7 +731,7 @@ impl StreamState {
 
     /// Deserialises a state from a snapshot section. Structural bounds
     /// are enforced here; semantic validation against a concrete stream
-    /// happens in [`CirculantStream::restore_state`].
+    /// happens in [`BatchStream::restore_state`].
     pub fn decode(s: &mut Section) -> Result<Self, SnapshotError> {
         let rng_vec = s.get_u64_vec()?;
         let rng: [u64; 4] = rng_vec
@@ -551,297 +746,12 @@ impl StreamState {
     }
 }
 
-impl CirculantStream {
-    /// Exports the dynamic state (RNG, current window, seam tail,
-    /// position) for checkpointing. `O(block + overlap)` copied floats.
-    pub fn export_state(&self) -> StreamState {
-        self.state.export()
-    }
-
-    /// Grafts an exported state onto this (same-configuration) stream.
-    ///
-    /// Every structural invariant is validated before anything is
-    /// mutated, so a hostile state leaves the stream untouched:
-    /// buffer lengths must match this stream's geometry, the position
-    /// must lie within the window, all samples must be finite, and the
-    /// RNG state must not be the degenerate all-zero word.
-    pub fn restore_state(&mut self, st: &StreamState) -> Result<(), SnapshotError> {
-        self.state.restore(st, self.block, self.overlap, self.spectrum.is_none())?;
-        // The lookahead was synthesised from the pre-restore RNG stream;
-        // drop it so the next refill draws from the restored state.
-        self.prefetch.clear();
-        Ok(())
-    }
-}
-
-impl FgnStream {
-    /// Exports the dynamic state for checkpointing; see
-    /// [`CirculantStream::export_state`].
-    pub fn export_state(&self) -> StreamState {
-        self.0.export_state()
-    }
-
-    /// Restores an exported state; see
-    /// [`CirculantStream::restore_state`].
-    pub fn restore_state(&mut self, st: &StreamState) -> Result<(), SnapshotError> {
-        self.0.restore_state(st)
-    }
-}
-
-impl FarimaStream {
-    /// Exports the dynamic state for checkpointing; see
-    /// [`CirculantStream::export_state`].
-    pub fn export_state(&self) -> StreamState {
-        self.0.export_state()
-    }
-
-    /// Restores an exported state; see
-    /// [`CirculantStream::restore_state`].
-    pub fn restore_state(&mut self, st: &StreamState) -> Result<(), SnapshotError> {
-        self.0.restore_state(st)
-    }
-}
-
-impl BlockSource for CirculantStream {
-    fn next_block(&mut self, out: &mut [f64]) {
-        CirculantStream::next_block(self, out);
-    }
-}
-
-impl BlockSource for FgnStream {
-    fn next_block(&mut self, out: &mut [f64]) {
-        self.0.next_block(out);
-    }
-}
-
-impl BlockSource for FarimaStream {
-    fn next_block(&mut self, out: &mut [f64]) {
-        self.0.next_block(out);
-    }
-}
-
-/// Prefix-exact geometry: the circulant of the batch call with `n =
-/// block`, plus whatever exact overlap it yields for free. Returns
-/// `(m, overlap)`; `block` must be `≥ 2`.
-pub(crate) fn prefix_exact_geometry(block: usize) -> (usize, usize) {
-    let m = next_pow2(2 * (block - 1)).max(2);
-    let exact_run = m / 2 + 1;
-    (m, (exact_run - block).min(block))
-}
-
-/// Infinite bounded-memory stream of exact-in-window fractional
-/// Gaussian noise.
-///
-/// ```
-/// use vbr_fgn::{DaviesHarte, FgnStream};
-/// let block = 1000;
-/// let streamed: Vec<f64> = FgnStream::new(0.8, 1.0, block, 42).take(block).collect();
-/// // Prefix-exact: bit-identical to the batch generator on the first block.
-/// assert_eq!(streamed, DaviesHarte::new(0.8, 1.0).generate(block, 42));
-/// ```
-#[derive(Debug, Clone)]
-pub struct FgnStream(CirculantStream);
-
-impl FgnStream {
-    /// Prefix-exact stream: the first `block` samples are bit-identical
-    /// to `DaviesHarte::new(hurst, variance).generate(block, seed)`.
-    /// Panics on invalid parameters; see [`try_new`](Self::try_new).
-    pub fn new(hurst: f64, variance: f64, block: usize, seed: u64) -> Self {
-        Self::try_new(hurst, variance, block, seed)
-            .unwrap_or_else(|e| panic!("FgnStream construction failed: {e}"))
-    }
-
-    /// Fallible [`new`](Self::new).
-    pub fn try_new(
-        hurst: f64,
-        variance: f64,
-        block: usize,
-        seed: u64,
-    ) -> Result<Self, FgnError> {
-        Self::build(hurst, variance, block, None, seed)
-    }
-
-    /// Stream with a caller-chosen seam overlap `overlap ≤ block` (the
-    /// circulant grows to cover `block + overlap` samples per window).
-    /// Better cross-window covariance than [`new`](Self::new), but the
-    /// prefix is no longer bit-identical to the batch generator.
-    pub fn with_overlap(
-        hurst: f64,
-        variance: f64,
-        block: usize,
-        overlap: usize,
-        seed: u64,
-    ) -> Self {
-        Self::try_with_overlap(hurst, variance, block, overlap, seed)
-            .unwrap_or_else(|e| panic!("FgnStream construction failed: {e}"))
-    }
-
-    /// Fallible [`with_overlap`](Self::with_overlap).
-    pub fn try_with_overlap(
-        hurst: f64,
-        variance: f64,
-        block: usize,
-        overlap: usize,
-        seed: u64,
-    ) -> Result<Self, FgnError> {
-        Self::build(hurst, variance, block, Some(overlap), seed)
-    }
-
-    fn build(
-        hurst: f64,
-        variance: f64,
-        block: usize,
-        overlap: Option<usize>,
-        seed: u64,
-    ) -> Result<Self, FgnError> {
-        if !(hurst > 0.0 && hurst < 1.0) {
-            return Err(FgnError::InvalidHurst { hurst, lo: 0.0, hi: 1.0 });
-        }
-        if !(variance > 0.0 && variance.is_finite()) {
-            return Err(FgnError::InvalidVariance { variance });
-        }
-        check_geometry(block, overlap.unwrap_or(0))?;
-        let sd = variance.sqrt();
-        let rng = Xoshiro256::seed_from_u64(seed);
-        if block == 1 {
-            return Ok(FgnStream(CirculantStream::from_spectrum(None, sd, 1, 0, rng)));
-        }
-        let (m, l) = match overlap {
-            None => prefix_exact_geometry(block),
-            Some(l) => (next_pow2(2 * (block + l - 1)).max(2), l),
-        };
-        let lambda = fgn_circulant_spectrum_cached(hurst, m)?;
-        Ok(FgnStream(CirculantStream::from_spectrum(Some(lambda), sd, block, l, rng)))
-    }
-
-    /// Fills `out` with the next `out.len()` samples (chunked draw).
-    pub fn next_block(&mut self, out: &mut [f64]) {
-        self.0.next_block(out);
-    }
-
-    /// Emitted samples per circulant window.
-    pub fn block(&self) -> usize {
-        self.0.block()
-    }
-
-    /// Samples cross-faded at each window seam.
-    pub fn overlap(&self) -> usize {
-        self.0.overlap()
-    }
-
-    /// Circulant transform length per window — the memory scale.
-    pub fn circulant_len(&self) -> usize {
-        self.0.circulant_len()
-    }
-}
-
-impl Iterator for FgnStream {
-    type Item = f64;
-
-    fn next(&mut self) -> Option<f64> {
-        self.0.next()
-    }
-}
-
-/// Infinite bounded-memory stream of exact-in-window fractional
-/// ARIMA(0, d, 0) noise — the streaming, `O(n log n)` counterpart of
-/// [`crate::Hosking`], via the same circulant engine as [`FgnStream`].
-///
-/// Unlike the fGn embedding, the fARIMA circulant is not provably PSD
-/// at every `(d, m)`, so construction is fallible
-/// ([`FgnError::NonPsdEmbedding`]); in practice the embedding succeeds
-/// for `H ∈ [0.5, 1)` at all power-of-two sizes we exercise.
-#[derive(Debug, Clone)]
-pub struct FarimaStream(CirculantStream);
-
-impl FarimaStream {
-    /// Prefix-exact stream: the first `block` samples are bit-identical
-    /// to [`farima_via_circulant`]`(hurst, variance, block, seed)`.
-    /// `H ∈ [0.5, 1)` as for [`crate::Hosking`].
-    pub fn try_new(
-        hurst: f64,
-        variance: f64,
-        block: usize,
-        seed: u64,
-    ) -> Result<Self, FgnError> {
-        Self::build(hurst, variance, block, None, seed)
-    }
-
-    /// Fallible stream with a caller-chosen seam overlap; see
-    /// [`FgnStream::with_overlap`] for the trade-off.
-    pub fn try_with_overlap(
-        hurst: f64,
-        variance: f64,
-        block: usize,
-        overlap: usize,
-        seed: u64,
-    ) -> Result<Self, FgnError> {
-        Self::build(hurst, variance, block, Some(overlap), seed)
-    }
-
-    fn build(
-        hurst: f64,
-        variance: f64,
-        block: usize,
-        overlap: Option<usize>,
-        seed: u64,
-    ) -> Result<Self, FgnError> {
-        if !(0.5..1.0).contains(&hurst) {
-            return Err(FgnError::InvalidHurst { hurst, lo: 0.5, hi: 1.0 });
-        }
-        if !(variance > 0.0 && variance.is_finite()) {
-            return Err(FgnError::InvalidVariance { variance });
-        }
-        check_geometry(block, overlap.unwrap_or(0))?;
-        let d = crate::acvf::hurst_to_d(hurst);
-        let sd = variance.sqrt();
-        let rng = Xoshiro256::seed_from_u64(seed);
-        if block == 1 {
-            return Ok(FarimaStream(CirculantStream::from_spectrum(None, sd, 1, 0, rng)));
-        }
-        let (m, l) = match overlap {
-            None => prefix_exact_geometry(block),
-            Some(l) => (next_pow2(2 * (block + l - 1)).max(2), l),
-        };
-        let lambda = farima_circulant_spectrum_cached(d, m)?;
-        Ok(FarimaStream(CirculantStream::from_spectrum(Some(lambda), sd, block, l, rng)))
-    }
-
-    /// Fills `out` with the next `out.len()` samples (chunked draw).
-    pub fn next_block(&mut self, out: &mut [f64]) {
-        self.0.next_block(out);
-    }
-
-    /// Emitted samples per circulant window.
-    pub fn block(&self) -> usize {
-        self.0.block()
-    }
-
-    /// Samples cross-faded at each window seam.
-    pub fn overlap(&self) -> usize {
-        self.0.overlap()
-    }
-
-    /// Circulant transform length per window — the memory scale.
-    pub fn circulant_len(&self) -> usize {
-        self.0.circulant_len()
-    }
-}
-
-impl Iterator for FarimaStream {
-    type Item = f64;
-
-    fn next(&mut self) -> Option<f64> {
-        self.0.next()
-    }
-}
-
 /// Batch fARIMA(0, d, 0) in `O(n log n)` via circulant embedding — the
 /// fast alternative to [`crate::Hosking`]'s exact `O(n²)` recursion,
-/// and the batch comparator for [`FarimaStream`]'s prefix-exactness
-/// contract. `H ∈ [0.5, 1)`; variance is the marginal variance (the
-/// theoretical fARIMA autocorrelation is used, scaled by `variance`),
-/// matching the [`crate::Hosking`] parameterisation.
+/// and the independent batch comparator for the fARIMA stream's
+/// prefix-exactness contract. `H ∈ [0.5, 1)`; variance is the marginal
+/// variance (the theoretical fARIMA autocorrelation is used, scaled by
+/// `variance`), matching the [`crate::Hosking`] parameterisation.
 pub fn farima_via_circulant(
     hurst: f64,
     variance: f64,
@@ -886,6 +796,14 @@ mod tests {
         (mean, var)
     }
 
+    fn stream(family: Family, block: usize, overlap: Option<usize>, seed: u64) -> CirculantStream {
+        CirculantStream::try_from_family(family, 0.8, 1.5, block, overlap, seed).unwrap()
+    }
+
+    fn batch(family: Family, hurst: f64, block: usize, seeds: &[u64]) -> BatchStream {
+        BatchStream::try_new(family, hurst, 1.0, block, None, seeds).unwrap()
+    }
+
     #[test]
     fn prefix_bit_identical_to_batch() {
         let g = DaviesHarte::new(0.8, 2.5);
@@ -928,7 +846,11 @@ mod tests {
     fn long_stream_preserves_marginal_variance() {
         // Cross-faded seams must not change the N(0, σ²) marginal.
         let n = 1 << 17;
-        let x: Vec<f64> = FgnStream::with_overlap(0.8, 1.0, 4096, 2048, 3).take(n).collect();
+        let x: Vec<f64> =
+            CirculantStream::try_from_family(Family::Fgn, 0.8, 1.0, 4096, Some(2048), 3)
+                .unwrap()
+                .take(n)
+                .collect();
         let (mean, var) = sample_stats(&x);
         assert!(mean.abs() < 0.12, "mean {mean}");
         assert!((var - 1.0).abs() < 0.12, "var {var}");
@@ -939,7 +861,11 @@ mod tests {
     fn long_stream_tracks_short_lag_acf() {
         let h = 0.8;
         let n = 1 << 17;
-        let x: Vec<f64> = FgnStream::with_overlap(h, 1.0, 4096, 2048, 11).take(n).collect();
+        let x: Vec<f64> =
+            CirculantStream::try_from_family(Family::Fgn, h, 1.0, 4096, Some(2048), 11)
+                .unwrap()
+                .take(n)
+                .collect();
         let r = vbr_stats::acf::autocorrelation(&x, 5);
         let want = fgn_acvf(h, 5);
         for k in 1..=5 {
@@ -956,10 +882,11 @@ mod tests {
     fn farima_stream_prefix_matches_circulant_batch() {
         for block in [2usize, 33, 700] {
             let batch = farima_via_circulant(0.8, 1.0, block, 5).unwrap();
-            let streamed: Vec<f64> = FarimaStream::try_new(0.8, 1.0, block, 5)
-                .unwrap()
-                .take(block)
-                .collect();
+            let streamed: Vec<f64> =
+                CirculantStream::try_from_family(Family::Farima, 0.8, 1.0, block, None, 5)
+                    .unwrap()
+                    .take(block)
+                    .collect();
             assert_eq!(streamed, batch, "block {block}");
         }
     }
@@ -988,11 +915,40 @@ mod tests {
             Err(FgnError::InvalidVariance { .. })
         ));
         assert!(FgnStream::try_new(0.8, 1.0, 0, 0).is_err());
-        assert!(FgnStream::try_with_overlap(0.8, 1.0, 64, 65, 0).is_err());
+        assert!(CirculantStream::try_from_family(Family::Fgn, 0.8, 1.0, 64, Some(65), 0).is_err());
+        assert!(CirculantStream::try_from_family(Family::Fgn, 0.8, 1.0, 4, Some(9), 0).is_err());
         assert!(matches!(
-            FarimaStream::try_new(0.3, 1.0, 64, 0),
+            CirculantStream::try_from_family(Family::Farima, 0.3, 1.0, 64, None, 0),
+            Err(FgnError::InvalidHurst { lo, .. }) if lo == 0.5
+        ));
+        assert!(matches!(
+            BatchStream::try_new(Family::Fgn, f64::NAN, 1.0, 64, None, &[1]),
             Err(FgnError::InvalidHurst { .. })
         ));
+    }
+
+    #[test]
+    fn overflowing_geometry_is_a_typed_error() {
+        // Unchecked, these wrap to a tiny circulant in release builds (or
+        // panic in debug builds / at allocation); snapshot restore builds
+        // groups from untrusted keys through this path.
+        let overflow = |r: Result<usize, FgnError>| {
+            matches!(r, Err(FgnError::Numeric(NumericError::OutOfRange { .. })))
+        };
+        let top = 1usize << (usize::BITS - 1);
+        assert!(overflow(FgnStream::try_new(0.8, 1.0, usize::MAX, 0).map(|s| s.circulant_len())));
+        assert!(overflow(
+            BatchStream::try_new(Family::Fgn, 0.8, 1.0, top + 5, None, &[])
+                .map(|b| b.circulant_len())
+        ));
+        assert!(overflow(
+            BatchStream::try_new(Family::Fgn, 0.8, 1.0, top >> 1, Some(top >> 1), &[])
+                .map(|b| b.circulant_len())
+        ));
+        // The largest window whose circulant still fits is accepted by
+        // the geometry (only the arithmetic is checked, not the size).
+        assert_eq!(circulant_geometry((top >> 1) + 1, None).unwrap().0, top);
+        assert!(circulant_geometry((top >> 1) + 2, None).is_err());
     }
 
     #[test]
@@ -1000,42 +956,28 @@ mod tests {
         // Kill at an arbitrary (non-boundary) point, restore into a
         // freshly built same-config stream, and the remainder must be
         // bit-identical to the uninterrupted run.
-        for (block, overlap, taken) in
-            [(64usize, None, 100usize), (500, Some(123), 777), (1, None, 5), (64, Some(0), 64)]
-        {
-            let build = |ovl: Option<usize>| match ovl {
-                None => FgnStream::new(0.8, 1.5, block, 21),
-                Some(l) => FgnStream::with_overlap(0.8, 1.5, block, l, 21),
-            };
-            let mut uninterrupted = build(overlap);
+        for (family, block, overlap, taken) in [
+            (Family::Fgn, 64usize, None, 100usize),
+            (Family::Fgn, 500, Some(123), 777),
+            (Family::Fgn, 1, None, 5),
+            (Family::Fgn, 64, Some(0), 64),
+            (Family::Farima, 200, None, 333),
+        ] {
+            let mut uninterrupted = stream(family, block, overlap, 21);
             let full: Vec<f64> = uninterrupted.by_ref().take(taken + 500).collect();
 
-            let mut first = build(overlap);
+            let mut first = stream(family, block, overlap, 21);
             let _prefix: Vec<f64> = first.by_ref().take(taken).collect();
             let state = first.export_state();
             drop(first); // the "crash"
 
-            let mut resumed = build(overlap);
+            let mut resumed = stream(family, block, overlap, 21);
             resumed.restore_state(&state).unwrap();
             let rest: Vec<f64> = resumed.take(500).collect();
             let want: Vec<u64> = full[taken..].iter().map(|v| v.to_bits()).collect();
             let got: Vec<u64> = rest.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got, want, "block={block} overlap={overlap:?} taken={taken}");
+            assert_eq!(got, want, "{family:?} block={block} overlap={overlap:?} taken={taken}");
         }
-    }
-
-    #[test]
-    fn farima_export_restore_resumes_bit_identically() {
-        let mut uninterrupted = FarimaStream::try_new(0.8, 1.0, 200, 4).unwrap();
-        let full: Vec<f64> = uninterrupted.by_ref().take(900).collect();
-        let mut first = FarimaStream::try_new(0.8, 1.0, 200, 4).unwrap();
-        let _prefix: Vec<f64> = first.by_ref().take(333).collect();
-        let state = first.export_state();
-        let mut resumed = FarimaStream::try_new(0.8, 1.0, 200, 4).unwrap();
-        resumed.restore_state(&state).unwrap();
-        let got: Vec<u64> = resumed.take(900 - 333).map(|v| v.to_bits()).collect();
-        let want: Vec<u64> = full[333..].iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, want);
     }
 
     #[test]
@@ -1063,6 +1005,9 @@ mod tests {
         assert!(target.restore_state(&bad).is_err());
         let mut bad = good.clone();
         bad.tail.push(0.5);
+        assert!(target.restore_state(&bad).is_err());
+        let mut bad = good.clone();
+        bad.cur.push(0.0);
         assert!(target.restore_state(&bad).is_err());
         // A refused restore leaves the target fully functional…
         target.restore_state(&good).unwrap();
@@ -1094,10 +1039,108 @@ mod tests {
         assert_eq!(s.block(), 1000);
         assert_eq!(s.circulant_len(), 2048);
         assert_eq!(s.overlap(), 25); // m/2 + 1 - B = 1025 - 1000
-        let s = FgnStream::with_overlap(0.8, 1.0, 1000, 500, 1);
+        let s = stream(Family::Fgn, 1000, Some(500), 1);
         assert_eq!(s.overlap(), 500);
         assert_eq!(s.circulant_len(), 4096); // next_pow2(2 * 1499)
         let s = FgnStream::new(0.8, 1.0, 1, 1);
         assert_eq!(s.circulant_len(), 0);
+    }
+
+    #[test]
+    fn batch_sources_match_solo_streams() {
+        // Source i of a batch is draw-for-draw the same-seed solo stream,
+        // for both families, on the spectrum and white-noise paths.
+        for (family, block) in [(Family::Fgn, 100usize), (Family::Farima, 80), (Family::Fgn, 1)] {
+            let seeds = [11u64, 22, 33, 44];
+            let mut batch = batch(family, 0.75, block, &seeds);
+            assert_eq!(batch.sources(), 4);
+            for (i, &s) in seeds.iter().enumerate() {
+                let mut solo =
+                    CirculantStream::try_from_family(family, 0.75, 1.0, block, None, s).unwrap();
+                let mut a = vec![0.0; 350];
+                let mut b = vec![0.0; 350];
+                batch.next_block(i, &mut a);
+                solo.next_block(&mut b);
+                assert_eq!(a, b, "{family:?} block {block} source {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn interleaving_sources_does_not_couple_them() {
+        let seeds = [5u64, 6];
+        let mut batch = batch(Family::Fgn, 0.7, 64, &seeds);
+        // Drain source 0 far ahead, then source 1, then source 0 again.
+        let mut a = vec![0.0; 500];
+        let mut b = vec![0.0; 130];
+        let mut a2 = vec![0.0; 70];
+        batch.next_block(0, &mut a);
+        batch.next_block(1, &mut b);
+        batch.next_block(0, &mut a2);
+
+        let mut solo0 = FgnStream::new(0.7, 1.0, 64, 5);
+        let mut solo1 = FgnStream::new(0.7, 1.0, 64, 6);
+        let mut e = vec![0.0; 570];
+        let mut f = vec![0.0; 130];
+        solo0.next_block(&mut e);
+        solo1.next_block(&mut f);
+        assert_eq!(a, e[..500]);
+        assert_eq!(a2, e[500..]);
+        assert_eq!(b, f);
+    }
+
+    #[test]
+    fn export_restore_round_trips_per_source() {
+        let seeds = [9u64, 10];
+        let mut batch = batch(Family::Fgn, 0.8, 64, &seeds);
+        let mut warm = vec![0.0; 100];
+        batch.next_block(0, &mut warm);
+        batch.next_block(1, &mut warm);
+        let st0 = batch.export_state(0);
+        let mut expect = vec![0.0; 150];
+        batch.next_block(0, &mut expect);
+        // Restoring into a *fresh* batch must resume bit-identically.
+        let mut fresh = BatchStream::try_new(Family::Fgn, 0.8, 1.0, 64, None, &seeds).unwrap();
+        fresh.restore_state(0, &st0).unwrap();
+        let mut got = vec![0.0; 150];
+        fresh.next_block(0, &mut got);
+        assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn tenant_identity_round_trips_through_state() {
+        // Shard migration: a source pushed with a tenant tag, exported,
+        // and restored into a *different* group (different position)
+        // must keep both its identity and its draw sequence.
+        let mut batch = batch(Family::Fgn, 0.8, 64, &[]);
+        let i = batch.push_source(77, 0xBEEF);
+        assert_eq!(batch.tenant(i), 0xBEEF);
+        let mut warm = vec![0.0; 90];
+        batch.next_block(i, &mut warm);
+        let st = batch.export_state(i);
+        assert_eq!(st.tenant, 0xBEEF);
+        let mut expect = vec![0.0; 120];
+        batch.next_block(i, &mut expect);
+
+        let mut other = BatchStream::try_new(Family::Fgn, 0.8, 1.0, 64, None, &[]).unwrap();
+        other.push_source(1, 1); // occupy index 0 with a stranger
+        let j = other.push_source(0, 0); // placeholder seed; state overwrites
+        other.restore_state(j, &st).unwrap();
+        assert_eq!(other.tenant(j), 0xBEEF, "identity must survive migration");
+        let mut got = vec![0.0; 120];
+        other.next_block(j, &mut got);
+        assert_eq!(got, expect, "draws must survive migration");
+    }
+
+    #[test]
+    fn pushed_source_matches_constructor_source() {
+        let mut ctor = batch(Family::Fgn, 0.7, 48, &[123]);
+        let mut grown = batch(Family::Fgn, 0.7, 48, &[]);
+        grown.push_source(123, 9);
+        let mut a = vec![0.0; 200];
+        let mut b = vec![0.0; 200];
+        ctor.next_block(0, &mut a);
+        grown.next_block(0, &mut b);
+        assert_eq!(a, b);
     }
 }

@@ -2,8 +2,9 @@
 //! and the marginal transform.
 
 use proptest::prelude::*;
+use vbr_fft::LANES;
 use vbr_fgn::{
-    farima_acf, farima_via_circulant, fgn_acvf, BatchFarima, BatchFgn, DaviesHarte, FarimaStream,
+    farima_acf, farima_via_circulant, fgn_acvf, BatchStream, CirculantStream, DaviesHarte, Family,
     FgnStream, Hosking, MarginalTransform, TableMode,
 };
 use vbr_stats::dist::{ContinuousDist, GammaPareto};
@@ -118,7 +119,7 @@ proptest! {
         // so both paths are fallible: they must accept or reject the
         // same (H, block) inputs, and agree bit-for-bit when they accept.
         for block in [1usize, 7, 4096, n] {
-            match FarimaStream::try_new(h, 1.0, block, seed) {
+            match CirculantStream::try_from_family(Family::Farima, h, 1.0, block, None, seed) {
                 Ok(mut s) => {
                     let batch = farima_via_circulant(h, 1.0, block, seed)
                         .expect("stream accepted but batch rejected the same geometry");
@@ -147,7 +148,7 @@ proptest! {
         overlap_sel in 0u32..2,
     ) {
         let use_overlap = overlap_sel == 1;
-        // The shared-spectrum batch contract: source i of a BatchFgn is
+        // The shared-spectrum batch contract: source i of a batch is
         // draw-for-draw bit-identical to an independent FgnStream with
         // the same seed, at arbitrary block/overlap geometry and under
         // arbitrary chunk splits with the batch's sources interleaved
@@ -155,19 +156,13 @@ proptest! {
         // which a shared scratch window must not couple).
         let overlap = (block * overlap_permille) / 1000; // 0 ..= block
         let seeds: Vec<u64> = (0..n_sources as u64).map(|i| seed0 + i * 7).collect();
-        let (mut batch, mut solos) = if use_overlap {
-            (
-                BatchFgn::try_with_overlap(h, 1.0, block, overlap, &seeds).unwrap(),
-                seeds.iter()
-                    .map(|&s| FgnStream::with_overlap(h, 1.0, block, overlap, s))
-                    .collect::<Vec<_>>(),
-            )
-        } else {
-            (
-                BatchFgn::try_new(h, 1.0, block, &seeds).unwrap(),
-                seeds.iter().map(|&s| FgnStream::new(h, 1.0, block, s)).collect(),
-            )
-        };
+        let overlap = use_overlap.then_some(overlap);
+        let mut batch = BatchStream::try_new(Family::Fgn, h, 1.0, block, overlap, &seeds).unwrap();
+        let mut solos: Vec<CirculantStream> = seeds
+            .iter()
+            .map(|&s| CirculantStream::try_from_family(Family::Fgn, h, 1.0, block, overlap, s))
+            .collect::<Result<_, _>>()
+            .unwrap();
         for &c in &chunks {
             let mut a = vec![0.0f64; c];
             let mut b = vec![0.0f64; c];
@@ -193,11 +188,11 @@ proptest! {
         seed in 0u64..1000,
     ) {
         // Kill/resume across engines: a checkpoint exported mid-stream
-        // from a batch source restores into a fresh BatchFgn *and* into
+        // from a batch source restores into a fresh batch *and* into
         // an independent FgnStream (StreamState is one format), and both
         // resume bit-identically with the uninterrupted source.
         let seeds = [seed, seed ^ 0x5a5a];
-        let mut batch = BatchFgn::try_new(h, 1.0, block, &seeds).unwrap();
+        let mut batch = BatchStream::try_new(Family::Fgn, h, 1.0, block, None, &seeds).unwrap();
         let mut buf = vec![0.0f64; pre.max(1)];
         if pre > 0 {
             batch.next_block(1, &mut buf[..pre]);
@@ -206,7 +201,8 @@ proptest! {
         }
         let saved = batch.export_state(1);
 
-        let mut fresh_batch = BatchFgn::try_new(h, 1.0, block, &seeds).unwrap();
+        let mut fresh_batch =
+            BatchStream::try_new(Family::Fgn, h, 1.0, block, None, &seeds).unwrap();
         fresh_batch.restore_state(1, &saved).unwrap();
         let mut fresh_stream = FgnStream::new(h, 1.0, block, seeds[1]);
         fresh_stream.restore_state(&saved).unwrap();
@@ -234,13 +230,14 @@ proptest! {
         // when every independent stream accepts, and agree to the bit
         // when it does.
         let seeds: Vec<u64> = (0..n_sources as u64).map(|i| seed0 + i * 3).collect();
-        match BatchFarima::try_new(h, 1.0, block, &seeds) {
+        match BatchStream::try_new(Family::Farima, h, 1.0, block, None, &seeds) {
             Ok(mut batch) => {
                 let mut a = vec![0.0f64; block];
                 let mut b = vec![0.0f64; block];
                 for (i, &s) in seeds.iter().enumerate() {
-                    let mut solo = FarimaStream::try_new(h, 1.0, block, s)
-                        .expect("batch accepted but stream rejected");
+                    let mut solo =
+                        CirculantStream::try_from_family(Family::Farima, h, 1.0, block, None, s)
+                            .expect("batch accepted but stream rejected");
                     batch.next_block(i, &mut a);
                     solo.next_block(&mut b);
                     for k in 0..block {
@@ -250,9 +247,82 @@ proptest! {
             }
             Err(_) => {
                 prop_assert!(
-                    FarimaStream::try_new(h, 1.0, block, seeds[0]).is_err(),
+                    CirculantStream::try_from_family(Family::Farima, h, 1.0, block, None, seeds[0])
+                        .is_err(),
                     "stream accepted but batch rejected"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn advance_rows_matches_next_block(
+        farima_sel in 0u32..2,
+        h_unit in 0.0f64..1.0,
+        block_code in 0usize..250,
+        overlap_code in 0usize..3003,
+        n_sources in 1usize..(2 * LANES + 4),
+        len_code in 0usize..3000,
+        straggle_mask in 0u32..u32::MAX,
+        seed0 in 0u64..1000,
+    ) {
+        // The lane-cohort refill of `advance_rows` against per-source
+        // `next_block`, bitwise: both families, the white-noise block,
+        // prefix-exact and explicit overlap, source counts below, at and
+        // off a multiple of LANES, advance lengths below, at and above
+        // the block, and stragglers pushed mid-window between rounds so
+        // cohorts form from a changing subset of the sources.
+        let farima = farima_sel == 1;
+        let (family, h) = if farima {
+            (Family::Farima, 0.5 + 0.45 * h_unit)
+        } else {
+            (Family::Fgn, 0.05 + 0.9 * h_unit)
+        };
+        let block = if block_code < 50 { 1 } else { block_code - 48 };
+        let overlap = match overlap_code % 3 {
+            0 => None,
+            1 => Some(0),
+            _ => Some(block * (overlap_code / 3) / 1000),
+        };
+        let len_raw = len_code / 3;
+        let len = match len_code % 3 {
+            0 => 1 + len_raw % block.max(2) / 2,
+            1 => block,
+            _ => block + 1 + len_raw % block,
+        };
+        let seeds: Vec<u64> = (0..n_sources as u64).map(|i| seed0 * 31 + i).collect();
+        let Ok(mut batch) = BatchStream::try_new(family, h, 1.0, block, overlap, &seeds) else {
+            // Only a non-PSD fARIMA embedding may refuse a valid geometry.
+            prop_assert!(farima);
+            return Ok(());
+        };
+        let mut solos: Vec<CirculantStream> = seeds
+            .iter()
+            .map(|&s| CirculantStream::try_from_family(family, h, 1.0, block, overlap, s))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        // Rows in reverse source order, so row != source.
+        let rows: Vec<(usize, usize)> = (0..n_sources).map(|s| (s, n_sources - 1 - s)).collect();
+        let mut buf = vec![0.0f64; n_sources * len];
+        let mut want = vec![0.0f64; len];
+        for round in 0..4 {
+            for (s, solo) in solos.iter_mut().enumerate() {
+                if straggle_mask >> ((s * 3 + round) % 32) & 1 == 1 {
+                    let mut step = vec![0.0f64; 1 + (seed0 as usize + s + round) % block];
+                    let mut solo_step = step.clone();
+                    batch.next_block(s, &mut step);
+                    solo.next_block(&mut solo_step);
+                }
+            }
+            batch.advance_rows(len, &mut buf, &rows);
+            for (s, r) in rows.iter().copied() {
+                solos[s].next_block(&mut want);
+                for k in 0..len {
+                    prop_assert_eq!(
+                        buf[r * len + k].to_bits(), want[k].to_bits(),
+                        "round {} source {} sample {}", round, s, k
+                    );
+                }
             }
         }
     }

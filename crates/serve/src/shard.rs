@@ -16,79 +16,28 @@
 
 use crate::tenant::{GroupKey, TenantSpec};
 use std::collections::HashMap;
-use vbr_fgn::{BatchFarima, BatchFgn, FgnError, StreamState};
+use vbr_fgn::{BatchStream, FgnError, StreamState};
 use vbr_stats::snapshot::{Payload, Section, SnapshotError};
-
-/// A batch group of either model family, dispatched by construction.
-#[derive(Debug, Clone)]
-pub(crate) enum BatchKind {
-    Fgn(BatchFgn),
-    Farima(BatchFarima),
-}
-
-impl BatchKind {
-    fn try_empty(key: &GroupKey) -> Result<BatchKind, FgnError> {
-        let (model, variance, block, overlap) = key
-            .params()
-            .ok_or(FgnError::InvalidHurst { hurst: f64::NAN, lo: 0.0, hi: 1.0 })?;
-        match model {
-            crate::tenant::SourceModel::Fgn { hurst } => {
-                Ok(BatchKind::Fgn(BatchFgn::try_empty(hurst, variance, block, overlap)?))
-            }
-            crate::tenant::SourceModel::Farima { hurst } => {
-                Ok(BatchKind::Farima(BatchFarima::try_empty(hurst, variance, block, overlap)?))
-            }
-        }
-    }
-
-    fn push_source(&mut self, seed: u64, tenant: u64) -> usize {
-        match self {
-            BatchKind::Fgn(b) => b.push_source(seed, tenant),
-            BatchKind::Farima(b) => b.push_source(seed, tenant),
-        }
-    }
-
-    fn advance_rows(&mut self, len: usize, buf: &mut [f64], rows: &[(usize, usize)]) {
-        match self {
-            BatchKind::Fgn(b) => b.advance_rows(len, buf, rows),
-            BatchKind::Farima(b) => b.advance_rows(len, buf, rows),
-        }
-    }
-
-    fn sources(&self) -> usize {
-        match self {
-            BatchKind::Fgn(b) => b.sources(),
-            BatchKind::Farima(b) => b.sources(),
-        }
-    }
-
-    fn tenant(&self, source: usize) -> u64 {
-        match self {
-            BatchKind::Fgn(b) => b.tenant(source),
-            BatchKind::Farima(b) => b.tenant(source),
-        }
-    }
-
-    fn export_state(&self, source: usize) -> StreamState {
-        match self {
-            BatchKind::Fgn(b) => b.export_state(source),
-            BatchKind::Farima(b) => b.export_state(source),
-        }
-    }
-
-    fn restore_state(&mut self, source: usize, st: &StreamState) -> Result<(), SnapshotError> {
-        match self {
-            BatchKind::Fgn(b) => b.restore_state(source, st),
-            BatchKind::Farima(b) => b.restore_state(source, st),
-        }
-    }
-}
 
 /// One batch group plus its packing key.
 #[derive(Debug, Clone)]
 pub(crate) struct Group {
     pub(crate) key: GroupKey,
-    pub(crate) batch: BatchKind,
+    pub(crate) batch: BatchStream,
+}
+
+impl Group {
+    /// An empty group (no sources yet) for `key`, validated and with its
+    /// spectrum built. The key's model maps to an engine family here,
+    /// once per group.
+    fn build(key: GroupKey) -> Result<Group, FgnError> {
+        let (model, variance, block, overlap) = key
+            .params()
+            .ok_or(FgnError::InvalidHurst { hurst: f64::NAN, lo: 0.0, hi: 1.0 })?;
+        let (family, hurst) = model.family();
+        let batch = BatchStream::try_new(family, hurst, variance, block, overlap, &[])?;
+        Ok(Group { key, batch })
+    }
 }
 
 /// One shard: groups, layout, slot buffer. See the [module docs](self).
@@ -142,8 +91,7 @@ impl Shard {
         let g = match self.by_key.get(&key) {
             Some(&g) => g,
             None => {
-                let batch = BatchKind::try_empty(&key)?;
-                self.groups.push(Group { key, batch });
+                self.groups.push(Group::build(key)?);
                 let g = self.groups.len() - 1;
                 self.by_key.insert(key, g);
                 g
@@ -160,7 +108,7 @@ impl Shard {
     /// cross-shard reads, no aggregation.
     ///
     /// Rows are bucketed by batch group and each group advanced in one
-    /// lockstep [`advance_rows`](vbr_fgn::BatchFgn::advance_rows) call,
+    /// lockstep [`advance_rows`](vbr_fgn::BatchStream::advance_rows) call,
     /// so the steady state runs lane-batched refills straight into the
     /// slot buffer instead of a full per-source pipeline walk. Output
     /// bits per source are identical to per-source `next_block` calls
@@ -227,15 +175,15 @@ impl Shard {
             if shard.by_key.contains_key(&gs.key) {
                 return Err(SnapshotError::Invalid { what: "duplicate group key in shard" });
             }
-            let mut batch = BatchKind::try_empty(&gs.key)
+            let mut group = Group::build(gs.key)
                 .map_err(|_| SnapshotError::Invalid { what: "unbuildable group parameters" })?;
             for st in &gs.sources {
                 // Placeholder seed: the restored state overwrites the RNG.
-                let s = batch.push_source(0, st.tenant);
-                batch.restore_state(s, st)?;
+                let s = group.batch.push_source(0, st.tenant);
+                group.batch.restore_state(s, st)?;
             }
             shard.by_key.insert(gs.key, shard.groups.len());
-            shard.groups.push(Group { key: gs.key, batch });
+            shard.groups.push(group);
         }
         let total: usize = state.groups.iter().map(|g| g.sources.len()).sum();
         if state.layout.len() != total {
@@ -285,10 +233,9 @@ impl Shard {
             let tg = match target.by_key.get(&grp.key) {
                 Some(&tg) => tg,
                 None => {
-                    let batch = BatchKind::try_empty(&grp.key).map_err(|_| {
+                    target.groups.push(Group::build(grp.key).map_err(|_| {
                         SnapshotError::Invalid { what: "unbuildable group parameters" }
-                    })?;
-                    target.groups.push(Group { key: grp.key, batch });
+                    })?);
                     let tg = target.groups.len() - 1;
                     target.by_key.insert(grp.key, tg);
                     tg
@@ -444,5 +391,21 @@ mod tests {
         let mut state = shard.export_state();
         state.layout[1] = (7, 7); // out of range
         assert!(Shard::restore_from(&state, 4).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_overflowing_group_block() {
+        // A group key whose block overflows the circulant length, with
+        // sources that have not started (so no window length betrays the
+        // block), must be refused at restore, not at the first slot.
+        let mut shard = Shard::new(4);
+        shard.admit(&spec(1, 0.8, 16)).unwrap();
+        shard.admit(&spec(2, 0.8, 16)).unwrap();
+        let mut state = shard.export_state();
+        state.groups[0].key.block = (1usize << (usize::BITS - 1)) + 5;
+        assert!(matches!(
+            Shard::restore_from(&state, 4),
+            Err(SnapshotError::Invalid { what: "unbuildable group parameters" })
+        ));
     }
 }

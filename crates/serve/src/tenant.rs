@@ -11,6 +11,8 @@
 //! pattern (the same rule the spectrum caches use, so "same key" ⇒
 //! "same cached spectrum").
 
+use vbr_fgn::Family;
+
 /// Identity of a tenant, unique across the fleet. `u64` so identities
 /// survive snapshot/restore through [`vbr_fgn::StreamState`]'s tenant
 /// field.
@@ -38,6 +40,14 @@ impl SourceModel {
     pub fn hurst(&self) -> f64 {
         match *self {
             SourceModel::Fgn { hurst } | SourceModel::Farima { hurst } => hurst,
+        }
+    }
+
+    /// The circulant engine family and Hurst parameter of this model.
+    pub fn family(&self) -> (Family, f64) {
+        match *self {
+            SourceModel::Fgn { hurst } => (Family::Fgn, hurst),
+            SourceModel::Farima { hurst } => (Family::Farima, hurst),
         }
     }
 

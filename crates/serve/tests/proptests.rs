@@ -1,11 +1,11 @@
 //! Property tests for the fleet determinism contract: the sharded,
 //! batch-packed, possibly-parallel fleet produces an aggregate arrival
 //! sequence bit-identical to the same sources run as independent solo
-//! `FgnStream`s summed in admission order — at arbitrary shard counts,
-//! block sizes, tenant mixes, and thread counts.
+//! circulant streams summed in admission order — at arbitrary shard
+//! counts, block sizes, tenant mixes (fGn and fARIMA), and thread counts.
 
 use proptest::prelude::*;
-use vbr_fgn::FgnStream;
+use vbr_fgn::CirculantStream;
 use vbr_serve::{Admission, Fleet, FleetConfig, SourceModel, TenantSpec};
 use vbr_stats::par::with_threads;
 
@@ -38,8 +38,10 @@ fn run_solo_sum(specs: &[TenantSpec], slot_len: usize, slots: usize) -> Vec<f64>
     let mut agg = vec![0.0f64; n];
     let mut buf = vec![0.0f64; n];
     for s in specs {
+        let (family, hurst) = s.model.family();
         let mut stream =
-            FgnStream::try_new(s.model.hurst(), s.variance, s.block, s.seed).unwrap();
+            CirculantStream::try_from_family(family, hurst, s.variance, s.block, s.overlap, s.seed)
+                .unwrap();
         for c in buf.chunks_mut(s.block) {
             stream.next_block(c);
         }
@@ -60,7 +62,9 @@ fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
 proptest! {
     /// Core contract: fleet(k shards) ≡ ordered solo sum, bitwise.
     /// `slot_len == block` so solo streams and fleet slots stay in
-    /// lockstep sample-for-sample.
+    /// lockstep sample-for-sample. Tenants alternate between two Hurst
+    /// classes, and `family` (0 = fGn, 1 = fARIMA, 2 = mixed) picks the
+    /// generator family of each class; fARIMA classes draw H ∈ [0.5, 1).
     #[test]
     fn fleet_aggregate_is_bitwise_solo_sum(
         shards in 1usize..6,
@@ -70,13 +74,19 @@ proptest! {
         hurst_b in 0.1f64..0.9,
         slots in 1usize..8,
         seed0 in 0u64..1_000_000,
+        family in 0u32..3,
     ) {
         let block = 1usize << block_pow; // includes the block==1 white-noise path
+        let model = |t: u64, hurst: f64| match (family, t % 2) {
+            (0, _) | (2, 0) => SourceModel::Fgn { hurst },
+            _ => SourceModel::Farima { hurst: 0.5 + (hurst - 0.1) * 0.6 },
+        };
         let specs: Vec<TenantSpec> = (0..n_sources as u64)
             .map(|t| {
                 let h = if t % 2 == 0 { hurst_a } else { hurst_b };
                 let v = 0.5 + (t % 3) as f64; // a few variance classes
-                spec(t, h, v, block, seed0.wrapping_add(t.wrapping_mul(0x9E37_79B9)))
+                let seed = seed0.wrapping_add(t.wrapping_mul(0x9E37_79B9));
+                TenantSpec { model: model(t, h), ..spec(t, h, v, block, seed) }
             })
             .collect();
         let want = run_solo_sum(&specs, block, slots);

@@ -54,7 +54,7 @@ pub use vbr_video::Trace;
 /// Everything a typical user needs, in one import.
 pub mod prelude {
     pub use vbr_fgn::{
-        BlockSource, DaviesHarte, FarimaStream, FgnError, FgnStream, Hosking,
+        BlockSource, CirculantStream, DaviesHarte, Family, FgnError, FgnStream, Hosking,
         MarginalTransform, MwmConfig, MwmModel, RobustFgn, TableMode, TraceReplay,
         TrafficModel,
     };
