@@ -318,9 +318,9 @@ impl SharedSpectrum {
 /// one shared spectrum; see the [module docs](self) for the exactness,
 /// memory and bit-identity contracts.
 ///
-/// All buffers (the synthesis scratch, every source's window and tail)
-/// are allocated once and reused every window, so steady-state
-/// generation allocates nothing.
+/// All buffers (the synthesis scratch, the per-worker lane workspaces,
+/// every source's window and tail) are allocated once and reused every
+/// window, so steady-state generation allocates nothing.
 #[derive(Debug, Clone)]
 pub struct BatchStream {
     sd: f64,
@@ -334,13 +334,61 @@ pub struct BatchStream {
     synth: SynthScratch,
     /// The `m` real samples of the freshly synthesised window.
     win: Vec<f64>,
-    /// Lane-parallel refill workspace of
-    /// [`advance_rows`](Self::advance_rows): normal draws, interleaved
-    /// half-spectra and window samples for up to [`LANES`] sources at a
-    /// time. Stays empty unless `advance_rows` forms a cohort.
-    lane_scratch: LaneSynthScratch,
-    /// Lane-interleaved window samples of the current refill cohort.
-    lane_buf: Vec<f64>,
+    /// One lane-refill workspace per pool worker of
+    /// [`advance_rows`](Self::advance_rows). Grows to the widest pool
+    /// that has refilled this batch and is reused after that; stays
+    /// empty unless `advance_rows` forms a cohort.
+    lanes: Vec<LaneWorker>,
+    /// `advance_rows`'s `(source, row)` list of sources due a whole
+    /// window, kept across calls so a slot allocates nothing.
+    due: Vec<(usize, usize)>,
+}
+
+/// One pool worker's lane-parallel refill workspace: normal draws,
+/// interleaved half-spectra and window samples for up to [`LANES`]
+/// sources at a time.
+#[derive(Debug, Clone, Default)]
+struct LaneWorker {
+    scratch: LaneSynthScratch,
+    /// Lane-interleaved window samples of the current cohort.
+    buf: Vec<f64>,
+}
+
+impl LaneWorker {
+    /// Refills one cohort (indices into `sources`) through the
+    /// lane-parallel synthesis kernel: each source draws its own window
+    /// of normals (own RNG, the contract order), all windows transform
+    /// in one lane FFT, and each source installs its lane of the result
+    /// through the same [`SourceState::install_window`] as the scalar
+    /// refill — so each source's state ends up bit-identical to a scalar
+    /// refill from the same RNG state.
+    fn refill_cohort(
+        &mut self,
+        sp: &SharedSpectrum,
+        (sd, block, overlap): (f64, usize, usize),
+        sources: &mut [SourceState],
+        cohort: &[usize],
+    ) {
+        let _span = obs::span("fgn.stream_refill");
+        obs::counter_add(Counter::StreamBlocks, cohort.len() as u64);
+        let k = cohort.len();
+        let m = sp.m();
+        let gauss = self.scratch.gauss_rows(m, k);
+        // Each source draws its uniforms from its own generator (so
+        // per-source draw accounting matches the scalar path exactly),
+        // then one quantile pass covers the whole m×k buffer: the
+        // transform is elementwise, so batching across sources is
+        // bit-identical to per-source `fill_standard_normal` while
+        // amortising the kernel's per-call setup over the cohort.
+        for (v, &s) in cohort.iter().enumerate() {
+            sources[s].rng.fill_open01(&mut gauss[v * m..(v + 1) * m]);
+        }
+        vbr_stats::special::norm_quantile_slice(gauss);
+        synthesise_real_lanes_into(&sp.scales, &sp.plan, k, &mut self.scratch, &mut self.buf);
+        for (v, &s) in cohort.iter().enumerate() {
+            sources[s].install_window(&self.buf, k, v, sd, block, overlap);
+        }
+    }
 }
 
 impl BatchStream {
@@ -387,8 +435,8 @@ impl BatchStream {
             sources: seeds.iter().map(|&s| SourceState::new(s, 0, block, overlap)).collect(),
             synth: SynthScratch::new(),
             win: Vec::new(),
-            lane_scratch: LaneSynthScratch::default(),
-            lane_buf: Vec::new(),
+            lanes: Vec::new(),
+            due: Vec::new(),
         })
     }
 
@@ -482,12 +530,14 @@ impl BatchStream {
     /// member sits at the same window position) are refilled in cohorts
     /// of [`LANES`] through the lane-parallel synthesis kernel
     /// — one batched normal draw, one lane FFT and one strided seam
-    /// blend per cohort instead of a full scalar pipeline per source.
+    /// blend per cohort instead of a full scalar pipeline per source —
+    /// and the cohorts are dealt to the `vbr_stats::par` pool workers.
     /// Sources mid-window, cohort remainders (`< LANES`), white-noise
-    /// groups and `len > block` all take the scalar per-source path.
-    /// Both paths are draw-for-draw bit-identical, so callers cannot
-    /// observe which one ran (the lane-batching policy of DESIGN.md
-    /// §16).
+    /// groups and `len > block` all take the scalar per-source path on
+    /// the calling thread, which also copies every row out. All paths
+    /// are draw-for-draw bit-identical, so callers cannot observe which
+    /// one ran, nor on which worker (the lane-batching policy of
+    /// DESIGN.md §16).
     pub fn advance_rows(&mut self, len: usize, buf: &mut [f64], rows: &[(usize, usize)]) {
         if len == 0 {
             return;
@@ -509,63 +559,75 @@ impl BatchStream {
         // is exactly "refill one window, then copy" — the emit loop
         // degenerates to a single refill precisely when the window is
         // exhausted and `len` fits inside a fresh one.
-        let mut pending: Vec<(usize, usize)> = Vec::with_capacity(rows.len());
+        let mut due = std::mem::take(&mut self.due);
+        due.clear();
         for &(s, r) in rows {
             let st = &self.sources[s];
             if st.pos >= st.cur.len() && len <= self.block {
-                pending.push((s, r));
+                due.push((s, r));
             } else {
                 self.next_block(s, &mut buf[r * len..(r + 1) * len]);
             }
         }
-        let mut cohorts = pending.chunks_exact(LANES);
-        for cohort in &mut cohorts {
-            self.refill_cohort(&sp, cohort);
-        }
-        for &(s, _) in cohorts.remainder() {
-            // Remainder refills scalar — bit-identical by contract.
-            self.refill_source(s);
-        }
-        for &(s, r) in &pending {
+        self.refill_cohorts(&sp, &due);
+        for &(s, r) in &due {
+            if self.sources[s].pos >= self.sources[s].cur.len() {
+                // Still due: a cohort remainder, refilled scalar —
+                // bit-identical by contract.
+                self.refill_source(s);
+            }
             let st = &mut self.sources[s];
             buf[r * len..(r + 1) * len].copy_from_slice(&st.cur[..len]);
             st.pos = len;
         }
+        self.due = due;
     }
 
-    /// Refills one cohort of sources through the lane-parallel synthesis
-    /// kernel: each source draws its own window of normals (own RNG, the
-    /// contract order), all windows transform in one lane FFT, and each
-    /// source installs its lane of the result through the same
-    /// [`SourceState::install_window`] as the scalar refill — so each
-    /// source's state ends up bit-identical to a scalar refill from the
-    /// same RNG state.
-    fn refill_cohort(&mut self, sp: &SharedSpectrum, cohort: &[(usize, usize)]) {
-        let _span = obs::span("fgn.stream_refill");
-        obs::counter_add(Counter::StreamBlocks, cohort.len() as u64);
-        let k = cohort.len();
+    /// Refills every full [`LANES`]-source cohort of the `due` sources,
+    /// dealt to pool workers. The worker count is
+    /// `vbr_stats::par::sized_width` of the refill work (due sources ×
+    /// `m log₂ m`), capped at one worker per cohort. Each worker owns
+    /// one contiguous range of `self.sources`, a whole number of cohorts
+    /// wide, plus its own [`LaneWorker`]; it forms cohorts from the due
+    /// sources in its range, in `due` order, and leaves the `< LANES`
+    /// remainder untouched for the caller. One worker is the serial
+    /// case: the whole batch in one range, on the calling thread.
+    ///
+    /// A source's window depends only on its own state, so which worker
+    /// refills which cohort cannot move a bit; inside another pool
+    /// worker (a multi-shard fleet) the call is serial.
+    fn refill_cohorts(&mut self, sp: &SharedSpectrum, due: &[(usize, usize)]) {
+        if due.len() < LANES {
+            return;
+        }
         let m = sp.m();
-        let gauss = self.lane_scratch.gauss_rows(m, k);
-        // Each source draws its uniforms from its own generator (so
-        // per-source draw accounting matches the scalar path exactly),
-        // then one quantile pass covers the whole m×k buffer: the
-        // transform is elementwise, so batching across sources is
-        // bit-identical to per-source `fill_standard_normal` while
-        // amortising the kernel's per-call setup over the cohort.
-        for (v, &(s, _)) in cohort.iter().enumerate() {
-            self.sources[s].rng.fill_open01(&mut gauss[v * m..(v + 1) * m]);
+        let work = due.len() * m * m.ilog2() as usize;
+        let workers = vbr_stats::par::sized_width(work).min(due.len() / LANES);
+        if self.lanes.len() < workers {
+            self.lanes.resize_with(workers, LaneWorker::default);
         }
-        vbr_stats::special::norm_quantile_slice(gauss);
-        synthesise_real_lanes_into(
-            &sp.scales,
-            &sp.plan,
-            k,
-            &mut self.lane_scratch,
-            &mut self.lane_buf,
+        let range = self.sources.len().div_ceil(workers).next_multiple_of(LANES);
+        let geometry = (self.sd, self.block, self.overlap);
+        vbr_stats::par::par_chunks_mut_with(
+            &mut self.sources,
+            range,
+            &mut self.lanes[..workers],
+            |w, sources, lane| {
+                let base = w * range;
+                let mut cohort = [0usize; LANES];
+                let mut k = 0;
+                for &(s, _) in due {
+                    if (base..base + sources.len()).contains(&s) {
+                        cohort[k] = s - base;
+                        k += 1;
+                        if k == LANES {
+                            lane.refill_cohort(sp, geometry, sources, &cohort);
+                            k = 0;
+                        }
+                    }
+                }
+            },
         );
-        for (v, &(s, _)) in cohort.iter().enumerate() {
-            self.sources[s].install_window(&self.lane_buf, k, v, self.sd, self.block, self.overlap);
-        }
     }
 
     /// Exports the dynamic state of one source for checkpointing —

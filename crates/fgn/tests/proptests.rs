@@ -8,6 +8,7 @@ use vbr_fgn::{
     FgnStream, Hosking, MarginalTransform, TableMode,
 };
 use vbr_stats::dist::{ContinuousDist, GammaPareto};
+use vbr_stats::par::with_threads;
 
 proptest! {
     #[test]
@@ -261,7 +262,7 @@ proptest! {
         h_unit in 0.0f64..1.0,
         block_code in 0usize..250,
         overlap_code in 0usize..3003,
-        n_sources in 1usize..(2 * LANES + 4),
+        n_sources in 1usize..(4 * LANES + 4),
         len_code in 0usize..3000,
         straggle_mask in 0u32..u32::MAX,
         seed0 in 0u64..1000,
@@ -271,7 +272,9 @@ proptest! {
         // prefix-exact and explicit overlap, source counts below, at and
         // off a multiple of LANES, advance lengths below, at and above
         // the block, and stragglers pushed mid-window between rounds so
-        // cohorts form from a changing subset of the sources.
+        // cohorts form from a changing subset of the sources; at 1, 2
+        // and 3 pool workers, so cohorts are dealt across workers whose
+        // source ranges hold whole cohorts, remainders or nothing due.
         let farima = farima_sel == 1;
         let (family, h) = if farima {
             (Family::Farima, 0.5 + 0.45 * h_unit)
@@ -291,37 +294,40 @@ proptest! {
             _ => block + 1 + len_raw % block,
         };
         let seeds: Vec<u64> = (0..n_sources as u64).map(|i| seed0 * 31 + i).collect();
-        let Ok(mut batch) = BatchStream::try_new(family, h, 1.0, block, overlap, &seeds) else {
-            // Only a non-PSD fARIMA embedding may refuse a valid geometry.
-            prop_assert!(farima);
-            return Ok(());
-        };
-        let mut solos: Vec<CirculantStream> = seeds
-            .iter()
-            .map(|&s| CirculantStream::try_from_family(family, h, 1.0, block, overlap, s))
-            .collect::<Result<_, _>>()
-            .unwrap();
-        // Rows in reverse source order, so row != source.
-        let rows: Vec<(usize, usize)> = (0..n_sources).map(|s| (s, n_sources - 1 - s)).collect();
-        let mut buf = vec![0.0f64; n_sources * len];
-        let mut want = vec![0.0f64; len];
-        for round in 0..4 {
-            for (s, solo) in solos.iter_mut().enumerate() {
-                if straggle_mask >> ((s * 3 + round) % 32) & 1 == 1 {
-                    let mut step = vec![0.0f64; 1 + (seed0 as usize + s + round) % block];
-                    let mut solo_step = step.clone();
-                    batch.next_block(s, &mut step);
-                    solo.next_block(&mut solo_step);
+        for threads in 1..=3 {
+            let Ok(mut batch) = BatchStream::try_new(family, h, 1.0, block, overlap, &seeds) else {
+                // Only a non-PSD fARIMA embedding may refuse a valid geometry.
+                prop_assert!(farima);
+                return Ok(());
+            };
+            let mut solos: Vec<CirculantStream> = seeds
+                .iter()
+                .map(|&s| CirculantStream::try_from_family(family, h, 1.0, block, overlap, s))
+                .collect::<Result<_, _>>()
+                .unwrap();
+            // Rows in reverse source order, so row != source.
+            let rows: Vec<(usize, usize)> =
+                (0..n_sources).map(|s| (s, n_sources - 1 - s)).collect();
+            let mut buf = vec![0.0f64; n_sources * len];
+            let mut want = vec![0.0f64; len];
+            for round in 0..4 {
+                for (s, solo) in solos.iter_mut().enumerate() {
+                    if straggle_mask >> ((s * 3 + round) % 32) & 1 == 1 {
+                        let mut step = vec![0.0f64; 1 + (seed0 as usize + s + round) % block];
+                        let mut solo_step = step.clone();
+                        batch.next_block(s, &mut step);
+                        solo.next_block(&mut solo_step);
+                    }
                 }
-            }
-            batch.advance_rows(len, &mut buf, &rows);
-            for (s, r) in rows.iter().copied() {
-                solos[s].next_block(&mut want);
-                for k in 0..len {
-                    prop_assert_eq!(
-                        buf[r * len + k].to_bits(), want[k].to_bits(),
-                        "round {} source {} sample {}", round, s, k
-                    );
+                with_threads(threads, || batch.advance_rows(len, &mut buf, &rows));
+                for (s, r) in rows.iter().copied() {
+                    solos[s].next_block(&mut want);
+                    for k in 0..len {
+                        prop_assert_eq!(
+                            buf[r * len + k].to_bits(), want[k].to_bits(),
+                            "threads {} round {} source {} sample {}", threads, round, s, k
+                        );
+                    }
                 }
             }
         }

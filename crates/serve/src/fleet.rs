@@ -7,10 +7,13 @@
 //! count, any thread count, and any tenant→shard placement. Two facts
 //! carry the proof:
 //!
-//! 1. Shards only *generate* in parallel — each writes its own slot
-//!    buffer, nothing shared — and each source's draws depend only on
-//!    its own exported state, so shard placement cannot change a
-//!    source's samples (the `BatchStream` interleaving guarantee).
+//! 1. Generation is the only parallel work that touches sources —
+//!    shards advance on pool workers, each writing its own slot buffer,
+//!    and inside a shard each group deals its lane cohorts to pool
+//!    workers over disjoint source ranges — and each source's draws
+//!    depend only on its own exported state. So neither shard placement
+//!    nor which worker refills a source can change its samples (the
+//!    `BatchStream` interleaving guarantee).
 //! 2. Aggregation walks the global registry in **admission order**,
 //!    accumulating each source's row into the slot aggregate. The
 //!    per-element float-addition order is therefore registry order
@@ -43,7 +46,7 @@ use std::time::{Duration, Instant};
 use vbr_fgn::FgnError;
 use vbr_qsim::admit_by_norros;
 use vbr_stats::obs::{self, Counter};
-use vbr_stats::par::{num_threads, par_for_each_mut, MIN_PARALLEL_WORK};
+use vbr_stats::par::{par_for_each_mut, par_for_each_mut_with, sized_width};
 use vbr_stats::snapshot::{ParamHasher, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// Section tag for fleet metadata ("FLTM").
@@ -367,9 +370,10 @@ impl Fleet {
     /// sequence (the sum over all sources, in admission order) into
     /// `agg`, which must be `slot_len` long.
     ///
-    /// Shards generate on parallel workers; aggregation preserves the
-    /// registry's per-element addition order at any thread count (see
-    /// the [module docs](self)).
+    /// Shards — and inside a shard that has the pool to itself, each
+    /// group's lane cohorts — generate on parallel workers; aggregation
+    /// preserves the registry's per-element addition order at any
+    /// thread count (see the [module docs](self)).
     pub fn advance_slot(&mut self, agg: &mut [f64]) {
         assert_eq!(agg.len(), self.cfg.slot_len, "aggregate buffer must be slot_len long");
         par_for_each_mut(&mut self.shards, |_, shard| {
@@ -399,17 +403,19 @@ impl Fleet {
 
     /// Registry-ordered aggregation. Parallelism splits slot positions,
     /// never sources, so each output element's addition order is always
-    /// the full registry in order.
+    /// the full registry in order. The width is `sized_width` of the
+    /// `sources × slot_len` work, so a pinned thread count reaches the
+    /// parallel branch at any fleet size (given two slot positions per
+    /// thread).
     fn aggregate(&self, agg: &mut [f64]) {
         agg.fill(0.0);
         let registry = &self.registry;
         let shards = &self.shards;
-        let threads = num_threads();
-        let work = registry.len() * agg.len();
-        if threads > 1 && work >= MIN_PARALLEL_WORK && agg.len() >= 2 * threads {
+        let threads = sized_width(registry.len() * agg.len());
+        if threads > 1 && agg.len() >= 2 * threads {
             let chunk_len = agg.len().div_ceil(threads);
             let mut chunks: Vec<&mut [f64]> = agg.chunks_mut(chunk_len).collect();
-            par_for_each_mut(&mut chunks, |ci, chunk| {
+            par_for_each_mut_with(threads, &mut chunks, |ci, chunk| {
                 let base = ci * chunk_len;
                 for p in registry {
                     let row = shards[p.shard as usize].source_slot(p.local);

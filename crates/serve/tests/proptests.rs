@@ -15,20 +15,39 @@ fn spec(tenant: u64, hurst: f64, variance: f64, block: usize, seed: u64) -> Tena
 
 /// Runs `slots` lockstep slots and returns the concatenated aggregate.
 fn run_fleet(specs: &[TenantSpec], shards: usize, slot_len: usize, slots: usize) -> Vec<f64> {
+    run_fleet_snapshot(specs, 0, shards, slot_len, slots).0
+}
+
+/// [`run_fleet`] where the last `late` specs join after the first slot,
+/// plus the fleet's snapshot bytes after the last slot.
+fn run_fleet_snapshot(
+    specs: &[TenantSpec],
+    late: usize,
+    shards: usize,
+    slot_len: usize,
+    slots: usize,
+) -> (Vec<f64>, Vec<u8>) {
     let mut fleet = Fleet::new(FleetConfig::fixed(shards, slot_len, usize::MAX));
-    for s in specs {
-        match fleet.admit(*s) {
-            Ok(Admission::Admitted { .. }) => {}
-            other => panic!("admission failed: {other:?}"),
+    let admit = |fleet: &mut Fleet, specs: &[TenantSpec]| {
+        for s in specs {
+            match fleet.admit(*s) {
+                Ok(Admission::Admitted { .. }) => {}
+                other => panic!("admission failed: {other:?}"),
+            }
         }
-    }
+    };
+    let (early, late) = specs.split_at(specs.len() - late.min(specs.len()));
+    admit(&mut fleet, early);
     let mut out = Vec::with_capacity(slots * slot_len);
     let mut slot = vec![0.0; slot_len];
-    for _ in 0..slots {
+    for i in 0..slots {
+        if i == 1 {
+            admit(&mut fleet, late);
+        }
         fleet.advance_slot(&mut slot);
         out.extend_from_slice(&slot);
     }
-    out
+    (out, fleet.snapshot())
 }
 
 /// The reference: each source as a solo stream, accumulated into the
@@ -114,24 +133,44 @@ proptest! {
         assert_bits_eq(&a, &b, "shard counts");
     }
 
-    /// Thread-count invariance: forcing 1 vs 4 worker threads (covers
-    /// both the serial and parallel shard-advance/aggregation paths)
-    /// never changes aggregate bits.
+    /// Thread-count invariance: pinning 1, 2, 3 or 4 worker threads
+    /// never changes the aggregate bits or the snapshot bytes. Pinned
+    /// counts bypass the work threshold, so this covers the serial and
+    /// parallel shard advance, the parallel aggregation and — on one
+    /// shard, where groups of up to ~80 sources in 1–3 Hurst classes
+    /// hold several full lane cohorts plus a remainder — the lane
+    /// cohorts dealt across pool workers. Half-block slots with tenants
+    /// joining after the first slot put group members out of phase, so
+    /// the sources due a refill are a changing subset of each worker's
+    /// range.
     #[test]
     fn thread_count_invariance(
-        shards in 1usize..5,
-        n_sources in 1usize..16,
+        shards_idx in 0usize..4,
+        n_sources in 1usize..81,
+        late in 0usize..41,
+        classes in 1u64..4,
         block_idx in 0usize..3,
-        hurst in 0.15f64..0.85,
-        slots in 1usize..5,
+        half_slot in 0usize..3,
+        hurst in 0.15f64..0.75,
+        slots in 1usize..6,
     ) {
+        // One shard in half the cases: the shard whose groups deal
+        // cohorts across the whole pool.
+        let shards = [1usize, 1, 2, 3][shards_idx];
         let block = [1usize, 4, 32][block_idx];
+        let slot_len = (block >> half_slot.min(1)).max(1);
         let specs: Vec<TenantSpec> = (0..n_sources as u64)
-            .map(|t| spec(t, hurst, 1.0, block, t ^ 0xABCD))
+            .map(|t| spec(t, hurst + 0.05 * (t % classes) as f64, 1.0, block, t ^ 0xABCD))
             .collect();
-        let serial = with_threads(1, || run_fleet(&specs, shards, block, slots));
-        let parallel = with_threads(4, || run_fleet(&specs, shards, block, slots));
-        assert_bits_eq(&parallel, &serial, "thread counts");
+        let run = |threads| {
+            with_threads(threads, || run_fleet_snapshot(&specs, late, shards, slot_len, slots))
+        };
+        let (want, want_snap) = run(1);
+        for threads in 2..=4 {
+            let (agg, snap) = run(threads);
+            assert_bits_eq(&agg, &want, &format!("{threads} threads"));
+            prop_assert!(snap == want_snap, "snapshot bytes differ at {} threads", threads);
+        }
     }
 
     /// Snapshot/restore mid-run is invisible in the bits, at any shard

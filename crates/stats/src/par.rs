@@ -223,24 +223,51 @@ where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
-    let n = items.len();
-    let nested = IN_WORKER.with(|w| w.get());
-    if threads <= 1 || n <= 1 || nested {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
+    let threads = threads.max(1);
+    let chunk = items.len().div_ceil(threads).max(1);
+    par_chunks_mut_with(items, chunk, &mut vec![(); threads], |ci, part, _| {
+        for (j, item) in part.iter_mut().enumerate() {
+            f(ci * chunk + j, item);
+        }
+    });
+}
+
+/// Runs `f(index, part, state)` over `items.chunks_mut(chunk)` zipped
+/// with `states`: one scoped worker per pair, each with exclusive access
+/// to one contiguous run of `items` and one caller-owned workspace. Pairs
+/// stop at the shorter side, so the caller picks the width by how many
+/// states it passes. [`par_for_each_mut`] is this with stateless
+/// workers; a caller whose workers need their own scratch keeps the
+/// workspaces across calls, so a hot loop allocates none of its own.
+///
+/// Every item of a paired chunk is visited by exactly one worker (items
+/// past the last paired chunk are not visited), so the result is the
+/// serial loop's whenever `f` treats items independently. A single pair,
+/// or a call from inside another parallel worker, runs on the calling
+/// thread. Panics in `f` propagate.
+///
+/// # Panics
+/// If `chunk == 0`.
+pub fn par_chunks_mut_with<T, S, F>(items: &mut [T], chunk: usize, states: &mut [S], f: F)
+where
+    T: Send,
+    S: Send,
+    F: Fn(usize, &mut [T], &mut S) + Sync,
+{
+    let serial = IN_WORKER.with(|w| w.get()) || items.len() <= chunk || states.len() <= 1;
+    let pairs = items.chunks_mut(chunk).zip(states).enumerate();
+    if serial {
+        for (ci, (part, state)) in pairs {
+            f(ci, part, state);
         }
         return;
     }
-    let threads = threads.min(n);
-    let chunk = n.div_ceil(threads);
     let f = &f;
     std::thread::scope(|scope| {
-        for (ci, part) in items.chunks_mut(chunk).enumerate() {
+        for (ci, (part, state)) in pairs {
             scope.spawn(move || {
                 IN_WORKER.with(|w| w.set(true));
-                for (j, item) in part.iter_mut().enumerate() {
-                    f(ci * chunk + j, item);
-                }
+                f(ci, part, state);
             });
         }
     });
@@ -376,6 +403,40 @@ mod tests {
         let mut one = [5i32];
         par_for_each_mut_with(8, &mut one, |_, v| *v *= 2);
         assert_eq!(one, [10]);
+    }
+
+    #[test]
+    fn chunks_mut_visits_each_item_once_with_its_state() {
+        let cases = [(0usize, 4usize, 3usize), (10, 4, 3), (10, 4, 2), (10, 20, 3), (9, 3, 5)];
+        for (n, chunk, width) in cases {
+            let mut items = vec![0usize; n];
+            let mut states = vec![0usize; width];
+            par_chunks_mut_with(&mut items, chunk, &mut states, |ci, part, calls| {
+                *calls += 1;
+                for (j, x) in part.iter_mut().enumerate() {
+                    *x += ci * chunk + j + 1;
+                }
+            });
+            // Items past the last paired chunk stay untouched.
+            let covered = n.min(chunk * width);
+            let want: Vec<usize> = (0..n).map(|i| if i < covered { i + 1 } else { 0 }).collect();
+            assert_eq!(items, want, "n {n} chunk {chunk} width {width}");
+            let pairs = n.div_ceil(chunk).min(width);
+            assert!(states[..pairs].iter().all(|&c| c == 1));
+            assert!(states[pairs..].iter().all(|&c| c == 0));
+        }
+        // Pairs run on spawned workers, except inside another worker,
+        // where every pair runs on the calling thread.
+        let on_caller = || {
+            let me = std::thread::current().id();
+            let mut states = [false; 3];
+            par_chunks_mut_with(&mut [0u8; 6], 2, &mut states, |_, _, here| {
+                *here = std::thread::current().id() == me;
+            });
+            states
+        };
+        assert_eq!(on_caller(), [false; 3]);
+        assert_eq!(par_map_with(2, &[0u8, 1], |_| on_caller()), [[true; 3]; 2]);
     }
 
     #[test]

@@ -259,13 +259,21 @@ impl SnapshotWriter {
     }
 
     /// Appends one tagged section; `build` fills its payload.
+    ///
+    /// The payload is written straight into the snapshot buffer behind
+    /// a length placeholder that is patched once `build` returns, so a
+    /// multi-MiB section is never held twice.
     pub fn section(&mut self, tag: u32, build: impl FnOnce(&mut Payload)) {
-        let mut p = Payload { buf: Vec::new() };
-        build(&mut p);
         self.buf.extend_from_slice(&tag.to_le_bytes());
-        self.buf.extend_from_slice(&(p.buf.len() as u64).to_le_bytes());
-        let crc = crc32(&p.buf);
-        self.buf.extend_from_slice(&p.buf);
+        let len_at = self.buf.len();
+        self.buf.extend_from_slice(&0u64.to_le_bytes());
+        let mut p = Payload { buf: std::mem::take(&mut self.buf) };
+        build(&mut p);
+        self.buf = p.buf;
+        let payload = len_at + 8;
+        let len = (self.buf.len() - payload) as u64;
+        self.buf[len_at..payload].copy_from_slice(&len.to_le_bytes());
+        let crc = crc32(&self.buf[payload..]);
         self.buf.extend_from_slice(&crc.to_le_bytes());
     }
 
@@ -546,6 +554,54 @@ mod tests {
         let mut b = r.section(TAG_B, "b").unwrap();
         assert_eq!(b.get_u64_vec().unwrap(), vec![u64::MAX, 0, 1]);
         b.finish().unwrap();
+    }
+
+    #[test]
+    fn writer_layout_matches_hand_assembled_bytes() {
+        // Golden layout: header, then per section `tag LE | len u64 LE |
+        // payload | crc32(payload) LE`, then the whole-file CRC.
+        let section = |out: &mut Vec<u8>, tag: u32, payload: &[u8]| {
+            out.extend_from_slice(&tag.to_le_bytes());
+            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            out.extend_from_slice(payload);
+            out.extend_from_slice(&crc32(payload).to_le_bytes());
+        };
+        let mut a = Vec::new();
+        a.extend_from_slice(&42u64.to_le_bytes());
+        a.extend_from_slice(&(-0.0f64).to_bits().to_le_bytes());
+        a.push(1);
+        a.extend_from_slice(&3u64.to_le_bytes());
+        for x in [1.5, f64::MIN_POSITIVE, -3.25] {
+            a.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+        let mut b = Vec::new();
+        b.extend_from_slice(&3u64.to_le_bytes());
+        for x in [u64::MAX, 0, 1] {
+            b.extend_from_slice(&x.to_le_bytes());
+        }
+        let mut want = Vec::new();
+        want.extend_from_slice(b"VBRSNAP\0");
+        want.extend_from_slice(&2u32.to_le_bytes());
+        want.extend_from_slice(&0xDEAD_BEEF_CAFE_F00Du64.to_le_bytes());
+        want.extend_from_slice(&7u64.to_le_bytes());
+        section(&mut want, TAG_A, &a);
+        section(&mut want, TAG_B, &b);
+        let crc = crc32(&want);
+        want.extend_from_slice(&crc.to_le_bytes());
+        assert_eq!(sample_snapshot(), want);
+
+        // An empty payload is a zero length and the CRC of no bytes.
+        let mut w = SnapshotWriter::new(1, 2);
+        w.section(TAG_B, |_| {});
+        let mut want = Vec::new();
+        want.extend_from_slice(b"VBRSNAP\0");
+        want.extend_from_slice(&2u32.to_le_bytes());
+        want.extend_from_slice(&1u64.to_le_bytes());
+        want.extend_from_slice(&2u64.to_le_bytes());
+        section(&mut want, TAG_B, &[]);
+        let crc = crc32(&want);
+        want.extend_from_slice(&crc.to_le_bytes());
+        assert_eq!(w.finish(), want);
     }
 
     #[test]
