@@ -11,6 +11,7 @@ use proptest::prelude::*;
 use vbr_bench::{Corruption, FaultInjector};
 use vbr_fgn::DaviesHarte;
 use vbr_lrd::robust_hurst;
+use vbr_model::{bakeoff_for_trace, BakeoffOptions};
 use vbr_qsim::{qc_curve, LossMetric, LossTarget, MuxSim};
 use vbr_stats::par::{par_map, par_map_with, with_threads};
 use vbr_video::{generate_screenplay_batch, ScreenplayConfig, Trace};
@@ -168,6 +169,22 @@ fn headline_estimator_is_chain_order_not_finish_order() {
     for &t in &THREADS {
         let r = with_threads(t, || robust_hurst(&xs).unwrap());
         assert_eq!(r.by, vbr_lrd::EstimatorKind::Whittle, "threads={t}");
+    }
+}
+
+/// The bake-off measures its reference and zoo models as concurrent pool
+/// items: the whole report (scores, estimator panels, Q-C errors and
+/// series digests) must be the same bytes at every width.
+#[test]
+fn bakeoff_is_thread_count_invariant() {
+    let trace = vbr_video::generate_screenplay(&ScreenplayConfig::short(6_000, 5)).frame_series();
+    let opts = BakeoffOptions::quick();
+    for seed in [3, 11] {
+        let serial = with_threads(1, || bakeoff_for_trace(&trace, seed, &opts).to_json());
+        for &t in &THREADS[1..] {
+            let got = with_threads(t, || bakeoff_for_trace(&trace, seed, &opts).to_json());
+            assert_eq!(got, serial, "seed={seed} threads={t}");
+        }
     }
 }
 

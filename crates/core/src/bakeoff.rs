@@ -11,15 +11,16 @@
 //! [`TraceReplay`] of the reference).
 
 use std::fmt::Write as _;
+use std::sync::Mutex;
 
 use vbr_fgn::traffic::TrafficModel;
 use vbr_fgn::TraceReplay;
 use vbr_lrd::{
-    periodogram_h, try_local_whittle, try_rs_analysis, try_variance_time, try_wavelet_hurst,
-    try_whittle, RsOptions, VtOptions, WaveletOptions,
+    try_rs_analysis, try_variance_time, try_wavelet_hurst, RsOptions, SharedPeriodogram,
+    VtOptions, WaveletOptions,
 };
 use vbr_qsim::{try_required_capacity_model, LossMetric, LossTarget};
-use vbr_stats::gof::ks_two_sample;
+use vbr_stats::gof::ks_two_sample_sorted;
 use vbr_stats::histogram::Ecdf;
 use vbr_stats::{autocorrelation, ParamHasher};
 
@@ -93,15 +94,17 @@ pub struct HurstPanel {
 }
 
 impl HurstPanel {
-    /// Runs all six estimators on `xs`.
+    /// Runs all six estimators on `xs`. Whittle, local Whittle and the
+    /// periodogram regression read one shared periodogram.
     pub fn measure(xs: &[f64]) -> Self {
+        let spectrum = SharedPeriodogram::new(xs);
         HurstPanel {
-            whittle: try_whittle(xs).ok().map(|e| e.hurst),
-            local_whittle: try_local_whittle(xs, None).ok().map(|e| e.hurst),
+            whittle: spectrum.try_whittle().ok().map(|e| e.hurst),
+            local_whittle: spectrum.try_local_whittle(None).ok().map(|e| e.hurst),
             wavelet: try_wavelet_hurst(xs, &WaveletOptions::default()).ok().map(|e| e.hurst),
             rs: try_rs_analysis(xs, &RsOptions::default()).ok().map(|e| e.hurst),
             variance_time: try_variance_time(xs, &VtOptions::default()).ok().map(|e| e.hurst),
-            periodogram: Some(periodogram_h(xs, 0.1).hurst),
+            periodogram: spectrum.try_periodogram_h(0.1).ok().map(|e| e.hurst),
         }
     }
 
@@ -122,7 +125,7 @@ impl HurstPanel {
         if v.is_empty() {
             return None;
         }
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        v.sort_by(f64::total_cmp);
         Some(v[v.len() / 2])
     }
 
@@ -218,119 +221,155 @@ fn acf_rmse(a: &[f64], b: &[f64]) -> f64 {
     (acc / (l - 1) as f64).sqrt()
 }
 
-/// Scores one model against a reference trace. The queueing axis needs a
-/// mutable reference replay, so the caller passes the raw trace.
-pub fn score_model(
+/// The model-driven capacity search every member faces at one `T_max`;
+/// `None` when the search fails.
+fn required_capacity(
     model: &mut dyn TrafficModel,
-    trace: &[f64],
-    reference: &BakeoffReference,
+    t_max: f64,
     opts: &BakeoffOptions,
-) -> ModelScore {
-    let series = model.sample_series(opts.samples);
-    let (mean, var) = moments(&series);
-    let model_ecdf = Ecdf::new(&series);
-    let model_acf = autocorrelation(&series, opts.acf_lag);
-    let panel = HurstPanel::measure(&series);
-
-    let queueing_rel_err = if opts.qc_tmax.is_empty() {
-        None
-    } else {
-        let mut errs = Vec::with_capacity(opts.qc_tmax.len());
-        for (&tm, &c_ref) in opts.qc_tmax.iter().zip(&reference.qc_capacity) {
-            let c_model = try_required_capacity_model(
-                model,
-                opts.qc_slots,
-                opts.dt,
-                tm,
-                LossTarget::Rate(opts.qc_loss),
-                LossMetric::Overall,
-                opts.qc_iterations,
-            );
-            if let Ok(c) = c_model {
-                errs.push((c - c_ref).abs() / c_ref);
-            }
-        }
-        if errs.is_empty() {
-            None
-        } else {
-            Some(errs.iter().sum::<f64>() / errs.len() as f64)
-        }
-    };
-
-    ModelScore {
-        name: model.name().to_string(),
-        nominal_hurst: model.nominal_hurst(),
-        ks: ks_two_sample(&series, trace),
-        qq_rel_rmse: qq_rel_rmse(&reference.ecdf, &model_ecdf, reference.mean),
-        mean_rel_err: (mean - reference.mean).abs() / reference.mean,
-        var_rel_err: (var - reference.variance).abs() / reference.variance,
-        acf_rmse: acf_rmse(&reference.acf, &model_acf),
-        hurst_err: panel
-            .median()
-            .zip(reference.hurst.median())
-            .map(|(m, r)| (m - r).abs()),
-        hurst: panel,
-        queueing_rel_err,
-        digest: series_digest(&series),
-    }
+) -> Option<f64> {
+    try_required_capacity_model(
+        model,
+        opts.qc_slots,
+        opts.dt,
+        t_max,
+        LossTarget::Rate(opts.qc_loss),
+        LossMetric::Overall,
+        opts.qc_iterations,
+    )
+    .ok()
 }
 
-/// Pre-computed reference-side statistics, shared across all scored
-/// models so the trace is analysed once.
-pub struct BakeoffReference {
+/// One bake-off member measured on its own: the bake-off's
+/// reference-free *measure* step. It covers the member's series, its
+/// moments, ECDF, ACF, estimator panel and Q-C capacities over the
+/// `T_max` grid. A score is a cheap comparison of two measurements, so
+/// the reference and every model are measured independently.
+pub struct Measurement {
     mean: f64,
     variance: f64,
     ecdf: Ecdf,
     acf: Vec<f64>,
     hurst: HurstPanel,
-    qc_capacity: Vec<f64>,
+    /// Required capacity at each `T_max`; `None` where the search failed.
+    qc_capacity: Vec<Option<f64>>,
+    digest: u64,
 }
 
-impl BakeoffReference {
-    /// Analyses the reference trace once: moments, ECDF, ACF, the
-    /// estimator panel, and the Q-C capacities over the `T_max` grid via
-    /// a [`TraceReplay`] through the same model-driven search the
-    /// candidates face.
-    pub fn analyze(trace: &[f64], opts: &BakeoffOptions) -> Self {
-        let (mean, variance) = moments(trace);
-        let mut qc_capacity = Vec::with_capacity(opts.qc_tmax.len());
-        for &tm in &opts.qc_tmax {
-            let mut replay = TraceReplay::new(trace.to_vec());
-            let c = try_required_capacity_model(
-                &mut replay,
-                opts.qc_slots,
-                opts.dt,
-                tm,
-                LossTarget::Rate(opts.qc_loss),
-                LossMetric::Overall,
-                opts.qc_iterations,
-            )
-            .unwrap_or(f64::NAN);
-            qc_capacity.push(c);
-        }
-        BakeoffReference {
+impl Measurement {
+    fn of(
+        series: &[f64],
+        opts: &BakeoffOptions,
+        mut capacity: impl FnMut(f64) -> Option<f64>,
+    ) -> Self {
+        let (mean, variance) = moments(series);
+        Measurement {
             mean,
             variance,
-            ecdf: Ecdf::new(trace),
-            acf: autocorrelation(trace, opts.acf_lag),
-            hurst: HurstPanel::measure(trace),
-            qc_capacity,
+            ecdf: Ecdf::new(series),
+            acf: autocorrelation(series, opts.acf_lag),
+            hurst: HurstPanel::measure(series),
+            qc_capacity: opts.qc_tmax.iter().map(|&tm| capacity(tm)).collect(),
+            digest: series_digest(series),
+        }
+    }
+
+    /// Measures the reference trace. Its Q-C capacities come from a
+    /// [`TraceReplay`] through the same model-driven search the
+    /// candidates face.
+    pub fn reference(trace: &[f64], opts: &BakeoffOptions) -> Self {
+        Self::of(trace, opts, |tm| {
+            required_capacity(&mut TraceReplay::new(trace.to_vec()), tm, opts)
+        })
+    }
+
+    /// Draws `opts.samples` from `model` and measures them; the capacity
+    /// searches then snapshot-replay the model from where the series
+    /// ended.
+    pub fn model(model: &mut dyn TrafficModel, opts: &BakeoffOptions) -> Self {
+        let series = model.sample_series(opts.samples);
+        Self::of(&series, opts, |tm| required_capacity(model, tm, opts))
+    }
+
+    /// The *compare* step: scores this measurement of `model` against the
+    /// reference's.
+    pub fn score(&self, model: &dyn TrafficModel, reference: &Measurement) -> ModelScore {
+        let errs: Vec<f64> = self
+            .qc_capacity
+            .iter()
+            .zip(&reference.qc_capacity)
+            .filter_map(|(&c, &c_ref)| {
+                let c_ref = c_ref.unwrap_or(f64::NAN);
+                c.map(|c| (c - c_ref).abs() / c_ref)
+            })
+            .collect();
+        let queueing_rel_err = if errs.is_empty() {
+            None
+        } else {
+            Some(errs.iter().sum::<f64>() / errs.len() as f64)
+        };
+        ModelScore {
+            name: model.name().to_string(),
+            nominal_hurst: model.nominal_hurst(),
+            ks: ks_two_sample_sorted(self.ecdf.sorted(), reference.ecdf.sorted()),
+            qq_rel_rmse: qq_rel_rmse(&reference.ecdf, &self.ecdf, reference.mean),
+            mean_rel_err: (self.mean - reference.mean).abs() / reference.mean,
+            var_rel_err: (self.variance - reference.variance).abs() / reference.variance,
+            acf_rmse: acf_rmse(&reference.acf, &self.acf),
+            hurst_err: self
+                .hurst
+                .median()
+                .zip(reference.hurst.median())
+                .map(|(m, r)| (m - r).abs()),
+            hurst: self.hurst,
+            queueing_rel_err,
+            digest: self.digest,
         }
     }
 }
 
-/// Runs the full bake-off: analyse the reference, then score each model
-/// in `zoo` (each is mutated — sampled and snapshot-replayed).
+/// Scores one model against a measured reference trace.
+pub fn score_model(
+    model: &mut dyn TrafficModel,
+    reference: &Measurement,
+    opts: &BakeoffOptions,
+) -> ModelScore {
+    Measurement::model(model, opts).score(model, reference)
+}
+
+/// Runs the full bake-off: measure the reference and each model in
+/// `zoo` (each is mutated — sampled and snapshot-replayed), then score
+/// the models in zoo order.
+///
+/// The members share nothing until the scores, so they are measured
+/// concurrently as worker-pool items, reference first. Each model sits
+/// behind a `Mutex` only so a `&mut` can travel through the pool's
+/// shared item slice: the one worker that takes an item is the only one
+/// that ever locks it. Every measurement is its member's alone, so the
+/// report is the serial loop's, bit for bit, at any pool width.
 pub fn run_bakeoff(
     trace: &[f64],
     params: &ModelParams,
     zoo: &mut [Box<dyn TrafficModel>],
     opts: &BakeoffOptions,
 ) -> BakeoffReport {
-    let reference = BakeoffReference::analyze(trace, opts);
+    let members: Vec<Mutex<Option<&mut dyn TrafficModel>>> = std::iter::once(None)
+        .chain(zoo.iter_mut().map(|m| Some(m.as_mut())))
+        .map(Mutex::new)
+        .collect();
+    let measured = vbr_stats::par::par_map(&members, |member| {
+        match member.lock().expect("each member is locked once, by the worker measuring it").as_deref_mut() {
+            None => Measurement::reference(trace, opts),
+            Some(model) => Measurement::model(model, opts),
+        }
+    });
+    drop(members);
+    let mut measured = measured.into_iter();
+    let reference = measured.next().expect("the reference is always measured");
     let scores = zoo
-        .iter_mut()
-        .map(|m| score_model(m.as_mut(), trace, &reference, opts))
+        .iter()
+        .zip(measured)
+        .map(|(model, m)| m.score(model.as_ref(), &reference))
         .collect();
     BakeoffReport {
         reference_len: trace.len(),
@@ -508,6 +547,47 @@ mod tests {
         // Valid-ish JSON: balanced braces, no trailing comma before ].
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(!json.contains(",\n  ]"));
+    }
+
+    #[test]
+    fn panel_degrades_to_none_instead_of_panicking() {
+        let mut with_nan = small_trace();
+        let short = with_nan[..200].to_vec();
+        with_nan[100] = f64::NAN;
+        let constant = vec![3.5; 4_096];
+
+        // Below 256 points the two estimators that need them drop out.
+        let p = HurstPanel::measure(&short);
+        assert_eq!((p.local_whittle, p.periodogram), (None, None), "{p:?}");
+        for xs in [&constant, &with_nan] {
+            let p = HurstPanel::measure(xs);
+            assert_eq!(p, HurstPanel::default());
+            assert_eq!(p.median(), None);
+        }
+        // A NaN member sorts last instead of panicking the median.
+        let nan_member = HurstPanel {
+            whittle: Some(f64::NAN),
+            rs: Some(0.7),
+            variance_time: Some(0.6),
+            ..Default::default()
+        };
+        assert_eq!(nan_member.median(), Some(0.7));
+    }
+
+    #[test]
+    fn shared_periodogram_panel_equals_separate_calls() {
+        let bits = |r: Result<f64, vbr_lrd::LrdError>| r.map(f64::to_bits);
+        let trace = small_trace();
+        // 12 288 points: a Bluestein length, like the paper's 171 000.
+        for xs in [&trace[..], &trace[..1_000], &trace[..300], &trace[..200]] {
+            let p = HurstPanel::measure(xs);
+            let whittle = vbr_lrd::try_whittle(xs).map(|e| e.hurst);
+            let local = vbr_lrd::try_local_whittle(xs, None).map(|e| e.hurst);
+            let pgram = vbr_lrd::try_periodogram_h(xs, 0.1).map(|e| e.hurst);
+            assert_eq!(p.whittle.map(f64::to_bits), bits(whittle).ok(), "n = {}", xs.len());
+            assert_eq!(p.local_whittle.map(f64::to_bits), bits(local).ok(), "n = {}", xs.len());
+            assert_eq!(p.periodogram.map(f64::to_bits), bits(pgram).ok(), "n = {}", xs.len());
+        }
     }
 
     #[test]

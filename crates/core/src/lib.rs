@@ -31,8 +31,8 @@ pub mod params;
 pub mod validate;
 
 pub use bakeoff::{
-    bakeoff_for_trace, run_bakeoff, score_model, BakeoffOptions, BakeoffReference, BakeoffReport,
-    HurstPanel, ModelScore,
+    bakeoff_for_trace, run_bakeoff, score_model, BakeoffOptions, BakeoffReport,
+    HurstPanel, Measurement, ModelScore,
 };
 pub use baselines::{Dar1, MiniSources};
 pub use error::ModelError;

@@ -37,7 +37,9 @@ pub const TRAFFIC_STATE_TAG: u32 = 0x5452_4146; // "TRAF"
 ///   asymptotic Hurst parameter the model *aims* for, or `None` for a
 ///   short-range-dependent family (the scene chain) where `H = ½` is the
 ///   honest asymptote but no LRD claim is made.
-pub trait TrafficModel: BlockSource {
+/// - **Send:** a model can move to another thread, so the bake-off scores
+///   its members concurrently on the worker pool.
+pub trait TrafficModel: BlockSource + Send {
     /// Short family name, used in bake-off tables and artifacts.
     fn name(&self) -> &'static str;
 

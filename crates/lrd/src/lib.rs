@@ -26,6 +26,7 @@ pub mod periodogram_h;
 pub mod report;
 pub mod robust;
 pub mod rs;
+pub mod spectrum;
 pub mod variance_time;
 pub mod wavelet;
 pub mod whittle;
@@ -33,7 +34,7 @@ pub mod whittle;
 pub use aggregate::{aggregate, log_spaced_blocks};
 pub use error::LrdError;
 pub use local_whittle::{local_whittle, try_local_whittle, LocalWhittleEstimate};
-pub use periodogram_h::{periodogram_h, PeriodogramH};
+pub use periodogram_h::{periodogram_h, try_periodogram_h, PeriodogramH};
 pub use report::{hurst_report, HurstReport, ReportOptions};
 pub use robust::{
     robust_hurst, robust_hurst_with, EstimatorAttempt, EstimatorKind, RobustHurst, RobustOptions,
@@ -41,6 +42,7 @@ pub use robust::{
 pub use rs::{
     rs_aggregated, rs_analysis, rs_statistic, rs_varied, try_rs_analysis, RsAnalysis, RsOptions,
 };
+pub use spectrum::SharedPeriodogram;
 pub use variance_time::{try_variance_time, variance_time, VarianceTime, VtOptions};
 pub use wavelet::{
     logscale_diagram, try_wavelet_hurst, wavelet_hurst, wavelet_hurst_with, LogscaleDiagram,

@@ -1,9 +1,10 @@
 //! The combined Hurst-estimation report — Table 3 of the paper, with the
 //! periodogram-regression estimator added as a cross-check.
 
-use crate::local_whittle::{local_whittle, LocalWhittleEstimate};
-use crate::periodogram_h::{periodogram_h, PeriodogramH};
-use crate::rs::{rs_aggregated, rs_analysis, rs_varied, RsAnalysis, RsOptions};
+use crate::local_whittle::{local_whittle_on, LocalWhittleEstimate};
+use crate::periodogram_h::{periodogram_h_on, PeriodogramH};
+use crate::rs::{rs_aggregated, rs_analysis, rs_varied_given, RsAnalysis, RsOptions};
+use crate::spectrum::SharedPeriodogram;
 use crate::variance_time::{variance_time, VarianceTime, VtOptions};
 use crate::whittle::{whittle_aggregated, whittle_log, WhittleEstimate};
 
@@ -60,12 +61,14 @@ impl Default for ReportOptions {
     }
 }
 
-/// Computes every estimator on the series.
+/// Computes every estimator on the series. The plain R/S fit doubles as
+/// the base-options member of the varied R/S row, and the periodogram
+/// regression and local Whittle share one periodogram.
 pub fn hurst_report(xs: &[f64], opts: &ReportOptions) -> HurstReport {
     let vt = variance_time(xs, &opts.vt);
     let rs = rs_analysis(xs, &opts.rs);
     let rs_agg = rs_aggregated(xs, opts.rs_aggregation, &opts.rs);
-    let varied = rs_varied(xs, &opts.rs);
+    let varied = rs_varied_given(xs, &opts.rs, Some(&rs));
     let lo = varied.iter().cloned().fold(f64::INFINITY, f64::min);
     let hi = varied.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
 
@@ -82,6 +85,7 @@ pub fn hurst_report(xs: &[f64], opts: &ReportOptions) -> HurstReport {
         .map(|(_, e)| *e)
         .unwrap_or_else(|| whittle_log(&xs.iter().map(|&x| x.max(1e-9).exp()).collect::<Vec<_>>()));
 
+    let spectrum = SharedPeriodogram::new(xs);
     HurstReport {
         variance_time: vt,
         rs,
@@ -89,8 +93,8 @@ pub fn hurst_report(xs: &[f64], opts: &ReportOptions) -> HurstReport {
         rs_varied_range: (lo, hi),
         whittle: headline,
         whittle_sweep: sweep,
-        periodogram: periodogram_h(xs, opts.periodogram_fraction),
-        local_whittle: local_whittle(xs, None),
+        periodogram: periodogram_h_on(&spectrum, opts.periodogram_fraction),
+        local_whittle: local_whittle_on(&spectrum, None),
     }
 }
 

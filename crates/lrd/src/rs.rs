@@ -38,7 +38,7 @@ pub fn rs_statistic(window: &[f64]) -> Option<f64> {
 }
 
 /// Options for R/S analysis.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RsOptions {
     /// Smallest lag on the grid.
     pub min_lag: usize,
@@ -160,6 +160,17 @@ pub fn rs_aggregated(xs: &[f64], m: usize, opts: &RsOptions) -> RsAnalysis {
 /// Table 3: the paper reports 0.81–0.83 and concludes the estimate is
 /// robust).
 pub fn rs_varied(xs: &[f64], base: &RsOptions) -> Vec<f64> {
+    rs_varied_given(xs, base, None)
+}
+
+/// [`rs_varied`], taking `base_fit = rs_analysis(xs, base)` when the
+/// caller already has it: a variation whose options equal `base` reuses
+/// its H instead of rerunning the analysis.
+pub(crate) fn rs_varied_given(
+    xs: &[f64],
+    base: &RsOptions,
+    base_fit: Option<&RsAnalysis>,
+) -> Vec<f64> {
     let variations = [
         (base.points_per_decade, base.starts_per_lag),
         (base.points_per_decade * 2, base.starts_per_lag),
@@ -175,7 +186,10 @@ pub fn rs_varied(xs: &[f64], base: &RsOptions) -> Vec<f64> {
                 starts_per_lag: spl.max(1),
                 ..*base
             };
-            rs_analysis(xs, &opts).hurst
+            match base_fit {
+                Some(fit) if opts == *base => fit.hurst,
+                _ => rs_analysis(xs, &opts).hurst,
+            }
         })
         .collect()
 }
@@ -250,6 +264,21 @@ mod tests {
         let hi = hs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         assert!(hi - lo < 0.1, "spread {lo}..{hi} too wide");
         assert!((0.5 * (lo + hi) - h).abs() < 0.08);
+    }
+
+    #[test]
+    fn varied_reuses_the_base_fit_with_the_same_bits() {
+        let xs = DaviesHarte::new(0.75, 1.0).generate(30_000, 12);
+        // The default options are the first variation; `points_per_decade
+        // = 1` is clamped to 2, so no variation equals that base.
+        let sparse = RsOptions { points_per_decade: 1, ..RsOptions::default() };
+        for base in [RsOptions::default(), sparse] {
+            let fit = rs_analysis(&xs, &base);
+            let reused = rs_varied_given(&xs, &base, Some(&fit));
+            let fresh = rs_varied(&xs, &base);
+            let bits = |v: &[f64]| v.iter().map(|h| h.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&reused), bits(&fresh), "{base:?}");
+        }
     }
 
     #[test]

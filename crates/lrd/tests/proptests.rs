@@ -1,7 +1,17 @@
 //! Property-based tests for the LRD analysis crate.
 
 use proptest::prelude::*;
-use vbr_lrd::{aggregate, log_spaced_blocks, rs_statistic};
+use vbr_lrd::{
+    aggregate, log_spaced_blocks, rs_statistic, try_local_whittle, try_periodogram_h,
+    try_whittle_with, LrdError, PeriodogramH, SharedPeriodogram, SpectralModel,
+};
+use vbr_stats::Xoshiro256;
+
+/// Bit-exact view of an estimate, or of its typed error (through `Debug`,
+/// since a NaN sample in the error never equals itself).
+fn bits<E>(r: Result<E, LrdError>, f: impl Fn(&E) -> Vec<f64>) -> Result<Vec<u64>, String> {
+    r.map(|e| f(&e).iter().map(|v| v.to_bits()).collect()).map_err(|e| format!("{e:?}"))
+}
 
 proptest! {
     #[test]
@@ -68,5 +78,43 @@ proptest! {
         let rs = rs_statistic(&xs).unwrap();
         let n = xs.len() as f64;
         prop_assert!(rs <= n.powf(1.5));
+    }
+
+    /// One shared periodogram gives Whittle, local Whittle and the
+    /// periodogram regression exactly what the separate `xs` calls give:
+    /// the same bits, or the same typed error, on clean, short, NaN and
+    /// constant input.
+    #[test]
+    fn shared_periodogram_matches_separate_calls(
+        seed in 0u64..1000,
+        n in 0usize..1_500,
+        kind in 0u8..3,
+        fraction in -0.1f64..1.2,
+        spectral in 0u8..2,
+    ) {
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let mut xs: Vec<f64> = (0..n).map(|_| rng.standard_normal()).collect();
+        match kind {
+            1 if n > 0 => xs[n / 2] = f64::NAN,
+            2 => xs.iter_mut().for_each(|x| *x = 2.5),
+            _ => {}
+        }
+        let model = if spectral == 1 { SpectralModel::Fgn } else { SpectralModel::Farima };
+        let sp = SharedPeriodogram::new(&xs);
+        // The regression first, so a rejected fraction leaves the
+        // periodogram for the other two to compute.
+        let regression = |e: &PeriodogramH| vec![e.hurst, e.alpha, e.ordinates_used as f64];
+        prop_assert_eq!(
+            bits(sp.try_periodogram_h(fraction), regression),
+            bits(try_periodogram_h(&xs, fraction), regression)
+        );
+        prop_assert_eq!(
+            bits(sp.try_whittle_with(model), |e| vec![e.hurst, e.std_err, e.ci_lo, e.ci_hi]),
+            bits(try_whittle_with(&xs, model), |e| vec![e.hurst, e.std_err, e.ci_lo, e.ci_hi])
+        );
+        prop_assert_eq!(
+            bits(sp.try_local_whittle(None), |e| vec![e.hurst, e.std_err, e.m as f64]),
+            bits(try_local_whittle(&xs, None), |e| vec![e.hurst, e.std_err, e.m as f64])
+        );
     }
 }

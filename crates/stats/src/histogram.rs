@@ -21,6 +21,11 @@ impl Ecdf {
         self.sorted.len()
     }
 
+    /// The observations, sorted ascending.
+    pub fn sorted(&self) -> &[f64] {
+        &self.sorted
+    }
+
     /// True when the sample is empty (never, by construction).
     pub fn is_empty(&self) -> bool {
         self.sorted.is_empty()
