@@ -13,10 +13,10 @@
 //! ([`BluesteinPlan::process_into`]) repeat transforms allocate nothing.
 
 use crate::complex::Complex;
+use crate::memo::Memo;
 use crate::plan::{plan_for, FftPlan};
 use crate::radix2::{fft_pow2_in_place, is_pow2, next_pow2, Direction};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// A reusable chirp-z execution plan for one `(length, direction)` pair.
 #[derive(Debug, Clone)]
@@ -131,28 +131,12 @@ impl BluesteinPlan {
 /// for large non-power-of-two trace lengths.
 const MAX_CACHED_PLANS: usize = 16;
 
-type BluesteinCache = Mutex<HashMap<(usize, bool), Arc<BluesteinPlan>>>;
-
-fn cache() -> &'static BluesteinCache {
-    static CACHE: OnceLock<BluesteinCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
+static PLANS: Memo<(usize, bool), BluesteinPlan> = Memo::new(MAX_CACHED_PLANS, |_| {});
 
 /// Returns the shared chirp-z plan for `(n, dir)`, building and caching
 /// it on first use (same discipline as [`crate::plan::plan_for`]).
 pub fn bluestein_plan_for(n: usize, dir: Direction) -> Arc<BluesteinPlan> {
-    let key = (n, dir == Direction::Forward);
-    if let Some(plan) = cache().lock().expect("Bluestein plan cache poisoned").get(&key) {
-        return Arc::clone(plan);
-    }
-    // Built outside the lock: concurrent first callers may race to build
-    // the same plan, but the loser's copy is simply dropped.
-    let plan = Arc::new(BluesteinPlan::new(n, dir));
-    let mut map = cache().lock().expect("Bluestein plan cache poisoned");
-    if map.len() >= MAX_CACHED_PLANS {
-        map.clear();
-    }
-    Arc::clone(map.entry(key).or_insert(plan))
+    PLANS.get_or_build((n, dir == Direction::Forward), || BluesteinPlan::new(n, dir))
 }
 
 /// FFT of arbitrary length (in place semantics via owned return).
@@ -285,5 +269,18 @@ mod tests {
             fft_any_in_place(&mut buf, &mut scratch, Direction::Forward);
             assert_eq!(buf, want, "n={n}");
         }
+    }
+
+    #[test]
+    fn full_cache_keeps_the_most_recently_used_plan() {
+        // Fill the 16-slot cache, touch the first size, then admit a
+        // 17th: eviction must drop a cold size, never the one just used.
+        bluestein_plan_for(1000, Direction::Forward);
+        for n in 1001..1016 {
+            bluestein_plan_for(n, Direction::Forward);
+        }
+        let hot = bluestein_plan_for(1000, Direction::Forward);
+        bluestein_plan_for(1016, Direction::Forward);
+        assert!(Arc::ptr_eq(&hot, &bluestein_plan_for(1000, Direction::Forward)));
     }
 }

@@ -26,6 +26,7 @@ pub mod batch;
 pub mod bluestein;
 pub mod complex;
 pub mod convolve;
+pub mod memo;
 pub mod plan;
 pub mod radix2;
 pub mod real;
@@ -34,9 +35,10 @@ pub mod width;
 pub use bluestein::{bluestein_plan_for, fft_any, fft_any_in_place, BluesteinPlan};
 pub use complex::Complex;
 pub use convolve::{autocorr_sums, autocorr_sums_into, convolve, convolve_into};
+pub use memo::{Memo, MemoEvent};
 pub use plan::{
     plan_cache_stats, plan_for, plan_size_histogram, reference_radix2, reset_plan_cache_stats,
-    set_plan_cache_capacity, FftPlan, PlanCacheStats,
+    FftPlan, PlanCacheStats,
 };
 pub use radix2::{fft_pow2_in_place, is_pow2, next_pow2, Direction};
 pub use real::{

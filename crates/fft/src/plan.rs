@@ -21,7 +21,7 @@
 //! repeated multiplication), so the worst-case twiddle error is one ulp
 //! regardless of `n`.
 //!
-//! [`plan_for`] memoizes plans in a global mutex-guarded map so the
+//! [`plan_for`] memoizes plans in a global [`Memo`] so the
 //! analysis pipeline — which transforms the same handful of sizes
 //! thousands of times (periodograms, Whittle sweeps, Davies–Harte
 //! synthesis, Bluestein convolutions) — pays the setup cost once.
@@ -31,11 +31,11 @@
 //! plan output against it at ≤1e-12 relative tolerance.
 
 use crate::complex::Complex;
+use crate::memo::Memo;
 use crate::radix2::{is_pow2, Direction};
 use crate::width::LANES;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// A reusable execution plan for power-of-two FFTs of one fixed size.
 #[derive(Debug, Clone)]
@@ -372,46 +372,15 @@ pub fn reference_radix2(data: &mut [Complex], dir: Direction) {
 /// keeps the cache under a few hundred MB even at the 2^20 paper scale.
 const MAX_CACHED_PLANS: usize = 32;
 
-/// The live cache bound, defaulting to [`MAX_CACHED_PLANS`]. Mutable so
-/// memory-constrained embedders can shrink it and tests can exercise
-/// the eviction path without warming 33 distinct transform sizes.
-static PLAN_CACHE_CAP: AtomicU64 = AtomicU64::new(MAX_CACHED_PLANS as u64);
-
-/// Sets how many distinct sizes the plan cache may hold before it
-/// starts evicting least-recently-used plans (clamped to ≥ 1). Already
-/// cached plans above the new bound are evicted lazily, on the next
-/// admission.
-pub fn set_plan_cache_capacity(cap: usize) {
-    PLAN_CACHE_CAP.store(cap.max(1) as u64, Ordering::Relaxed);
-}
-
 /// Cache instrumentation. `vbr-fft` sits *below* `vbr-stats` in the
 /// dependency graph, so it cannot call the `vbr_stats::obs` facade;
-/// instead it keeps plain relaxed atomics here and the facade reads
-/// them through [`plan_cache_stats`] / [`plan_size_histogram`].
-static PLAN_HITS: AtomicU64 = AtomicU64::new(0);
-static PLAN_MISSES: AtomicU64 = AtomicU64::new(0);
-static PLAN_EVICTIONS: AtomicU64 = AtomicU64::new(0);
-static PLAN_CONTENTION: AtomicU64 = AtomicU64::new(0);
+/// instead the plan memos' hooks count into plain relaxed atomics here,
+/// indexed by [`crate::MemoEvent`], and the facade reads them through
+/// [`plan_cache_stats`] / [`plan_size_histogram`].
+pub(crate) static PLAN_EVENTS: [AtomicU64; 4] = [const { AtomicU64::new(0) }; 4];
 /// Requests per transform size, indexed by `log₂ n` (sizes are always
 /// powers of two, `n ≤ u32::MAX`).
 static PLAN_SIZE_HIST: [AtomicU64; 33] = [const { AtomicU64::new(0) }; 33];
-
-/// Locks a plan-cache mutex, counting the times a caller actually had
-/// to wait. The caches hold their lock only for lookup/insert — plans
-/// are built and executed outside it — so under the many-shards serving
-/// load this counter staying near zero *proves* the lock-scope claim
-/// (it is exported as the `plan_cache_contention` obs counter).
-pub(crate) fn lock_counting_contention<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.try_lock() {
-        Ok(g) => g,
-        Err(std::sync::TryLockError::WouldBlock) => {
-            PLAN_CONTENTION.fetch_add(1, Ordering::Relaxed);
-            m.lock().expect("FFT plan cache poisoned")
-        }
-        Err(std::sync::TryLockError::Poisoned(_)) => panic!("FFT plan cache poisoned"),
-    }
-}
 
 /// Monotonic counters of the global plan cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -429,12 +398,9 @@ pub struct PlanCacheStats {
 
 /// Snapshot of the plan cache counters (process-global, monotonic).
 pub fn plan_cache_stats() -> PlanCacheStats {
-    PlanCacheStats {
-        hits: PLAN_HITS.load(Ordering::Relaxed),
-        misses: PLAN_MISSES.load(Ordering::Relaxed),
-        evictions: PLAN_EVICTIONS.load(Ordering::Relaxed),
-        contention: PLAN_CONTENTION.load(Ordering::Relaxed),
-    }
+    let [hits, misses, evictions, contention] =
+        PLAN_EVENTS.each_ref().map(|c| c.load(Ordering::Relaxed));
+    PlanCacheStats { hits, misses, evictions, contention }
 }
 
 /// Requests per transform size as `(n, count)`, ascending, non-empty
@@ -453,67 +419,25 @@ pub fn plan_size_histogram() -> Vec<(u64, u64)> {
 /// Zeroes the plan cache counters and size histogram (test isolation
 /// and report epochs only).
 pub fn reset_plan_cache_stats() {
-    PLAN_HITS.store(0, Ordering::Relaxed);
-    PLAN_MISSES.store(0, Ordering::Relaxed);
-    PLAN_EVICTIONS.store(0, Ordering::Relaxed);
-    PLAN_CONTENTION.store(0, Ordering::Relaxed);
-    for c in &PLAN_SIZE_HIST {
+    for c in PLAN_EVENTS.iter().chain(&PLAN_SIZE_HIST) {
         c.store(0, Ordering::Relaxed);
     }
 }
 
-/// The cached plans plus a logical clock: each access stamps its entry,
-/// and eviction removes the entry with the oldest stamp.
-struct PlanCache {
-    map: HashMap<usize, (Arc<FftPlan>, u64)>,
-    tick: u64,
-}
-
-fn cache() -> &'static Mutex<PlanCache> {
-    static CACHE: OnceLock<Mutex<PlanCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(PlanCache { map: HashMap::new(), tick: 0 }))
-}
+static PLANS: Memo<usize, FftPlan> = Memo::new(MAX_CACHED_PLANS, |event| {
+    PLAN_EVENTS[event as usize].fetch_add(1, Ordering::Relaxed);
+});
 
 /// Returns the shared plan for length `n` (a power of two), building and
-/// caching it on first use. Thread-safe; the lock is held only for the
-/// map lookup, never during plan construction or execution.
+/// caching it on first use. Thread-safe; plans are built and executed
+/// outside the cache lock, and racing first callers share one build.
 ///
 /// The cache holds at most [`MAX_CACHED_PLANS`] sizes; admitting a new
-/// size beyond that evicts the least-recently-used plan only. (The old
-/// policy refused to cache new sizes once full, so a long-running
-/// process that warmed 32 stale sizes paid full plan construction on
-/// every later call forever.)
+/// size beyond that evicts the least-recently-used plan only.
 pub fn plan_for(n: usize) -> Arc<FftPlan> {
     assert!(is_pow2(n), "FFT plans require a power-of-two length, got {n}");
     PLAN_SIZE_HIST[n.trailing_zeros() as usize].fetch_add(1, Ordering::Relaxed);
-    {
-        let mut cache = lock_counting_contention(cache());
-        cache.tick += 1;
-        let tick = cache.tick;
-        if let Some((plan, stamp)) = cache.map.get_mut(&n) {
-            *stamp = tick;
-            PLAN_HITS.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(plan);
-        }
-        PLAN_MISSES.fetch_add(1, Ordering::Relaxed);
-    }
-    // Built outside the lock: concurrent first callers may race to build
-    // the same plan, but the loser's copy is simply dropped.
-    let plan = Arc::new(FftPlan::new(n));
-    let mut cache = lock_counting_contention(cache());
-    cache.tick += 1;
-    let tick = cache.tick;
-    let cap = PLAN_CACHE_CAP.load(Ordering::Relaxed) as usize;
-    while !cache.map.contains_key(&n) && cache.map.len() >= cap {
-        let Some(cold) = cache.map.iter().min_by_key(|&(_, &(_, s))| s).map(|(&k, _)| k) else {
-            break;
-        };
-        cache.map.remove(&cold);
-        PLAN_EVICTIONS.fetch_add(1, Ordering::Relaxed);
-    }
-    let entry = cache.map.entry(n).or_insert((plan, tick));
-    entry.1 = tick;
-    Arc::clone(&entry.0)
+    PLANS.get_or_build(n, || FftPlan::new(n))
 }
 
 #[cfg(test)]

@@ -21,10 +21,11 @@
 
 use crate::bluestein::fft_any_in_place;
 use crate::complex::Complex;
-use crate::plan::{plan_for, FftPlan};
+use crate::memo::{Memo, MemoEvent};
+use crate::plan::{plan_for, FftPlan, PLAN_EVENTS};
 use crate::radix2::{is_pow2, Direction};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 /// Forward DFT of a real signal. Returns all `n` complex bins
 /// (the upper half is the conjugate mirror of the lower half).
@@ -288,15 +289,13 @@ impl RealFftPlan {
 /// circulant sizes at once.
 const MAX_CACHED_REAL_PLANS: usize = 16;
 
-struct RealPlanCache {
-    map: HashMap<usize, (Arc<RealFftPlan>, u64)>,
-    tick: u64,
-}
-
-fn real_cache() -> &'static Mutex<RealPlanCache> {
-    static CACHE: OnceLock<Mutex<RealPlanCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(RealPlanCache { map: HashMap::new(), tick: 0 }))
-}
+/// Only lock waits are counted (into the shared contention counter);
+/// hits and misses stay the complex plan cache's.
+static REAL_PLANS: Memo<usize, RealFftPlan> = Memo::new(MAX_CACHED_REAL_PLANS, |event| {
+    if event == MemoEvent::Contention {
+        PLAN_EVENTS[event as usize].fetch_add(1, Ordering::Relaxed);
+    }
+});
 
 /// Returns the shared [`RealFftPlan`] for even power-of-two length `n`,
 /// building and caching it on first use (LRU-bounded, like
@@ -307,28 +306,7 @@ pub fn real_plan_for(n: usize) -> Arc<RealFftPlan> {
         is_pow2(n) && n >= 2,
         "real FFT plans require an even power-of-two length >= 2, got {n}"
     );
-    {
-        let mut cache = crate::plan::lock_counting_contention(real_cache());
-        cache.tick += 1;
-        let tick = cache.tick;
-        if let Some((plan, stamp)) = cache.map.get_mut(&n) {
-            *stamp = tick;
-            return Arc::clone(plan);
-        }
-    }
-    let plan = Arc::new(RealFftPlan::new(n));
-    let mut cache = crate::plan::lock_counting_contention(real_cache());
-    cache.tick += 1;
-    let tick = cache.tick;
-    while !cache.map.contains_key(&n) && cache.map.len() >= MAX_CACHED_REAL_PLANS {
-        let Some(cold) = cache.map.iter().min_by_key(|&(_, &(_, s))| s).map(|(&k, _)| k) else {
-            break;
-        };
-        cache.map.remove(&cold);
-    }
-    let entry = cache.map.entry(n).or_insert((plan, tick));
-    entry.1 = tick;
-    Arc::clone(&entry.0)
+    REAL_PLANS.get_or_build(n, || RealFftPlan::new(n))
 }
 
 #[cfg(test)]

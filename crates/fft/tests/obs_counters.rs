@@ -5,11 +5,12 @@
 //! function: nothing else in the process touches the plan cache, which
 //! makes every hit/miss/eviction delta exact rather than a lower bound.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use vbr_fft::{
-    plan_cache_stats, plan_for, plan_size_histogram, reset_plan_cache_stats,
-    set_plan_cache_capacity, PlanCacheStats,
+    plan_cache_stats, plan_for, plan_size_histogram, reset_plan_cache_stats, FftPlan, Memo,
+    MemoEvent, PlanCacheStats,
 };
 
 #[test]
@@ -29,28 +30,38 @@ fn plan_cache_counters_exact_and_eviction_is_lru() {
     assert_eq!((s.hits, s.misses, s.evictions), (3, 2, 0));
     assert_eq!(plan_size_histogram(), vec![(64, 4), (128, 1)]);
 
-    // LRU eviction under a shrunken capacity. Cache = {64, 128}; cap 4.
-    set_plan_cache_capacity(4);
-    plan_for(2); // miss; cache {64, 128, 2}
-    plan_for(4); // miss; cache {64, 128, 2, 4} — full
-    let hot = plan_for(64); // hit — refreshes 64's stamp
+    // LRU eviction, on a small-capacity memo with the plan cache's
+    // policy and its own counters (the global cache holds 32 sizes).
+    static EVENTS: [AtomicU64; 4] = [const { AtomicU64::new(0) }; 4];
+    fn count(event: MemoEvent) {
+        EVENTS[event as usize].fetch_add(1, Ordering::Relaxed);
+    }
+    // (hits, misses, evictions)
+    let events = || [0, 1, 2].map(|i| EVENTS[i].load(Ordering::Relaxed));
+    let memo: Memo<usize, FftPlan> = Memo::new(4, count);
+    let plan = |n: usize| memo.get_or_build(n, || FftPlan::new(n));
+
+    let first = plan(64);
+    plan(128); // cache {64, 128}
+    plan(2); // miss; cache {64, 128, 2}
+    plan(4); // miss; cache {64, 128, 2, 4} — full
+    let hot = plan(64); // hit — refreshes 64's recency
     assert!(Arc::ptr_eq(&first, &hot));
-    plan_for(8); // miss; evicts the LRU entry, 128
-    let s = plan_cache_stats();
-    assert_eq!((s.hits, s.misses, s.evictions), (4, 5, 1));
+    plan(8); // miss; evicts the LRU entry, 128
+    assert_eq!(events(), [1, 5, 1]);
 
     // The recently-touched entry survived the eviction…
-    let survivor = plan_for(64);
+    let survivor = plan(64);
     assert!(Arc::ptr_eq(&first, &survivor), "hot entry must survive LRU eviction");
     // …and the cold one did not: re-requesting 128 is a miss that in
     // turn evicts the now-oldest entry (2).
-    plan_for(128);
-    let s = plan_cache_stats();
-    assert_eq!((s.hits, s.misses, s.evictions), (5, 6, 2));
-    let refetched = plan_for(2);
+    plan(128);
+    assert_eq!(events(), [2, 6, 2]);
+    let refetched = plan(2);
     drop(refetched);
-    let s = plan_cache_stats();
-    assert_eq!(s.misses, 7, "evicted cold entry must rebuild");
+    assert_eq!(events()[1], 7, "evicted cold entry must rebuild");
 
-    set_plan_cache_capacity(32);
+    // A local memo reports to its own hook only.
+    let s = plan_cache_stats();
+    assert_eq!((s.hits, s.misses, s.evictions), (3, 2, 0));
 }

@@ -6,30 +6,24 @@
 //! depend only on `(H, n)`. Workloads like the MuxSim sweeps, the
 //! robust-estimator benchmarks and batch screenplay generation call the
 //! generators many times with identical parameters, so these caches turn
-//! every repeat into a hash lookup. Keys use the exact bit pattern of
+//! every repeat into a lookup. Keys use the exact bit pattern of
 //! the float parameter: two `H` values compare equal iff the uncached
 //! computation would be identical, so caching can never change output.
 //!
-//! Each key owns a build lock: concurrent first callers for the *same*
-//! key block on one builder instead of racing to duplicate the work
-//! (which made parallel batch generation slower than serial — every
-//! worker rebuilt the same multi-megabyte spectrum). Different keys
-//! still build concurrently.
-//!
-//! Caches are process-global and size-bounded (entries at the paper
-//! scale run to megabytes); when a cache is full, admitting a new key
-//! evicts the least-recently-used entry *only* — entries are pure
-//! functions of their key and rebuild on demand, but interleaved
-//! workloads over many `(d, n)` pairs keep their hot entries resident.
-//! (The old policy cleared the whole map, so a single cold key wiped
-//! every hot entry and the next pass recomputed them all.) Hits, misses
-//! and evictions are counted through `vbr_stats::obs`.
+//! The caches are process-global [`Memo`]s: size-bounded (entries at
+//! the paper scale run to megabytes) with least-recently-used eviction,
+//! and each key is built once — concurrent first callers for the *same*
+//! key wait for one builder instead of racing to duplicate the work,
+//! while different keys still build concurrently. Failed builds are not
+//! cached. Hits, misses and evictions are counted through
+//! `vbr_stats::obs`, and waits for a memo's lock into the shared
+//! `plan_cache_contention` counter.
 
 use crate::acvf::{farima_acf, fgn_acvf};
 use crate::davies_harte::circulant_spectrum;
 use crate::error::FgnError;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
+use vbr_fft::{Memo, MemoEvent};
 use vbr_stats::obs::{self, Counter};
 
 /// Per-cache entry bound: ACVF/spectrum vectors at the 171k-frame paper
@@ -37,130 +31,38 @@ use vbr_stats::obs::{self, Counter};
 /// realistic workload holds at once.
 const MAX_ENTRIES: usize = 16;
 
-type Key = (u64, usize);
-/// One slot per key: the outer map hands out the slot under a short
-/// lock; the slot's own mutex serialises building, so concurrent first
-/// callers of one key wait for a single build instead of duplicating it.
-type Slot = Arc<Mutex<Option<Arc<Vec<f64>>>>>;
+/// A float parameter's exact bit pattern and a length: two `H` values
+/// share an entry iff the uncached computation would be identical.
+type VecCache = Memo<(u64, usize), Vec<f64>>;
 
-/// The slot map plus a logical clock: every access stamps its entry,
-/// and eviction removes the entry with the oldest stamp.
-#[derive(Default)]
-struct LruMap {
-    map: HashMap<Key, (Slot, u64)>,
-    tick: u64,
-}
-
-type VecCache = Mutex<LruMap>;
-
-fn fgn_acvf_cache() -> &'static VecCache {
-    static C: OnceLock<VecCache> = OnceLock::new();
-    C.get_or_init(|| Mutex::new(LruMap::default()))
-}
-
-fn farima_acf_cache() -> &'static VecCache {
-    static C: OnceLock<VecCache> = OnceLock::new();
-    C.get_or_init(|| Mutex::new(LruMap::default()))
-}
-
-fn spectrum_cache() -> &'static VecCache {
-    static C: OnceLock<VecCache> = OnceLock::new();
-    C.get_or_init(|| Mutex::new(LruMap::default()))
-}
-
-fn farima_spectrum_cache() -> &'static VecCache {
-    static C: OnceLock<VecCache> = OnceLock::new();
-    C.get_or_init(|| Mutex::new(LruMap::default()))
-}
-
-fn hosking_reflection_cache() -> &'static VecCache {
-    static C: OnceLock<VecCache> = OnceLock::new();
-    C.get_or_init(|| Mutex::new(LruMap::default()))
-}
-
-/// Fetches the key's slot, stamping it with the cache's logical clock.
-/// Admitting a new key into a full cache evicts the least-recently-used
-/// entry only (in-flight holders keep their own `Arc` to the evicted
-/// slot; hot entries stay resident — the point of the LRU order).
-fn slot_for(cache: &'static VecCache, key: Key) -> Slot {
-    // The map lock covers lookup/insert/evict only — builds run under
-    // the per-key slot lock, and nothing here executes an FFT. A waiting
-    // acquisition is therefore always momentary, and is counted into the
-    // shared `plan_cache_contention` obs counter so the fleet bench can
-    // prove the lock scope stays shard-friendly.
-    let mut lru = match cache.try_lock() {
-        Ok(g) => g,
-        Err(std::sync::TryLockError::WouldBlock) => {
-            obs::counter_add(Counter::PlanCacheContention, 1);
-            cache.lock().expect("acvf cache poisoned")
-        }
-        Err(std::sync::TryLockError::Poisoned(_)) => panic!("acvf cache poisoned"),
+fn count(event: MemoEvent) {
+    let counter = match event {
+        MemoEvent::Hit => Counter::FgnCacheHit,
+        MemoEvent::Miss => Counter::FgnCacheMiss,
+        MemoEvent::Evict => Counter::FgnCacheEvict,
+        MemoEvent::Contention => Counter::PlanCacheContention,
     };
-    lru.tick += 1;
-    let tick = lru.tick;
-    if let Some((slot, stamp)) = lru.map.get_mut(&key) {
-        *stamp = tick;
-        return Arc::clone(slot);
-    }
-    if lru.map.len() >= MAX_ENTRIES {
-        if let Some(cold) = lru.map.iter().min_by_key(|&(_, &(_, s))| s).map(|(&k, _)| k) {
-            lru.map.remove(&cold);
-            obs::counter_add(Counter::FgnCacheEvict, 1);
-        }
-    }
-    let (slot, _) = lru.map.entry(key).or_insert_with(|| (Slot::default(), tick));
-    Arc::clone(slot)
+    obs::counter_add(counter, 1);
 }
 
-fn memoize(
-    cache: &'static VecCache,
-    key: Key,
-    build: impl FnOnce() -> Vec<f64>,
-) -> Arc<Vec<f64>> {
-    let slot = slot_for(cache, key);
-    let mut guard = slot.lock().expect("acvf cache slot poisoned");
-    if let Some(hit) = guard.as_ref() {
-        obs::counter_add(Counter::FgnCacheHit, 1);
-        return Arc::clone(hit);
-    }
-    obs::counter_add(Counter::FgnCacheMiss, 1);
-    let value = Arc::new(build());
-    *guard = Some(Arc::clone(&value));
-    value
-}
-
-fn memoize_try(
-    cache: &'static VecCache,
-    key: Key,
-    build: impl FnOnce() -> Result<Vec<f64>, FgnError>,
-) -> Result<Arc<Vec<f64>>, FgnError> {
-    let slot = slot_for(cache, key);
-    let mut guard = slot.lock().expect("acvf cache slot poisoned");
-    if let Some(hit) = guard.as_ref() {
-        obs::counter_add(Counter::FgnCacheHit, 1);
-        return Ok(Arc::clone(hit));
-    }
-    obs::counter_add(Counter::FgnCacheMiss, 1);
-    // Failures are not cached: the slot stays empty and the next caller
-    // retries (failure here means a genuinely non-PSD embedding, which
-    // is deterministic per key, so retries fail fast anyway).
-    let value = Arc::new(build()?);
-    *guard = Some(Arc::clone(&value));
-    Ok(value)
-}
+static FGN_ACVF: VecCache = Memo::new(MAX_ENTRIES, count);
+static FARIMA_ACF: VecCache = Memo::new(MAX_ENTRIES, count);
+static FGN_SPECTRUM: VecCache = Memo::new(MAX_ENTRIES, count);
+static FARIMA_SPECTRUM: VecCache = Memo::new(MAX_ENTRIES, count);
+static HOSKING_REFLECTIONS: VecCache = Memo::new(MAX_ENTRIES, count);
 
 /// Memoized [`fgn_acvf`]: autocovariances `γ_0..=γ_max_lag` of
 /// unit-variance fGn, shared across repeat calls with the same
 /// `(hurst, max_lag)`.
 pub fn fgn_acvf_cached(hurst: f64, max_lag: usize) -> Arc<Vec<f64>> {
-    memoize(fgn_acvf_cache(), (hurst.to_bits(), max_lag), || fgn_acvf(hurst, max_lag))
+    FGN_ACVF.get_or_build((hurst.to_bits(), max_lag), || fgn_acvf(hurst, max_lag))
 }
 
 /// Memoized [`farima_acf`]: autocorrelations `ρ_0..=ρ_max_lag` of
 /// fractional ARIMA(0, d, 0), shared across repeat calls — Hosking's
 /// `O(n²)` recursion re-reads the whole sequence every generation.
 pub fn farima_acf_cached(d: f64, max_lag: usize) -> Arc<Vec<f64>> {
-    memoize(farima_acf_cache(), (d.to_bits(), max_lag), || farima_acf(d, max_lag))
+    FARIMA_ACF.get_or_build((d.to_bits(), max_lag), || farima_acf(d, max_lag))
 }
 
 /// Memoized circulant eigenvalue spectrum for fGn embedding: the
@@ -171,7 +73,7 @@ pub fn farima_acf_cached(d: f64, max_lag: usize) -> Arc<Vec<f64>> {
 /// fires on FFT round-off beyond the clamp tolerance; failures are not
 /// cached.
 pub fn fgn_circulant_spectrum_cached(hurst: f64, m: usize) -> Result<Arc<Vec<f64>>, FgnError> {
-    memoize_try(spectrum_cache(), (hurst.to_bits(), m), || {
+    FGN_SPECTRUM.get_or_try_build((hurst.to_bits(), m), || {
         circulant_spectrum(&fgn_acvf_cached(hurst, m / 2))
     })
 }
@@ -183,7 +85,7 @@ pub fn fgn_circulant_spectrum_cached(hurst: f64, m: usize) -> Result<Arc<Vec<f64
 /// negative spectrum is reported as [`FgnError::NonPsdEmbedding`] and
 /// not cached.
 pub fn farima_circulant_spectrum_cached(d: f64, m: usize) -> Result<Arc<Vec<f64>>, FgnError> {
-    memoize_try(farima_spectrum_cache(), (d.to_bits(), m), || {
+    FARIMA_SPECTRUM.get_or_try_build((d.to_bits(), m), || {
         circulant_spectrum(&farima_acf_cached(d, m / 2))
     })
 }
@@ -232,7 +134,7 @@ fn hosking_reflections(rho: &[f64], n: usize) -> Vec<f64> {
 /// conditional-mean dot product per step; the Eq (7) inner product
 /// against the ACF (half the recursion's flops) is never redone.
 pub fn hosking_reflections_cached(d: f64, n: usize) -> Arc<Vec<f64>> {
-    memoize(hosking_reflection_cache(), (d.to_bits(), n), || {
+    HOSKING_REFLECTIONS.get_or_build((d.to_bits(), n), || {
         let rho = farima_acf_cached(d, n);
         hosking_reflections(&rho, n)
     })
@@ -278,20 +180,5 @@ mod tests {
         let direct = circulant_spectrum(&farima_acf(0.3, m / 2)).unwrap();
         let cached = farima_circulant_spectrum_cached(0.3, m).unwrap();
         assert_eq!(*cached, direct);
-    }
-
-    #[test]
-    fn racing_first_callers_build_once() {
-        // Hammer one brand-new key from many threads; the per-key build
-        // lock must hand every thread the same Arc.
-        let h = 0.654_321;
-        let arcs: Vec<Arc<Vec<f64>>> = std::thread::scope(|s| {
-            let handles: Vec<_> =
-                (0..8).map(|_| s.spawn(|| fgn_acvf_cached(h, 8192))).collect();
-            handles.into_iter().map(|j| j.join().unwrap()).collect()
-        });
-        for a in &arcs[1..] {
-            assert!(Arc::ptr_eq(&arcs[0], a));
-        }
     }
 }

@@ -1,21 +1,7 @@
-//! Analytic queueing references used to validate the simulator:
-//! the M/D/1 waiting-time formula and Norros' fractional-Brownian-motion
+//! Analytic queueing reference used to validate the simulator and drive
+//! admission control: Norros' fractional-Brownian-motion
 //! link-dimensioning formula (the closed-form counterpart of the paper's
 //! trace-driven capacity searches, published the same year).
-
-/// Mean M/D/1 waiting time (in service-time units):
-/// `W/τ = ρ / (2(1 − ρ))` for utilisation `ρ < 1`.
-pub fn md1_mean_wait_in_service_units(rho: f64) -> f64 {
-    assert!((0.0..1.0).contains(&rho), "M/D/1 requires rho in [0,1), got {rho}");
-    rho / (2.0 * (1.0 - rho))
-}
-
-/// Mean M/D/1 queue length (cells in queue, excluding the one in
-/// service): `L_q = ρ²/(2(1−ρ))`.
-pub fn md1_mean_queue(rho: f64) -> f64 {
-    assert!((0.0..1.0).contains(&rho));
-    rho * rho / (2.0 * (1.0 - rho))
-}
 
 /// Norros' dimensioning formula for a fluid queue fed by fractional
 /// Brownian traffic (Norros 1994/1995): the capacity needed so that
@@ -59,43 +45,8 @@ pub fn fbm_variance_coef(mean_per_interval: f64, var_per_interval: f64, dt: f64,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::CellQueue;
     use crate::{LossMetric, LossTarget, MuxSim};
     use vbr_model::{ModelParams, SourceModel};
-    use vbr_stats::rng::Xoshiro256;
-
-    #[test]
-    fn md1_formula_values() {
-        assert_eq!(md1_mean_wait_in_service_units(0.0), 0.0);
-        assert!((md1_mean_wait_in_service_units(0.5) - 0.5).abs() < 1e-12);
-        assert!((md1_mean_wait_in_service_units(0.9) - 4.5).abs() < 1e-12);
-        assert!((md1_mean_queue(0.5) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cell_queue_matches_md1_mean_occupancy() {
-        // Poisson arrivals, deterministic service, huge buffer.
-        let rho = 0.7;
-        let service = 1.0; // seconds per cell → rate 1 cell/s
-        let mut rng = Xoshiro256::seed_from_u64(1);
-        let mut q = CellQueue::new(1_000_000, 1.0 / service);
-        let mut t = 0.0;
-        let n = 400_000;
-        let mut occ_sum = 0.0;
-        for _ in 0..n {
-            t += -rng.open01().ln() * service / rho; // exp interarrivals
-            q.offer(t);
-            occ_sum += q.occupancy();
-        }
-        // Occupancy drains continuously, so the in-service cell counts on
-        // average as ρ/2 of a cell: arrivals see Lq + ρ/2 (PASTA).
-        let measured = occ_sum / n as f64 - 1.0; // subtract the just-added cell
-        let want = md1_mean_queue(rho) + rho / 2.0;
-        assert!(
-            (measured - want).abs() < 0.1 * want,
-            "measured {measured} vs M/D/1 {want}"
-        );
-    }
 
     #[test]
     fn norros_capacity_monotonicities() {

@@ -22,12 +22,9 @@
 
 pub mod admission;
 pub mod analytic;
-pub mod cell;
 pub mod error;
 pub mod metrics;
 pub mod mux;
-pub mod priority;
-pub mod shaping;
 pub mod source;
 pub mod qc;
 pub mod queue;
@@ -35,16 +32,13 @@ mod search;
 pub mod smg;
 
 pub use admission::{admit_by_norros, admit_by_simulation, AdmissionResult};
-pub use analytic::{fbm_variance_coef, md1_mean_queue, md1_mean_wait_in_service_units, norros_capacity};
-pub use cell::{simulate_cells, CellQueue, CellSimResult, CellSpacing, ATM_CELL_BYTES, ATM_PAYLOAD_BYTES};
+pub use analytic::{fbm_variance_coef, norros_capacity};
 pub use error::QsimError;
 pub use metrics::{worst_window_loss, DelayStats, SimResult};
 pub use mux::{
     aggregate_arrivals, aggregate_arrivals_multi, draw_offsets, lag_combinations, ArrivalCursor,
     CursorState, LagCombination,
 };
-pub use priority::{simulate_layered, LayeredResult, PriorityQueue};
-pub use shaping::{min_cbr_rate, smooth_to_cbr, SmoothingResult};
 pub use source::{required_capacity_model, run_source_queue, try_required_capacity_model, SourceRunStats};
 pub use qc::{qc_curve, AveragedLoss, LossMetric, LossTarget, MuxSim, QcPoint};
 pub use queue::{FluidQueue, QueueState};

@@ -1,13 +1,10 @@
 //! Integration tests for the beyond-the-paper extensions, exercised
 //! through the meta-crate's public API: genres, admission control,
-//! layered transport, cell-level simulation, scene detection, the
-//! Gamma/Pareto convolution and the extended estimator suite.
+//! scene detection, the Gamma/Pareto convolution and the extended
+//! estimator suite.
 
 use vbr::prelude::*;
-use vbr::qsim::{
-    admit_by_simulation, simulate_cells, simulate_layered, CellSpacing, LossMetric,
-    LossTarget,
-};
+use vbr::qsim::{admit_by_simulation, LossMetric, LossTarget};
 use vbr::stats::dist::aggregate_marginal;
 use vbr::video::{detect_scenes, summarize_scenes, Genre, SceneDetectOptions};
 
@@ -94,28 +91,6 @@ fn admission_on_model_matches_trace() {
     assert!(
         a.abs_diff(b) <= 2,
         "trace admits {a}, model admits {b} — should be close"
-    );
-}
-
-/// Layered transport protects the base layer on a congested link while a
-/// cell-level check confirms the fluid loss numbers.
-#[test]
-fn layered_and_cell_views_of_the_same_link() {
-    let trace = generate_screenplay(&ScreenplayConfig::short(4_000, 7));
-    let mean = trace.mean_bandwidth_bps() / 8.0;
-    let cap = mean * 1.02;
-    let buf = 20_000.0;
-
-    let layered = simulate_layered(&trace, 0.6, cap, buf);
-    assert!(layered.base_loss < layered.enhancement_loss);
-
-    let cells = simulate_cells(&trace, &[0], cap, buf, CellSpacing::Uniform, 8);
-    assert!(
-        (cells.cell_loss_rate - layered.unlayered_loss).abs()
-            < 0.35 * layered.unlayered_loss.max(1e-4),
-        "cell {} vs fluid {}",
-        cells.cell_loss_rate,
-        layered.unlayered_loss
     );
 }
 
