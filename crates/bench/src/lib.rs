@@ -16,7 +16,7 @@ pub mod perf;
 
 pub use checkpoint::{CheckpointStore, PipelineConfig, PipelineState, Recovery, TraceDigest};
 pub use faults::{Corruption, FaultInjector, FileCorruption, KillPoint};
-pub use perf::{time_median, PerfEntry, PerfReport};
+pub use perf::{PerfEntry, PerfReport};
 
 /// Execution context shared by every experiment.
 pub struct Ctx {

@@ -1,10 +1,11 @@
-//! Wall-clock measurement and JSON reporting for the pipeline benchmark
+//! Paired-ratio timing and JSON reporting for the pipeline benchmark
 //! binary (`pipeline_bench`).
 //!
-//! The workspace has no serde, so the report is hand-rolled JSON: a flat
-//! list of entries, each with a measured median time, an optional
-//! baseline it is compared against, and the resulting speedup, so a
-//! single binary can emit one machine-readable before/after file
+//! Every entry compares a baseline arm with a new arm through one timer,
+//! [`time_paired`], and is gated by the ratio it measures. The workspace
+//! has no serde, so the report is hand-rolled JSON: a flat list of
+//! entries, each with its arms' median times and the median per-pair
+//! speedup, so a single binary can emit one machine-readable file
 //! (`BENCH_pipeline.json`) that CI checks in.
 
 use std::fmt::Write as _;
@@ -13,29 +14,71 @@ use std::path::Path;
 use std::time::Instant;
 use vbr_stats::obs::CounterSnapshot;
 
-/// Allowed per-group slowdown before [`check_against`] fails: new group
-/// total ≤ old × 1.15. Documented in the emitted JSON (schema v4) so
-/// the checked-in report carries its own gate contract. 15% rides above
-/// shared-CI noise (observed ≤ ~10% run-to-run) while still catching
-/// any real regression of the kind this gate exists for (an accidental
-/// de-vectorization or algorithmic slip is ≥ 30%).
+/// Allowed per-entry slowdown before [`check_against`] fails: an
+/// entry's speedup must stay ≥ recorded / 1.15. Documented in the
+/// emitted JSON so the checked-in report carries its own gate contract.
+/// A paired ratio cancels the host load both arms share; what is left
+/// is load that slows one arm more than the other, which keeps most
+/// ratios within ±10% of their median between runs on the shared 2-vCPU
+/// recording host. 15% rides above that while still catching the
+/// regressions this gate exists for (an accidental de-vectorization or
+/// algorithmic slip is ≥ 30%).
 pub const REGRESSION_TOLERANCE: f64 = 1.15;
 
-/// Times `f` for `reps` repetitions after `warmup` untimed runs and
-/// returns the median wall-clock seconds of a single run.
-pub fn time_median<F: FnMut()>(warmup: usize, reps: usize, mut f: F) -> f64 {
-    assert!(reps >= 1);
-    for _ in 0..warmup {
-        f();
-    }
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
+/// Fewest and most timed pairs [`time_paired`] runs, whatever the budget.
+const PAIRS: (usize, usize) = (7, 1000);
+
+/// One baseline-vs-new measurement from [`time_paired`].
+#[derive(Debug, Clone, Copy)]
+pub struct Paired {
+    /// Median seconds of one baseline-arm call.
+    pub baseline_secs: f64,
+    /// Median seconds of one new-arm call.
+    pub secs: f64,
+    /// Median over pairs of baseline / new time: the gated number.
+    pub speedup: f64,
+    /// Timed pairs the medians were taken over.
+    pub pairs: usize,
+}
+
+/// Times `baseline` against `new` in pairs and returns the median
+/// per-pair speedup. Each arm first runs once to warm caches; the slower
+/// of those two calls sets the pair count, so each arm spends about
+/// `budget_secs` (clamped to [`PAIRS`]). Pairs alternate which
+/// arm runs first, so drift in host load or a periodic stall lands on
+/// both arms alike and cancels in each pair's ratio.
+pub fn time_paired(budget_secs: f64, mut baseline: impl FnMut(), mut new: impl FnMut()) -> Paired {
+    fn timed(f: &mut impl FnMut()) -> f64 {
         let t0 = Instant::now();
         f();
-        samples.push(t0.elapsed().as_secs_f64());
+        t0.elapsed().as_secs_f64()
     }
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
+    let warm = timed(&mut baseline).max(timed(&mut new));
+    let pairs = ((budget_secs / warm).ceil() as usize).clamp(PAIRS.0, PAIRS.1);
+    let (mut base, mut newt, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for p in 0..pairs {
+        let (b, n) = if p % 2 == 0 {
+            let b = timed(&mut baseline);
+            (b, timed(&mut new))
+        } else {
+            let n = timed(&mut new);
+            (timed(&mut baseline), n)
+        };
+        base.push(b);
+        newt.push(n);
+        ratios.push(b / n);
+    }
+    Paired {
+        baseline_secs: median(&mut base),
+        secs: median(&mut newt),
+        speedup: median(&mut ratios),
+        pairs,
+    }
+}
+
+fn median(v: &mut [f64]) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
 }
 
 /// The `rustc --version` string of the toolchain on `PATH`, so a checked
@@ -51,113 +94,68 @@ pub fn rustc_version() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// One benchmark result: a measured time, optionally compared to a
-/// baseline measurement of the same work done the old/serial way.
+/// The CPU model name from `/proc/cpuinfo` ("unknown" elsewhere) and
+/// the logical CPU count, so a checked-in report names the host its
+/// ratios were taken on.
+pub fn host_cpu() -> String {
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            let line = s.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split_once(':')?.1.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+    format!("{model}, {cpus} logical CPUs")
+}
+
+/// One benchmark result: a baseline arm timed against a new arm.
 #[derive(Debug, Clone)]
 pub struct PerfEntry {
     /// Tier the entry belongs to (`kernels`, `estimators`, `simulation`).
     pub group: String,
     /// Benchmark name.
     pub name: String,
-    /// Median seconds of the measured (new/parallel) path.
-    pub secs: f64,
-    /// Median seconds of the baseline (old/serial) path, if compared.
-    pub baseline_secs: Option<f64>,
-    /// Untimed runs before measurement started.
-    pub warmup: usize,
-    /// Timed repetitions the median was taken over.
-    pub reps: usize,
+    /// The paired measurement.
+    pub timing: Paired,
     /// Free-form description of the workload and what is compared.
     pub note: String,
     /// Pipeline-counter activity attributed to this entry: the non-zero
     /// increases of every [`vbr_stats::obs`] counter since the previous
-    /// `record*` call (so warmup + timed reps of *this* benchmark, not
-    /// the process lifetime). Captured automatically by
-    /// [`PerfReport::record`]/[`PerfReport::record_vs`].
+    /// [`PerfReport::record`] call (so warmup + timed pairs of *this*
+    /// benchmark, not the process lifetime).
     pub metrics: Vec<(&'static str, u64)>,
-}
-
-impl PerfEntry {
-    /// `baseline_secs / secs`, when a baseline was measured.
-    pub fn speedup(&self) -> Option<f64> {
-        self.baseline_secs.map(|b| b / self.secs)
-    }
 }
 
 /// The full report written as `BENCH_pipeline.json`.
 #[derive(Debug)]
 pub struct PerfReport {
     entries: Vec<PerfEntry>,
-    /// Counter state at the previous `record*` call (initially at
+    /// Per-arm time budget every entry was timed with.
+    budget_secs: f64,
+    /// Counter state at the previous `record` call (initially at
     /// construction), so each entry gets the delta of *its* benchmark.
     last_counters: CounterSnapshot,
 }
 
-impl Default for PerfReport {
-    fn default() -> Self {
-        PerfReport::new()
-    }
-}
-
 impl PerfReport {
-    /// Empty report. Counter attribution starts here: the first entry
-    /// recorded absorbs whatever ran between construction and that
-    /// `record*` call.
-    pub fn new() -> Self {
-        PerfReport { entries: Vec::new(), last_counters: CounterSnapshot::capture() }
+    /// Empty report for entries timed with a `budget_secs` per-arm
+    /// budget. Counter attribution starts here: the first entry recorded
+    /// absorbs whatever ran between construction and that `record` call.
+    pub fn new(budget_secs: f64) -> Self {
+        PerfReport { entries: Vec::new(), budget_secs, last_counters: CounterSnapshot::capture() }
     }
 
-    /// Captures the counter delta since the previous record and
-    /// advances the attribution cursor.
-    fn take_metrics(&mut self) -> Vec<(&'static str, u64)> {
+    /// Records one paired measurement, with the counter delta since the
+    /// previous record.
+    pub fn record(&mut self, group: &str, name: &str, timing: Paired, note: &str) {
         let now = CounterSnapshot::capture();
-        let delta: Vec<(&'static str, u64)> =
-            now.delta(&self.last_counters).into_iter().filter(|&(_, v)| v > 0).collect();
+        let metrics = now.delta(&self.last_counters).into_iter().filter(|&(_, v)| v > 0).collect();
         self.last_counters = now;
-        delta
-    }
-
-    /// Records a standalone timing measured over `(warmup, reps)` runs.
-    pub fn record(
-        &mut self,
-        group: &str,
-        name: &str,
-        secs: f64,
-        (warmup, reps): (usize, usize),
-        note: &str,
-    ) {
-        let metrics = self.take_metrics();
         self.entries.push(PerfEntry {
             group: group.to_string(),
             name: name.to_string(),
-            secs,
-            baseline_secs: None,
-            warmup,
-            reps,
-            note: note.to_string(),
-            metrics,
-        });
-    }
-
-    /// Records a baseline-vs-new comparison, both sides measured over
-    /// the same `(warmup, reps)` schedule.
-    pub fn record_vs(
-        &mut self,
-        group: &str,
-        name: &str,
-        baseline_secs: f64,
-        secs: f64,
-        (warmup, reps): (usize, usize),
-        note: &str,
-    ) {
-        let metrics = self.take_metrics();
-        self.entries.push(PerfEntry {
-            group: group.to_string(),
-            name: name.to_string(),
-            secs,
-            baseline_secs: Some(baseline_secs),
-            warmup,
-            reps,
+            timing,
             note: note.to_string(),
             metrics,
         });
@@ -168,52 +166,23 @@ impl PerfReport {
         &self.entries
     }
 
-    /// Folds another run of the same suite into this report, keeping
-    /// the per-entry minimum of `secs` and `baseline_secs` (matched by
-    /// `(group, name)`; entries only present in `other` are appended).
-    ///
-    /// Medians of short benchmarks still carry host noise — frequency
-    /// boost state, a background daemon — that only ever *adds* time,
-    /// so the minimum over several runs is the stable statistic: it
-    /// converges on the true floor, while a real regression raises the
-    /// floor itself and survives any number of merges. Counter metrics
-    /// are kept from the first run that recorded the entry; the
-    /// pipelines are deterministic, so reruns produce identical deltas.
-    pub fn merge_min(&mut self, other: &PerfReport) {
-        for o in &other.entries {
-            match self.entries.iter_mut().find(|e| e.group == o.group && e.name == o.name) {
-                Some(e) => {
-                    e.secs = e.secs.min(o.secs);
-                    e.baseline_secs = match (e.baseline_secs, o.baseline_secs) {
-                        (Some(a), Some(b)) => Some(a.min(b)),
-                        (a, b) => a.or(b),
-                    };
-                }
-                None => self.entries.push(o.clone()),
-            }
-        }
-    }
-
     /// Serialises the report (plus host metadata) to pretty JSON.
     ///
-    /// Schema v2 added the compiler version and, per entry, the
-    /// iteration schedule (`warmup`/`reps`) the median was taken over —
-    /// enough provenance to judge whether two checked-in reports are
-    /// comparable. Schema v3 added a `metrics` section: every
-    /// [`vbr_stats::obs`] pipeline counter as observed at serialisation
-    /// time, plus the process peak RSS, so a checked-in report also
-    /// records *what the benchmark exercised* (cache hits, fallbacks,
-    /// overflow slots), not just how long it took. Schema v4 adds the
-    /// SIMD chunk width and CPU target features (entries are
-    /// only comparable across hosts when these match), the documented
-    /// regression tolerance the CI gate enforces (see
-    /// [`check_against`]), and per-entry `metrics`: each entry's own
-    /// counter deltas, so process-lifetime sums in the top-level block
-    /// can be attributed benchmark by benchmark.
+    /// Schema v2 added the compiler version and each entry's iteration
+    /// schedule. Schema v3 added a `metrics` section: every
+    /// [`vbr_stats::obs`] pipeline counter at serialisation time plus the
+    /// process peak RSS. Schema v4 added the SIMD chunk width, the CPU
+    /// target features, the regression tolerance the CI gate enforces
+    /// (see [`check_against`]) and per-entry counter deltas. Schema v5
+    /// times every entry as a paired ratio: each entry's `speedup` is the
+    /// median per-pair baseline/new ratio over `pairs` pairs, the gated
+    /// number; the arms' median `secs` are informational. It also names
+    /// the host CPU and how the ratios were taken.
     pub fn to_json(&self, host_threads: usize, rustc: &str) -> String {
         let mut s = String::new();
         s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": \"vbr-bench/pipeline/v4\",");
+        let _ = writeln!(s, "  \"schema\": \"vbr-bench/pipeline/v5\",");
+        let _ = writeln!(s, "  \"host_cpu\": {},", json_str(&host_cpu()));
         let _ = writeln!(s, "  \"host_threads\": {host_threads},");
         let _ = writeln!(s, "  \"rustc\": {},", json_str(rustc));
         let _ = writeln!(s, "  \"simd_width\": {},", vbr_stats::simd::LANES);
@@ -222,17 +191,26 @@ impl PerfReport {
             "  \"target_features\": {},",
             json_str(&vbr_stats::simd::target_features())
         );
+        let _ = writeln!(
+            s,
+            "  \"timing_note\": {},",
+            json_str(&format!(
+                "pipeline_bench at {host_threads} worker thread(s): each entry warms both arms \
+                 once, then times baseline and new in pairs alternating which arm runs first; \
+                 speedup is the median per-pair baseline/new ratio, with the pair count set so \
+                 each arm spends about {} s ({}..={} pairs)",
+                self.budget_secs, PAIRS.0, PAIRS.1
+            ))
+        );
         let _ = writeln!(s, "  \"regression_tolerance\": {REGRESSION_TOLERANCE},");
         let _ = writeln!(
             s,
             "  \"regression_note\": {},",
             json_str(
-                "CI gate: pipeline_bench --check-against fails if any entry \
-                 of this file is missing from the run or any group's summed \
-                 secs exceeds this file's by more than the tolerance \
-                 factor; both sides are per-entry minima over repeated runs \
-                 (--best-of / gate retries), so the comparison is floor vs \
-                 floor, not one noisy sample vs another"
+                "CI gate: pipeline_bench --check-against fails if any entry of this file \
+                 is missing from the run, carries no numeric speedup, or runs with a speedup \
+                 below this file's divided by the tolerance factor; speedups are \
+                 host-relative ratios, comparable on a host with this file's target_features"
             )
         );
         s.push_str("  \"metrics\": {\n");
@@ -248,26 +226,14 @@ impl PerfReport {
         s.push_str("  },\n");
         s.push_str("  \"entries\": [\n");
         for (i, e) in self.entries.iter().enumerate() {
+            let t = &e.timing;
             s.push_str("    {\n");
             let _ = writeln!(s, "      \"group\": {},", json_str(&e.group));
             let _ = writeln!(s, "      \"name\": {},", json_str(&e.name));
-            let _ = writeln!(s, "      \"secs\": {},", json_f64(e.secs));
-            match e.baseline_secs {
-                Some(b) => {
-                    let _ = writeln!(s, "      \"baseline_secs\": {},", json_f64(b));
-                    let _ = writeln!(
-                        s,
-                        "      \"speedup\": {},",
-                        json_f64(e.speedup().unwrap())
-                    );
-                }
-                None => {
-                    s.push_str("      \"baseline_secs\": null,\n");
-                    s.push_str("      \"speedup\": null,\n");
-                }
-            }
-            let _ = writeln!(s, "      \"warmup\": {},", e.warmup);
-            let _ = writeln!(s, "      \"reps\": {},", e.reps);
+            let _ = writeln!(s, "      \"baseline_secs\": {},", json_f64(t.baseline_secs));
+            let _ = writeln!(s, "      \"secs\": {},", json_f64(t.secs));
+            let _ = writeln!(s, "      \"speedup\": {},", json_f64(t.speedup));
+            let _ = writeln!(s, "      \"pairs\": {},", t.pairs);
             s.push_str("      \"metrics\": {");
             for (j, (name, value)) in e.metrics.iter().enumerate() {
                 if j > 0 {
@@ -290,111 +256,108 @@ impl PerfReport {
 
     /// Prints a human-readable summary table to stdout.
     pub fn print_summary(&self) {
-        println!("{:<12} {:<42} {:>12} {:>12} {:>8}", "group", "name", "secs", "baseline", "speedup");
+        println!(
+            "{:<18} {:<42} {:>12} {:>12} {:>8} {:>6}",
+            "group", "name", "baseline", "secs", "speedup", "pairs"
+        );
         for e in &self.entries {
-            let base = e
-                .baseline_secs
-                .map(|b| format!("{b:.6}"))
-                .unwrap_or_else(|| "-".to_string());
-            let sp = e
-                .speedup()
-                .map(|v| format!("{v:.2}x"))
-                .unwrap_or_else(|| "-".to_string());
-            println!("{:<12} {:<42} {:>12.6} {:>12} {:>8}", e.group, e.name, e.secs, base, sp);
+            let t = &e.timing;
+            println!(
+                "{:<18} {:<42} {:>12.6} {:>12.6} {:>7.2}x {:>6}",
+                e.group, e.name, t.baseline_secs, t.secs, t.speedup, t.pairs
+            );
         }
     }
 }
 
-/// Extracts the `(group, name, secs)` triple of every entry from a
-/// previously written report (hand-rolled line scan — the workspace has
-/// no serde; the emitter in [`PerfReport::to_json`] pins the line
-/// shapes this reads). `baseline_secs` lines do not match the `"secs"`
-/// prefix, so only measured times are collected.
-pub fn parse_entry_secs(json: &str) -> Vec<(String, String, f64)> {
-    let mut out = Vec::new();
-    let mut in_entries = false;
-    let mut group: Option<String> = None;
-    let mut name: Option<String> = None;
-    for line in json.lines() {
-        let t = line.trim();
-        if t.starts_with("\"entries\"") {
-            in_entries = true;
-            continue;
-        }
-        if !in_entries {
-            continue;
-        }
-        if let Some(rest) = t.strip_prefix("\"group\": \"") {
-            group = rest.strip_suffix("\",").map(|s| s.to_string());
-        } else if let Some(rest) = t.strip_prefix("\"name\": \"") {
-            name = rest.strip_suffix("\",").map(|s| s.to_string());
-        } else if let Some(rest) = t.strip_prefix("\"secs\": ") {
-            if let (Some(g), Some(n)) = (group.take(), name.take()) {
-                if let Ok(v) = rest.trim_end_matches(',').parse::<f64>() {
-                    out.push((g, n, v));
-                }
-            }
+/// Extracts `(group, name, speedup)` for every entry of a previously
+/// written report (hand-rolled line scan — the workspace has no serde;
+/// the emitter in [`PerfReport::to_json`] pins the line shapes this
+/// reads). An entry whose speedup is absent, `null` or not a positive
+/// finite number yields `None`, so the gate can name it rather than lose
+/// it.
+pub fn parse_entry_speedups(json: &str) -> Vec<(String, String, Option<f64>)> {
+    let mut out: Vec<(String, String, Option<f64>)> = Vec::new();
+    let mut group = String::new();
+    let entries = json.split_once("\"entries\"").map_or("", |(_, rest)| rest);
+    for line in entries.lines() {
+        let t = line.trim().trim_end_matches(',');
+        let string = |s: &str| s.strip_prefix('"')?.strip_suffix('"').map(str::to_string);
+        if let Some(g) = t.strip_prefix("\"group\": ").and_then(string) {
+            group = g;
+        } else if let Some(n) = t.strip_prefix("\"name\": ").and_then(string) {
+            out.push((group.clone(), n, None));
+        } else if let (Some(v), Some(last)) = (t.strip_prefix("\"speedup\": "), out.last_mut()) {
+            last.2 = v.parse::<f64>().ok().filter(|v| v.is_finite() && *v > 0.0);
         }
     }
     out
 }
 
+/// The reference report's `target_features`, when it differs from this
+/// host's: the gate prints both before gating, since ratios are
+/// host-relative.
+pub fn feature_mismatch(old_json: &str) -> Option<String> {
+    let here = vbr_stats::simd::target_features();
+    let theirs = old_json
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("\"target_features\": \""))?
+        .trim_end_matches(',')
+        .trim_end_matches('"');
+    (theirs != here).then(|| {
+        format!(
+            "reference target features '{theirs}', this host '{here}': \
+             ratios may not carry over"
+        )
+    })
+}
+
 /// The CI bench regression gate: compares this run's entries against a
-/// checked-in report, group by group. Every `(group, name)` entry of
-/// the old report must appear in this run — silently dropping a
-/// benchmark must not pass the gate, and dropping one would otherwise
-/// shrink its group's sum. For every group whose entries are all
-/// present, the new summed `secs` over those entries must not exceed
-/// the old sum by more than `tolerance` (a factor, e.g.
-/// [`REGRESSION_TOLERANCE`] = 1.15 → 15% slowdown budget). New entries
-/// (absent from the old report) are allowed and not summed; they
-/// become gated once the report is regenerated.
+/// checked-in report, entry by entry. Every `(group, name)` entry of the
+/// old report must appear in this run with a speedup of at least its
+/// recorded speedup / `tolerance` (e.g. [`REGRESSION_TOLERANCE`] = 1.15).
+/// A reference entry the run does not produce fails, as does one whose
+/// recorded speedup does not parse — silently dropping a benchmark must
+/// not pass the gate. New entries (absent from the old report) are
+/// reported, not gated; they become gated once the report is
+/// regenerated.
 ///
-/// Returns the per-group comparison lines on success, or the failure
-/// lines (regressed groups / missing entries) on failure.
+/// Returns the per-entry comparison lines on success, or the failure
+/// lines on failure.
 pub fn check_against(
     old_json: &str,
     entries: &[PerfEntry],
     tolerance: f64,
 ) -> Result<Vec<String>, Vec<String>> {
-    use std::collections::BTreeMap;
-    let new: BTreeMap<(&str, &str), f64> =
-        entries.iter().map(|e| ((e.group.as_str(), e.name.as_str()), e.secs)).collect();
-    let old = parse_entry_secs(old_json);
+    let old = parse_entry_speedups(old_json);
     let mut report = Vec::new();
     let mut failures = Vec::new();
-    // Per group: (old sum, new sum, every entry present).
-    let mut sums: BTreeMap<&str, (f64, f64, bool)> = BTreeMap::new();
-    for (g, n, old_secs) in &old {
-        let sum = sums.entry(g.as_str()).or_insert((0.0, 0.0, true));
-        match new.get(&(g.as_str(), n.as_str())) {
-            None => {
-                failures.push(format!("entry '{g}/{n}' in baseline report but not in this run"));
-                sum.2 = false;
+    for (g, n, recorded) in &old {
+        let run = entries.iter().find(|e| &e.group == g && &e.name == n);
+        match (recorded, run) {
+            (None, _) => failures.push(format!(
+                "entry '{g}/{n}': reference speedup is missing or not a positive number"
+            )),
+            (_, None) => {
+                failures.push(format!("entry '{g}/{n}' in baseline report but not in this run"))
             }
-            Some(&new_secs) => {
-                sum.0 += old_secs;
-                sum.1 += new_secs;
+            (Some(rec), Some(e)) => {
+                let (got, floor) = (e.timing.speedup, rec / tolerance);
+                let line = format!(
+                    "entry '{g}/{n}': {got:.3}x vs recorded {rec:.3}x (floor {floor:.3}x)"
+                );
+                // A NaN speedup fails too.
+                if got >= floor {
+                    report.push(line);
+                } else {
+                    failures.push(format!("REGRESSION {line}"));
+                }
             }
         }
     }
-    for (g, &(old_sum, new_sum, complete)) in &sums {
-        if !complete {
-            continue;
-        }
-        let ratio = new_sum / old_sum;
-        let line = format!(
-            "group '{g}': {new_sum:.6}s vs baseline {old_sum:.6}s ({ratio:.3}x, budget {tolerance:.2}x)"
-        );
-        if new_sum > old_sum * tolerance {
-            failures.push(format!("REGRESSION {line}"));
-        } else {
-            report.push(line);
-        }
-    }
-    for &(g, n) in new.keys() {
-        if !old.iter().any(|(og, on, _)| og == g && on == n) {
-            report.push(format!("entry '{g}/{n}': new (no baseline, not gated)"));
+    for e in entries {
+        if !old.iter().any(|(g, n, _)| *g == e.group && *n == e.name) {
+            report.push(format!("entry '{}/{}': new (no baseline, not gated)", e.group, e.name));
         }
     }
     if failures.is_empty() {
@@ -437,25 +400,23 @@ fn json_f64(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
 
-    #[test]
-    fn time_median_returns_positive_seconds() {
-        let t = time_median(1, 3, || {
-            let v: f64 = (0..1000).map(|i| (i as f64).sqrt()).sum();
-            assert!(v > 0.0);
-        });
-        assert!(t > 0.0 && t < 1.0);
+    fn paired(speedup: f64) -> Paired {
+        Paired { baseline_secs: speedup, secs: 1.0, speedup, pairs: 5 }
     }
 
     #[test]
     fn json_report_shape() {
-        let mut r = PerfReport::new();
-        r.record("kernels", "fft", 0.5, (1, 3), "plain");
-        r.record_vs("estimators", "whittle", 1.0, 0.25, (2, 5), "note \"quoted\"");
+        let mut r = PerfReport::new(0.5);
+        r.record("kernels", "fft", paired(2.0), "plain");
+        r.record("estimators", "whittle", paired(4.0), "note \"quoted\"");
         let j = r.to_json(4, "rustc 1.99.0 (test)");
-        assert!(j.contains("\"schema\": \"vbr-bench/pipeline/v4\""));
+        assert!(j.contains("\"schema\": \"vbr-bench/pipeline/v5\""));
+        assert!(j.contains("\"host_cpu\": "));
         assert!(j.contains("\"simd_width\": "));
         assert!(j.contains("\"target_features\": "));
+        assert!(j.contains("\"timing_note\": ") && j.contains("about 0.5 s"));
         assert!(j.contains("\"regression_tolerance\": 1.15"));
         assert!(j.contains("\"metrics\": {"));
         assert!(j.contains("\"fft_plan_hit\":"));
@@ -464,13 +425,19 @@ mod tests {
         assert!(j.contains("\"host_threads\": 4"));
         assert!(j.contains("\"rustc\": \"rustc 1.99.0 (test)\""));
         assert!(j.contains("\"speedup\": 4.000000000"));
-        assert!(j.contains("\"warmup\": 2"));
-        assert!(j.contains("\"reps\": 5"));
+        assert!(j.contains("\"pairs\": 5"));
         assert!(j.contains("\\\"quoted\\\""));
-        assert!(j.contains("\"baseline_secs\": null"));
         // Balanced braces/brackets — parseable shape.
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
+        assert_eq!(feature_mismatch(&j), None, "a report matches its own host");
+        let here = vbr_stats::simd::target_features();
+        let other = j.replace(
+            &format!("\"target_features\": \"{here}\""),
+            "\"target_features\": \"other-host\"",
+        );
+        let note = feature_mismatch(&other).expect("differing features are reported");
+        assert!(note.contains("'other-host'") && note.contains(&format!("'{here}'")), "{note}");
     }
 
     #[test]
@@ -478,106 +445,71 @@ mod tests {
         assert!(!rustc_version().is_empty());
     }
 
+    /// The paired timer warms each arm once, then alternates which arm
+    /// leads each pair; it never runs one arm twice in a row inside a
+    /// pair.
     #[test]
-    fn speedup_math() {
-        let e = PerfEntry {
-            group: "g".into(),
-            name: "n".into(),
-            secs: 0.5,
-            baseline_secs: Some(2.0),
-            warmup: 1,
-            reps: 3,
-            note: String::new(),
-            metrics: Vec::new(),
-        };
-        assert_eq!(e.speedup(), Some(4.0));
+    fn paired_timer_alternates_arm_order() {
+        let log = RefCell::new(String::new());
+        let t = time_paired(0.0, || log.borrow_mut().push('b'), || log.borrow_mut().push('n'));
+        assert_eq!(t.pairs, PAIRS.0, "a zero budget runs the fewest pairs");
+        // Warm calls, then pairs bn, nb, bn, nb, ...
+        let pairs: String = (0..PAIRS.0).map(|p| if p % 2 == 0 { "bn" } else { "nb" }).collect();
+        assert_eq!(log.into_inner(), format!("bn{pairs}"));
     }
 
-    /// Round-trips a report through `to_json` → `parse_entry_secs` and
-    /// exercises the gate: pass within tolerance, fail beyond it, fail
-    /// on a dropped group or entry, ignore brand-new entries.
+    /// Round-trips a report through `to_json` → `parse_entry_speedups`
+    /// and exercises the gate: pass within tolerance, fail (naming the
+    /// entry) below recorded / tolerance, fail on a missing entry, fail
+    /// on an unparseable reference speedup, report new entries as not
+    /// gated.
     #[test]
     fn check_against_gate() {
-        let mut old = PerfReport::new();
-        old.record("kernels", "a", 1.0, (1, 3), "");
-        old.record("kernels", "b", 1.0, (1, 3), "");
-        old.record_vs("streaming", "s", 4.0, 2.0, (1, 3), "baseline_secs must not be summed");
+        let mut old = PerfReport::new(0.5);
+        old.record("kernels", "a", paired(2.0), "");
+        old.record("kernels", "b", paired(1.0), "");
+        old.record("streaming", "s", paired(4.0), "");
         let old_json = old.to_json(4, "rustc test");
+        let parsed = parse_entry_speedups(&old_json);
+        assert_eq!(parsed.len(), 3, "one (group, name, speedup) per entry: {parsed:?}");
+        assert!(parsed.contains(&("streaming".to_string(), "s".to_string(), Some(4.0))));
 
-        let parsed = parse_entry_secs(&old_json);
-        assert_eq!(parsed.len(), 3, "one (group, name, secs) per entry: {parsed:?}");
-        assert!(parsed.contains(&("streaming".to_string(), "s".to_string(), 2.0)));
+        let run = |speedups: &[(&str, &str, f64)]| {
+            let mut r = PerfReport::new(0.5);
+            for &(g, n, s) in speedups {
+                r.record(g, n, paired(s), "");
+            }
+            r
+        };
+        let gate = |r: &PerfReport| check_against(&old_json, r.entries(), REGRESSION_TOLERANCE);
 
-        // Same groups, slightly faster → pass, with one line per group.
-        let mut ok = PerfReport::new();
-        ok.record("kernels", "a", 0.9, (1, 3), "");
-        ok.record("kernels", "b", 1.0, (1, 3), "");
-        ok.record("streaming", "s", 2.1, (1, 3), "");
-        ok.record("brand_new", "x", 99.0, (1, 3), "");
-        let lines = check_against(&old_json, ok.entries(), REGRESSION_TOLERANCE).unwrap();
-        assert_eq!(lines.len(), 3);
-        assert!(lines.iter().any(|l| l.contains("brand_new") && l.contains("not gated")));
+        // Within tolerance (one entry 10% slower), plus a brand-new
+        // entry: pass, with one line per entry.
+        let ok = run(&[("kernels", "a", 1.82), ("kernels", "b", 1.0), ("streaming", "s", 5.0),
+            ("brand_new", "x", 0.01)]);
+        let lines = gate(&ok).unwrap();
+        assert_eq!(lines.len(), 4, "{lines:?}");
+        assert!(lines.iter().any(|l| l.contains("brand_new/x") && l.contains("not gated")));
 
-        // kernels regresses past 15% → fail and name the group.
-        let mut slow = PerfReport::new();
-        slow.record("kernels", "a", 1.5, (1, 3), "");
-        slow.record("kernels", "b", 1.0, (1, 3), "");
-        slow.record("streaming", "s", 2.0, (1, 3), "");
-        let fails = check_against(&old_json, slow.entries(), REGRESSION_TOLERANCE).unwrap_err();
-        assert_eq!(fails.len(), 1);
-        assert!(fails[0].contains("REGRESSION") && fails[0].contains("kernels"));
+        // One entry below recorded / 1.15: fail, naming only that entry.
+        let slow = run(&[("kernels", "a", 2.0), ("kernels", "b", 0.85), ("streaming", "s", 4.0)]);
+        let fails = gate(&slow).unwrap_err();
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        assert!(fails[0].contains("REGRESSION") && fails[0].contains("kernels/b"));
 
-        // Dropping a benchmarked group entirely must not pass the gate.
-        let mut dropped = PerfReport::new();
-        dropped.record("kernels", "a", 0.1, (1, 3), "");
-        dropped.record("kernels", "b", 0.1, (1, 3), "");
-        let fails = check_against(&old_json, dropped.entries(), REGRESSION_TOLERANCE).unwrap_err();
-        assert!(fails.iter().any(|l| l.contains("streaming") && l.contains("not in this run")));
-
-        // Dropping one entry of a group must not pass either, even
-        // though the group's remaining sum is well inside the budget.
-        let mut one_gone = PerfReport::new();
-        one_gone.record("kernels", "a", 1.0, (1, 3), "");
-        one_gone.record("streaming", "s", 2.0, (1, 3), "");
-        let fails = check_against(&old_json, one_gone.entries(), REGRESSION_TOLERANCE).unwrap_err();
+        // A reference entry the run does not produce fails, even when
+        // everything else is faster.
+        let gone = run(&[("kernels", "a", 9.0), ("streaming", "s", 9.0)]);
+        let fails = gate(&gone).unwrap_err();
         assert_eq!(fails.len(), 1, "{fails:?}");
         assert!(fails[0].contains("kernels/b") && fails[0].contains("not in this run"));
 
-        // A new entry in a gated group is reported, not summed.
-        let mut extra = PerfReport::new();
-        extra.record("kernels", "a", 1.0, (1, 3), "");
-        extra.record("kernels", "b", 1.0, (1, 3), "");
-        extra.record("kernels", "c", 50.0, (1, 3), "");
-        extra.record("streaming", "s", 2.0, (1, 3), "");
-        let lines = check_against(&old_json, extra.entries(), REGRESSION_TOLERANCE).unwrap();
-        assert!(lines.iter().any(|l| l.contains("kernels/c") && l.contains("not gated")));
-    }
-
-    /// `merge_min` keeps the fastest observation per `(group, name)` on
-    /// both sides of a comparison, and appends entries it has not seen.
-    #[test]
-    fn merge_min_keeps_fastest() {
-        let mut a = PerfReport::new();
-        a.record_vs("kernels", "fft", 2.0, 1.0, (1, 3), "");
-        a.record("streaming", "gen", 5.0, (1, 3), "");
-
-        let mut b = PerfReport::new();
-        b.record_vs("kernels", "fft", 1.8, 1.2, (1, 3), "");
-        b.record("streaming", "gen", 4.0, (1, 3), "");
-        b.record("brand_new", "x", 9.0, (1, 3), "");
-
-        a.merge_min(&b);
-        let fft = &a.entries()[0];
-        assert_eq!(fft.secs, 1.0, "kept the faster measured side");
-        assert_eq!(fft.baseline_secs, Some(1.8), "kept the faster baseline side");
-        assert_eq!(a.entries()[1].secs, 4.0);
-        assert_eq!(a.entries()[2].name, "x", "unseen entry appended");
-
-        // Merging is idempotent at the floor: a third, slower run
-        // changes nothing.
-        let mut c = PerfReport::new();
-        c.record_vs("kernels", "fft", 3.0, 2.0, (1, 3), "");
-        a.merge_min(&c);
-        assert_eq!(a.entries()[0].secs, 1.0);
+        // A reference speedup written as null (a non-finite ratio)
+        // fails the gate and names the entry instead of ungating it.
+        let null_json = old_json.replacen("\"speedup\": 1.000000000", "\"speedup\": null", 1);
+        assert_ne!(null_json, old_json);
+        let fails = check_against(&null_json, ok.entries(), REGRESSION_TOLERANCE).unwrap_err();
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        assert!(fails[0].contains("kernels/b") && fails[0].contains("not a positive number"));
     }
 }
