@@ -14,9 +14,9 @@
 //!   report to `BENCH_pipeline.json` (override with `--out <path>`).
 //! - **`--test`**: CI smoke mode — small workloads and the fewest pairs,
 //!   no report file unless `--out` is given. The Q-C search, grouped mux
-//!   pass, batch fGn and fleet entries assert before timing that their
-//!   new arm's output bits equal the baseline's, so a divergence panics
-//!   and exits nonzero.
+//!   pass, solo-stream worker, batch fGn and fleet entries assert before
+//!   timing that their new arm's output bits equal the baseline's, so a
+//!   divergence panics and exits nonzero.
 //!
 //! `--check-against <report.json>` compares each entry's speedup with the
 //! one recorded in the reference and exits nonzero on any reference
@@ -1360,6 +1360,48 @@ fn bench_streaming(sizes: &Sizes, report: &mut PerfReport) {
         &format!(
             "one-shot generate -> transform -> queue, n={n}, fresh (H, n) per call; stream \
              peak live state is one {block}-sample block + one {chunk}-sample chunk"
+        ),
+    );
+
+    // One solo stream through the marginal map and the queue at one vs
+    // two pool workers: at two, the background worker synthesises each
+    // next window while the calling thread maps and queues the current
+    // one. Same draws, so the same queue state.
+    let solo = |threads: usize| -> (u64, f64) {
+        with_threads(threads, || {
+            let mut src = FgnStream::new(0.8, 1.0, block, 42);
+            let mut buf = vec![0.0f64; chunk];
+            let mut q = FluidQueue::new(1e6, 27_791.0 / dt * 1.2);
+            let mut digest = TraceDigest::new();
+            for _ in 0..n / chunk {
+                xform.map_block_from(&mut src, &mut buf);
+                q.step_block(&buf, dt);
+                digest.update(&buf);
+            }
+            (digest.value(), q.loss_rate())
+        })
+    };
+    let want = solo(1);
+    assert_eq!(solo(2).0, want.0, "two-worker solo stream diverged from one worker");
+    let t = time_paired(
+        sizes.budget,
+        || {
+            std::hint::black_box(solo(1));
+        },
+        || {
+            std::hint::black_box(solo(2));
+        },
+    );
+    report.record(
+        "streaming",
+        "solo_stream_one_vs_two_workers",
+        t,
+        &format!(
+            "{n} samples of one FgnStream (H 0.8, {block}-sample blocks, {}-point \
+             windows) -> Gamma/Pareto map -> queue in {chunk}-sample chunks; baseline at \
+             1 pool worker, new at 2, where the next window is synthesised on the \
+             background worker; traffic bits verified equal first",
+            2 * block
         ),
     );
 }

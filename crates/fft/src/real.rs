@@ -14,10 +14,12 @@
 //!   signal's spectrum is Hermitian (`X[n−k] = conj(X[k])`), only the
 //!   half-spectrum `X[0..=n/2]` is ever materialised — which also halves
 //!   the workspace. The synthesis direction
-//!   ([`RealFftPlan::synthesize_hermitian`]) is the single hottest
-//!   operation of the Davies–Harte streaming pipeline: every circulant
-//!   window is the forward FFT of a Hermitian vector, and the plan turns
-//!   that into a half-length complex FFT over the half-spectrum alone.
+//!   ([`RealFftPlan::synthesize_hermitian`], or
+//!   [`RealFftPlan::synthesize_hermitian_packed`] for bins computed on
+//!   the fly) is the single hottest operation of the Davies–Harte
+//!   streaming pipeline: every circulant window is the forward FFT of a
+//!   Hermitian vector, and the plan turns that into a half-length
+//!   complex FFT over the half-spectrum alone.
 
 use crate::bluestein::fft_any_in_place;
 use crate::complex::Complex;
@@ -210,6 +212,8 @@ impl RealFftPlan {
     /// symmetry). `out` receives the `n` real samples; `scratch` is the
     /// length-`n/2` complex workspace. This is the Davies–Harte synthesis
     /// kernel: one half-length complex FFT instead of a full-length one.
+    /// It is [`synthesize_hermitian_packed`](Self::synthesize_hermitian_packed)
+    /// over the stored bins, unpacked into `out`.
     pub fn synthesize_hermitian(
         &self,
         half: &[Complex],
@@ -217,6 +221,30 @@ impl RealFftPlan {
         scratch: &mut Vec<Complex>,
     ) {
         self.synthesize_impl::<false>(half, out, scratch);
+    }
+
+    /// [`synthesize_hermitian`](Self::synthesize_hermitian) with the
+    /// half-spectrum given bin by bin instead of stored: `dc` and
+    /// `nyquist` are the real bins `W[0]` and `W[n/2]`, and `bin(k)` is
+    /// `W[k]` for `0 < k < n/2` (called twice per bin, so it must be a
+    /// pure function of `k`). The bins fold straight into `buf` (length
+    /// `n/2`), which is transformed in place and ends holding the `n`
+    /// real samples in pairs: `x[2t] = buf[t].re`, `x[2t+1] = buf[t].im`.
+    ///
+    /// A caller that scales its bins on the fly thus needs this one
+    /// buffer and nothing else: no stored half-spectrum and no separate
+    /// output. Allocates nothing, so it may run on a pool worker that
+    /// must not touch the allocator. Bit-identical to
+    /// `synthesize_hermitian` over the same bins.
+    pub fn synthesize_hermitian_packed(
+        &self,
+        dc: f64,
+        nyquist: f64,
+        bin: impl Fn(usize) -> Complex,
+        buf: &mut [Complex],
+    ) {
+        self.fold_hermitian::<false>(dc, nyquist, bin, buf);
+        self.half_plan.forward(buf);
     }
 
     /// Normalised inverse DFT of a Hermitian half-spectrum: the real
@@ -229,7 +257,7 @@ impl RealFftPlan {
         }
     }
 
-    /// Shared synthesis core. `CONJ` conjugates the half-spectrum on the
+    /// Synthesis over a stored half-spectrum. `CONJ` conjugates it on the
     /// fly (the inverse transform of `W` is `1/n` times the forward
     /// transform of `conj(W)` when the result is real).
     fn synthesize_impl<const CONJ: bool>(
@@ -248,30 +276,7 @@ impl RealFftPlan {
             scratch.clear();
             scratch.resize(h, Complex::ZERO);
         }
-        // Fold W[k] and W[k+h] = conj(W[h−k]) (k ≥ 1; W[h] at k = 0) into
-        // C[k] = A[k] + i·B[k] with A[k] = W[k] + W[k+h] and
-        // B[k] = (W[k] − W[k+h])·ω^k. The even/odd output interleave
-        // x[2t] = Re FFT(C)[t], x[2t+1] = Im FFT(C)[t] then needs only a
-        // half-length transform.
-        let dc = Complex::from_re(half[0].re);
-        let nyq = Complex::from_re(half[h].re);
-        {
-            let a = dc + nyq;
-            let b = dc - nyq;
-            scratch[0] = Complex::new(a.re - b.im, a.im + b.re);
-        }
-        for k in 1..h {
-            let (wk, wkh) = if CONJ {
-                (half[k].conj(), half[h - k])
-            } else {
-                (half[k], half[h - k].conj())
-            };
-            let a = wk + wkh;
-            let d = wk - wkh;
-            let b_re = d.re * self.tw_re[k] - d.im * self.tw_im[k];
-            let b_im = d.re * self.tw_im[k] + d.im * self.tw_re[k];
-            scratch[k] = Complex::new(a.re - b_im, a.im + b_re);
-        }
+        self.fold_hermitian::<CONJ>(half[0].re, half[h].re, |k| half[k], scratch);
         self.half_plan.forward(scratch);
         if out.len() != n {
             out.clear();
@@ -280,6 +285,46 @@ impl RealFftPlan {
         for (t, z) in scratch.iter().enumerate() {
             out[2 * t] = z.re;
             out[2 * t + 1] = z.im;
+        }
+    }
+
+    /// The one synthesis fold: writes into `buf` (length `n/2`) the
+    /// vector whose half-length forward FFT carries the real transform
+    /// of the Hermitian spectrum with real bins `dc`, `nyquist` and
+    /// interior bins `bin(k)` (conjugated when `CONJ`).
+    #[inline(always)]
+    fn fold_hermitian<const CONJ: bool>(
+        &self,
+        dc: f64,
+        nyquist: f64,
+        bin: impl Fn(usize) -> Complex,
+        buf: &mut [Complex],
+    ) {
+        let h = self.n / 2;
+        assert_eq!(buf.len(), h, "plan needs a {h}-bin buffer, got {}", buf.len());
+        // Fold W[k] and W[k+h] = conj(W[h−k]) (k ≥ 1; W[h] at k = 0) into
+        // C[k] = A[k] + i·B[k] with A[k] = W[k] + W[k+h] and
+        // B[k] = (W[k] − W[k+h])·ω^k. The even/odd output interleave
+        // x[2t] = Re FFT(C)[t], x[2t+1] = Im FFT(C)[t] then needs only a
+        // half-length transform.
+        let dc = Complex::from_re(dc);
+        let nyq = Complex::from_re(nyquist);
+        {
+            let a = dc + nyq;
+            let b = dc - nyq;
+            buf[0] = Complex::new(a.re - b.im, a.im + b.re);
+        }
+        for (k, c) in buf.iter_mut().enumerate().skip(1) {
+            let (wk, wkh) = if CONJ {
+                (bin(k).conj(), bin(h - k))
+            } else {
+                (bin(k), bin(h - k).conj())
+            };
+            let a = wk + wkh;
+            let d = wk - wkh;
+            let b_re = d.re * self.tw_re[k] - d.im * self.tw_im[k];
+            let b_im = d.re * self.tw_im[k] + d.im * self.tw_re[k];
+            *c = Complex::new(a.re - b_im, a.im + b_re);
         }
     }
 }
@@ -407,6 +452,24 @@ mod tests {
                 assert!(full[t].im.abs() <= 1e-12 * scale, "n={n} t={t}: complex FFT not real");
                 assert!((out[t] - full[t].re).abs() <= 1e-12 * scale, "n={n} t={t}");
             }
+        }
+    }
+
+    #[test]
+    fn packed_synthesis_matches_stored_bins_bitwise() {
+        for &n in &[2usize, 4, 16, 256] {
+            let h = n / 2;
+            let half: Vec<Complex> = (0..=h)
+                .map(|k| Complex::new((k as f64 * 0.71).sin(), (k as f64 * 0.29).cos()))
+                .collect();
+            let plan = RealFftPlan::new(n);
+            let (mut want, mut scratch) = (Vec::new(), Vec::new());
+            plan.synthesize_hermitian(&half, &mut want, &mut scratch);
+            let mut buf = vec![Complex::ZERO; h];
+            plan.synthesize_hermitian_packed(half[0].re, half[h].re, |k| half[k], &mut buf);
+            let got: Vec<u64> = buf.iter().flat_map(|z| [z.re.to_bits(), z.im.to_bits()]).collect();
+            let want: Vec<u64> = want.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "n={n}");
         }
     }
 

@@ -157,21 +157,19 @@ impl DaviesHarte {
 }
 
 /// Draws a Gaussian vector whose circulant covariance has eigenvalues
-/// `lambda`, returning the first `n` points scaled by `sd`.
-fn synthesise_from_spectrum(
+/// `lambda`, returning the first `n ≤ m/2 + 1` points scaled by `sd`
+/// (the exact part of one circulant realisation; see [`SynthScratch`]).
+pub(crate) fn synthesise_from_spectrum(
     lambda: &[f64],
     n: usize,
     sd: f64,
     rng: &mut Xoshiro256,
 ) -> Vec<f64> {
-    let mut scratch = SynthScratch::new();
-    let mut out = Vec::new();
-    synthesise_real_into(lambda, rng, &mut scratch, &mut out);
-    out.truncate(n);
-    for x in &mut out {
-        *x *= sd;
-    }
-    out
+    let m = lambda.len();
+    let mut scratch = SynthScratch::default();
+    scratch.draw(m, rng);
+    scratch.transform(&SpectrumScales::new(lambda), &real_plan_for(m));
+    (0..n).map(|t| scratch.sample(t) * sd).collect()
 }
 
 /// Precomputed per-bin amplitudes of the circulant half-spectrum draw:
@@ -211,92 +209,86 @@ impl SpectrumScales {
     }
 }
 
-/// Reusable workspace of the real synthesis core: the Hermitian
-/// half-spectrum (`m/2 + 1` complex bins) and the half-length complex
-/// FFT scratch. Streaming and batch callers keep one of these per
-/// stream (or one per *batch* — the whole point of the shared-scratch
-/// batch engine), so steady-state generation allocates nothing.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SynthScratch {
-    /// Half-spectrum `W[0..=m/2]` of the circulant draw.
-    half: Vec<Complex>,
-    /// Length-`m/2` workspace of [`vbr_fft::RealFftPlan`].
-    fft: Vec<Complex>,
-    /// Batch normal-draw scratch (`m` values per window).
-    gauss: Vec<f64>,
-}
-
-impl SynthScratch {
-    pub(crate) fn new() -> Self {
-        SynthScratch::default()
-    }
-}
-
-/// Zero-allocation synthesis core: fills `out` (resized in place to the
-/// circulant length `m = lambda.len()`) with one real Gaussian
-/// realisation of the circulant process, at unit scale (the caller
-/// applies `sd`). `out[t]` for `t < m/2 + 1` is an exact sample of the
-/// target stationary process.
+/// Workspace of one circulant window of the real synthesis core, in
+/// two steps: [`draw`](Self::draw) takes the window's normals from the
+/// RNG, [`transform`](Self::transform) turns them into the window.
+/// Neither step touches anything but this workspace, the RNG it is
+/// given, the amplitudes and the plan, so a stream can transform its
+/// next window on another thread while it consumes the current one.
 ///
 /// RNG draw order (DC, Nyquist, then conjugate pairs `k = 1..m/2`) is a
 /// compatibility contract: the block-streaming generator relies on it to
 /// stay bit-identical to the batch path on shared-seed prefixes. The
-/// `m` normals are drawn through the batch quantile kernel
-/// ([`Xoshiro256::fill_standard_normal`]) into the reused `gauss`
-/// scratch — one u64 per variate in the contract order, so the sequence
-/// is bit-identical to per-sample draws.
+/// `m` normals are the batch quantile kernel over the `m` uniforms
+/// ([`Xoshiro256::fill_standard_normal`] split in its two halves): one
+/// u64 per variate in the contract order, so the sequence is
+/// bit-identical to per-sample draws.
 ///
-/// Only the half-spectrum `W[0..=m/2]` is ever materialised — the upper
-/// half is its conjugate mirror by construction — and the forward FFT of
-/// the Hermitian whole runs as **one** `m/2`-point complex transform
-/// through [`vbr_fft::RealFftPlan::synthesize_hermitian`]. That halves
-/// both the transform work and the complex workspace of the previous
-/// full-`m` complex path on the hottest loop of the pipeline.
-pub(crate) fn synthesise_real_into(
-    lambda: &[f64],
-    rng: &mut Xoshiro256,
-    scratch: &mut SynthScratch,
-    out: &mut Vec<f64>,
-) {
-    let m = lambda.len();
-    let scales = SpectrumScales::new(lambda);
-    synthesise_real_with(&scales, &real_plan_for(m), rng, scratch, out);
+/// Only one complex buffer is ever materialised: the scaled
+/// half-spectrum `W[0..=m/2]` (the upper half is its conjugate mirror by
+/// construction) folds straight into the `m/2`-point buffer of
+/// [`vbr_fft::RealFftPlan::synthesize_hermitian_packed`], which is
+/// transformed in place and read out as the window. A window thus holds
+/// `m` f64 draws plus `m/2` complex values, allocated once and reused.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SynthScratch {
+    /// The window's `m` standard normals.
+    gauss: Vec<f64>,
+    /// Length-`m/2` FFT buffer; after `transform`, sample `2t` of the
+    /// window is `fft[t].re` and sample `2t + 1` is `fft[t].im`.
+    fft: Vec<Complex>,
 }
 
-/// Hot-loop variant of [`synthesise_real_into`]: the caller holds the
-/// amplitude table and the FFT plan across windows, so a refill does no
-/// plan-cache lookup (a mutex acquisition), no eigenvalue arithmetic and
-/// no allocation. Output is bit-identical to [`synthesise_real_into`].
-pub(crate) fn synthesise_real_with(
-    scales: &SpectrumScales,
-    plan: &RealFftPlan,
-    rng: &mut Xoshiro256,
-    scratch: &mut SynthScratch,
-    out: &mut Vec<f64>,
-) {
-    let m = scales.m;
-    let half = m / 2;
-    // Synthesise W with E|W_k|² = λ_k/m and (implicit) Hermitian
-    // symmetry so that the FFT comes out real with the target covariance.
-    // Scratch is resized only when the geometry changes; in steady state
-    // every element is overwritten below, so no clear/re-zero pass runs.
-    if scratch.half.len() != half + 1 {
-        scratch.half.clear();
-        scratch.half.resize(half + 1, Complex::ZERO);
+impl SynthScratch {
+    /// Sizes both buffers for circulant length `m`; after this,
+    /// [`draw`](Self::draw) and [`transform`](Self::transform) at the
+    /// same `m` allocate nothing.
+    pub(crate) fn size(&mut self, m: usize) {
+        if self.gauss.len() != m {
+            self.gauss.clear();
+            self.gauss.resize(m, 0.0);
+            self.fft.clear();
+            self.fft.resize(m / 2, Complex::ZERO);
+        }
     }
-    if scratch.gauss.len() != m {
-        scratch.gauss.clear();
-        scratch.gauss.resize(m, 0.0);
+
+    /// Draws the `m` standard normals of the next window from `rng`:
+    /// uniforms in contract order, then their normal quantiles.
+    pub(crate) fn draw(&mut self, m: usize, rng: &mut Xoshiro256) {
+        self.size(m);
+        rng.fill_open01(&mut self.gauss);
+        vbr_stats::special::norm_quantile_slice(&mut self.gauss);
     }
-    rng.fill_standard_normal(&mut scratch.gauss);
-    let gauss = &scratch.gauss;
-    scratch.half[0] = Complex::from_re(scales.s0 * gauss[0]);
-    scratch.half[half] = Complex::from_re(scales.sh * gauss[1]);
-    for k in 1..half {
-        let scale = scales.sk[k - 1];
-        scratch.half[k] = Complex::new(scale * gauss[2 * k], scale * gauss[2 * k + 1]);
+
+    /// Synthesises the drawn window at unit scale (the caller applies
+    /// `sd`): per-bin amplitudes (`E|W_k|² = λ_k/m`, implicitly Hermitian
+    /// so the FFT comes out real with the target covariance) and one
+    /// half-length FFT. Samples `t < m/2 + 1` are an exact sample of the
+    /// target stationary process. Allocates nothing.
+    pub(crate) fn transform(&mut self, scales: &SpectrumScales, plan: &RealFftPlan) {
+        debug_assert_eq!(self.gauss.len(), scales.m);
+        let g = &self.gauss;
+        plan.synthesize_hermitian_packed(
+            scales.s0 * g[0],
+            scales.sh * g[1],
+            |k| {
+                let scale = scales.sk[k - 1];
+                Complex::new(scale * g[2 * k], scale * g[2 * k + 1])
+            },
+            &mut self.fft,
+        );
     }
-    plan.synthesize_hermitian(&scratch.half, out, &mut scratch.fft);
+
+    /// Sample `t` of the transformed window.
+    #[inline(always)]
+    pub(crate) fn sample(&self, t: usize) -> f64 {
+        let z = &self.fft[t / 2];
+        if t.is_multiple_of(2) {
+            z.re
+        } else {
+            z.im
+        }
+    }
 }
 
 /// Reusable workspace of the lane-parallel synthesis core: the
@@ -333,7 +325,7 @@ impl LaneSynthScratch {
 /// at `out[t*l + v]`.
 ///
 /// Per lane this evaluates exactly the expressions of
-/// [`synthesise_real_with`] — the same precomputed amplitudes against
+/// [`SynthScratch::transform`] — the same precomputed amplitudes against
 /// the same draws, then the lane FFT whose per-lane bit-identity is
 /// proven in `vbr-fft` — so window `v`'s samples are bit-identical to a
 /// scalar synthesis from the same draws. That equivalence is what lets

@@ -11,7 +11,7 @@
 //!
 //! There is one engine, [`BatchStream`]: `S` independent sources of one
 //! [`Family`] driven by ONE circulant spectrum, one real-FFT plan and
-//! one synthesis scratch. A solo stream ([`CirculantStream`], alias
+//! one synthesis workspace. A solo stream ([`CirculantStream`], alias
 //! [`FgnStream`]) is that engine holding one source.
 //!
 //! ## Exactness contract
@@ -59,6 +59,20 @@
 //! geometry and any interleaving of `next_block` calls across sources.
 //! Proptests in `crates/fgn/tests/proptests.rs` pin this.
 //!
+//! ## Look-ahead on the background worker
+//!
+//! When the pool has an idle worker for the window size, a scalar
+//! refill draws the source's *next* window's normals from a copy of the
+//! source's RNG and posts the window to the `vbr_stats::par` background
+//! worker ([`Lookahead`]), which transforms it while the caller consumes
+//! the window just installed. The next refill takes it back — run by
+//! the worker, or run there and then if the worker had not started it.
+//! The source's own RNG always holds the state a serial refill would
+//! have left, so exports, restores and snapshots cannot tell the
+//! look-ahead ran; a restore or another source's refill just drops the
+//! window in flight. Lane cohorts never take a source with a window in
+//! flight.
+//!
 //! ```
 //! use vbr_fgn::{BatchStream, Family, FgnStream};
 //! let mut batch = BatchStream::try_new(Family::Fgn, 0.8, 1.0, 64, None, &[1, 2, 3]).unwrap();
@@ -72,14 +86,15 @@
 
 use crate::cache::{farima_circulant_spectrum_cached, fgn_circulant_spectrum_cached};
 use crate::davies_harte::{
-    synthesise_real_into, synthesise_real_lanes_into, synthesise_real_with, LaneSynthScratch,
-    SpectrumScales, SynthScratch,
+    synthesise_from_spectrum, synthesise_real_lanes_into, LaneSynthScratch, SpectrumScales,
+    SynthScratch,
 };
 use crate::error::FgnError;
 use std::sync::Arc;
 use vbr_fft::{next_pow2, real_plan_for, RealFftPlan, LANES};
 use vbr_stats::error::NumericError;
 use vbr_stats::obs::{self, Counter};
+use vbr_stats::par::Lookahead;
 use vbr_stats::rng::Xoshiro256;
 use vbr_stats::snapshot::{Payload, Section, SnapshotError};
 
@@ -233,6 +248,11 @@ impl SourceState {
                 return Err(SnapshotError::Invalid { what: "window present before first refill" });
             }
         }
+        if st.started && (st.cur.len() != block || st.tail.len() != overlap) {
+            // Every installed window leaves a full window and a full seam
+            // tail; the next refill's cross-fade reads all `overlap` of it.
+            return Err(SnapshotError::Invalid { what: "started stream without a full window and tail" });
+        }
         if st.cur.iter().chain(st.tail.iter()).any(|v| !v.is_finite()) {
             return Err(SnapshotError::Invalid { what: "non-finite sample in stream state" });
         }
@@ -247,28 +267,22 @@ impl SourceState {
         Ok(())
     }
 
-    /// Installs a freshly synthesised window at unit scale, read from
-    /// `win[t*stride + lane]` (stride 1, lane 0 for a scalar window; the
-    /// cohort width and the source's lane for a lane-interleaved one):
-    /// scales it by `sd`, cross-fades the seam against the previous tail
-    /// and keeps the window's unused exact tail for the next seam.
-    /// Always inlined, so the scalar caller's stride 1 folds into a
-    /// contiguous copy.
+    /// Installs a freshly synthesised window whose unit-scale sample `t`
+    /// is `sample(t)` (a scalar window's packed FFT buffer, or the
+    /// source's lane of a lane-interleaved one): scales it by `sd`,
+    /// cross-fades the seam against the previous tail and keeps the
+    /// window's unused exact tail for the next seam. Always inlined, so
+    /// each caller's sample read folds into the copy loops.
     #[inline(always)]
     fn install_window(
         &mut self,
-        win: &[f64],
-        stride: usize,
-        lane: usize,
+        sample: impl Fn(usize) -> f64,
         sd: f64,
         block: usize,
         overlap: usize,
     ) {
         let (b, l) = (block, overlap);
-        // Sample `t` is lane `lane` of the `t`-th `stride`-wide chunk.
-        let samples = |from: usize, n: usize| {
-            win[from * stride..].chunks_exact(stride).take(n).map(move |c| c[lane] * sd)
-        };
+        let samples = |from: usize, n: usize| (from..from + n).map(|t| sample(t) * sd);
         self.pos = 0;
         self.cur.clear();
         self.cur.extend(samples(0, b));
@@ -318,9 +332,10 @@ impl SharedSpectrum {
 /// one shared spectrum; see the [module docs](self) for the exactness,
 /// memory and bit-identity contracts.
 ///
-/// All buffers (the synthesis scratch, the per-worker lane workspaces,
-/// every source's window and tail) are allocated once and reused every
-/// window, so steady-state generation allocates nothing.
+/// All buffers (the synthesis workspace, which travels with a window in
+/// flight, the per-worker lane workspaces, every source's window and
+/// tail) are allocated once and reused every window, so steady-state
+/// generation allocates nothing.
 #[derive(Debug, Clone)]
 pub struct BatchStream {
     sd: f64,
@@ -329,11 +344,12 @@ pub struct BatchStream {
     /// `None` is the degenerate `block == 1` white-noise path.
     spectrum: Option<SharedSpectrum>,
     sources: Vec<SourceState>,
-    /// One synthesis workspace for the whole batch — fully overwritten
-    /// by every refill, so sharing it cannot couple sources.
+    /// Synthesis workspace of the scalar refill: one window. While a
+    /// window is in flight (`ahead`), the workspace travels with it.
     synth: SynthScratch,
-    /// The `m` real samples of the freshly synthesised window.
-    win: Vec<f64>,
+    /// The next window of one source, synthesised ahead on the pool's
+    /// background worker (see [`refill_source`](Self::refill_source)).
+    ahead: WindowAhead,
     /// One lane-refill workspace per pool worker of
     /// [`advance_rows`](Self::advance_rows). Grows to the widest pool
     /// that has refilled this batch and is reused after that; stays
@@ -342,6 +358,42 @@ pub struct BatchStream {
     /// `advance_rows`'s `(source, row)` list of sources due a whole
     /// window, kept across calls so a slot allocates nothing.
     due: Vec<(usize, usize)>,
+}
+
+/// One source's next window, drawn and in flight through a
+/// [`vbr_stats::par::Lookahead`] slot: everything its transform reads,
+/// so the job runs on whichever thread gets to it.
+#[derive(Debug)]
+struct AheadJob {
+    synth: SynthScratch,
+    /// The source's RNG state right after the window's draws (what a
+    /// serial refill of it would leave).
+    rng: Xoshiro256,
+    scales: Arc<SpectrumScales>,
+    plan: Arc<RealFftPlan>,
+}
+
+impl AheadJob {
+    /// Transforms the drawn window; allocates nothing.
+    fn transform(&mut self) {
+        self.synth.transform(&self.scales, &self.plan);
+    }
+}
+
+/// The window in flight and the source it belongs to; the slot is made
+/// on first use, so streams that never look ahead do not carry one. A
+/// clone starts without a window in flight: its source's RNG already
+/// holds the serial state, so the clone's draws are the same either way.
+#[derive(Debug, Default)]
+struct WindowAhead {
+    slot: Option<Lookahead<AheadJob>>,
+    owner: Option<usize>,
+}
+
+impl Clone for WindowAhead {
+    fn clone(&self) -> Self {
+        WindowAhead::default()
+    }
 }
 
 /// One pool worker's lane-parallel refill workspace: normal draws,
@@ -386,7 +438,7 @@ impl LaneWorker {
         vbr_stats::special::norm_quantile_slice(gauss);
         synthesise_real_lanes_into(&sp.scales, &sp.plan, k, &mut self.scratch, &mut self.buf);
         for (v, &s) in cohort.iter().enumerate() {
-            sources[s].install_window(&self.buf, k, v, sd, block, overlap);
+            sources[s].install_window(|t| self.buf[t * k + v], sd, block, overlap);
         }
     }
 }
@@ -433,8 +485,8 @@ impl BatchStream {
             overlap,
             spectrum: lambda.map(|l| SharedSpectrum::new(&l)),
             sources: seeds.iter().map(|&s| SourceState::new(s, 0, block, overlap)).collect(),
-            synth: SynthScratch::new(),
-            win: Vec::new(),
+            synth: SynthScratch::default(),
+            ahead: WindowAhead::default(),
             lanes: Vec::new(),
             due: Vec::new(),
         })
@@ -477,13 +529,25 @@ impl BatchStream {
         self.spectrum.as_ref().map_or(0, |sp| sp.m())
     }
 
-    /// Synthesises the next window of one source, cross-fading the seam.
+    /// Installs the next window of one source, cross-fading the seam:
+    /// the window synthesised ahead for this source (by the pool's
+    /// background worker, or here if it had not started on it), else one
+    /// synthesised here. Then, when the pool has an idle worker, it posts
+    /// the source's next window (see [`post_ahead`](Self::post_ahead)).
     /// One source's refill depends only on its own state, so
-    /// interleaving sources over the shared scratch cannot change any
-    /// output bit.
+    /// interleaving sources cannot change any output bit: another
+    /// source's refill only drops this source's window in flight, which
+    /// its RNG never counted.
     fn refill_source(&mut self, source: usize) {
         let _span = obs::span("fgn.stream_refill");
         obs::counter_add(Counter::StreamBlocks, 1);
+        let ahead = if self.has_pending(source) {
+            self.ahead.owner = None;
+            self.ahead.slot.as_ref().and_then(Lookahead::take)
+        } else {
+            self.drop_ahead();
+            None
+        };
         let st = &mut self.sources[source];
         let Some(sp) = &self.spectrum else {
             // White-noise path: batch-draw the block through the
@@ -497,8 +561,60 @@ impl BatchStream {
             }
             return;
         };
-        synthesise_real_with(&sp.scales, &sp.plan, &mut st.rng, &mut self.synth, &mut self.win);
-        st.install_window(&self.win, 1, 0, self.sd, self.block, self.overlap);
+        match ahead {
+            Some(job) => (self.synth, st.rng) = (job.synth, job.rng),
+            None => {
+                self.synth.draw(sp.m(), &mut st.rng);
+                self.synth.transform(&sp.scales, &sp.plan);
+            }
+        }
+        let synth = &self.synth;
+        st.install_window(|t| synth.sample(t), self.sd, self.block, self.overlap);
+        self.post_ahead(source);
+    }
+
+    /// Draws the next window of `source` and posts it to the pool's
+    /// background worker, to be transformed while the caller consumes
+    /// the window just installed, when `vbr_stats::par::sized_width` of
+    /// the two windows' `m log₂ m` transform work allows it (so small
+    /// windows, and streams driven from inside a pool worker, stay serial
+    /// unless the thread count is pinned). The normals come from a copy
+    /// of the source's RNG in contract order; the source's own RNG is
+    /// untouched until it installs the window. Drawing here rather than
+    /// on the worker splits a window's work about evenly: the caller
+    /// draws (uniforms and quantiles) and consumes, the worker folds and
+    /// transforms, so neither waits long for the other.
+    fn post_ahead(&mut self, source: usize) {
+        let Some(sp) = &self.spectrum else { return };
+        let m = sp.m();
+        if vbr_stats::par::sized_width(2 * m * m.ilog2() as usize) < 2 {
+            return;
+        }
+        let mut synth = std::mem::take(&mut self.synth);
+        let mut rng = self.sources[source].rng.clone();
+        synth.draw(m, &mut rng);
+        let slot = self.ahead.slot.get_or_insert_with(|| Lookahead::new(AheadJob::transform));
+        slot.post(AheadJob {
+            synth,
+            rng,
+            scales: Arc::clone(&sp.scales),
+            plan: Arc::clone(&sp.plan),
+        });
+        self.ahead.owner = Some(source);
+    }
+
+    /// True when `source` has a pending window (one in flight).
+    fn has_pending(&self, source: usize) -> bool {
+        self.ahead.owner == Some(source)
+    }
+
+    /// Drops the pending window, if any, keeping its workspace.
+    fn drop_ahead(&mut self) {
+        if self.ahead.owner.take().is_some() {
+            if let Some(job) = self.ahead.slot.as_ref().and_then(Lookahead::cancel) {
+                self.synth = job.synth;
+            }
+        }
     }
 
     /// Fills `out` with the next `out.len()` samples of source
@@ -532,9 +648,10 @@ impl BatchStream {
     /// — one batched normal draw, one lane FFT and one strided seam
     /// blend per cohort instead of a full scalar pipeline per source —
     /// and the cohorts are dealt to the `vbr_stats::par` pool workers.
-    /// Sources mid-window, cohort remainders (`< LANES`), white-noise
-    /// groups and `len > block` all take the scalar per-source path on
-    /// the calling thread, which also copies every row out. All paths
+    /// Sources mid-window, sources holding a pending window, cohort
+    /// remainders (`< LANES`), white-noise groups and `len > block` all
+    /// take the scalar per-source path on the calling thread, which also
+    /// copies every row out. All paths
     /// are draw-for-draw bit-identical, so callers cannot observe which
     /// one ran, nor on which worker (the lane-batching policy of
     /// DESIGN.md §16).
@@ -558,12 +675,13 @@ impl BatchStream {
         // Partition once: a source is cohort-eligible when this advance
         // is exactly "refill one window, then copy" — the emit loop
         // degenerates to a single refill precisely when the window is
-        // exhausted and `len` fits inside a fresh one.
+        // exhausted and `len` fits inside a fresh one — and it has no
+        // pending window, which only the scalar refill installs.
         let mut due = std::mem::take(&mut self.due);
         due.clear();
         for &(s, r) in rows {
             let st = &self.sources[s];
-            if st.pos >= st.cur.len() && len <= self.block {
+            if st.pos >= st.cur.len() && len <= self.block && !self.has_pending(s) {
                 due.push((s, r));
             } else {
                 self.next_block(s, &mut buf[r * len..(r + 1) * len]);
@@ -639,11 +757,17 @@ impl BatchStream {
 
     /// Restores one source from an exported state, with full structural
     /// validation (nothing is mutated on error): buffer lengths must
-    /// match this batch's geometry, the position must lie within the
-    /// window, all samples must be finite, and the RNG state must not be
-    /// the degenerate all-zero word. Panics if `source` is out of range.
+    /// match this batch's geometry (a started source holds a full window
+    /// and a full seam tail), the position must lie within the window,
+    /// all samples must be finite, and the RNG state must not be the
+    /// degenerate all-zero word. A successful restore drops the source's
+    /// pending window. Panics if `source` is out of range.
     pub fn restore_state(&mut self, source: usize, st: &StreamState) -> Result<(), SnapshotError> {
-        self.sources[source].restore(st, self.block, self.overlap, self.spectrum.is_none())
+        self.sources[source].restore(st, self.block, self.overlap, self.spectrum.is_none())?;
+        if self.has_pending(source) {
+            self.drop_ahead();
+        }
+        Ok(())
     }
 }
 
@@ -836,14 +960,7 @@ pub fn farima_via_circulant(
     }
     let m = next_pow2(2 * (n - 1)).max(2);
     let lambda = farima_circulant_spectrum_cached(crate::acvf::hurst_to_d(hurst), m)?;
-    let mut scratch = SynthScratch::new();
-    let mut out = Vec::new();
-    synthesise_real_into(&lambda, &mut rng, &mut scratch, &mut out);
-    out.truncate(n);
-    for x in &mut out {
-        *x *= sd;
-    }
-    Ok(out)
+    Ok(synthesise_from_spectrum(&lambda, n, sd, &mut rng))
 }
 
 #[cfg(test)]
@@ -1071,6 +1188,23 @@ mod tests {
         let mut bad = good.clone();
         bad.cur.push(0.0);
         assert!(target.restore_state(&bad).is_err());
+        // A started state must carry a full window and a full seam tail:
+        // the next refill's cross-fade reads all `overlap` tail samples.
+        let mut edge = FgnStream::new(0.8, 1.0, 64, 1);
+        assert_eq!(edge.overlap(), 1);
+        let _: Vec<f64> = edge.by_ref().take(64).collect();
+        let started = edge.export_state();
+        assert!(started.started && started.pos == 64);
+        let mut bad = started.clone();
+        bad.tail.clear();
+        assert!(target.restore_state(&bad).is_err());
+        let mut bad = started.clone();
+        bad.cur.clear();
+        bad.pos = 0;
+        assert!(target.restore_state(&bad).is_err());
+        target.restore_state(&started).unwrap();
+        let mut after = vec![0.0; 8];
+        target.next_block(&mut after);
         // A refused restore leaves the target fully functional…
         target.restore_state(&good).unwrap();
         // …and resuming it matches the donor's continuation.
@@ -1192,6 +1326,37 @@ mod tests {
         let mut got = vec![0.0; 120];
         other.next_block(j, &mut got);
         assert_eq!(got, expect, "draws must survive migration");
+    }
+
+    #[test]
+    fn advance_rows_keeps_pending_sources_out_of_cohorts() {
+        // One full cohort's worth of sources at a window end. Source 0
+        // refills last, at two workers, so it alone holds a pending
+        // window when `advance_rows` runs; were it dealt to the cohort,
+        // its stale pending window would be installed by its next
+        // scalar refill.
+        let seeds: Vec<u64> = (0..LANES as u64).map(|s| 40 + s).collect();
+        let mut batch = batch(Family::Fgn, 0.8, 64, &seeds);
+        let mut solos: Vec<FgnStream> =
+            seeds.iter().map(|&s| FgnStream::new(0.8, 1.0, 64, s)).collect();
+        let rows: Vec<(usize, usize)> = (0..LANES).map(|s| (s, s)).collect();
+        let mut buf = vec![0.0; LANES * 64];
+        let (mut a, mut b) = (vec![0.0; 64], vec![0.0; 64]);
+        vbr_stats::par::with_threads(2, || {
+            for s in (0..LANES).rev() {
+                batch.next_block(s, &mut a);
+                solos[s].next_block(&mut b);
+            }
+            assert!(batch.has_pending(0));
+            batch.advance_rows(64, &mut buf, &rows);
+            for s in 0..LANES {
+                solos[s].next_block(&mut b);
+                assert_eq!(buf[s * 64..(s + 1) * 64], b, "advance of source {s}");
+            }
+            batch.next_block(0, &mut a);
+        });
+        solos[0].next_block(&mut b);
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -5,10 +5,20 @@ use proptest::prelude::*;
 use vbr_fft::LANES;
 use vbr_fgn::{
     farima_acf, farima_via_circulant, fgn_acvf, BatchStream, CirculantStream, DaviesHarte, Family,
-    FgnStream, Hosking, MarginalTransform, TableMode,
+    FgnStream, Hosking, MarginalTransform, StreamState, TableMode,
 };
 use vbr_stats::dist::{ContinuousDist, GammaPareto};
 use vbr_stats::par::with_threads;
+use vbr_stats::snapshot::SnapshotWriter;
+
+/// Restores `st` into `target`, then draws `n` samples at `threads`
+/// pool workers and returns their bits.
+fn resume_bits(target: &mut CirculantStream, st: &StreamState, n: usize, threads: usize) -> Vec<u64> {
+    target.restore_state(st).unwrap();
+    let mut out = vec![0.0f64; n];
+    with_threads(threads, || target.next_block(&mut out));
+    out.iter().map(|v| v.to_bits()).collect()
+}
 
 proptest! {
     #[test]
@@ -271,9 +281,10 @@ proptest! {
         // `next_block`, bitwise: both families, the white-noise block,
         // prefix-exact and explicit overlap, source counts below, at and
         // off a multiple of LANES, advance lengths below, at and above
-        // the block, and stragglers pushed mid-window between rounds so
-        // cohorts form from a changing subset of the sources; at 1, 2
-        // and 3 pool workers, so cohorts are dealt across workers whose
+        // the block, and stragglers pushed mid-window or a whole block
+        // between rounds so cohorts form from a changing subset of the
+        // sources and meet sources holding a pending window; at 1, 2 and
+        // 3 pool workers, so cohorts are dealt across workers whose
         // source ranges hold whole cohorts, remainders or nothing due.
         let farima = farima_sel == 1;
         let (family, h) = if farima {
@@ -313,10 +324,17 @@ proptest! {
             for round in 0..4 {
                 for (s, solo) in solos.iter_mut().enumerate() {
                     if straggle_mask >> ((s * 3 + round) % 32) & 1 == 1 {
-                        let mut step = vec![0.0f64; 1 + (seed0 as usize + s + round) % block];
+                        // Half the steps draw a whole block: from a window
+                        // end that refills and ends on the next window end,
+                        // leaving the source due with a pending window
+                        // (pinned workers look ahead at every size).
+                        let k = seed0 as usize + s + round;
+                        let step_len = if k.is_multiple_of(2) { block } else { 1 + k % block };
+                        let mut step = vec![0.0f64; step_len];
                         let mut solo_step = step.clone();
-                        batch.next_block(s, &mut step);
+                        with_threads(threads, || batch.next_block(s, &mut step));
                         solo.next_block(&mut solo_step);
+                        prop_assert!(step == solo_step, "threads {} round {} straggler {}", threads, round, s);
                     }
                 }
                 with_threads(threads, || batch.advance_rows(len, &mut buf, &rows));
@@ -328,6 +346,93 @@ proptest! {
                             "threads {} round {} source {} sample {}", threads, round, s, k
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lookahead_is_invisible_to_draws_and_exports(
+        farima_sel in 0u32..2,
+        h_unit in 0.0f64..1.0,
+        block_sel in 0u32..4,
+        small in 2usize..300,
+        overlap_code in 0usize..2002,
+        len_codes in prop::collection::vec(0usize..1_000_000, 1..7),
+        export_at in 0usize..7,
+        seed in 0u64..1000,
+    ) {
+        // A solo stream at 2 or 3 pinned workers leaves its next window
+        // pending after every refill, synthesised on the background
+        // worker or taken back. None of that may show: draws equal the
+        // 1-worker draws bit for bit, an export taken anywhere (including
+        // right after the first refill, which leaves a window pending)
+        // encodes to the 1-worker export's bytes, and a stream restored
+        // from it continues with the same bits.
+        let (family, h) = if farima_sel == 1 {
+            (Family::Farima, 0.5 + 0.45 * h_unit)
+        } else {
+            (Family::Fgn, 0.05 + 0.9 * h_unit)
+        };
+        let block = match block_sel {
+            0 => 1,
+            3 => 16_384,
+            _ => small,
+        };
+        let overlap = match overlap_code % 2 {
+            0 => None,
+            _ => Some(block * (overlap_code / 2) / 1000),
+        };
+        // Draw lengths from 1 to just over two blocks.
+        let lens: Vec<usize> = len_codes.iter().map(|c| 1 + c % (2 * block + 1)).collect();
+        let export_at = export_at % (lens.len() + 1);
+        let encode = |st: &StreamState| {
+            let mut w = SnapshotWriter::new(1, 1);
+            w.section(0x5354_524D, |p| st.encode(p));
+            w.finish()
+        };
+        let build = || CirculantStream::try_from_family(family, h, 1.0, block, overlap, seed);
+        let mut reference: Option<(Vec<u64>, Vec<u8>, Vec<u8>)> = None;
+        for threads in 1..=3 {
+            let Ok(mut s) = build() else {
+                // Only a non-PSD fARIMA embedding may refuse a valid geometry.
+                prop_assert!(farima_sel == 1);
+                return Ok(());
+            };
+            let mut draws = Vec::new();
+            let (mut at_export, mut after_first) = (None, None);
+            for (i, &len) in lens.iter().enumerate() {
+                if i == export_at {
+                    at_export = Some((s.export_state(), draws.len()));
+                }
+                let mut buf = vec![0.0f64; len];
+                with_threads(threads, || s.next_block(&mut buf));
+                draws.extend(buf.iter().map(|v| v.to_bits()));
+                if i == 0 {
+                    after_first = Some((s.export_state(), draws.len()));
+                }
+            }
+            let at_export = at_export.unwrap_or_else(|| (s.export_state(), draws.len()));
+            let after_first = after_first.unwrap();
+            // Continue the stream itself, then replay each export over the
+            // same tail of draws: one into a fresh stream, one back into
+            // the stream itself, whose pending window the restore drops.
+            let mut more = vec![0.0f64; block + 7];
+            with_threads(threads, || s.next_block(&mut more));
+            draws.extend(more.iter().map(|v| v.to_bits()));
+            let (st, from) = &after_first;
+            let rest = resume_bits(&mut build().unwrap(), st, draws.len() - from, threads);
+            prop_assert!(rest == draws[*from..], "threads {} fresh resume from {}", threads, from);
+            let (st, from) = &at_export;
+            let rest = resume_bits(&mut s, st, draws.len() - from, threads);
+            prop_assert!(rest == draws[*from..], "threads {} self resume from {}", threads, from);
+            let got = (draws, encode(&at_export.0), encode(&after_first.0));
+            match &reference {
+                None => reference = Some(got),
+                Some(want) => {
+                    prop_assert!(got.0 == want.0, "threads {} draws diverge", threads);
+                    prop_assert!(got.1 == want.1, "threads {} export bytes differ", threads);
+                    prop_assert!(got.2 == want.2, "threads {} first-refill export differs", threads);
                 }
             }
         }

@@ -747,6 +747,42 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_started_source_without_seam_tail() {
+        // Snapshot bytes, CRCs intact, whose one started source lost its
+        // seam tail (block 64 has overlap 1): restore must refuse them,
+        // not panic in the next slot's cross-fade.
+        let block = 64;
+        let mut fleet = Fleet::new(FleetConfig::fixed(1, block, 64));
+        fleet.admit(spec(1, 0.8, block)).unwrap();
+        run_slots(&mut fleet, 1);
+        let mut state = fleet.shards[0].export_state();
+        let src = &mut state.groups[0].sources[0];
+        assert!(src.started && src.tail.len() == 1);
+        src.tail.clear();
+        let mut w = SnapshotWriter::new(fleet.cfg.param_hash(), fleet.slots_done);
+        w.section(TAG_FLEET_META, |p| {
+            p.put_u64(fleet.slots_done);
+            p.put_u64(fleet.overruns);
+            p.put_u64(fleet.eligible_slots);
+            p.put_usize(1);
+            p.put_usize(block);
+            p.put_usize(1);
+            let pl = fleet.registry[0];
+            p.put_u64(pl.tenant);
+            p.put_u64(pl.shard as u64);
+            p.put_u64(pl.local as u64);
+        });
+        w.section(TAG_SHARD, |p| state.encode(p));
+        let hostile = w.finish();
+        assert!(matches!(
+            Fleet::restore(*fleet.config(), &hostile),
+            Err(SnapshotError::Invalid { .. })
+        ));
+        // The same writer over the untouched state restores fine.
+        assert!(Fleet::restore(*fleet.config(), &fleet.snapshot()).is_ok());
+    }
+
+    #[test]
     fn migration_preserves_aggregate_bits() {
         let block = 8;
         let mut a = Fleet::new(FleetConfig::fixed(3, block, 64));

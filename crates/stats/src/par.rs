@@ -14,6 +14,10 @@
 //!   `par_map` worker runs serially, so parallel callers composed of
 //!   parallel callees (e.g. a Q-C capacity sweep whose inner multiplexer
 //!   run is itself parallel) cannot multiply thread counts.
+//! - [`Lookahead`]: a one-job slot served by one persistent background
+//!   worker, for work a caller wants later (a stream's next window);
+//!   the owner takes back a job the worker has not started instead of
+//!   waiting for it.
 //!
 //! # Determinism contract
 //!
@@ -26,8 +30,13 @@
 //! batch generation) inherit this guarantee and are therefore
 //! reproducible regardless of `VBR_THREADS`.
 
+use std::any::Any;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::{Duration, Instant};
 
 thread_local! {
     /// True inside a par_map worker: nested calls degrade to serial.
@@ -138,6 +147,210 @@ pub fn sized_width(work: usize) -> usize {
         1
     } else {
         num_threads()
+    }
+}
+
+/// A one-job slot between its owner and the pool's background worker:
+/// the owner [`post`](Self::post)s a value, the worker runs the slot's
+/// job on it while the owner carries on, and the owner
+/// [`take`](Self::take)s it back later (a stream synthesising its next
+/// window while the current one is consumed).
+///
+/// The owner never waits for the worker to *start*: a value the worker
+/// has not picked up yet is taken back and its job run on the owner's
+/// thread, so a busy or descheduled worker costs the owner one queue
+/// push, not a wait. Only a job the worker is already running is
+/// waited for. Either way the job runs exactly once, on exactly one
+/// thread, so results do not depend on which thread ran it.
+///
+/// The worker is one process-wide thread, started on first use; it
+/// runs under the nested-parallelism guard and allocates nothing per
+/// job. Neither side sleeps on the other's short gaps: the owner spins
+/// (yielding) on a running job instead of blocking, and the worker,
+/// after a job, spins for as long as that job took before it sleeps
+/// until the next post. On a VM a thread that blocks idles its virtual
+/// CPU, and waking it again waits for the host to schedule that CPU —
+/// a wait that grows with the host's load and, paid twice a window,
+/// made a look-ahead stream's speed swing from run to run.
+pub struct Lookahead<T: Send + 'static> {
+    slot: Arc<Slot<T>>,
+}
+
+struct Slot<T> {
+    state: Mutex<SlotState<T>>,
+    /// True while the worker runs the job (state `Running`); the owner
+    /// spins on it.
+    running: AtomicBool,
+    job: fn(&mut T),
+}
+
+enum SlotState<T> {
+    Empty,
+    Posted(T),
+    Running,
+    Done(T),
+    Panicked(Box<dyn Any + Send>),
+}
+
+/// A queued slot, type-erased for the worker.
+trait Run: Send + Sync {
+    fn run(&self);
+}
+
+impl<T: Send> Slot<T> {
+    /// Every update under a slot or queue lock is a single assignment,
+    /// push or pop, and jobs run unlocked, so a poisoned lock still
+    /// guards valid data.
+    fn lock(&self) -> MutexGuard<'_, SlotState<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl<T: Send> Run for Slot<T> {
+    /// The worker's side: runs the job if its value is still posted
+    /// (the owner may have taken it back meanwhile).
+    fn run(&self) {
+        let mut state = self.lock();
+        let mut value = match std::mem::replace(&mut *state, SlotState::Running) {
+            SlotState::Posted(value) => value,
+            other => {
+                // Taken back, or queued again by a later post and run.
+                *state = other;
+                return;
+            }
+        };
+        self.running.store(true, Ordering::Release);
+        drop(state);
+        let ran = std::panic::catch_unwind(AssertUnwindSafe(|| (self.job)(&mut value)));
+        let mut state = self.lock();
+        *state = match ran {
+            Ok(()) => SlotState::Done(value),
+            Err(panic) => SlotState::Panicked(panic),
+        };
+        self.running.store(false, Ordering::Release);
+    }
+}
+
+/// Slots waiting for the background worker, oldest first. The worker
+/// lives as long as the process and is never joined: it holds no
+/// result of its own, and a job's panic reaches the job's owner through
+/// its slot.
+static QUEUE: Mutex<VecDeque<Arc<dyn Run>>> = Mutex::new(VecDeque::new());
+/// Length of `QUEUE`, readable without its lock by the spinning worker.
+static QUEUED_LEN: AtomicUsize = AtomicUsize::new(0);
+static QUEUED: Condvar = Condvar::new();
+/// Whether the background worker is running (spawned on first use).
+static WORKER: OnceLock<bool> = OnceLock::new();
+
+fn background_worker() {
+    IN_WORKER.with(|w| w.set(true));
+    let mut last_job = Duration::ZERO;
+    loop {
+        // An owner posts again about one job's length after the last,
+        // so wait that long awake before sleeping.
+        let idle = Instant::now();
+        while QUEUED_LEN.load(Ordering::Acquire) == 0 && idle.elapsed() < last_job {
+            std::thread::yield_now();
+        }
+        let job = {
+            let mut queue = QUEUE.lock().unwrap_or_else(PoisonError::into_inner);
+            loop {
+                if let Some(job) = queue.pop_front() {
+                    QUEUED_LEN.store(queue.len(), Ordering::Release);
+                    break job;
+                }
+                queue = QUEUED.wait(queue).unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        let started = Instant::now();
+        job.run();
+        last_job = started.elapsed();
+    }
+}
+
+impl<T: Send + 'static> Lookahead<T> {
+    /// An empty slot whose posted values get `job` run on them.
+    pub fn new(job: fn(&mut T)) -> Self {
+        Lookahead {
+            slot: Arc::new(Slot {
+                state: Mutex::new(SlotState::Empty),
+                running: AtomicBool::new(false),
+                job,
+            }),
+        }
+    }
+
+    /// Hands `value` to the background worker. Any value still in the
+    /// slot is dropped first (after its job, if the worker is running
+    /// it). Without a worker (its thread could not be spawned) the value
+    /// just waits in the slot for [`take`](Self::take) to run the job.
+    pub fn post(&self, value: T) {
+        drop(self.cancel());
+        *self.slot.lock() = SlotState::Posted(value);
+        if *WORKER.get_or_init(|| std::thread::Builder::new().spawn(background_worker).is_ok()) {
+            let mut queue = QUEUE.lock().unwrap_or_else(PoisonError::into_inner);
+            queue.push_back(self.slot.clone());
+            QUEUED_LEN.store(queue.len(), Ordering::Release);
+            drop(queue);
+            QUEUED.notify_one();
+        }
+    }
+
+    /// The posted value with its job run: by the worker, or here if the
+    /// worker has not started it. `None` when nothing is posted. A panic
+    /// in the job propagates.
+    pub fn take(&self) -> Option<T> {
+        match self.wait_unless_posted() {
+            SlotState::Posted(mut value) => {
+                (self.slot.job)(&mut value);
+                Some(value)
+            }
+            SlotState::Done(value) => Some(value),
+            SlotState::Panicked(panic) => std::panic::resume_unwind(panic),
+            _ => None,
+        }
+    }
+
+    /// The posted value back, its job run or not (run if the worker has
+    /// already run or started it; never run here). `None` when nothing
+    /// is posted or the job panicked.
+    pub fn cancel(&self) -> Option<T> {
+        match self.wait_unless_posted() {
+            SlotState::Posted(value) | SlotState::Done(value) => Some(value),
+            _ => None,
+        }
+    }
+
+    /// Empties the slot and returns its state, first waiting out a job
+    /// the worker is running (spinning, see the type docs).
+    fn wait_unless_posted(&self) -> SlotState<T> {
+        loop {
+            let mut state = self.slot.lock();
+            if !matches!(*state, SlotState::Running) {
+                return std::mem::replace(&mut *state, SlotState::Empty);
+            }
+            drop(state);
+            while self.slot.running.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
+impl<T: Send + 'static> Drop for Lookahead<T> {
+    /// A value the worker has not started is dropped unrun; one it is
+    /// running is dropped by the worker when it finishes.
+    fn drop(&mut self) {
+        let mut state = self.slot.lock();
+        if !matches!(*state, SlotState::Running) {
+            *state = SlotState::Empty;
+        }
+    }
+}
+
+impl<T: Send + 'static> std::fmt::Debug for Lookahead<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Lookahead").finish_non_exhaustive()
     }
 }
 
@@ -437,6 +650,79 @@ mod tests {
         };
         assert_eq!(on_caller(), [false; 3]);
         assert_eq!(par_map_with(2, &[0u8, 1], |_| on_caller()), [[true; 3]; 2]);
+    }
+
+    fn step(v: &mut (u64, u32)) {
+        v.0 = v.0.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        v.1 += 1;
+    }
+
+    #[test]
+    fn lookahead_runs_each_posted_job_exactly_once() {
+        let slot = Lookahead::new(step);
+        assert!(slot.take().is_none(), "nothing posted");
+        for i in 0..300u64 {
+            slot.post((i, 0));
+            if i % 3 == 0 {
+                // Let the worker get to some jobs first; the owner takes
+                // the others back and runs them itself.
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            }
+            let mut want = (i, 0);
+            step(&mut want);
+            assert_eq!(slot.take(), Some(want), "job {i}");
+            assert!(slot.take().is_none(), "taken once");
+        }
+        // Cancel hands the value back, its job run at most once.
+        slot.post((7, 0));
+        assert!(slot.cancel().is_some_and(|(_, runs)| runs <= 1));
+        assert!(slot.cancel().is_none());
+    }
+
+    /// A job that reports where it ran and, when given channels, signals
+    /// its start and then blocks until released.
+    #[derive(Default)]
+    struct Probe {
+        started: Option<std::sync::mpsc::Sender<()>>,
+        release: Option<std::sync::mpsc::Receiver<()>>,
+        ran_on: Option<std::thread::ThreadId>,
+    }
+
+    fn probe(p: &mut Probe) {
+        p.ran_on = Some(std::thread::current().id());
+        if let Some(started) = &p.started {
+            started.send(()).unwrap();
+        }
+        if let Some(release) = &p.release {
+            release.recv().unwrap();
+        }
+    }
+
+    #[test]
+    fn lookahead_takes_back_a_job_the_worker_has_not_started() {
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
+        let busy = Lookahead::new(probe);
+        busy.post(Probe { started: Some(started_tx), release: Some(release_rx), ran_on: None });
+        started.recv().unwrap(); // the worker is now inside `busy`'s job
+        let queued = Lookahead::new(probe);
+        queued.post(Probe::default());
+        let me = std::thread::current().id();
+        assert_eq!(queued.take().unwrap().ran_on, Some(me), "taken back, run here");
+        release.send(()).unwrap();
+        let ran_on = busy.take().unwrap().ran_on;
+        assert!(ran_on.is_some_and(|t| t != me), "waited for the worker's run");
+    }
+
+    #[test]
+    fn lookahead_job_panic_reaches_the_owner() {
+        let slot = Lookahead::new(|_: &mut u8| panic!("job failed"));
+        for _ in 0..4 {
+            slot.post(1);
+            let taken = std::panic::catch_unwind(AssertUnwindSafe(|| slot.take()));
+            assert!(taken.is_err());
+            assert!(slot.take().is_none(), "a panicked job leaves the slot empty");
+        }
     }
 
     #[test]
