@@ -13,14 +13,15 @@
 //! - **full** (default): paper-scale workloads; writes the machine-readable
 //!   report to `BENCH_pipeline.json` (override with `--out <path>`).
 //! - **`--test`**: CI smoke mode — small workloads and the fewest pairs,
-//!   no report file unless `--out` is given. The Q-C search, grouped mux
-//!   pass, solo-stream worker, batch fGn and fleet entries assert before
-//!   timing that their new arm's output bits equal the baseline's, so a
-//!   divergence panics and exits nonzero.
+//!   no report file unless `--out` is given. The ISA-copy, Q-C search,
+//!   grouped mux pass, solo-stream worker, batch fGn and fleet entries
+//!   assert before timing that their new arm's output bits equal the
+//!   baseline's, so a divergence panics and exits nonzero.
 //!
 //! `--check-against <report.json>` compares each entry's speedup with the
 //! one recorded in the reference and exits nonzero on any reference
-//! entry the run does not produce, any reference entry without a numeric
+//! entry the run does not produce (other than an ISA copy this CPU lacks,
+//! which it reports as skipped), any reference entry without a numeric
 //! speedup, or any speedup below recorded / tolerance (the tolerance is
 //! recorded in the file). Ratios are host-relative: when the reference's
 //! target features differ from this host's, both are printed first and
@@ -45,7 +46,7 @@
 //! runs), so every `speedup` field in the report is old-vs-new on the
 //! same machine and workload. The `models` entries have no old path;
 //! their baseline is the RNG they share, `fill_standard_normal` of the
-//! same length.
+//! same length from the portable quantile copy.
 
 use std::cell::Cell;
 use std::path::PathBuf;
@@ -164,6 +165,7 @@ fn main() -> ExitCode {
     bench_kernels_simd(&sizes, &mut report);
     bench_kernels_wide(&sizes, &mut report);
     bench_kernels_batch_fft(&sizes, &mut report);
+    bench_kernels_isa(&sizes, &mut report);
     bench_estimators(&sizes, &mut report);
     bench_simulation(&sizes, &mut report);
     bench_streaming(&sizes, &mut report);
@@ -189,7 +191,7 @@ fn main() -> ExitCode {
             "regression gate vs {} (each speedup >= recorded / {REGRESSION_TOLERANCE}):",
             cpath.display()
         );
-        match check_against(&old, report.entries(), REGRESSION_TOLERANCE) {
+        match check_against(&old, &report, REGRESSION_TOLERANCE) {
             Ok(lines) => {
                 for l in lines {
                     println!("  {l}");
@@ -609,12 +611,21 @@ impl LegacyTableTransform {
     }
 }
 
+/// [`Xoshiro256::fill_standard_normal`] run from the quantile kernel's
+/// portable copy, so an entry that times it reads the same on every CPU
+/// whatever copy the CPU would dispatch. Same bits.
+fn portable_normals(rng: &mut Xoshiro256, out: &mut [f64]) {
+    rng.fill_open01(out);
+    vbr_stats::special::norm_quantile_slice_on(vbr_stats::simd::Isa::Portable, out);
+}
+
 fn bench_kernels_simd(sizes: &Sizes, report: &mut PerfReport) {
     let n = sizes.stream_n;
 
     // Bulk standard-normal generation: one sample at a time through the
     // Acklam+Halley inverse CDF, vs the batched uniform fill + blocked
-    // AS241 quantile kernel.
+    // AS241 quantile kernel (its portable copy; `kernels_isa` times the
+    // wider ones).
     let (mut a, mut b) = (vec![0.0f64; n], vec![0.0f64; n]);
     let t = time_paired(
         sizes.budget,
@@ -627,7 +638,7 @@ fn bench_kernels_simd(sizes: &Sizes, report: &mut PerfReport) {
         },
         || {
             let mut rng = Xoshiro256::seed_from_u64(11);
-            rng.fill_standard_normal(&mut b);
+            portable_normals(&mut rng, &mut b);
             std::hint::black_box(b[n - 1]);
         },
     );
@@ -638,7 +649,7 @@ fn bench_kernels_simd(sizes: &Sizes, report: &mut PerfReport) {
         &format!(
             "{n} standard normals; baseline is the per-sample Acklam inverse CDF with a \
              Halley step (norm_cdf + norm_pdf per draw), new path fills uniforms then runs \
-             the blocked AS241 quantile kernel"
+             the blocked AS241 quantile kernel's portable copy"
         ),
     );
 
@@ -883,6 +894,94 @@ fn bench_kernels_batch_fft(sizes: &Sizes, report: &mut PerfReport) {
              new path one synthesize_hermitian_lanes pass over interleaved bins"
         ),
     );
+}
+
+/// The ISA-dispatched kernels (DESIGN.md §11): each kernel's portable
+/// copy against every wider copy this CPU can run, on the stream's
+/// quantile pass and the fleet's lane FFT. The entries carry the copy in
+/// their name, so each is gated only on hosts that run that copy; a host
+/// without it skips the entry by name. The copies give the same bits
+/// (asserted first).
+fn bench_kernels_isa(sizes: &Sizes, report: &mut PerfReport) {
+    use vbr_stats::simd::Isa;
+    use vbr_stats::special::norm_quantile_slice_on;
+    let n = 1 << 15;
+    let mut rng = Xoshiro256::seed_from_u64(41);
+    let uniforms: Vec<f64> = (0..n).map(|_| rng.open01()).collect();
+    // The fleet's window: m = 32 points, LANES lanes per cohort, over
+    // enough cohorts that one arm call is not timer-bound.
+    let (m, l, cohorts) = (32usize, vbr_fft::LANES, 256usize);
+    let plan = vbr_fft::plan_for(m);
+    let input: Vec<Complex> = (0..m * l * cohorts)
+        .map(|_| Complex::new(rng.standard_normal(), rng.standard_normal()))
+        .collect();
+    let quantile = |isa: Isa, buf: &mut Vec<f64>| {
+        buf.copy_from_slice(&uniforms);
+        norm_quantile_slice_on(isa, buf);
+        std::hint::black_box(buf[n - 1]);
+    };
+    let lanes_pass = |isa: Isa, buf: &mut Vec<Complex>| {
+        buf.copy_from_slice(&input);
+        for cohort in buf.chunks_exact_mut(m * l) {
+            plan.forward_lanes_on(isa, cohort, l);
+        }
+        std::hint::black_box(buf[m * l * cohorts - 1]);
+    };
+    let (mut qa, mut qb) = (uniforms.clone(), uniforms.clone());
+    let (mut ca, mut cb) = (input.clone(), input.clone());
+    for &isa in Isa::ALL.iter().filter(|&&isa| isa != Isa::Portable) {
+        let suffix = format!("{isa:?}").to_lowercase();
+        let qname = format!("quantile_slice_portable_vs_{suffix}");
+        let fname = format!("lane_fft_portable_vs_{suffix}");
+        if !isa.is_supported() {
+            let why = format!("this CPU has no {isa:?} copy");
+            report.skip("kernels_isa", &qname, &why);
+            report.skip("kernels_isa", &fname, &why);
+            continue;
+        }
+        quantile(Isa::Portable, &mut qa);
+        quantile(isa, &mut qb);
+        assert!(
+            qa.iter().zip(&qb).all(|(x, y)| x.to_bits() == y.to_bits()),
+            "{isa:?} quantile copy diverged from the portable one"
+        );
+        let t = time_paired(
+            sizes.budget,
+            || quantile(Isa::Portable, &mut qa),
+            || quantile(isa, &mut qb),
+        );
+        report.record(
+            "kernels_isa",
+            &qname,
+            t,
+            &format!(
+                "norm_quantile_slice over {n} uniforms; baseline is the portable copy, new \
+                 the {isa:?} copy (bits verified equal first)"
+            ),
+        );
+
+        lanes_pass(Isa::Portable, &mut ca);
+        lanes_pass(isa, &mut cb);
+        assert!(
+            ca.iter().zip(&cb).all(|(x, y)| (x.re.to_bits(), x.im.to_bits())
+                == (y.re.to_bits(), y.im.to_bits())),
+            "{isa:?} lane FFT copy diverged from the portable one"
+        );
+        let t = time_paired(
+            sizes.budget,
+            || lanes_pass(Isa::Portable, &mut ca),
+            || lanes_pass(isa, &mut cb),
+        );
+        report.record(
+            "kernels_isa",
+            &fname,
+            t,
+            &format!(
+                "{cohorts} forward lane FFTs of m={m} x {l} lanes (the fleet's window); \
+                 baseline is the portable copy, new the {isa:?} copy (bits verified equal first)"
+            ),
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1614,7 +1713,8 @@ fn bench_fleet(sizes: &Sizes, report: &mut PerfReport) {
 /// Per-family generation throughput through the common [`TrafficModel`]
 /// seam: fit the three-model zoo once from a screenplay reference, then
 /// time each family producing `hurst_n` samples against a same-run
-/// reference arm, `fill_standard_normal` of the same length. The
+/// reference arm, `fill_standard_normal` of the same length from the
+/// quantile kernel's portable copy, which no CPU's ISA copy moves. The
 /// reference shares only the RNG with the families, so a fitting or
 /// synthesis regression in any one model drops its ratio in the gate.
 fn bench_models(sizes: &Sizes, report: &mut PerfReport) {
@@ -1631,7 +1731,7 @@ fn bench_models(sizes: &Sizes, report: &mut PerfReport) {
         let t = time_paired(
             sizes.budget,
             || {
-                rng.fill_standard_normal(&mut normals);
+                portable_normals(&mut rng, &mut normals);
                 std::hint::black_box(normals[n - 1]);
             },
             || {
@@ -1646,7 +1746,8 @@ fn bench_models(sizes: &Sizes, report: &mut PerfReport) {
             t,
             &format!(
                 "{n} samples via sample_series, snapshot-restored to a fixed state first; \
-                 baseline fills {n} standard normals (the RNG the families share)"
+                 baseline fills {n} standard normals (the RNG the families share) from the \
+                 portable quantile copy"
             ),
         );
     }

@@ -131,6 +131,9 @@ pub struct PerfEntry {
 #[derive(Debug)]
 pub struct PerfReport {
     entries: Vec<PerfEntry>,
+    /// `(group, name, reason)` of entries this host cannot run, such as
+    /// an ISA copy its CPU lacks.
+    skipped: Vec<(String, String, String)>,
     /// Per-arm time budget every entry was timed with.
     budget_secs: f64,
     /// Counter state at the previous `record` call (initially at
@@ -143,7 +146,12 @@ impl PerfReport {
     /// budget. Counter attribution starts here: the first entry recorded
     /// absorbs whatever ran between construction and that `record` call.
     pub fn new(budget_secs: f64) -> Self {
-        PerfReport { entries: Vec::new(), budget_secs, last_counters: CounterSnapshot::capture() }
+        PerfReport {
+            entries: Vec::new(),
+            skipped: Vec::new(),
+            budget_secs,
+            last_counters: CounterSnapshot::capture(),
+        }
     }
 
     /// Records one paired measurement, with the counter delta since the
@@ -159,6 +167,12 @@ impl PerfReport {
             note: note.to_string(),
             metrics,
         });
+    }
+
+    /// Notes an entry this host cannot run (`reason` says why): the gate
+    /// reports it instead of failing it as missing.
+    pub fn skip(&mut self, group: &str, name: &str, reason: &str) {
+        self.skipped.push((group.to_string(), name.to_string(), reason.to_string()));
     }
 
     /// The recorded entries.
@@ -267,6 +281,9 @@ impl PerfReport {
                 e.group, e.name, t.baseline_secs, t.secs, t.speedup, t.pairs
             );
         }
+        for (g, n, why) in &self.skipped {
+            println!("{g:<18} {n:<42} skipped: {why}");
+        }
     }
 }
 
@@ -318,29 +335,36 @@ pub fn feature_mismatch(old_json: &str) -> Option<String> {
 /// recorded speedup / `tolerance` (e.g. [`REGRESSION_TOLERANCE`] = 1.15).
 /// A reference entry the run does not produce fails, as does one whose
 /// recorded speedup does not parse — silently dropping a benchmark must
-/// not pass the gate. New entries (absent from the old report) are
-/// reported, not gated; they become gated once the report is
-/// regenerated.
+/// not pass the gate — unless the run skipped it by name with
+/// [`PerfReport::skip`] (an ISA copy this CPU lacks), which is reported,
+/// not gated. New entries (absent from the old report) are reported, not
+/// gated; they become gated once the report is regenerated.
 ///
 /// Returns the per-entry comparison lines on success, or the failure
 /// lines on failure.
 pub fn check_against(
     old_json: &str,
-    entries: &[PerfEntry],
+    run: &PerfReport,
     tolerance: f64,
 ) -> Result<Vec<String>, Vec<String>> {
     let old = parse_entry_speedups(old_json);
+    let entries = run.entries();
     let mut report = Vec::new();
     let mut failures = Vec::new();
     for (g, n, recorded) in &old {
-        let run = entries.iter().find(|e| &e.group == g && &e.name == n);
-        match (recorded, run) {
+        let found = entries.iter().find(|e| &e.group == g && &e.name == n);
+        let skipped = run.skipped.iter().find(|(sg, sn, _)| sg == g && sn == n);
+        match (recorded, found) {
             (None, _) => failures.push(format!(
                 "entry '{g}/{n}': reference speedup is missing or not a positive number"
             )),
-            (_, None) => {
-                failures.push(format!("entry '{g}/{n}' in baseline report but not in this run"))
-            }
+            (_, None) => match skipped {
+                Some((_, _, why)) => {
+                    report.push(format!("entry '{g}/{n}': skipped on this host ({why}), not gated"))
+                }
+                None => failures
+                    .push(format!("entry '{g}/{n}' in baseline report but not in this run")),
+            },
             (Some(rec), Some(e)) => {
                 let (got, floor) = (e.timing.speedup, rec / tolerance);
                 let line = format!(
@@ -461,8 +485,8 @@ mod tests {
     /// Round-trips a report through `to_json` → `parse_entry_speedups`
     /// and exercises the gate: pass within tolerance, fail (naming the
     /// entry) below recorded / tolerance, fail on a missing entry, fail
-    /// on an unparseable reference speedup, report new entries as not
-    /// gated.
+    /// on an unparseable reference speedup, report new entries and
+    /// entries the host skipped as not gated.
     #[test]
     fn check_against_gate() {
         let mut old = PerfReport::new(0.5);
@@ -481,7 +505,7 @@ mod tests {
             }
             r
         };
-        let gate = |r: &PerfReport| check_against(&old_json, r.entries(), REGRESSION_TOLERANCE);
+        let gate = |r: &PerfReport| check_against(&old_json, r, REGRESSION_TOLERANCE);
 
         // Within tolerance (one entry 10% slower), plus a brand-new
         // entry: pass, with one line per entry.
@@ -504,11 +528,21 @@ mod tests {
         assert_eq!(fails.len(), 1, "{fails:?}");
         assert!(fails[0].contains("kernels/b") && fails[0].contains("not in this run"));
 
+        // Unless the run skipped it by name; a skip of some other entry
+        // does not excuse it.
+        let mut other = run(&[("kernels", "a", 9.0), ("streaming", "s", 9.0)]);
+        other.skip("kernels", "c", "needs avx512f");
+        assert!(gate(&other).unwrap_err()[0].contains("kernels/b"));
+        let mut skipped = run(&[("kernels", "a", 9.0), ("streaming", "s", 9.0)]);
+        skipped.skip("kernels", "b", "needs avx512f");
+        let lines = gate(&skipped).unwrap();
+        assert!(lines.iter().any(|l| l.contains("kernels/b") && l.contains("needs avx512f")));
+
         // A reference speedup written as null (a non-finite ratio)
         // fails the gate and names the entry instead of ungating it.
         let null_json = old_json.replacen("\"speedup\": 1.000000000", "\"speedup\": null", 1);
         assert_ne!(null_json, old_json);
-        let fails = check_against(&null_json, ok.entries(), REGRESSION_TOLERANCE).unwrap_err();
+        let fails = check_against(&null_json, &ok, REGRESSION_TOLERANCE).unwrap_err();
         assert_eq!(fails.len(), 1, "{fails:?}");
         assert!(fails[0].contains("kernels/b") && fails[0].contains("not a positive number"));
     }

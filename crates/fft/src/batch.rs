@@ -28,6 +28,7 @@
 use crate::complex::Complex;
 use crate::plan::{first_radix4_span, radix4_core, FftPlan};
 use crate::real::RealFftPlan;
+use crate::width::{Isa, Kernel};
 
 impl FftPlan {
     /// In-place forward transform of `l` lane-interleaved signals
@@ -35,15 +36,31 @@ impl FftPlan {
     /// `data[j*l + v]`). Bit-identical per lane to [`FftPlan::forward`]
     /// of that lane alone.
     pub fn forward_lanes(&self, data: &mut [Complex], l: usize) {
-        self.run_lanes::<true>(data, l);
+        self.forward_lanes_on(Isa::detect(), data, l);
     }
 
     /// In-place inverse transform (unnormalised) of `l` lane-interleaved
     /// signals; the lane twin of [`FftPlan::inverse`].
     pub fn inverse_lanes(&self, data: &mut [Complex], l: usize) {
-        self.run_lanes::<false>(data, l);
+        Isa::detect().run(LanesRun::<false> { plan: self, data, l });
     }
 
+    /// [`forward_lanes`](Self::forward_lanes) run from the copy compiled
+    /// for `isa`, whatever the CPU's widest; for benches that compare the
+    /// copies. Same bits.
+    ///
+    /// # Panics
+    /// As [`forward_lanes`](Self::forward_lanes), and if the CPU does not
+    /// support `isa`.
+    #[doc(hidden)]
+    pub fn forward_lanes_on(&self, isa: Isa, data: &mut [Complex], l: usize) {
+        isa.run(LanesRun::<true> { plan: self, data, l });
+    }
+
+    /// The lane transform, inlined into each ISA copy through
+    /// [`LanesRun`] exactly as [`FftPlan::forward`]'s body is; every copy
+    /// gives the same bits (tested below, copy by copy).
+    #[inline(always)]
     fn run_lanes<const FWD: bool>(&self, data: &mut [Complex], l: usize) {
         let n = self.n;
         assert!(l >= 1, "lane count must be >= 1");
@@ -99,9 +116,27 @@ impl FftPlan {
     }
 }
 
+/// One lane transform of `l` lanes, compiled per ISA by [`Isa::run`].
+struct LanesRun<'a, const FWD: bool> {
+    plan: &'a FftPlan,
+    data: &'a mut [Complex],
+    l: usize,
+}
+
+impl<const FWD: bool> Kernel for LanesRun<'_, FWD> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        self.plan.run_lanes::<FWD>(self.data, self.l);
+    }
+}
+
 /// One lane-parallel radix-4 pass: the loop structure of
 /// `plan::radix4_stage` with an inner lane loop, every lane running
-/// [`radix4_core`] at the same `(chunk, j)`.
+/// [`radix4_core`] at the same `(chunk, j)`. Always inlined, so each
+/// ISA copy of `run_lanes` widens it.
+#[inline(always)]
 fn radix4_stage_lanes<const FWD: bool>(
     data: &mut [Complex],
     l: usize,
@@ -210,6 +245,7 @@ impl RealFftPlan {
 mod tests {
     use super::*;
     use crate::plan::plan_for;
+    use crate::plan::PlanRun;
     use crate::real::real_plan_for;
 
     fn lane_signal(n: usize, v: usize) -> Vec<Complex> {
@@ -242,6 +278,46 @@ mod tests {
                             interleaved[j * l + v], scalar[j],
                             "n={n} l={l} lane={v} j={j}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs every ISA copy of the FFT the CPU supports directly,
+    /// whatever the dispatch would pick, at every size from 2 to 2¹²
+    /// (odd and even log₂ n), both directions and 1..=8 lanes, and
+    /// compares each with the portable body bit for bit: the lane pass
+    /// on all lanes, the plan's own transform on the first.
+    #[test]
+    fn every_isa_copy_of_the_fft_matches_the_portable_body_bitwise() {
+        fn bits(v: &[Complex]) -> Vec<(u64, u64)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        }
+        for log2 in 1..=12 {
+            let n = 1usize << log2;
+            let plan = plan_for(n);
+            for l in 1..=8 {
+                let x: Vec<Complex> = (0..n * l)
+                    .map(|i| Complex::new((i as f64 * 0.37).cos() * 2.0, (i as f64 * 0.83).sin()))
+                    .collect();
+                let copy = |isa: Isa, fwd: bool| {
+                    let (mut lanes, mut one) = (x.clone(), x[..n].to_vec());
+                    let (plan, data) = (&*plan, &mut lanes[..]);
+                    if fwd {
+                        isa.run(LanesRun::<true> { plan, data, l });
+                        isa.run(PlanRun::<true> { plan, data: &mut one });
+                    } else {
+                        isa.run(LanesRun::<false> { plan, data, l });
+                        isa.run(PlanRun::<false> { plan, data: &mut one });
+                    }
+                    (bits(&lanes), bits(&one))
+                };
+                for fwd in [true, false] {
+                    let want = copy(Isa::Portable, fwd);
+                    for isa in Isa::supported() {
+                        let got = copy(isa, fwd);
+                        assert!(got == want, "{isa:?} copy, n = {n}, l = {l}, fwd = {fwd}");
                     }
                 }
             }

@@ -45,7 +45,7 @@ pub use real::{
     fft_real, fft_real_into, ifft_real, ifft_real_into, power_spectrum, power_spectrum_into,
     real_plan_for, RealFftPlan,
 };
-pub use width::{target_features, LANES};
+pub use width::{target_features, Isa, Kernel, LANES};
 
 /// Forward DFT of a complex sequence (any length, unnormalised).
 ///

@@ -33,7 +33,7 @@
 use crate::complex::Complex;
 use crate::memo::Memo;
 use crate::radix2::{is_pow2, Direction};
-use crate::width::LANES;
+use crate::width::{Isa, Kernel, LANES};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -127,7 +127,20 @@ impl FftPlan {
         }
     }
 
+    /// The transform, run from the copy compiled for the widest ISA the
+    /// CPU has ([`Isa::detect`]). The default x86-64 build holds two
+    /// `f64` per register; the AVX2 and AVX-512 copies widen the
+    /// butterfly loops to four and eight. Every copy is the same safe
+    /// body, and Rust never contracts or reassociates float ops, so
+    /// every copy gives the same bits (tested in `batch.rs`, copy by
+    /// copy; DESIGN.md §11).
     fn run<const FWD: bool>(&self, data: &mut [Complex]) {
+        Isa::detect().run(PlanRun::<FWD> { plan: self, data });
+    }
+
+    /// [`run`](Self::run) for whatever ISA it is inlined into.
+    #[inline(always)]
+    fn run_body<const FWD: bool>(&self, data: &mut [Complex]) {
         let n = self.n;
         assert_eq!(data.len(), n, "plan is for length {n}, got {}", data.len());
         if n <= 1 {
@@ -169,6 +182,21 @@ impl FftPlan {
     }
 }
 
+/// One [`FftPlan::run`] call, compiled per ISA by [`Isa::run`].
+pub(crate) struct PlanRun<'a, const FWD: bool> {
+    pub(crate) plan: &'a FftPlan,
+    pub(crate) data: &'a mut [Complex],
+}
+
+impl<const FWD: bool> Kernel for PlanRun<'_, FWD> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        self.plan.run_body::<FWD>(self.data);
+    }
+}
+
 /// Span of the first radix-4 stage for length `n`: 4 when `log₂ n` is
 /// even, 8 when odd (a span-2 radix-2 stage runs first). Returns 8 for
 /// `n = 2` as well, which the caller treats as "radix-2 stage only".
@@ -198,8 +226,9 @@ pub(crate) fn first_radix4_span(n: usize) -> usize {
 /// depends only on its own `j`, so results are independent of how the
 /// loop is chunked — which is exactly why the [`LANES`]-chunked unroll
 /// below cannot change an output bit (the determinism contract for all
-/// kernels in this workspace).
-#[inline]
+/// kernels in this workspace). Always inlined, so each compiled copy
+/// of [`FftPlan::run`] widens it.
+#[inline(always)]
 fn radix4_stage<const FWD: bool>(
     data: &mut [Complex],
     len: usize,

@@ -27,6 +27,7 @@ use crate::qc::{AveragedLoss, LossMetric, LossTarget};
 use crate::queue::FluidQueue;
 use vbr_stats::error::NumericError;
 use vbr_stats::obs::{self, Counter};
+use vbr_stats::simd::{Isa, Kernel};
 
 /// Slots per streaming chunk: the working-set size of every replay in
 /// this crate. Big enough that per-chunk bookkeeping is noise, small
@@ -39,32 +40,6 @@ pub(crate) const STREAM_CHUNK: usize = 4096;
 /// three 1-group passes (DESIGN.md §10, "Combination interleaving").
 pub(crate) const MAX_GROUPS: usize = 3;
 
-/// The compiled copy of the lane kernel a [`LaneQueues`] runs: the
-/// widest the running CPU supports.
-#[derive(Debug, Clone, Copy)]
-enum Kernel {
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    Portable,
-}
-
-impl Kernel {
-    fn detect() -> Kernel {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return Kernel::Avx512;
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return Kernel::Avx2;
-            }
-        }
-        Kernel::Portable
-    }
-}
-
 /// The lane rule: lanes per speculative search pass when each pass
 /// interleaves `groups` lag combinations. A depth-`d` tree has
 /// `2^d − 1` midpoints, padded to `2^d` lanes. The AVX-512 copy's 32
@@ -73,11 +48,11 @@ impl Kernel {
 /// portable copies keep 8 lanes, where three groups still fit
 /// (DESIGN.md §10, "Lane budget").
 pub(crate) fn search_lanes(groups: usize) -> usize {
-    match Kernel::detect() {
+    match Isa::detect() {
         #[cfg(target_arch = "x86_64")]
-        Kernel::Avx512 if groups <= 1 => 32,
+        Isa::Avx512 if groups <= 1 => 32,
         #[cfg(target_arch = "x86_64")]
-        Kernel::Avx512 => 16,
+        Isa::Avx512 => 16,
         _ => 8,
     }
 }
@@ -120,7 +95,6 @@ pub(crate) struct LaneQueues<const L: usize, const G: usize = 1> {
     slots_per_sec: usize,
     fed: usize,
     total: usize,
-    kernel: Kernel,
 }
 
 impl<const L: usize, const G: usize> LaneQueues<L, G> {
@@ -145,7 +119,6 @@ impl<const L: usize, const G: usize> LaneQueues<L, G> {
             slots_per_sec: (1.0 / dt).round() as usize,
             fed: 0,
             total,
-            kernel: Kernel::detect(),
         }
     }
 
@@ -188,37 +161,15 @@ impl<const L: usize, const G: usize> LaneQueues<L, G> {
     /// spills eight lanes' state and makes an 8-lane pass cost about 1.6×
     /// a 1-lane pass; AVX2's 16 ymm registers hold it (about 1.1×), and
     /// AVX-512's 32 zmm registers hold 32 lanes of one group or, with a
-    /// few spills, 16 lanes of each of three groups. The body has no multiplies and Rust never contracts or
-    /// reassociates float ops, so every copy produces the same bits
-    /// (tested below, copy by copy).
+    /// few spills, 16 lanes of each of three groups. The body has no
+    /// multiplies and Rust never contracts or reassociates float ops, so
+    /// every copy produces the same bits (tested below, copy by copy).
     fn step_run(&mut self, runs: [&[f64]; G]) {
-        match self.kernel {
-            // SAFETY: `Kernel::detect` picks a copy only when the running
-            // CPU has its target features.
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx512 => unsafe { self.step_run_avx512(runs) },
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => unsafe { self.step_run_avx2(runs) },
-            Kernel::Portable => self.step_run_body(runs),
-        }
+        Isa::detect().run(StepRun { queues: self, runs });
     }
 
-    /// [`step_run_body`](Self::step_run_body) compiled for AVX-512F.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    fn step_run_avx512(&mut self, runs: [&[f64]; G]) {
-        self.step_run_body(runs);
-    }
-
-    /// [`step_run_body`](Self::step_run_body) compiled for AVX2.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn step_run_avx2(&mut self, runs: [&[f64]; G]) {
-        self.step_run_body(runs);
-    }
-
-    /// [`step_run`](Self::step_run) for whatever target the crate is
-    /// built for. Slot-major, group-minor: the `G` independent backlog
+    /// [`step_run`](Self::step_run) for whatever ISA it is inlined
+    /// into. Slot-major, group-minor: the `G` independent backlog
     /// chains of one slot are in flight together, which is what hides
     /// the recurrence's latency.
     // The slot index walks `G` slices at once, which no iterator adapter
@@ -281,6 +232,21 @@ impl<const L: usize, const G: usize> LaneQueues<L, G> {
                 overflow_slots: self.overflow[g][l],
             })
         })
+    }
+}
+
+/// One [`LaneQueues::step_run`] call, compiled per ISA by [`Isa::run`].
+struct StepRun<'q, 'r, const L: usize, const G: usize> {
+    queues: &'q mut LaneQueues<L, G>,
+    runs: [&'r [f64]; G],
+}
+
+impl<const L: usize, const G: usize> Kernel for StepRun<'_, '_, L, G> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        self.queues.step_run_body(self.runs);
     }
 }
 
@@ -469,9 +435,9 @@ mod tests {
     fn lane_rule_follows_groups_and_cpu() {
         for groups in 1..=MAX_GROUPS {
             let lanes = search_lanes(groups);
-            match Kernel::detect() {
+            match Isa::detect() {
                 #[cfg(target_arch = "x86_64")]
-                Kernel::Avx512 => assert_eq!(lanes, if groups == 1 { 32 } else { 16 }),
+                Isa::Avx512 => assert_eq!(lanes, if groups == 1 { 32 } else { 16 }),
                 _ => assert_eq!(lanes, 8, "hosts without AVX-512 keep the 8-lane tree"),
             }
         }
@@ -597,18 +563,9 @@ mod tests {
             "L = {L}, G = {G}: a group never overflowed: weak test"
         );
         let want = state_bits(&portable);
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: the running CPU has AVX2.
-                let avx2 = run_kernel_copy::<L, G>(|q, r| unsafe { q.step_run_avx2(r) });
-                assert_eq!(state_bits(&avx2), want, "AVX2 copy, L = {L}, G = {G}");
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: the running CPU has AVX-512F.
-                let avx512 = run_kernel_copy::<L, G>(|q, r| unsafe { q.step_run_avx512(r) });
-                assert_eq!(state_bits(&avx512), want, "AVX-512 copy, L = {L}, G = {G}");
-            }
+        for isa in Isa::supported() {
+            let copy = run_kernel_copy::<L, G>(|queues, runs| isa.run(StepRun { queues, runs }));
+            assert_eq!(state_bits(&copy), want, "{isa:?} copy, L = {L}, G = {G}");
         }
     }
 

@@ -95,8 +95,9 @@ where
 /// Total work (in approximate primitive element operations, summed over
 /// all items) below which [`par_map_sized`] runs serially.
 ///
-/// The pool is scoped: every parallel call spawns and joins its workers,
-/// which costs on the order of 100 µs. An element operation (a queue
+/// The pool is scoped: every parallel call spawns and joins all its
+/// workers but the calling thread, which runs one share itself; that
+/// costs on the order of 100 µs. An element operation (a queue
 /// step, a periodogram term, a per-frame generation step) runs in the
 /// nanoseconds, so below a few hundred thousand of them the spawn/join
 /// tax outweighs any speedup — `BENCH_pipeline.json` recorded the
@@ -355,6 +356,8 @@ impl<T: Send + 'static> std::fmt::Debug for Lookahead<T> {
 }
 
 /// [`par_map`] with an explicit worker count, bypassing configuration.
+/// The calling thread is one of the `threads` workers, so a call
+/// spawns `threads − 1` scoped threads.
 pub fn par_map_with<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -370,28 +373,26 @@ where
     let next = AtomicUsize::new(0);
     let f = &f;
 
-    // Each worker pulls indices from the shared dispenser and keeps
-    // (index, value) pairs; the merge below restores input order.
+    // Each worker, the caller included, pulls indices from the shared
+    // dispenser and keeps (index, value) pairs; the merge below
+    // restores input order.
+    let share = || {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            local.push((i, f(&items[i])));
+        }
+        local
+    };
     let per_worker: Vec<Vec<(usize, U)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    IN_WORKER.with(|w| w.set(true));
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(&items[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("par_map worker panicked"))
+        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(|| as_worker(share))).collect();
+        let own = std::panic::catch_unwind(AssertUnwindSafe(|| as_worker(share)));
+        std::iter::once(own)
+            .chain(handles.into_iter().map(|h| h.join()))
+            .map(|r| r.expect("par_map worker panicked"))
             .collect()
     });
 
@@ -413,14 +414,14 @@ where
 /// workloads that *advance* owned state (one shard of a source fleet
 /// per element) instead of producing values.
 ///
-/// The slice is split into contiguous chunks, one scoped worker per
-/// chunk, so every element is visited exactly once with exclusive
-/// access. Because each element is advanced independently of every
-/// other, the result is identical to the serial `for` loop regardless
-/// of worker count — determinism comes from data disjointness, not
-/// scheduling. The nested-parallelism guard applies: a call issued from
-/// inside another parallel worker runs serially. Panics in `f`
-/// propagate.
+/// The slice is split into contiguous chunks, one worker per chunk (the
+/// calling thread takes the first), so every element is visited
+/// exactly once with exclusive access. Because each element is
+/// advanced independently of every other, the result is identical to
+/// the serial `for` loop regardless of worker count — determinism
+/// comes from data disjointness, not scheduling. The
+/// nested-parallelism guard applies: a call issued from inside another
+/// parallel worker runs serially. Panics in `f` propagate.
 pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
 where
     T: Send,
@@ -445,8 +446,24 @@ where
     });
 }
 
+/// Runs `share` as one of a parallel call's workers, on a spawned
+/// thread or the calling one: nested parallel calls inside it run
+/// serially. The thread's previous flag comes back on return and on
+/// unwind, so a caller that ran a share is a caller again afterwards.
+fn as_worker<R>(share: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let prev = self.0;
+            IN_WORKER.with(|w| w.set(prev));
+        }
+    }
+    let _restore = Restore(IN_WORKER.with(|w| w.replace(true)));
+    share()
+}
+
 /// Runs `f(index, part, state)` over `items.chunks_mut(chunk)` zipped
-/// with `states`: one scoped worker per pair, each with exclusive access
+/// with `states`: one worker per pair, each with exclusive access
 /// to one contiguous run of `items` and one caller-owned workspace. Pairs
 /// stop at the shorter side, so the caller picks the width by how many
 /// states it passes. [`par_for_each_mut`] is this with stateless
@@ -455,9 +472,10 @@ where
 ///
 /// Every item of a paired chunk is visited by exactly one worker (items
 /// past the last paired chunk are not visited), so the result is the
-/// serial loop's whenever `f` treats items independently. A single pair,
-/// or a call from inside another parallel worker, runs on the calling
-/// thread. Panics in `f` propagate.
+/// serial loop's whenever `f` treats items independently. The calling
+/// thread runs the first pair itself and spawns one scoped worker per
+/// other pair. A single pair, or a call from inside another parallel
+/// worker, runs wholly on the calling thread. Panics in `f` propagate.
 ///
 /// # Panics
 /// If `chunk == 0`.
@@ -468,7 +486,7 @@ where
     F: Fn(usize, &mut [T], &mut S) + Sync,
 {
     let serial = IN_WORKER.with(|w| w.get()) || items.len() <= chunk || states.len() <= 1;
-    let pairs = items.chunks_mut(chunk).zip(states).enumerate();
+    let mut pairs = items.chunks_mut(chunk).zip(states).enumerate();
     if serial {
         for (ci, (part, state)) in pairs {
             f(ci, part, state);
@@ -476,12 +494,13 @@ where
         return;
     }
     let f = &f;
+    let own = pairs.next();
     std::thread::scope(|scope| {
         for (ci, (part, state)) in pairs {
-            scope.spawn(move || {
-                IN_WORKER.with(|w| w.set(true));
-                f(ci, part, state);
-            });
+            scope.spawn(move || as_worker(|| f(ci, part, state)));
+        }
+        if let Some((ci, (part, state))) = own {
+            as_worker(|| f(ci, part, state));
         }
     });
 }
@@ -638,8 +657,9 @@ mod tests {
             assert!(states[..pairs].iter().all(|&c| c == 1));
             assert!(states[pairs..].iter().all(|&c| c == 0));
         }
-        // Pairs run on spawned workers, except inside another worker,
-        // where every pair runs on the calling thread.
+        // The caller runs the first pair and spawned workers the rest,
+        // except inside another worker, where every pair runs on the
+        // calling thread.
         let on_caller = || {
             let me = std::thread::current().id();
             let mut states = [false; 3];
@@ -648,7 +668,7 @@ mod tests {
             });
             states
         };
-        assert_eq!(on_caller(), [false; 3]);
+        assert_eq!(on_caller(), [true, false, false]);
         assert_eq!(par_map_with(2, &[0u8, 1], |_| on_caller()), [[true; 3]; 2]);
     }
 
@@ -723,6 +743,50 @@ mod tests {
             assert!(taken.is_err());
             assert!(slot.take().is_none(), "a panicked job leaves the slot empty");
         }
+    }
+
+    #[test]
+    fn callers_share_runs_as_a_worker_and_restores_the_flag() {
+        let in_worker = || IN_WORKER.with(|w| w.get());
+        assert!(!in_worker());
+        // Every item, the caller's share included, sees the nested guard.
+        assert_eq!(par_map_with(3, &[0u8; 12], |_| in_worker()), [true; 12]);
+        let mut states = [false; 3];
+        par_chunks_mut_with(&mut [0u8; 6], 2, &mut states, |_, _, s| *s = in_worker());
+        assert_eq!(states, [true; 3]);
+        assert!(!in_worker(), "restored after the call");
+        // Restored on unwind too, whichever share panicked.
+        for bad in 0..4u8 {
+            let run = std::panic::catch_unwind(|| {
+                par_map_with(2, &[0u8, 1, 2, 3], |&x| assert_ne!(x, bad));
+            });
+            assert!(run.is_err());
+            assert!(!in_worker(), "restored after a panic in item {bad}");
+            let run = std::panic::catch_unwind(|| {
+                par_chunks_mut_with(&mut [0u8, 1, 2, 3], 2, &mut [(); 2], |_, part, _| {
+                    assert!(!part.contains(&bad));
+                });
+            });
+            assert!(run.is_err());
+            assert!(!in_worker(), "restored after a panic in chunk of {bad}");
+        }
+    }
+
+    #[test]
+    fn threads_spawned_per_call_are_width_minus_one() {
+        // Items that wait for each other's start, so each of the three
+        // workers takes one: the caller and two spawned threads.
+        let started = AtomicUsize::new(0);
+        let ran_on = par_map_with(3, &[0u8; 3], |_| {
+            started.fetch_add(1, Ordering::SeqCst);
+            while started.load(Ordering::SeqCst) < 3 {
+                std::thread::yield_now();
+            }
+            std::thread::current().id()
+        });
+        let distinct: std::collections::HashSet<_> = ran_on.iter().collect();
+        assert_eq!(distinct.len(), 3);
+        assert!(ran_on.contains(&std::thread::current().id()), "the caller ran a share");
     }
 
     #[test]

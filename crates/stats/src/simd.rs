@@ -18,8 +18,10 @@
 //! See DESIGN.md §11 for the per-kernel accuracy budget and §14 for why
 //! the width is 8.
 
-/// The workspace's one chunk width, shared with the FFT butterflies.
-pub use vbr_fft::{target_features, LANES};
+/// The workspace's one chunk width, shared with the FFT butterflies,
+/// and its one ISA probe, which picks the compiled copy of every
+/// dispatched kernel.
+pub use vbr_fft::{target_features, Isa, Kernel, LANES};
 
 /// `out[i] += src[i] as f64` — the multiplexer's arrival-aggregation
 /// kernel. Each output element receives exactly one convert + add, so

@@ -7,7 +7,7 @@
 //! Acklam's inverse-normal rational approximation with a Halley
 //! refinement step).
 
-use crate::simd::LANES;
+use crate::simd::{Isa, Kernel, LANES};
 
 /// Natural log of the Gamma function, Lanczos approximation (g = 7, n = 9).
 ///
@@ -473,7 +473,41 @@ fn tail_lanes(ps: &mut [f64], idx: &[usize], orig: &[f64]) {
 ///
 /// Endpoints follow [`norm_quantile`]: `0 → −∞`, `1 → +∞`. Panics if
 /// any element is outside `[0, 1]`.
+///
+/// Runs from the copy compiled for the widest ISA the CPU has
+/// ([`Isa::detect`]): the default x86-64 build holds two `f64` per
+/// register, the AVX2 and AVX-512 copies run each staged lane pass in
+/// two or one. Every copy is the same safe body and gives the same bits
+/// (tested below, copy by copy; DESIGN.md §11).
 pub fn norm_quantile_slice(ps: &mut [f64]) {
+    norm_quantile_slice_on(Isa::detect(), ps);
+}
+
+/// [`norm_quantile_slice`] run from the copy compiled for `isa`,
+/// whatever the CPU's widest; for tests and benches that compare the
+/// copies. Same bits.
+///
+/// # Panics
+/// As [`norm_quantile_slice`], and if the CPU does not support `isa`.
+#[doc(hidden)]
+pub fn norm_quantile_slice_on(isa: Isa, ps: &mut [f64]) {
+    isa.run(QuantileSlice(ps));
+}
+
+/// The body of [`norm_quantile_slice`], inlined into each ISA copy.
+struct QuantileSlice<'a>(&'a mut [f64]);
+
+impl Kernel for QuantileSlice<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        quantile_slice_body(self.0);
+    }
+}
+
+#[inline(always)]
+fn quantile_slice_body(ps: &mut [f64]) {
     const W: usize = LANES;
     // Deferred tail lanes, flushed W at a time through `tail_lanes`.
     // Up to W−1 carried between chunks plus W from the current chunk.
@@ -667,6 +701,51 @@ mod tests {
             x *= 4.0;
         }
         assert!((fast_neg_ln(f64::MIN_POSITIVE) - 708.396_418_532_264_1).abs() < 1e-10);
+    }
+
+    #[test]
+    fn every_quantile_copy_matches_portable_body_bitwise() {
+        // Central, tail, far-tail (r > 5, p < e^−25) and endpoint inputs,
+        // rotated per length so every kind lands in chunk lanes, in
+        // deferred tail lanes and in the scalar remainder.
+        let kinds = [
+            0.3, 0.01, 1e-13, 0.5, 0.97, 1.0 - 1e-12, 0.0, 0.62, 1.0, 0.08, 1e-300, 0.93, 0.2,
+            0.999, 1e-200, 0.45, 1e-3, 0.71,
+        ];
+        for len in 0..=3 * LANES + 1 {
+            for shift in 0..kinds.len() {
+                let input: Vec<f64> = (0..len).map(|i| kinds[(i + shift) % kinds.len()]).collect();
+                let scalar: Vec<u64> =
+                    input.iter().map(|&p| norm_quantile(p).to_bits()).collect();
+                for isa in Isa::supported() {
+                    let mut got = input.clone();
+                    norm_quantile_slice_on(isa, &mut got);
+                    let got: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(got, scalar, "{isa:?} copy, len {len}, shift {shift}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_quantile_copy_rejects_out_of_range_input() {
+        for isa in Isa::supported() {
+            for bad in [1.5, -0.25, f64::NAN] {
+                // In a full chunk and in the scalar remainder.
+                for at in [3, 2 * LANES + 1] {
+                    let mut ps = vec![0.4; 2 * LANES + 3];
+                    ps[at] = bad;
+                    let run =
+                        std::panic::catch_unwind(move || norm_quantile_slice_on(isa, &mut ps));
+                    let msg = run.expect_err("out-of-range input accepted");
+                    let msg = msg.downcast_ref::<String>().map_or("", String::as_str);
+                    assert!(
+                        msg.contains("norm_quantile requires p in [0,1]"),
+                        "{isa:?} copy, p = {bad} at {at}: {msg}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
