@@ -15,10 +15,8 @@
 //! Its digest is bit-identical to `--mode fleet` by the fleet's
 //! ordered-aggregation contract — CI diffs the two.
 //!
-//! `--scaling` sweeps shard counts (1, 2, 4, … up to `--shards`),
-//! asserting every count produces the same digest and reporting
-//! sources/sec and bytes/sec per count — the near-linear 1→N scaling
-//! claim behind DESIGN.md §15.
+//! The fleet holds one shard per pool worker, so `VBR_THREADS` sets
+//! the shard count; the digest is the same at every width.
 //!
 //! `--checkpoint-every N` persists the whole fleet through the
 //! two-generation rotated `CheckpointStore`; `--resume` restores the
@@ -26,10 +24,7 @@
 //! `--kill-after-slots N` aborts the process at a slot boundary for
 //! crash drills (same KillPoint machinery as `stream_smoke`).
 //!
-//! Usage: `fleet_bench [--sources N] [--shards K] [--slots N]
-//!   [--block B] [--cap-mib M] [--mode fleet|solo] [--digest]
-//!   [--scaling] [--checkpoint-every N --checkpoint-dir <dir>]
-//!   [--resume] [--kill-after-slots N]`
+//! Usage: see [`USAGE`].
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -40,6 +35,10 @@ use vbr_fgn::FgnStream;
 use vbr_serve::{Fleet, FleetConfig, SourceModel, TenantSpec};
 use vbr_stats::obs::{self, Counter};
 use vbr_stats::snapshot::{crc32, SnapshotError};
+
+const USAGE: &str = "usage: fleet_bench [--sources N] [--slots N] [--block B] [--cap-mib M] \
+                     [--mode fleet|solo] [--digest] [--checkpoint-every N] \
+                     [--checkpoint-dir <dir>] [--resume] [--kill-after-slots N]";
 
 /// Checkpoint blob: a 12-byte digest prefix (running full-run digest +
 /// its own CRC-32, so prefix corruption is a damaged generation, not a
@@ -77,7 +76,7 @@ fn vm_hwm_kib() -> Option<u64> {
 
 /// The tenant population: three statistical classes cycled across ids,
 /// seeds decorrelated by a splitmix-style multiply. Every mode and
-/// every shard count sees exactly this population in this order.
+/// every pool width sees exactly this population in this order.
 fn spec_for(t: u64, block: usize) -> TenantSpec {
     let (hurst, variance) = match t % 3 {
         0 => (0.8, 1.0),
@@ -94,8 +93,12 @@ fn spec_for(t: u64, block: usize) -> TenantSpec {
     }
 }
 
-fn build_fleet(sources: usize, shards: usize, block: usize) -> Fleet {
-    let mut fleet = Fleet::new(FleetConfig::fixed(shards, block, usize::MAX));
+fn config(block: usize) -> FleetConfig {
+    FleetConfig::fixed(1, block, usize::MAX)
+}
+
+fn build_fleet(sources: usize, block: usize) -> Fleet {
+    let mut fleet = Fleet::new(config(block));
     for t in 0..sources as u64 {
         fleet.admit(spec_for(t, block)).expect("admission of a valid spec");
     }
@@ -184,13 +187,11 @@ fn report(label: &str, sources: usize, block: usize, slots: u64, secs: f64) {
 
 fn main() -> ExitCode {
     let mut sources: usize = 100_000;
-    let mut shards: usize = 4;
     let mut slots: u64 = 8;
     let mut block: usize = 16;
     let mut cap_mib: u64 = 768;
     let mut mode = String::from("fleet");
     let mut print_digest = false;
-    let mut scaling = false;
     let mut ckpt_every: u64 = 0;
     let mut ckpt_dir: Option<std::path::PathBuf> = None;
     let mut resume = false;
@@ -203,9 +204,6 @@ fn main() -> ExitCode {
                 sources =
                     args.next().and_then(|v| v.parse().ok()).expect("--sources needs a count")
             }
-            "--shards" => {
-                shards = args.next().and_then(|v| v.parse().ok()).expect("--shards needs a count")
-            }
             "--slots" => {
                 slots = args.next().and_then(|v| v.parse().ok()).expect("--slots needs a count")
             }
@@ -217,7 +215,6 @@ fn main() -> ExitCode {
             }
             "--mode" => mode = args.next().expect("--mode needs fleet|solo"),
             "--digest" => print_digest = true,
-            "--scaling" => scaling = true,
             "--checkpoint-every" => {
                 ckpt_every = args
                     .next()
@@ -239,12 +236,7 @@ fn main() -> ExitCode {
             }
             other => {
                 eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: fleet_bench [--sources N] [--shards K] [--slots N] [--block B] \
-                     [--cap-mib M] [--mode fleet|solo] [--digest] [--scaling] \
-                     [--checkpoint-every N --checkpoint-dir <dir>] [--resume] \
-                     [--kill-after-slots N]"
-                );
+                eprintln!("{USAGE}");
                 return ExitCode::from(2);
             }
         }
@@ -265,49 +257,14 @@ fn main() -> ExitCode {
         None => None,
     };
 
-    let final_digest = if scaling {
-        // Shard-count sweep: 1, 2, 4, … up to --shards. Bit-identical
-        // digests across counts, near-linear throughput growth.
-        let mut counts = Vec::new();
-        let mut k = 1usize;
-        while k <= shards {
-            counts.push(k);
-            k *= 2;
-        }
-        let mut baseline: Option<(u64, f64)> = None;
-        for &k in &counts {
-            let mut fleet = build_fleet(sources, k, block);
-            let mut digest = TraceDigest::new();
-            let mut kill = KillPoint::new(None);
-            let secs = run_fleet(&mut fleet, slots, &mut digest, None, 0, &mut kill);
-            report(&format!("{k} shard(s)"), sources, block, slots, secs);
-            match baseline {
-                None => baseline = Some((digest.value(), secs)),
-                Some((want, base_secs)) => {
-                    if digest.value() != want {
-                        eprintln!(
-                            "FAIL: {k}-shard digest {:#018x} != 1-shard digest {want:#018x}",
-                            digest.value()
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                    println!(
-                        "fleet_bench[scaling]: {k} shards speedup {:.2}x over 1 shard",
-                        base_secs / secs
-                    );
-                }
-            }
-        }
-        baseline.expect("at least one shard count ran").0
-    } else if mode == "solo" {
+    let final_digest = if mode == "solo" {
         let stats = run_solo(sources, block, slots);
         report("solo", sources, block, slots, stats.secs);
         stats.digest
     } else if mode == "fleet" {
         let (mut fleet, mut digest) = if resume {
             let store = store.as_ref().expect("checked above");
-            let cfg = FleetConfig::fixed(shards, block, usize::MAX);
-            match store.recover_with(|bytes| decode_checkpoint(cfg, bytes)) {
+            match store.recover_with(|bytes| decode_checkpoint(config(block), bytes)) {
                 Recovery::Latest { seq, state: (d, f) } => {
                     println!("fleet_bench: resuming from checkpoint seq {seq}");
                     (f, TraceDigest::from_value(d))
@@ -325,16 +282,16 @@ fn main() -> ExitCode {
                     } else {
                         println!("fleet_bench: no checkpoint found; cold start");
                     }
-                    (build_fleet(sources, shards, block), TraceDigest::new())
+                    (build_fleet(sources, block), TraceDigest::new())
                 }
             }
         } else {
             let t0 = Instant::now();
-            let fleet = build_fleet(sources, shards, block);
+            let fleet = build_fleet(sources, block);
             println!(
-                "fleet_bench: admitted {} sources into {} groups/shard avg in {:.2} s",
+                "fleet_bench: admitted {} sources into {} groups in {:.2} s",
                 fleet.sources(),
-                fleet.shard_groups().iter().sum::<usize>() as f64 / shards as f64,
+                fleet.groups(),
                 t0.elapsed().as_secs_f64()
             );
             (fleet, TraceDigest::new())

@@ -1590,7 +1590,7 @@ fn bench_batch_fgn(sizes: &Sizes, report: &mut PerfReport) {
 // ---------------------------------------------------------------------------
 
 /// A representative multi-tenant spec mix: three (H, variance) service
-/// classes, so the fleet packs tenants into three batch groups per shard.
+/// classes, so the fleet packs tenants into three batch groups.
 fn fleet_spec(t: u64, block: usize) -> TenantSpec {
     let (hurst, variance) = match t % 3 {
         0 => (0.8, 1.0),
@@ -1607,24 +1607,22 @@ fn fleet_spec(t: u64, block: usize) -> TenantSpec {
     }
 }
 
-/// Sharded fleet serving: admit `fleet_sources` tenants and advance them
-/// in lockstep slice-slots. The baseline is the naive serving loop — the
+/// Fleet serving: admit `fleet_sources` tenants and advance them in
+/// lockstep slice-slots. The baseline is the naive serving loop — the
 /// same tenant set as independent solo `FgnStream`s, summed in admission
 /// order. The fleet packs tenants sharing (model, H, variance, block)
-/// into shared-spectrum batch groups and spreads groups across shards;
-/// a second entry records the 1 → 4 shard lockstep time (the parallel
-/// win on multi-core hosts). Both comparisons are construction-inclusive
-/// — spinning the fleet up is part of the serving cost — and gated on a
-/// one-time bit-identity check so the timings provably compare equal
-/// work.
+/// into shared-spectrum batch groups, one shard per pool worker. The
+/// comparison is construction-inclusive — spinning the fleet up is part
+/// of the serving cost — and gated on a one-time bit-identity check so
+/// the timings provably compare equal work.
 fn bench_fleet(sizes: &Sizes, report: &mut PerfReport) {
     let block = 16usize;
     let slots = 8usize;
     let n = sizes.fleet_sources;
     let specs: Vec<TenantSpec> = (0..n as u64).map(|t| fleet_spec(t, block)).collect();
 
-    let run_fleet = |shards: usize| -> u64 {
-        let mut fleet = Fleet::new(FleetConfig::fixed(shards, block, usize::MAX));
+    let run_fleet = || -> u64 {
+        let mut fleet = Fleet::new(FleetConfig::fixed(1, block, usize::MAX));
         for s in &specs {
             fleet.admit(*s).expect("bench specs are valid and under capacity");
         }
@@ -1658,11 +1656,9 @@ fn bench_fleet(sizes: &Sizes, report: &mut PerfReport) {
     };
 
     // One-time bit-identity assertion: the fleet's aggregate equals the
-    // ordered solo sum at every shard count, so the timings below are
-    // the same arrival sequence produced three ways.
-    let want = run_solo();
-    assert_eq!(run_fleet(1), want, "1-shard fleet diverged from the solo sum");
-    assert_eq!(run_fleet(4), want, "4-shard fleet diverged from the solo sum");
+    // ordered solo sum, so the timing below compares the same arrival
+    // sequence produced two ways.
+    assert_eq!(run_fleet(), run_solo(), "fleet diverged from the solo sum");
 
     let t = time_paired(
         sizes.budget,
@@ -1670,7 +1666,7 @@ fn bench_fleet(sizes: &Sizes, report: &mut PerfReport) {
             std::hint::black_box(run_solo());
         },
         || {
-            std::hint::black_box(run_fleet(4));
+            std::hint::black_box(run_fleet());
         },
     );
     report.record(
@@ -1681,27 +1677,8 @@ fn bench_fleet(sizes: &Sizes, report: &mut PerfReport) {
             "{n} tenants x {slots} lockstep slots of {block} slices, 3 service \
              classes; baseline holds {n} independent FgnStreams and sums in \
              admission order, fleet packs tenants into shared-spectrum batch \
-             groups across 4 shards; aggregates verified bit-identical first"
-        ),
-    );
-
-    let t = time_paired(
-        sizes.budget,
-        || {
-            std::hint::black_box(run_fleet(1));
-        },
-        || {
-            std::hint::black_box(run_fleet(4));
-        },
-    );
-    report.record(
-        "fleet",
-        "fleet_shard1_vs_shard4",
-        t,
-        &format!(
-            "same {n}-tenant fleet advanced with 1 vs 4 shards (shards run on \
-             the par worker pool; scaling shows on multi-core hosts, digest is \
-             shard-count-invariant everywhere)"
+             groups, one shard per pool worker; aggregates verified \
+             bit-identical first"
         ),
     );
 }

@@ -1,8 +1,6 @@
-//! Fleet kill/resume and migration drills: a whole-shard checkpoint
-//! survives process death and every file-corruption mode, and the
-//! restored fleet — even after migrating a shard's sources to a
-//! different shard — continues the aggregate arrival sequence
-//! bit-identically.
+//! Fleet kill/resume drills: a whole-fleet checkpoint survives process
+//! death and every file-corruption mode, and the restored fleet
+//! continues the aggregate arrival sequence bit-identically.
 
 use vbr_bench::{CheckpointStore, FaultInjector, FileCorruption, KillPoint, Recovery, TraceDigest};
 use vbr_serve::{Fleet, FleetConfig, SourceModel, TenantSpec};
@@ -12,7 +10,7 @@ const SLOTS_TOTAL: u64 = 12;
 const CKPT_AT: u64 = 5;
 
 fn cfg() -> FleetConfig {
-    FleetConfig::fixed(3, BLOCK, 1024)
+    FleetConfig::fixed(1, BLOCK, 1024)
 }
 
 fn build_fleet() -> Fleet {
@@ -140,23 +138,4 @@ fn corrupted_checkpoints_degrade_and_never_panic() {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
-}
-
-#[test]
-fn migration_after_restore_continues_bit_identically() {
-    let (want, bytes) = reference_run();
-    // Restore on the "new host", migrate shard 0's sources onto shard 2
-    // (the whole-shard migration path), and continue: same bits.
-    let mut fleet = Fleet::restore(cfg(), &bytes).unwrap();
-    fleet.migrate_shard(0, 2).unwrap();
-    assert_eq!(fleet.shard_loads()[0], 0, "shard 0 must be empty after migration");
-    assert_eq!(fleet.sources(), 13);
-    assert_eq!(finish(fleet), want, "migrated fleet diverged from the uninterrupted run");
-
-    // And a snapshot taken *after* migration round-trips too.
-    let mut fleet = Fleet::restore(cfg(), &bytes).unwrap();
-    fleet.migrate_shard(0, 1).unwrap();
-    let rebytes = fleet.snapshot();
-    let refleet = Fleet::restore(cfg(), &rebytes).unwrap();
-    assert_eq!(finish(refleet), want, "re-snapshotted migrated fleet diverged");
 }

@@ -185,9 +185,9 @@ struct SourceState {
     tail: Vec<f64>,
     pos: usize,
     started: bool,
-    /// Owner identity carried through export/restore so a source moved
-    /// between batch groups (shard migration) keeps its tenant, not just
-    /// its positional index. `0` for solo streams.
+    /// Owner identity carried through export/restore so a source restored
+    /// at another position (a fleet restored at another pool width) keeps
+    /// its tenant, not just its positional index. `0` for solo streams.
     tenant: u64,
 }
 
@@ -333,7 +333,7 @@ impl SharedSpectrum {
 /// memory and bit-identity contracts.
 ///
 /// All buffers (the synthesis workspace, which travels with a window in
-/// flight, the per-worker lane workspaces, every source's window and
+/// flight, the lane workspace, every source's window and
 /// tail) are allocated once and reused every window, so steady-state
 /// generation allocates nothing.
 #[derive(Debug, Clone)]
@@ -350,11 +350,9 @@ pub struct BatchStream {
     /// The next window of one source, synthesised ahead on the pool's
     /// background worker (see [`refill_source`](Self::refill_source)).
     ahead: WindowAhead,
-    /// One lane-refill workspace per pool worker of
-    /// [`advance_rows`](Self::advance_rows). Grows to the widest pool
-    /// that has refilled this batch and is reused after that; stays
-    /// empty unless `advance_rows` forms a cohort.
-    lanes: Vec<LaneWorker>,
+    /// The lane-refill workspace of [`advance_rows`](Self::advance_rows);
+    /// allocates nothing unless `advance_rows` forms a cohort.
+    cohort: CohortRefill,
     /// `advance_rows`'s `(source, row)` list of sources due a whole
     /// window, kept across calls so a slot allocates nothing.
     due: Vec<(usize, usize)>,
@@ -396,17 +394,17 @@ impl Clone for WindowAhead {
     }
 }
 
-/// One pool worker's lane-parallel refill workspace: normal draws,
-/// interleaved half-spectra and window samples for up to [`LANES`]
-/// sources at a time.
+/// The lane-parallel refill workspace: normal draws, interleaved
+/// half-spectra and window samples for up to [`LANES`] sources at a
+/// time.
 #[derive(Debug, Clone, Default)]
-struct LaneWorker {
+struct CohortRefill {
     scratch: LaneSynthScratch,
     /// Lane-interleaved window samples of the current cohort.
     buf: Vec<f64>,
 }
 
-impl LaneWorker {
+impl CohortRefill {
     /// Refills one cohort (indices into `sources`) through the
     /// lane-parallel synthesis kernel: each source draws its own window
     /// of normals (own RNG, the contract order), all windows transform
@@ -487,7 +485,7 @@ impl BatchStream {
             sources: seeds.iter().map(|&s| SourceState::new(s, 0, block, overlap)).collect(),
             synth: SynthScratch::default(),
             ahead: WindowAhead::default(),
-            lanes: Vec::new(),
+            cohort: CohortRefill::default(),
             due: Vec::new(),
         })
     }
@@ -646,15 +644,14 @@ impl BatchStream {
     /// member sits at the same window position) are refilled in cohorts
     /// of [`LANES`] through the lane-parallel synthesis kernel
     /// — one batched normal draw, one lane FFT and one strided seam
-    /// blend per cohort instead of a full scalar pipeline per source —
-    /// and the cohorts are dealt to the `vbr_stats::par` pool workers.
+    /// blend per cohort instead of a full scalar pipeline per source.
     /// Sources mid-window, sources holding a pending window, cohort
     /// remainders (`< LANES`), white-noise groups and `len > block` all
-    /// take the scalar per-source path on the calling thread, which also
-    /// copies every row out. All paths
-    /// are draw-for-draw bit-identical, so callers cannot observe which
-    /// one ran, nor on which worker (the lane-batching policy of
-    /// DESIGN.md §16).
+    /// take the scalar per-source path, which also copies every row out.
+    /// Everything runs on the calling thread (a fleet runs one call per
+    /// shard, one shard per pool worker). All paths are draw-for-draw
+    /// bit-identical, so callers cannot observe which one ran (the
+    /// lane-batching policy of DESIGN.md §16).
     pub fn advance_rows(&mut self, len: usize, buf: &mut [f64], rows: &[(usize, usize)]) {
         if len == 0 {
             return;
@@ -702,50 +699,14 @@ impl BatchStream {
     }
 
     /// Refills every full [`LANES`]-source cohort of the `due` sources,
-    /// dealt to pool workers. The worker count is
-    /// `vbr_stats::par::sized_width` of the refill work (due sources ×
-    /// `m log₂ m`), capped at one worker per cohort. Each worker owns
-    /// one contiguous range of `self.sources`, a whole number of cohorts
-    /// wide, plus its own [`LaneWorker`]; it forms cohorts from the due
-    /// sources in its range, in `due` order, and leaves the `< LANES`
-    /// remainder untouched for the caller. One worker is the serial
-    /// case: the whole batch in one range, on the calling thread.
-    ///
-    /// A source's window depends only on its own state, so which worker
-    /// refills which cohort cannot move a bit; inside another pool
-    /// worker (a multi-shard fleet) the call is serial.
+    /// cohorts formed in `due` order; the `< LANES` remainder is left
+    /// untouched for the caller.
     fn refill_cohorts(&mut self, sp: &SharedSpectrum, due: &[(usize, usize)]) {
-        if due.len() < LANES {
-            return;
-        }
-        let m = sp.m();
-        let work = due.len() * m * m.ilog2() as usize;
-        let workers = vbr_stats::par::sized_width(work).min(due.len() / LANES);
-        if self.lanes.len() < workers {
-            self.lanes.resize_with(workers, LaneWorker::default);
-        }
-        let range = self.sources.len().div_ceil(workers).next_multiple_of(LANES);
         let geometry = (self.sd, self.block, self.overlap);
-        vbr_stats::par::par_chunks_mut_with(
-            &mut self.sources,
-            range,
-            &mut self.lanes[..workers],
-            |w, sources, lane| {
-                let base = w * range;
-                let mut cohort = [0usize; LANES];
-                let mut k = 0;
-                for &(s, _) in due {
-                    if (base..base + sources.len()).contains(&s) {
-                        cohort[k] = s - base;
-                        k += 1;
-                        if k == LANES {
-                            lane.refill_cohort(sp, geometry, sources, &cohort);
-                            k = 0;
-                        }
-                    }
-                }
-            },
-        );
+        for rows in due.chunks_exact(LANES) {
+            let cohort: [usize; LANES] = std::array::from_fn(|v| rows[v].0);
+            self.cohort.refill_cohort(sp, geometry, &mut self.sources, &cohort);
+        }
     }
 
     /// Exports the dynamic state of one source for checkpointing —
@@ -898,8 +859,9 @@ pub struct StreamState {
     pub started: bool,
     /// Tenant identity of the source. Solo streams export `0`; batch
     /// sources export whatever identity they were admitted with, so a
-    /// state restored into a different batch group (shard migration)
-    /// carries its owner along instead of relying on positional index.
+    /// state restored at another position in another batch (a fleet
+    /// restored at another pool width) carries its owner along instead
+    /// of relying on positional index.
     /// Any value is structurally valid — identity is data, not geometry.
     pub tenant: u64,
 }
@@ -1305,8 +1267,9 @@ mod tests {
 
     #[test]
     fn tenant_identity_round_trips_through_state() {
-        // Shard migration: a source pushed with a tenant tag, exported,
-        // and restored into a *different* group (different position)
+        // A source pushed with a tenant tag, exported, and restored into
+        // a *different* batch at a different position (a fleet restored
+        // at another width)
         // must keep both its identity and its draw sequence.
         let mut batch = batch(Family::Fgn, 0.8, 64, &[]);
         let i = batch.push_source(77, 0xBEEF);
@@ -1322,17 +1285,17 @@ mod tests {
         other.push_source(1, 1); // occupy index 0 with a stranger
         let j = other.push_source(0, 0); // placeholder seed; state overwrites
         other.restore_state(j, &st).unwrap();
-        assert_eq!(other.tenant(j), 0xBEEF, "identity must survive migration");
+        assert_eq!(other.tenant(j), 0xBEEF, "identity must survive the move");
         let mut got = vec![0.0; 120];
         other.next_block(j, &mut got);
-        assert_eq!(got, expect, "draws must survive migration");
+        assert_eq!(got, expect, "draws must survive the move");
     }
 
     #[test]
     fn advance_rows_keeps_pending_sources_out_of_cohorts() {
         // One full cohort's worth of sources at a window end. Source 0
         // refills last, at two workers, so it alone holds a pending
-        // window when `advance_rows` runs; were it dealt to the cohort,
+        // window when `advance_rows` runs; were it put in the cohort,
         // its stale pending window would be installed by its next
         // scalar refill.
         let seeds: Vec<u64> = (0..LANES as u64).map(|s| 40 + s).collect();

@@ -284,8 +284,8 @@ proptest! {
         // the block, and stragglers pushed mid-window or a whole block
         // between rounds so cohorts form from a changing subset of the
         // sources and meet sources holding a pending window; at 1, 2 and
-        // 3 pool workers, so cohorts are dealt across workers whose
-        // source ranges hold whole cohorts, remainders or nothing due.
+        // 3 pool workers, since pinned widths above 1 look ahead at every
+        // window size and so leave pending windows behind.
         let farima = farima_sel == 1;
         let (family, h) = if farima {
             (Family::Farima, 0.5 + 0.45 * h_unit)

@@ -1,29 +1,39 @@
-//! The fleet: shards, admission control, lockstep slots, migration and
-//! whole-fleet snapshots.
+//! The fleet: admission control, lockstep slots over one shard per pool
+//! worker, and whole-fleet snapshots.
+//!
+//! # Placement
+//!
+//! A fleet built or restored while the `vbr_stats::par` pool is K
+//! workers wide holds K shards and deals sources to them round-robin in
+//! admission order: the i-th admitted source is local source `i / K` of
+//! shard `i % K`. Placement is therefore computed, never stored. A shard
+//! holds one batch group per group key the fleet has seen, indexed by
+//! the key's fleet-wide group id (its position in first-admission
+//! order), the `(source, row)` list each group advances, and the slot
+//! buffer its sources render into, row per local source.
 //!
 //! # Determinism
 //!
-//! The aggregate arrival sequence is **bit-identical** for any shard
-//! count, any thread count, and any tenant→shard placement. Two facts
-//! carry the proof:
+//! The aggregate arrival sequence is **bit-identical** at any pool
+//! width, hence any shard count. Two facts carry the proof:
 //!
 //! 1. Generation is the only parallel work that touches sources —
-//!    shards advance on pool workers, each writing its own slot buffer,
-//!    and inside a shard each group deals its lane cohorts to pool
-//!    workers over disjoint source ranges — and each source's draws
-//!    depend only on its own exported state. So neither shard placement
-//!    nor which worker refills a source can change its samples (the
-//!    `BatchStream` interleaving guarantee).
-//! 2. Aggregation walks the global registry in **admission order**,
-//!    accumulating each source's row into the slot aggregate. The
-//!    per-element float-addition order is therefore registry order
-//!    regardless of how sources are scattered across shards. Parallel
-//!    aggregation splits *slot positions* (not sources) across workers,
-//!    and every worker walks the full registry in order for its
-//!    positions, so the per-element order is again unchanged.
+//!    shards advance on pool workers, each writing its own slot buffer
+//!    — and each source's draws depend only on its own state. So which
+//!    shard, group slot or worker holds a source cannot change its
+//!    samples (the `BatchStream` interleaving guarantee).
+//! 2. Aggregation walks the sources in **admission order**,
+//!    accumulating each source's row into the slot aggregate, whatever
+//!    shard holds it. Parallel aggregation splits *slot positions* (not
+//!    sources) across workers, and every worker walks all sources in
+//!    order for its positions, so the per-element addition order is
+//!    again unchanged.
 //!
-//! Hence `fleet(k shards) ≡ fleet(1 shard) ≡` the ordered sum of solo
-//! streams, bitwise — which is exactly what the serve proptests check.
+//! Hence a fleet at any width ≡ the ordered sum of solo streams,
+//! bitwise — which is exactly what the serve proptests check. The
+//! snapshot names no shard (group keys, then every source's group and
+//! state in admission order), so its bytes are width-independent too,
+//! and a fleet checkpointed at one width restores at another.
 //!
 //! # Admission
 //!
@@ -35,24 +45,18 @@
 //!   ratio above `max_overrun_ratio`) *queues* the spec instead of
 //!   placing it — call [`Fleet::drain_pending`] once the fleet is
 //!   healthy again.
-//!
-//! Placement is least-loaded-shard (ties to the lowest index), which
-//! keeps lockstep slots balanced without a rebalancing pass.
 
-use crate::shard::{Shard, ShardState};
-use crate::tenant::{TenantId, TenantSpec};
+use crate::tenant::{GroupKey, TenantId, TenantSpec};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
-use vbr_fgn::FgnError;
+use vbr_fgn::{BatchStream, FgnError, StreamState};
 use vbr_qsim::admit_by_norros;
 use vbr_stats::obs::{self, Counter};
-use vbr_stats::par::{par_for_each_mut, par_for_each_mut_with, sized_width};
+use vbr_stats::par::{num_threads, par_for_each_mut, sized_width};
 use vbr_stats::snapshot::{ParamHasher, SnapshotError, SnapshotReader, SnapshotWriter};
 
-/// Section tag for fleet metadata ("FLTM").
-const TAG_FLEET_META: u32 = 0x464C_544D;
-/// Section tag for one shard's state ("SHRD"), repeated per shard.
-const TAG_SHARD: u32 = 0x5348_5244;
+/// Section tag of the fleet snapshot ("FLET").
+const TAG_FLEET: u32 = 0x464C_4554;
 
 /// How the fleet decides whether one more source fits.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,26 +92,29 @@ pub enum AdmissionPolicy {
 /// refusal, not silent corruption.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetConfig {
-    /// Number of shards (parallel lockstep workers).
-    pub shards: usize,
     /// Samples each source renders per slot.
     pub slot_len: usize,
     /// Capacity rule for admission.
     pub policy: AdmissionPolicy,
-    /// Wall-clock budget for one shard slot; `None` disables overrun
-    /// tracking (and with it deadline-based queueing).
+    /// Wall-clock budget for one slot (generation and aggregation);
+    /// `None` disables overrun tracking (and with it deadline-based
+    /// queueing).
     pub slot_deadline: Option<Duration>,
     /// Queue (rather than place) new tenants once the overrun ratio —
-    /// overrun shard-slots over total shard-slots — exceeds this.
+    /// overrun slots over deadline-eligible slots — exceeds this.
     pub max_overrun_ratio: f64,
 }
 
 impl FleetConfig {
-    /// A minimal config: `shards` shards, `slot_len` samples per slot,
-    /// a fixed cap, and no deadline tracking.
-    pub fn fixed(shards: usize, slot_len: usize, max_sources: usize) -> FleetConfig {
+    /// A minimal config: `slot_len` samples per slot, a fixed cap, and
+    /// no deadline tracking.
+    ///
+    /// The first argument is ignored. It was the shard count, which is
+    /// now the pool width (one shard per worker, see [`Fleet::new`]); it
+    /// stays so that callers written against the three-argument form
+    /// still compile.
+    pub fn fixed(_ignored: usize, slot_len: usize, max_sources: usize) -> FleetConfig {
         FleetConfig {
-            shards,
             slot_len,
             policy: AdmissionPolicy::FixedCap { max_sources },
             slot_deadline: None,
@@ -115,12 +122,13 @@ impl FleetConfig {
         }
     }
 
-    /// FNV-1a digest of every configuration field, for the snapshot
-    /// header. Floats hash by bit pattern.
+    /// FNV-1a digest of every configuration field and the snapshot
+    /// layout version, for the snapshot header. Floats hash by bit
+    /// pattern. `v2` is the width-independent layout; a `v1` snapshot
+    /// (one section per shard) is refused as a hash mismatch.
     pub fn param_hash(&self) -> u64 {
         let h = ParamHasher::new()
-            .str("vbr-fleet/v1")
-            .usize(self.shards)
+            .str("vbr-fleet/v2")
             .usize(self.slot_len)
             .u64(match self.slot_deadline {
                 None => 0,
@@ -152,11 +160,8 @@ impl FleetConfig {
 /// Where an admitted spec landed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
-    /// Placed on a shard and generating from the next slot.
-    Admitted {
-        /// Index of the owning shard.
-        shard: usize,
-    },
+    /// Placed, and generating from the next slot.
+    Admitted,
     /// Deferred because slot deadlines are slipping; the spec sits in
     /// the pending queue until [`Fleet::drain_pending`].
     Queued {
@@ -189,30 +194,85 @@ impl std::fmt::Display for AdmitError {
 
 impl std::error::Error for AdmitError {}
 
-/// Registry entry: where one tenant's source lives. Registry *order* is
-/// admission order — the float-addition order of the aggregate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Placement {
-    tenant: TenantId,
-    shard: u32,
-    local: u32,
+/// The sources one pool worker advances. See the [module docs](self).
+#[derive(Debug)]
+struct Shard {
+    /// Batch group per fleet group id, with the `(source in group, row)`
+    /// pairs it advances each slot.
+    groups: Vec<(BatchStream, Vec<(usize, usize)>)>,
+    /// Local source → (group id, source index in the group).
+    layout: Vec<(u32, u32)>,
+    /// `layout.len() × slot_len` samples, row per local source.
+    slot_buf: Vec<f64>,
+    slot_len: usize,
 }
 
-/// The sharded source fleet. See the [module docs](self) for the
+impl Shard {
+    fn sources(&self) -> usize {
+        self.layout.len()
+    }
+
+    /// Appends a source to group `g` as the next local source and
+    /// returns its index in the group.
+    fn push(&mut self, g: usize, seed: u64, tenant: TenantId) -> usize {
+        let (batch, rows) = &mut self.groups[g];
+        let s = batch.push_source(seed, tenant);
+        rows.push((s, self.layout.len()));
+        self.layout.push((g as u32, s as u32));
+        self.slot_buf.resize(self.layout.len() * self.slot_len, 0.0);
+        s
+    }
+
+    /// Renders `slot_len` samples of every source into the slot buffer,
+    /// one lockstep [`advance_rows`](BatchStream::advance_rows) call per
+    /// group. Pure generation: no cross-shard reads, no aggregation.
+    fn advance_slot(&mut self) {
+        for (batch, rows) in &mut self.groups {
+            if !rows.is_empty() {
+                batch.advance_rows(self.slot_len, &mut self.slot_buf, rows);
+            }
+        }
+    }
+
+    /// The samples local source `local` rendered in the current slot.
+    fn source_slot(&self, local: usize) -> &[f64] {
+        &self.slot_buf[local * self.slot_len..(local + 1) * self.slot_len]
+    }
+
+    /// Group id and dynamic state of local source `local`.
+    fn export(&self, local: usize) -> (u32, StreamState) {
+        let (g, s) = self.layout[local];
+        (g, self.groups[g as usize].0.export_state(s as usize))
+    }
+}
+
+/// An empty batch group for `key`, validated and with its spectrum
+/// built. The key's model maps to an engine family here, once per key.
+fn build_group(key: GroupKey) -> Result<BatchStream, FgnError> {
+    let (model, variance, block, overlap) =
+        key.params().ok_or(FgnError::InvalidHurst { hurst: f64::NAN, lo: 0.0, hi: 1.0 })?;
+    let (family, hurst) = model.family();
+    BatchStream::try_new(family, hurst, variance, block, overlap, &[])
+}
+
+/// The source fleet. See the [module docs](self) for the placement,
 /// determinism and admission contracts.
 #[derive(Debug)]
 pub struct Fleet {
     cfg: FleetConfig,
+    /// One per pool worker at construction or restore.
     shards: Vec<Shard>,
-    /// Admission-ordered registry; its order defines aggregate bits.
-    registry: Vec<Placement>,
+    /// Group keys in first-admission order: a key's position is its
+    /// group id on every shard.
+    keys: Vec<GroupKey>,
+    group_ids: HashMap<GroupKey, usize>,
     /// Specs deferred by deadline slip, FIFO.
     pending: VecDeque<TenantSpec>,
     ids: HashSet<TenantId>,
     slots_done: u64,
     overruns: u64,
-    /// Deadline-eligible shard-slots: non-empty shards advanced while a
-    /// slot deadline was configured. The overrun ratio's denominator —
+    /// Deadline-eligible slots: slots of a non-empty fleet advanced while
+    /// a slot deadline was configured. The overrun ratio's denominator —
     /// the same population the numerator is drawn from.
     eligible_slots: u64,
     /// Norros cap per Hurst bit pattern (the scan is `O(n_max)`).
@@ -220,17 +280,24 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// An empty fleet under `cfg`.
+    /// An empty fleet under `cfg`, with one shard per worker of the
+    /// `vbr_stats::par` pool ([`num_threads`]).
     ///
     /// # Panics
-    /// If `cfg.shards == 0` or `cfg.slot_len == 0`.
+    /// If `cfg.slot_len == 0`.
     pub fn new(cfg: FleetConfig) -> Fleet {
-        assert!(cfg.shards >= 1, "a fleet needs at least one shard");
         assert!(cfg.slot_len >= 1, "slots must hold at least one sample");
+        let shard = |_| Shard {
+            groups: Vec::new(),
+            layout: Vec::new(),
+            slot_buf: Vec::new(),
+            slot_len: cfg.slot_len,
+        };
         Fleet {
-            shards: (0..cfg.shards).map(|_| Shard::new(cfg.slot_len)).collect(),
+            shards: (0..num_threads()).map(shard).collect(),
             cfg,
-            registry: Vec::new(),
+            keys: Vec::new(),
+            group_ids: HashMap::new(),
             pending: VecDeque::new(),
             ids: HashSet::new(),
             slots_done: 0,
@@ -245,9 +312,15 @@ impl Fleet {
         &self.cfg
     }
 
-    /// Active (placed) sources across all shards.
+    /// Active (placed) sources.
     pub fn sources(&self) -> usize {
-        self.registry.len()
+        self.shards.iter().map(Shard::sources).sum()
+    }
+
+    /// Distinct batch groups (distinct [`GroupKey`]s) — how well tenant
+    /// packing is amortising spectra and FFT plans.
+    pub fn groups(&self) -> usize {
+        self.keys.len()
     }
 
     /// Specs waiting in the pending queue.
@@ -260,15 +333,14 @@ impl Fleet {
         self.slots_done
     }
 
-    /// Shard-slots that exceeded the deadline.
+    /// Slots that exceeded the deadline.
     pub fn overruns(&self) -> u64 {
         self.overruns
     }
 
-    /// Overrun shard-slots over deadline-eligible shard-slots — slots
-    /// advanced on *non-empty* shards while a deadline was configured,
-    /// the same population overruns are counted from. Empty shards never
-    /// dilute the ratio (0 before any eligible slot).
+    /// Overrun slots over deadline-eligible slots — slots advanced with
+    /// at least one source while a deadline was configured, the same
+    /// population overruns are counted from (0 before any eligible slot).
     pub fn overrun_ratio(&self) -> f64 {
         if self.eligible_slots == 0 {
             0.0
@@ -308,14 +380,14 @@ impl Fleet {
 
     /// Admits a spec: rejects duplicates, over-capacity fleets and
     /// unbuildable parameters; queues when slot deadlines are slipping;
-    /// otherwise places on the least-loaded shard.
+    /// otherwise places it as the next source in admission order.
     pub fn admit(&mut self, spec: TenantSpec) -> Result<Admission, AdmitError> {
         if self.ids.contains(&spec.tenant) {
             obs::counter_add(Counter::FleetAdmissionRejects, 1);
             return Err(AdmitError::Rejected { reason: "duplicate tenant id" });
         }
         let cap = self.capacity_for(&spec);
-        if self.registry.len() + self.pending.len() >= cap {
+        if self.sources() + self.pending.len() >= cap {
             obs::counter_add(Counter::FleetAdmissionRejects, 1);
             return Err(AdmitError::Rejected { reason: "fleet at policy capacity" });
         }
@@ -324,25 +396,41 @@ impl Fleet {
             self.ids.insert(spec.tenant);
             return Ok(Admission::Queued { position: self.pending.len() - 1 });
         }
-        let shard = self.place(spec).map_err(AdmitError::Invalid)?;
-        Ok(Admission::Admitted { shard })
+        self.place(spec).map_err(AdmitError::Invalid)?;
+        Ok(Admission::Admitted)
     }
 
-    /// Places a spec on the least-loaded shard (assumes policy checks
-    /// already passed). Registry append = aggregate addition order.
-    fn place(&mut self, spec: TenantSpec) -> Result<usize, FgnError> {
-        let shard = self
-            .shards
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, s)| (s.sources(), *i))
-            .map(|(i, _)| i)
-            .expect("fleet has at least one shard");
-        let local = self.shards[shard].admit(&spec)?;
-        self.registry.push(Placement { tenant: spec.tenant, shard: shard as u32, local });
+    /// The group id of `key`, adding the group to every shard (and so
+    /// paying its one-time spectrum and plan cost) on the key's first
+    /// admission.
+    fn group_id(&mut self, key: GroupKey) -> Result<usize, FgnError> {
+        if let Some(&g) = self.group_ids.get(&key) {
+            return Ok(g);
+        }
+        let batch = build_group(key)?;
+        for shard in &mut self.shards {
+            shard.groups.push((batch.clone(), Vec::new()));
+        }
+        self.group_ids.insert(key, self.keys.len());
+        self.keys.push(key);
+        Ok(self.keys.len() - 1)
+    }
+
+    /// The shard that holds the next admitted source (round-robin).
+    fn next_shard(&mut self) -> &mut Shard {
+        let k = self.shards.len();
+        let i = self.sources() % k;
+        &mut self.shards[i]
+    }
+
+    /// Places a spec as the next source in admission order (assumes the
+    /// policy checks already passed).
+    fn place(&mut self, spec: TenantSpec) -> Result<(), FgnError> {
+        let g = self.group_id(GroupKey::of(&spec))?;
+        self.next_shard().push(g, spec.seed, spec.tenant);
         self.ids.insert(spec.tenant);
         obs::counter_add(Counter::FleetSourcesAdmitted, 1);
-        Ok(shard)
+        Ok(())
     }
 
     /// Places queued specs while the overrun ratio stays at or under
@@ -357,7 +445,7 @@ impl Fleet {
             }
             self.pending.pop_front();
             match self.place(spec) {
-                Ok(_) => placed += 1,
+                Ok(()) => placed += 1,
                 Err(_) => {
                     self.ids.remove(&spec.tenant);
                 }
@@ -366,223 +454,141 @@ impl Fleet {
         placed
     }
 
+    /// Every source's shard and local index, in admission order: local
+    /// 0 of every shard, then local 1, … (the round-robin placement).
+    fn admission_order(&self) -> impl Iterator<Item = (&Shard, usize)> {
+        (0..)
+            .flat_map(move |local| self.shards.iter().map(move |shard| (shard, local)))
+            .take(self.sources())
+    }
+
     /// Advances every source one slot and writes the aggregate arrival
     /// sequence (the sum over all sources, in admission order) into
     /// `agg`, which must be `slot_len` long.
     ///
-    /// Shards — and inside a shard that has the pool to itself, each
-    /// group's lane cohorts — generate on parallel workers; aggregation
-    /// preserves the registry's per-element addition order at any
-    /// thread count (see the [module docs](self)).
+    /// Shards generate on parallel workers; aggregation preserves the
+    /// admission-order per-element addition order at any thread count
+    /// (see the [module docs](self)).
     pub fn advance_slot(&mut self, agg: &mut [f64]) {
         assert_eq!(agg.len(), self.cfg.slot_len, "aggregate buffer must be slot_len long");
-        par_for_each_mut(&mut self.shards, |_, shard| {
-            let t0 = Instant::now();
-            shard.advance_slot();
-            // Wall-clock stamp for SLO accounting only: written here,
-            // never read back into any generation path.
-            shard.last_advance_nanos = t0.elapsed().as_nanos() as u64;
-        });
+        // Wall-clock stamp for SLO accounting only: never read back into
+        // any generation path.
+        let t0 = Instant::now();
+        par_for_each_mut(&mut self.shards, |_, shard| shard.advance_slot());
+        self.aggregate(agg);
+        let n = self.sources();
         if let Some(deadline) = self.cfg.slot_deadline {
-            let budget = deadline.as_nanos() as u64;
-            for shard in &self.shards {
-                if shard.sources() > 0 {
-                    self.eligible_slots += 1;
-                    if shard.last_advance_nanos > budget {
-                        self.overruns += 1;
-                        obs::counter_add(Counter::FleetSlotOverruns, 1);
-                    }
+            if n > 0 {
+                self.eligible_slots += 1;
+                if t0.elapsed() > deadline {
+                    self.overruns += 1;
+                    obs::counter_add(Counter::FleetSlotOverruns, 1);
                 }
             }
         }
-        self.aggregate(agg);
         self.slots_done += 1;
         obs::counter_add(Counter::FleetSlots, 1);
-        obs::counter_add(Counter::FleetSlices, self.registry.len() as u64);
+        obs::counter_add(Counter::FleetSlices, n as u64);
     }
 
-    /// Registry-ordered aggregation. Parallelism splits slot positions,
+    /// Admission-ordered aggregation. Parallelism splits slot positions,
     /// never sources, so each output element's addition order is always
-    /// the full registry in order. The width is `sized_width` of the
+    /// every source in admission order. The width is `sized_width` of the
     /// `sources × slot_len` work, so a pinned thread count reaches the
     /// parallel branch at any fleet size (given two slot positions per
     /// thread).
     fn aggregate(&self, agg: &mut [f64]) {
-        agg.fill(0.0);
-        let registry = &self.registry;
-        let shards = &self.shards;
-        let threads = sized_width(registry.len() * agg.len());
-        if threads > 1 && agg.len() >= 2 * threads {
-            let chunk_len = agg.len().div_ceil(threads);
-            let mut chunks: Vec<&mut [f64]> = agg.chunks_mut(chunk_len).collect();
-            par_for_each_mut_with(threads, &mut chunks, |ci, chunk| {
-                let base = ci * chunk_len;
-                for p in registry {
-                    let row = shards[p.shard as usize].source_slot(p.local);
-                    for (j, v) in chunk.iter_mut().enumerate() {
-                        *v += row[base + j];
-                    }
-                }
-            });
-        } else {
-            for p in registry {
-                let row = shards[p.shard as usize].source_slot(p.local);
-                for (v, &x) in agg.iter_mut().zip(row) {
+        let add = |base: usize, out: &mut [f64]| {
+            out.fill(0.0);
+            for (shard, local) in self.admission_order() {
+                let row = &shard.source_slot(local)[base..base + out.len()];
+                for (v, &x) in out.iter_mut().zip(row) {
                     *v += x;
                 }
             }
-        }
-    }
-
-    /// Moves every source of shard `from` onto shard `to`, preserving
-    /// each source's full dynamic state. Registry *order* is untouched
-    /// (only shard/local coordinates are rewritten), so the aggregate
-    /// sequence continues bit-identically — the proof obligation behind
-    /// the migration drill.
-    ///
-    /// # Panics
-    /// If `from == to` or either index is out of range.
-    pub fn migrate_shard(&mut self, from: usize, to: usize) -> Result<(), SnapshotError> {
-        assert!(from != to, "migration source and target must differ");
-        assert!(from < self.shards.len() && to < self.shards.len());
-        let (src, dst) = if from < to {
-            let (a, b) = self.shards.split_at_mut(to);
-            (&mut a[from], &mut b[0])
-        } else {
-            let (a, b) = self.shards.split_at_mut(from);
-            (&mut b[0], &mut a[to])
         };
-        let remap = src.drain_into(dst)?;
-        // `remap` is keyed by *old local index*. Registry entries are not
-        // generally sorted by local (earlier migrations into `from` may
-        // have appended out of order), so each placement must look up its
-        // own old local — never a running counter over iteration order.
-        for p in &mut self.registry {
-            if p.shard == from as u32 {
-                p.shard = to as u32;
-                p.local = remap[p.local as usize];
-            }
+        let threads = sized_width(self.sources() * agg.len());
+        if threads > 1 && agg.len() >= 2 * threads {
+            let chunk_len = agg.len().div_ceil(threads);
+            let mut chunks: Vec<&mut [f64]> = agg.chunks_mut(chunk_len).collect();
+            par_for_each_mut(&mut chunks, |ci, chunk| add(ci * chunk_len, chunk));
+        } else {
+            add(0, agg);
         }
-        Ok(())
     }
 
-    /// Serialises the whole fleet — metadata, registry and every shard —
-    /// under the config's parameter hash, with `slots_done` as the
-    /// snapshot sequence number. Pending (queued, never-placed) specs
-    /// are deliberately *not* persisted: they have no dynamic state, and
-    /// their owners re-submit on reconnect.
+    /// Serialises the whole fleet under the config's parameter hash, with
+    /// `slots_done` as the snapshot sequence number: the slot and overrun
+    /// counters, the group keys in first-admission order, then every
+    /// source's group id and dynamic state in admission order. Nothing in
+    /// it names a shard, so the bytes do not depend on the pool width.
+    /// Pending (queued, never-placed) specs are deliberately *not*
+    /// persisted: they have no dynamic state, and their owners re-submit
+    /// on reconnect.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = SnapshotWriter::new(self.cfg.param_hash(), self.slots_done);
-        w.section(TAG_FLEET_META, |p| {
+        w.section(TAG_FLEET, |p| {
             p.put_u64(self.slots_done);
             p.put_u64(self.overruns);
             p.put_u64(self.eligible_slots);
-            p.put_usize(self.shards.len());
-            p.put_usize(self.cfg.slot_len);
-            p.put_usize(self.registry.len());
-            for pl in &self.registry {
-                p.put_u64(pl.tenant);
-                p.put_u64(pl.shard as u64);
-                p.put_u64(pl.local as u64);
+            p.put_usize(self.keys.len());
+            for key in &self.keys {
+                key.encode(p);
+            }
+            p.put_usize(self.sources());
+            for (shard, local) in self.admission_order() {
+                let (g, state) = shard.export(local);
+                p.put_u64(g as u64);
+                state.encode(p);
             }
         });
-        for shard in &self.shards {
-            let state = shard.export_state();
-            w.section(TAG_SHARD, |p| state.encode(p));
-        }
         w.finish()
     }
 
     /// Restores a fleet from [`snapshot`](Self::snapshot) bytes under
-    /// the same configuration. Every structural claim in the bytes is
-    /// validated — parameter hash, shard count, slot length, per-shard
-    /// layout bijections, and registry consistency (every placement in
-    /// range, every source placed exactly once, tenant identities
-    /// matching the shard states, no duplicate tenant ids) — before any
-    /// fleet exists; hostile bytes yield a typed error, never a panic
-    /// or a partial fleet.
+    /// the same configuration, at the current pool width (one shard per
+    /// worker, as [`new`](Self::new)), whatever the width the snapshot
+    /// was taken at. Every claim in the bytes is validated — parameter
+    /// hash, buildable and distinct group keys, every source's group in
+    /// range, every `StreamState` against its group's geometry, no
+    /// duplicate tenant ids — and hostile bytes yield a typed error,
+    /// never a panic or a partial fleet.
+    ///
+    /// # Panics
+    /// As [`new`](Self::new).
     pub fn restore(cfg: FleetConfig, bytes: &[u8]) -> Result<Fleet, SnapshotError> {
         let mut r = SnapshotReader::open(bytes)?;
         r.require_param_hash(cfg.param_hash())?;
-        let mut meta = r.section(TAG_FLEET_META, "fleet meta")?;
-        let slots_done = meta.get_u64()?;
-        let overruns = meta.get_u64()?;
-        let eligible_slots = meta.get_u64()?;
-        let n_shards = meta.get_usize()?;
-        let slot_len = meta.get_usize()?;
-        if n_shards != cfg.shards {
-            return Err(SnapshotError::Invalid { what: "shard count differs from config" });
-        }
-        if slot_len != cfg.slot_len {
-            return Err(SnapshotError::Invalid { what: "slot length differs from config" });
-        }
-        let n_registry = meta.get_usize()?;
-        let mut registry = Vec::with_capacity(n_registry.min(1 << 24));
-        for _ in 0..n_registry {
-            let tenant = meta.get_u64()?;
-            let shard = meta.get_u64()?;
-            let local = meta.get_u64()?;
-            if shard > u32::MAX as u64 || local > u32::MAX as u64 {
-                return Err(SnapshotError::Invalid { what: "registry index overflow" });
+        let mut s = r.section(TAG_FLEET, "fleet")?;
+        let mut fleet = Fleet::new(cfg);
+        fleet.slots_done = s.get_u64()?;
+        fleet.overruns = s.get_u64()?;
+        fleet.eligible_slots = s.get_u64()?;
+        for _ in 0..s.get_usize()? {
+            let key = GroupKey::decode(&mut s)?;
+            if fleet.group_ids.contains_key(&key) {
+                return Err(SnapshotError::Invalid { what: "duplicate group key" });
             }
-            registry.push(Placement { tenant, shard: shard as u32, local: local as u32 });
+            fleet
+                .group_id(key)
+                .map_err(|_| SnapshotError::Invalid { what: "unbuildable group parameters" })?;
         }
-        meta.finish()?;
-
-        let mut shards = Vec::with_capacity(n_shards);
-        for _ in 0..n_shards {
-            let mut sec = r.section(TAG_SHARD, "shard")?;
-            let state = ShardState::decode(&mut sec)?;
-            sec.finish()?;
-            shards.push(Shard::restore_from(&state, slot_len)?);
+        for _ in 0..s.get_usize()? {
+            let g = s.get_u64()?;
+            if g >= fleet.keys.len() as u64 {
+                return Err(SnapshotError::Invalid { what: "source group out of range" });
+            }
+            let state = StreamState::decode(&mut s)?;
+            if !fleet.ids.insert(state.tenant) {
+                return Err(SnapshotError::Invalid { what: "duplicate tenant id" });
+            }
+            let shard = fleet.next_shard();
+            // Placeholder seed: the restored state overwrites the RNG.
+            let i = shard.push(g as usize, 0, state.tenant);
+            shard.groups[g as usize].0.restore_state(i, &state)?;
         }
-
-        let total: usize = shards.iter().map(|s| s.sources()).sum();
-        if registry.len() != total {
-            return Err(SnapshotError::Invalid { what: "registry length != fleet sources" });
-        }
-        let mut ids = HashSet::with_capacity(registry.len());
-        let mut placed: Vec<Vec<bool>> =
-            shards.iter().map(|s| vec![false; s.sources()]).collect();
-        for p in &registry {
-            let s = p.shard as usize;
-            if s >= shards.len() || p.local as usize >= shards[s].sources() {
-                return Err(SnapshotError::Invalid { what: "registry placement out of range" });
-            }
-            if placed[s][p.local as usize] {
-                return Err(SnapshotError::Invalid { what: "source placed twice in registry" });
-            }
-            placed[s][p.local as usize] = true;
-            if shards[s].tenant_of(p.local) != p.tenant {
-                return Err(SnapshotError::Invalid { what: "registry tenant != shard tenant" });
-            }
-            if !ids.insert(p.tenant) {
-                return Err(SnapshotError::Invalid { what: "duplicate tenant id in registry" });
-            }
-        }
-
-        Ok(Fleet {
-            cfg,
-            shards,
-            registry,
-            pending: VecDeque::new(),
-            ids,
-            slots_done,
-            overruns,
-            eligible_slots,
-            norros_cache: HashMap::new(),
-        })
-    }
-
-    /// Per-shard source counts (placement/balance introspection).
-    pub fn shard_loads(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.sources()).collect()
-    }
-
-    /// Distinct batch groups per shard — how well tenant packing is
-    /// amortising spectra and FFT plans.
-    pub fn shard_groups(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.groups()).collect()
+        s.finish()?;
+        Ok(fleet)
     }
 }
 
@@ -591,6 +597,7 @@ mod tests {
     use super::*;
     use crate::tenant::SourceModel;
     use vbr_fgn::FgnStream;
+    use vbr_stats::par::with_threads;
 
     fn spec(tenant: u64, hurst: f64, block: usize) -> TenantSpec {
         TenantSpec {
@@ -614,14 +621,39 @@ mod tests {
         out
     }
 
+    /// Snapshot bytes in the fleet layout, written field by field so a
+    /// test can feed `restore` states and keys no live fleet would hold.
+    fn write_snapshot(
+        cfg: &FleetConfig,
+        keys: &[GroupKey],
+        sources: &[(u64, StreamState)],
+    ) -> Vec<u8> {
+        let mut w = SnapshotWriter::new(cfg.param_hash(), 1);
+        w.section(TAG_FLEET, |p| {
+            p.put_u64(1);
+            p.put_u64(0);
+            p.put_u64(0);
+            p.put_usize(keys.len());
+            for key in keys {
+                key.encode(p);
+            }
+            p.put_usize(sources.len());
+            for (g, state) in sources {
+                p.put_u64(*g);
+                state.encode(p);
+            }
+        });
+        w.finish()
+    }
+
     #[test]
     fn aggregate_matches_ordered_solo_sum() {
         let block = 16;
         let specs: Vec<TenantSpec> =
             (0..7).map(|t| spec(t, if t % 2 == 0 { 0.8 } else { 0.65 }, block)).collect();
-        let mut fleet = Fleet::new(FleetConfig::fixed(3, block, 1024));
+        let mut fleet = with_threads(3, || Fleet::new(FleetConfig::fixed(1, block, 1024)));
         for s in &specs {
-            assert!(matches!(fleet.admit(*s), Ok(Admission::Admitted { .. })));
+            assert!(matches!(fleet.admit(*s), Ok(Admission::Admitted)));
         }
         let slots = 5;
         let got = run_slots(&mut fleet, slots);
@@ -644,29 +676,30 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_does_not_change_bits() {
-        let block = 8;
-        let specs: Vec<TenantSpec> = (0..10).map(|t| spec(t, 0.75, block)).collect();
-        let mut reference: Option<Vec<f64>> = None;
-        for shards in [1usize, 2, 4] {
-            let mut fleet = Fleet::new(FleetConfig::fixed(shards, block, 1024));
-            for s in &specs {
-                fleet.admit(*s).unwrap();
+    fn placement_is_round_robin_in_admission_order() {
+        let fleet = with_threads(4, || {
+            let mut fleet = Fleet::new(FleetConfig::fixed(1, 4, 1024));
+            for t in 0..14 {
+                fleet.admit(spec(t, if t < 5 { 0.7 } else { 0.6 }, 8)).unwrap();
             }
-            let got = run_slots(&mut fleet, 6);
-            match &reference {
-                None => reference = Some(got),
-                Some(want) => {
-                    let same = got.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits());
-                    assert!(same, "{shards}-shard fleet diverged from 1-shard fleet");
-                }
-            }
-        }
+            fleet
+        });
+        let loads: Vec<usize> = fleet.shards.iter().map(Shard::sources).collect();
+        assert_eq!(loads, [4, 4, 3, 3]);
+        assert_eq!(fleet.groups(), 2, "two H values, two groups");
+        let order: Vec<u64> = fleet
+            .admission_order()
+            .map(|(shard, local)| {
+                let (g, s) = shard.layout[local];
+                shard.groups[g as usize].0.tenant(s as usize)
+            })
+            .collect();
+        assert_eq!(order, (0..14).collect::<Vec<u64>>());
     }
 
     #[test]
     fn duplicate_and_over_capacity_are_rejected() {
-        let mut fleet = Fleet::new(FleetConfig::fixed(2, 4, 2));
+        let mut fleet = Fleet::new(FleetConfig::fixed(1, 4, 2));
         fleet.admit(spec(1, 0.8, 8)).unwrap();
         assert!(matches!(
             fleet.admit(spec(1, 0.8, 8)),
@@ -689,25 +722,15 @@ mod tests {
         let mut bad = spec(9, 0.8, 8);
         bad.model = SourceModel::Fgn { hurst: 1.5 };
         assert!(matches!(fleet.admit(bad), Err(AdmitError::Invalid(_))));
-        assert_eq!(fleet.sources(), 0, "failed admit must not leak registry entries");
+        assert_eq!(fleet.sources(), 0, "failed admit must not leak a source");
+        assert_eq!(fleet.groups(), 0, "nor a group");
         assert!(fleet.admit(spec(9, 0.8, 8)).is_ok(), "id must not leak either");
-    }
-
-    #[test]
-    fn placement_balances_shards() {
-        let mut fleet = Fleet::new(FleetConfig::fixed(4, 4, 1024));
-        for t in 0..12 {
-            fleet.admit(spec(t, 0.7, 8)).unwrap();
-        }
-        assert_eq!(fleet.shard_loads(), vec![3, 3, 3, 3]);
-        // One group key → one group per occupied shard.
-        assert_eq!(fleet.shard_groups(), vec![1, 1, 1, 1]);
     }
 
     #[test]
     fn snapshot_restores_bit_identical_continuation() {
         let block = 8;
-        let mut fleet = Fleet::new(FleetConfig::fixed(3, block, 64));
+        let mut fleet = Fleet::new(FleetConfig::fixed(1, block, 64));
         for t in 0..9 {
             fleet.admit(spec(t, if t % 3 == 0 { 0.85 } else { 0.6 }, block)).unwrap();
         }
@@ -727,11 +750,11 @@ mod tests {
 
     #[test]
     fn restore_rejects_config_mismatch_and_corruption() {
-        let mut fleet = Fleet::new(FleetConfig::fixed(2, 4, 64));
+        let mut fleet = Fleet::new(FleetConfig::fixed(1, 4, 64));
         fleet.admit(spec(1, 0.8, 8)).unwrap();
         let bytes = fleet.snapshot();
 
-        let mut other = FleetConfig::fixed(2, 4, 64);
+        let mut other = FleetConfig::fixed(1, 4, 64);
         other.max_overrun_ratio = 0.9;
         assert!(matches!(
             Fleet::restore(other, &bytes),
@@ -747,113 +770,114 @@ mod tests {
     }
 
     #[test]
+    fn restore_refuses_a_per_shard_v1_snapshot() {
+        // The layout before snapshots became width-independent: a
+        // `vbr-fleet/v1` hash over the shard count, a meta section with
+        // a (tenant, shard, local) registry, then one section per shard.
+        let cfg = FleetConfig::fixed(1, 4, 64);
+        let v1_hash = ParamHasher::new()
+            .str("vbr-fleet/v1")
+            .usize(1)
+            .usize(cfg.slot_len)
+            .u64(0)
+            .f64(cfg.max_overrun_ratio)
+            .str("cap")
+            .usize(64)
+            .finish();
+        let key = GroupKey::of(&spec(1, 0.8, 8));
+        let mut donor = Fleet::new(cfg);
+        donor.admit(spec(1, 0.8, 8)).unwrap();
+        let (_, state) = donor.shards[0].export(0);
+        let mut w = SnapshotWriter::new(v1_hash, 0);
+        w.section(0x464C_544D, |p| {
+            for v in [0, 0, 0, 1, 4, 1, 1, 0, 0] {
+                p.put_u64(v);
+            }
+        });
+        w.section(0x5348_5244, |p| {
+            p.put_usize(1);
+            key.encode(p);
+            p.put_usize(1);
+            state.encode(p);
+            p.put_usize(1);
+            p.put_u64(0);
+            p.put_u64(0);
+        });
+        assert!(matches!(
+            Fleet::restore(cfg, &w.finish()),
+            Err(SnapshotError::ParamHashMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn restore_rejects_hostile_keys_and_sources() {
+        let block = 16;
+        let cfg = FleetConfig::fixed(1, 4, 64);
+        let mut fleet = Fleet::new(cfg);
+        fleet.admit(spec(1, 0.8, block)).unwrap();
+        fleet.admit(spec(2, 0.8, block)).unwrap();
+        let key = fleet.keys[0];
+        let states: Vec<(u64, StreamState)> = fleet
+            .admission_order()
+            .map(|(shard, local)| {
+                let (g, state) = shard.export(local);
+                (g as u64, state)
+            })
+            .collect();
+        assert!(Fleet::restore(cfg, &write_snapshot(&cfg, &[key], &states)).is_ok());
+
+        let invalid = |keys: &[GroupKey], sources: &[(u64, StreamState)]| {
+            match Fleet::restore(cfg, &write_snapshot(&cfg, keys, sources)) {
+                Err(SnapshotError::Invalid { what }) => what,
+                other => panic!("expected a typed refusal, got {other:?}"),
+            }
+        };
+        let mut far = states.clone();
+        far[1].0 = 1;
+        assert_eq!(invalid(&[key], &far), "source group out of range");
+        let mut twice = states.clone();
+        twice[1].1.tenant = twice[0].1.tenant;
+        assert_eq!(invalid(&[key], &twice), "duplicate tenant id");
+        assert_eq!(invalid(&[key, key], &states), "duplicate group key");
+        // A block that overflows the circulant length, on sources that
+        // have not started (so no window length betrays it), is refused
+        // at restore, not at the first slot.
+        let mut huge = key;
+        huge.block = (1usize << (usize::BITS - 1)) + 5;
+        assert_eq!(invalid(&[huge], &states), "unbuildable group parameters");
+    }
+
+    #[test]
     fn restore_rejects_started_source_without_seam_tail() {
         // Snapshot bytes, CRCs intact, whose one started source lost its
         // seam tail (block 64 has overlap 1): restore must refuse them,
         // not panic in the next slot's cross-fade.
         let block = 64;
-        let mut fleet = Fleet::new(FleetConfig::fixed(1, block, 64));
+        let cfg = FleetConfig::fixed(1, block, 64);
+        let mut fleet = Fleet::new(cfg);
         fleet.admit(spec(1, 0.8, block)).unwrap();
         run_slots(&mut fleet, 1);
-        let mut state = fleet.shards[0].export_state();
-        let src = &mut state.groups[0].sources[0];
-        assert!(src.started && src.tail.len() == 1);
-        src.tail.clear();
-        let mut w = SnapshotWriter::new(fleet.cfg.param_hash(), fleet.slots_done);
-        w.section(TAG_FLEET_META, |p| {
-            p.put_u64(fleet.slots_done);
-            p.put_u64(fleet.overruns);
-            p.put_u64(fleet.eligible_slots);
-            p.put_usize(1);
-            p.put_usize(block);
-            p.put_usize(1);
-            let pl = fleet.registry[0];
-            p.put_u64(pl.tenant);
-            p.put_u64(pl.shard as u64);
-            p.put_u64(pl.local as u64);
-        });
-        w.section(TAG_SHARD, |p| state.encode(p));
-        let hostile = w.finish();
-        assert!(matches!(
-            Fleet::restore(*fleet.config(), &hostile),
-            Err(SnapshotError::Invalid { .. })
-        ));
-        // The same writer over the untouched state restores fine.
-        assert!(Fleet::restore(*fleet.config(), &fleet.snapshot()).is_ok());
+        let (g, mut state) = fleet.shards[0].export(0);
+        assert!(state.started && state.tail.len() == 1);
+        let intact = write_snapshot(&cfg, &fleet.keys, &[(g as u64, state.clone())]);
+        assert!(Fleet::restore(cfg, &intact).is_ok());
+        state.tail.clear();
+        let hostile = write_snapshot(&cfg, &fleet.keys, &[(g as u64, state)]);
+        assert!(matches!(Fleet::restore(cfg, &hostile), Err(SnapshotError::Invalid { .. })));
     }
 
     #[test]
-    fn migration_preserves_aggregate_bits() {
-        let block = 8;
-        let mut a = Fleet::new(FleetConfig::fixed(3, block, 64));
-        let mut b = Fleet::new(FleetConfig::fixed(3, block, 64));
-        for t in 0..9 {
-            let s = spec(t, if t % 2 == 0 { 0.8 } else { 0.55 }, block);
-            a.admit(s).unwrap();
-            b.admit(s).unwrap();
-        }
-        run_slots(&mut a, 3);
-        run_slots(&mut b, 3);
-        b.migrate_shard(0, 2).unwrap();
-        assert_eq!(b.shard_loads()[0], 0);
-        assert_eq!(b.sources(), 9);
-        let want = run_slots(&mut a, 4);
-        let got = run_slots(&mut b, 4);
-        assert!(
-            got.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
-            "migration changed aggregate bits"
-        );
-    }
-
-    #[test]
-    fn chained_migrations_through_occupied_shards_round_trip() {
-        // Regression: migrating *into* an occupied shard appends that
-        // shard's registry placements out of local-index order, so a
-        // later migration *out* of it must key the drain remap by each
-        // placement's old local index — not by registry iteration order.
-        // The old counter-based rewrite cross-wired tenants here and
-        // made restore fail with "registry tenant != shard tenant".
-        let block = 8;
-        let mut a = Fleet::new(FleetConfig::fixed(3, block, 64));
-        let mut b = Fleet::new(FleetConfig::fixed(3, block, 64));
-        for t in 0..9 {
-            let s = spec(t, if t % 2 == 0 { 0.8 } else { 0.55 }, block);
-            a.admit(s).unwrap();
-            b.admit(s).unwrap();
-        }
-        run_slots(&mut a, 3);
-        run_slots(&mut b, 3);
-        b.migrate_shard(0, 1).unwrap();
-        b.migrate_shard(1, 0).unwrap();
-        b.migrate_shard(0, 2).unwrap();
-        assert_eq!(b.sources(), 9);
-
-        let bytes = b.snapshot();
-        let mut restored = Fleet::restore(*b.config(), &bytes).unwrap();
-
-        let want = run_slots(&mut a, 4);
-        let got = run_slots(&mut b, 4);
-        assert!(
-            got.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
-            "chained migration changed aggregate bits"
-        );
-        let resumed = run_slots(&mut restored, 4);
-        assert!(
-            resumed.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
-            "restore after chained migration diverged"
-        );
-    }
-
-    #[test]
-    fn overrun_ratio_ignores_empty_shards() {
-        // One source on a 4-shard fleet with an unmeetable deadline:
-        // every eligible (non-empty) shard-slot overruns, so the ratio
-        // must read 1.0 — not 0.25 diluted by the three idle shards.
-        let mut cfg = FleetConfig::fixed(4, 4, 64);
+    fn overrun_ratio_counts_only_slots_with_sources() {
+        // An unmeetable deadline: the empty fleet's slots are not
+        // eligible, so they neither overrun nor dilute the ratio; every
+        // slot once a source is placed overruns, so it reads 1.0.
+        let mut cfg = FleetConfig::fixed(1, 4, 64);
         cfg.slot_deadline = Some(Duration::from_nanos(0));
         let mut fleet = Fleet::new(cfg);
-        fleet.admit(spec(1, 0.8, 8)).unwrap();
         let mut slot = [0.0; 4];
+        fleet.advance_slot(&mut slot);
+        assert_eq!((fleet.overruns(), fleet.overrun_ratio()), (0, 0.0));
+        fleet.admit(spec(1, 0.8, 8)).unwrap();
         fleet.advance_slot(&mut slot);
         fleet.advance_slot(&mut slot);
         assert_eq!(fleet.overruns(), 2);
@@ -891,7 +915,6 @@ mod tests {
     #[test]
     fn norros_policy_caps_and_caches() {
         let cfg = FleetConfig {
-            shards: 1,
             slot_len: 4,
             policy: AdmissionPolicy::Norros {
                 mean_rate_per_source: 1e6,

@@ -12,6 +12,7 @@
 //! "same cached spectrum").
 
 use vbr_fgn::Family;
+use vbr_stats::snapshot::{Payload, Section, SnapshotError};
 
 /// Identity of a tenant, unique across the fleet. `u64` so identities
 /// survive snapshot/restore through [`vbr_fgn::StreamState`]'s tenant
@@ -124,6 +125,27 @@ impl GroupKey {
             c => Some((c - 1) as usize),
         };
         Some((model, f64::from_bits(self.variance_bits), self.block, overlap))
+    }
+
+    /// Serialises the key's fields, floats as raw bits.
+    pub(crate) fn encode(&self, p: &mut Payload) {
+        p.put_u64(self.model);
+        p.put_u64(self.hurst_bits);
+        p.put_u64(self.variance_bits);
+        p.put_usize(self.block);
+        p.put_u64(self.overlap_code);
+    }
+
+    /// Reads back what [`encode`](Self::encode) wrote (structure only:
+    /// building the group validates the parameters).
+    pub(crate) fn decode(s: &mut Section) -> Result<GroupKey, SnapshotError> {
+        Ok(GroupKey {
+            model: s.get_u64()?,
+            hurst_bits: s.get_u64()?,
+            variance_bits: s.get_u64()?,
+            block: s.get_usize()?,
+            overlap_code: s.get_u64()?,
+        })
     }
 }
 

@@ -1,8 +1,9 @@
 //! Property tests for the fleet determinism contract: the sharded,
 //! batch-packed, possibly-parallel fleet produces an aggregate arrival
 //! sequence bit-identical to the same sources run as independent solo
-//! circulant streams summed in admission order — at arbitrary shard
-//! counts, block sizes, tenant mixes (fGn and fARIMA), and thread counts.
+//! circulant streams summed in admission order — at arbitrary pool
+//! widths (one shard per worker), block sizes, tenant mixes (fGn and
+//! fARIMA), and across snapshot/restore at another width.
 
 use proptest::prelude::*;
 use vbr_fgn::CirculantStream;
@@ -13,29 +14,31 @@ fn spec(tenant: u64, hurst: f64, variance: f64, block: usize, seed: u64) -> Tena
     TenantSpec { tenant, model: SourceModel::Fgn { hurst }, variance, block, overlap: None, seed }
 }
 
-/// Runs `slots` lockstep slots and returns the concatenated aggregate.
-fn run_fleet(specs: &[TenantSpec], shards: usize, slot_len: usize, slots: usize) -> Vec<f64> {
-    run_fleet_snapshot(specs, 0, shards, slot_len, slots).0
+fn admit(fleet: &mut Fleet, specs: &[TenantSpec]) {
+    for s in specs {
+        match fleet.admit(*s) {
+            Ok(Admission::Admitted) => {}
+            other => panic!("admission failed: {other:?}"),
+        }
+    }
 }
 
-/// [`run_fleet`] where the last `late` specs join after the first slot,
+/// Runs `slots` lockstep slots on `threads` pinned workers (so as many
+/// shards) and returns the concatenated aggregate.
+fn run_fleet(specs: &[TenantSpec], threads: usize, slot_len: usize, slots: usize) -> Vec<f64> {
+    with_threads(threads, || run_fleet_snapshot(specs, 0, slot_len, slots)).0
+}
+
+/// A fleet at the current pool width, where the last `late` specs join
+/// after the first slot: the concatenated aggregate of `slots` slots,
 /// plus the fleet's snapshot bytes after the last slot.
 fn run_fleet_snapshot(
     specs: &[TenantSpec],
     late: usize,
-    shards: usize,
     slot_len: usize,
     slots: usize,
 ) -> (Vec<f64>, Vec<u8>) {
-    let mut fleet = Fleet::new(FleetConfig::fixed(shards, slot_len, usize::MAX));
-    let admit = |fleet: &mut Fleet, specs: &[TenantSpec]| {
-        for s in specs {
-            match fleet.admit(*s) {
-                Ok(Admission::Admitted { .. }) => {}
-                other => panic!("admission failed: {other:?}"),
-            }
-        }
-    };
+    let mut fleet = Fleet::new(FleetConfig::fixed(1, slot_len, usize::MAX));
     let (early, late) = specs.split_at(specs.len() - late.min(specs.len()));
     admit(&mut fleet, early);
     let mut out = Vec::with_capacity(slots * slot_len);
@@ -79,14 +82,14 @@ fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
 }
 
 proptest! {
-    /// Core contract: fleet(k shards) ≡ ordered solo sum, bitwise.
+    /// Core contract: fleet at any width ≡ ordered solo sum, bitwise.
     /// `slot_len == block` so solo streams and fleet slots stay in
     /// lockstep sample-for-sample. Tenants alternate between two Hurst
     /// classes, and `family` (0 = fGn, 1 = fARIMA, 2 = mixed) picks the
     /// generator family of each class; fARIMA classes draw H ∈ [0.5, 1).
     #[test]
     fn fleet_aggregate_is_bitwise_solo_sum(
-        shards in 1usize..6,
+        threads in 1usize..6,
         n_sources in 1usize..24,
         block_pow in 0u32..6,
         hurst_a in 0.1f64..0.9,
@@ -109,43 +112,20 @@ proptest! {
             })
             .collect();
         let want = run_solo_sum(&specs, block, slots);
-        let got = run_fleet(&specs, shards, block, slots);
+        let got = run_fleet(&specs, threads, block, slots);
         assert_bits_eq(&got, &want, "fleet vs solo");
     }
 
-    /// Shard-count invariance without a solo reference: any two shard
-    /// counts agree bit-for-bit on the same tenant set.
-    #[test]
-    fn shard_count_invariance(
-        k1 in 1usize..8,
-        k2 in 1usize..8,
-        n_sources in 1usize..32,
-        block_idx in 0usize..5,
-        hurst in 0.1f64..0.9,
-        slots in 1usize..6,
-    ) {
-        let block = [1usize, 2, 8, 16, 48][block_idx];
-        let specs: Vec<TenantSpec> = (0..n_sources as u64)
-            .map(|t| spec(t, hurst, 1.0, block, t * 7 + 1))
-            .collect();
-        let a = run_fleet(&specs, k1, block, slots);
-        let b = run_fleet(&specs, k2, block, slots);
-        assert_bits_eq(&a, &b, "shard counts");
-    }
-
-    /// Thread-count invariance: pinning 1, 2, 3 or 4 worker threads
-    /// never changes the aggregate bits or the snapshot bytes. Pinned
-    /// counts bypass the work threshold, so this covers the serial and
-    /// parallel shard advance, the parallel aggregation and — on one
-    /// shard, where groups of up to ~80 sources in 1–3 Hurst classes
-    /// hold several full lane cohorts plus a remainder — the lane
-    /// cohorts dealt across pool workers. Half-block slots with tenants
-    /// joining after the first slot put group members out of phase, so
-    /// the sources due a refill are a changing subset of each worker's
-    /// range.
+    /// Thread-count invariance: pinning 1, 2, 3 or 4 worker threads —
+    /// and with them as many shards — never changes the aggregate bits or
+    /// the snapshot bytes. Pinned counts bypass the work threshold, so
+    /// this covers the serial and parallel shard advance and the parallel
+    /// aggregation. Groups of up to ~80 sources in 1–3 Hurst classes hold
+    /// several full lane cohorts plus a remainder per shard; half-block
+    /// slots with tenants joining after the first slot put group members
+    /// out of phase, so the sources due a refill are a changing subset.
     #[test]
     fn thread_count_invariance(
-        shards_idx in 0usize..4,
         n_sources in 1usize..81,
         late in 0usize..41,
         classes in 1u64..4,
@@ -154,16 +134,13 @@ proptest! {
         hurst in 0.15f64..0.75,
         slots in 1usize..6,
     ) {
-        // One shard in half the cases: the shard whose groups deal
-        // cohorts across the whole pool.
-        let shards = [1usize, 1, 2, 3][shards_idx];
         let block = [1usize, 4, 32][block_idx];
         let slot_len = (block >> half_slot.min(1)).max(1);
         let specs: Vec<TenantSpec> = (0..n_sources as u64)
             .map(|t| spec(t, hurst + 0.05 * (t % classes) as f64, 1.0, block, t ^ 0xABCD))
             .collect();
         let run = |threads| {
-            with_threads(threads, || run_fleet_snapshot(&specs, late, shards, slot_len, slots))
+            with_threads(threads, || run_fleet_snapshot(&specs, late, slot_len, slots))
         };
         let (want, want_snap) = run(1);
         for threads in 2..=4 {
@@ -173,11 +150,14 @@ proptest! {
         }
     }
 
-    /// Snapshot/restore mid-run is invisible in the bits, at any shard
-    /// count and slot boundary.
+    /// Snapshot/restore mid-run is invisible in the bits, at any slot
+    /// boundary, with the snapshot taken at one pool width (so shard
+    /// count) and restored at another: the restored fleet continues
+    /// bit-identically and ends in the same snapshot bytes.
     #[test]
     fn snapshot_restore_is_bit_invisible(
-        shards in 1usize..5,
+        taken_at in 1usize..5,
+        restored_at in 1usize..5,
         n_sources in 1usize..12,
         block_idx in 0usize..3,
         hurst in 0.15f64..0.85,
@@ -188,24 +168,27 @@ proptest! {
         let specs: Vec<TenantSpec> = (0..n_sources as u64)
             .map(|t| spec(t, hurst, 1.0, block, t + 11))
             .collect();
-        let mut fleet = Fleet::new(FleetConfig::fixed(shards, block, usize::MAX));
-        for s in &specs {
-            fleet.admit(*s).unwrap();
-        }
         let mut slot = vec![0.0; block];
-        for _ in 0..pre {
-            fleet.advance_slot(&mut slot);
-        }
-        let bytes = fleet.snapshot();
-        let mut restored = Fleet::restore(*fleet.config(), &bytes).unwrap();
+        let (mut fleet, bytes) = with_threads(taken_at, || {
+            let mut fleet = Fleet::new(FleetConfig::fixed(1, block, usize::MAX));
+            admit(&mut fleet, &specs);
+            for _ in 0..pre {
+                fleet.advance_slot(&mut slot);
+            }
+            let bytes = fleet.snapshot();
+            (fleet, bytes)
+        });
+        let mut restored =
+            with_threads(restored_at, || Fleet::restore(*fleet.config(), &bytes)).unwrap();
         let mut want = Vec::new();
         let mut got = Vec::new();
         for _ in 0..post {
-            fleet.advance_slot(&mut slot);
+            with_threads(taken_at, || fleet.advance_slot(&mut slot));
             want.extend_from_slice(&slot);
-            restored.advance_slot(&mut slot);
+            with_threads(restored_at, || restored.advance_slot(&mut slot));
             got.extend_from_slice(&slot);
         }
         assert_bits_eq(&got, &want, "restored fleet");
+        prop_assert!(restored.snapshot() == fleet.snapshot(), "final snapshot bytes differ");
     }
 }

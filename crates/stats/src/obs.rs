@@ -107,23 +107,21 @@ pub enum Counter {
     /// or an FFT execution — so under the sharded serving load this
     /// must stay near zero (DESIGN.md §15; `fleet_bench` proves it).
     PlanCacheContention,
-    /// Fleet: sources admitted across all shards (lifetime total; the
-    /// live count is `admitted − retired`, and the serve layer reports
-    /// it directly).
+    /// Fleet: sources admitted (lifetime total; the live count is
+    /// `admitted − retired`, and the serve layer reports it directly).
     FleetSourcesAdmitted,
     /// Fleet: admissions rejected or parked by the front door (capacity
     /// exhausted or slot deadline slipping).
     FleetAdmissionRejects,
-    /// Fleet: lockstep slice-slots completed (one per `advance_slot`,
-    /// across all shards in step).
+    /// Fleet: lockstep slice-slots completed (one per `advance_slot`).
     FleetSlots,
     /// Fleet: slices generated (sources × slot length, summed over
     /// slots).
     FleetSlices,
-    /// Fleet: shard-slot advances that overran the configured wall-clock
-    /// deadline. The SLO ratio is `overruns / eligible`, where eligible
-    /// counts only non-empty shards' slots — the population overruns are
-    /// drawn from, so empty shards never dilute the ratio.
+    /// Fleet: slots that overran the configured wall-clock deadline. The
+    /// SLO ratio is `overruns / eligible`, where eligible counts only
+    /// slots advanced with at least one source — the population overruns
+    /// are drawn from, so an empty fleet's slots never dilute the ratio.
     FleetSlotOverruns,
 }
 

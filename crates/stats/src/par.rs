@@ -414,9 +414,11 @@ where
 /// workloads that *advance* owned state (one shard of a source fleet
 /// per element) instead of producing values.
 ///
-/// The slice is split into contiguous chunks, one worker per chunk (the
-/// calling thread takes the first), so every element is visited
-/// exactly once with exclusive access. Because each element is
+/// The slice is split into at most [`num_threads`] contiguous chunks,
+/// one worker per chunk: the calling thread runs the first and one
+/// scoped thread is spawned per other chunk, so a slice no longer than
+/// the pool gets one worker per element. Every element is visited
+/// exactly once with exclusive access, and because each element is
 /// advanced independently of every other, the result is identical to
 /// the serial `for` loop regardless of worker count — determinism
 /// comes from data disjointness, not scheduling. The
@@ -427,21 +429,28 @@ where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
-    par_for_each_mut_with(num_threads(), items, f)
-}
-
-/// [`par_for_each_mut`] with an explicit worker count, bypassing
-/// configuration.
-pub fn par_for_each_mut_with<T, F>(threads: usize, items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let threads = threads.max(1);
-    let chunk = items.len().div_ceil(threads).max(1);
-    par_chunks_mut_with(items, chunk, &mut vec![(); threads], |ci, part, _| {
+    let chunk = items.len().div_ceil(num_threads()).max(1);
+    let serial = IN_WORKER.with(|w| w.get()) || items.len() <= chunk;
+    let f = &f;
+    let run = move |ci: usize, part: &mut [T]| {
         for (j, item) in part.iter_mut().enumerate() {
             f(ci * chunk + j, item);
+        }
+    };
+    let mut parts = items.chunks_mut(chunk).enumerate();
+    if serial {
+        for (ci, part) in parts {
+            run(ci, part);
+        }
+        return;
+    }
+    let own = parts.next();
+    std::thread::scope(|scope| {
+        for (ci, part) in parts {
+            scope.spawn(move || as_worker(|| run(ci, part)));
+        }
+        if let Some((ci, part)) = own {
+            as_worker(|| run(ci, part));
         }
     });
 }
@@ -460,49 +469,6 @@ fn as_worker<R>(share: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(IN_WORKER.with(|w| w.replace(true)));
     share()
-}
-
-/// Runs `f(index, part, state)` over `items.chunks_mut(chunk)` zipped
-/// with `states`: one worker per pair, each with exclusive access
-/// to one contiguous run of `items` and one caller-owned workspace. Pairs
-/// stop at the shorter side, so the caller picks the width by how many
-/// states it passes. [`par_for_each_mut`] is this with stateless
-/// workers; a caller whose workers need their own scratch keeps the
-/// workspaces across calls, so a hot loop allocates none of its own.
-///
-/// Every item of a paired chunk is visited by exactly one worker (items
-/// past the last paired chunk are not visited), so the result is the
-/// serial loop's whenever `f` treats items independently. The calling
-/// thread runs the first pair itself and spawns one scoped worker per
-/// other pair. A single pair, or a call from inside another parallel
-/// worker, runs wholly on the calling thread. Panics in `f` propagate.
-///
-/// # Panics
-/// If `chunk == 0`.
-pub fn par_chunks_mut_with<T, S, F>(items: &mut [T], chunk: usize, states: &mut [S], f: F)
-where
-    T: Send,
-    S: Send,
-    F: Fn(usize, &mut [T], &mut S) + Sync,
-{
-    let serial = IN_WORKER.with(|w| w.get()) || items.len() <= chunk || states.len() <= 1;
-    let mut pairs = items.chunks_mut(chunk).zip(states).enumerate();
-    if serial {
-        for (ci, (part, state)) in pairs {
-            f(ci, part, state);
-        }
-        return;
-    }
-    let f = &f;
-    let own = pairs.next();
-    std::thread::scope(|scope| {
-        for (ci, (part, state)) in pairs {
-            scope.spawn(move || as_worker(|| f(ci, part, state)));
-        }
-        if let Some((ci, (part, state))) = own {
-            as_worker(|| f(ci, part, state));
-        }
-    });
 }
 
 #[cfg(test)]
@@ -610,7 +576,7 @@ mod tests {
         }
         for &t in &[1usize, 2, 3, 8, 64] {
             let mut par = init.clone();
-            par_for_each_mut_with(t, &mut par, advance);
+            with_threads(t, || par_for_each_mut(&mut par, advance));
             assert_eq!(par, serial, "threads = {t}");
         }
     }
@@ -618,8 +584,10 @@ mod tests {
     #[test]
     fn for_each_mut_nested_runs_serially() {
         let mut outer: Vec<Vec<usize>> = (0..8).map(|_| (0..4).collect()).collect();
-        par_for_each_mut_with(4, &mut outer, |i, row| {
-            par_for_each_mut_with(4, row, |j, v| *v = i * 10 + j);
+        with_threads(4, || {
+            par_for_each_mut(&mut outer, |i, row| {
+                par_for_each_mut(row, |j, v| *v = i * 10 + j);
+            })
         });
         for (i, row) in outer.iter().enumerate() {
             for (j, &v) in row.iter().enumerate() {
@@ -631,45 +599,33 @@ mod tests {
     #[test]
     fn for_each_mut_empty_and_singleton() {
         let mut empty: Vec<i32> = Vec::new();
-        par_for_each_mut_with(8, &mut empty, |_, _| unreachable!());
         let mut one = [5i32];
-        par_for_each_mut_with(8, &mut one, |_, v| *v *= 2);
+        with_threads(8, || {
+            par_for_each_mut(&mut empty, |_, _| unreachable!());
+            par_for_each_mut(&mut one, |_, v| *v *= 2);
+        });
         assert_eq!(one, [10]);
     }
 
     #[test]
-    fn chunks_mut_visits_each_item_once_with_its_state() {
-        let cases = [(0usize, 4usize, 3usize), (10, 4, 3), (10, 4, 2), (10, 20, 3), (9, 3, 5)];
-        for (n, chunk, width) in cases {
-            let mut items = vec![0usize; n];
-            let mut states = vec![0usize; width];
-            par_chunks_mut_with(&mut items, chunk, &mut states, |ci, part, calls| {
-                *calls += 1;
-                for (j, x) in part.iter_mut().enumerate() {
-                    *x += ci * chunk + j + 1;
-                }
-            });
-            // Items past the last paired chunk stay untouched.
-            let covered = n.min(chunk * width);
-            let want: Vec<usize> = (0..n).map(|i| if i < covered { i + 1 } else { 0 }).collect();
-            assert_eq!(items, want, "n {n} chunk {chunk} width {width}");
-            let pairs = n.div_ceil(chunk).min(width);
-            assert!(states[..pairs].iter().all(|&c| c == 1));
-            assert!(states[pairs..].iter().all(|&c| c == 0));
-        }
-        // The caller runs the first pair and spawned workers the rest,
-        // except inside another worker, where every pair runs on the
-        // calling thread.
+    fn for_each_mut_gives_each_chunk_one_worker_the_caller_first() {
+        // Slices up to the pool width get one worker per element: the
+        // caller runs element 0 and spawned threads the rest, except
+        // inside another worker, where every element runs on the
+        // calling thread. Longer slices split into pool-width chunks.
         let on_caller = || {
             let me = std::thread::current().id();
-            let mut states = [false; 3];
-            par_chunks_mut_with(&mut [0u8; 6], 2, &mut states, |_, _, here| {
-                *here = std::thread::current().id() == me;
+            let mut here = [false; 3];
+            with_threads(3, || {
+                par_for_each_mut(&mut here, |_, h| *h = std::thread::current().id() == me)
             });
-            states
+            here
         };
         assert_eq!(on_caller(), [true, false, false]);
         assert_eq!(par_map_with(2, &[0u8, 1], |_| on_caller()), [[true; 3]; 2]);
+        let mut seen = vec![usize::MAX; 7];
+        with_threads(3, || par_for_each_mut(&mut seen, |i, x| *x = i));
+        assert_eq!(seen, (0..7).collect::<Vec<_>>());
     }
 
     fn step(v: &mut (u64, u32)) {
@@ -752,7 +708,7 @@ mod tests {
         // Every item, the caller's share included, sees the nested guard.
         assert_eq!(par_map_with(3, &[0u8; 12], |_| in_worker()), [true; 12]);
         let mut states = [false; 3];
-        par_chunks_mut_with(&mut [0u8; 6], 2, &mut states, |_, _, s| *s = in_worker());
+        with_threads(3, || par_for_each_mut(&mut states, |_, s| *s = in_worker()));
         assert_eq!(states, [true; 3]);
         assert!(!in_worker(), "restored after the call");
         // Restored on unwind too, whichever share panicked.
@@ -763,12 +719,12 @@ mod tests {
             assert!(run.is_err());
             assert!(!in_worker(), "restored after a panic in item {bad}");
             let run = std::panic::catch_unwind(|| {
-                par_chunks_mut_with(&mut [0u8, 1, 2, 3], 2, &mut [(); 2], |_, part, _| {
-                    assert!(!part.contains(&bad));
+                with_threads(2, || {
+                    par_for_each_mut(&mut [0u8, 1, 2, 3], |_, x| assert_ne!(*x, bad));
                 });
             });
             assert!(run.is_err());
-            assert!(!in_worker(), "restored after a panic in chunk of {bad}");
+            assert!(!in_worker(), "restored after a panic in element {bad}");
         }
     }
 

@@ -38,7 +38,10 @@ use std::fmt;
 /// to fleet metadata) for shard migration. Bumping here is what turns a
 /// stale on-disk snapshot into a typed [`SnapshotError::
 /// UnsupportedVersion`] refusal instead of a decode error that recovery
-/// would misread as corruption.
+/// would misread as corruption. The fleet versions its own section
+/// layout through its parameter hash (`vbr-fleet/v2` made the snapshot
+/// width-independent), so a fleet layout change leaves stream
+/// checkpoints readable.
 pub const CODEC_VERSION: u32 = 2;
 
 /// Leading magic bytes of every snapshot file.

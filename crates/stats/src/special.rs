@@ -340,26 +340,31 @@ const ATANH_COEF: [f64; 9] = [
     1.0 / 19.0,
 ];
 
-/// `−ln x` for normal positive `x < 1`, as a fixed straight-line
-/// sequence of integer and float ops (no libm call, no data-dependent
-/// iteration).
+/// `−ln x` for positive `x < 1`, subnormals included, as a fixed
+/// straight-line sequence of integer and float ops (no libm call, no
+/// data-dependent iteration).
 ///
 /// Reduction is the standard one: shift the exponent split point so the
 /// mantissa lands in `[√2/2, √2)`, then `ln m = 2 atanh(s)` with
-/// `s = (m−1)/(m+1)` summed as a degree-9 polynomial in `s²`. Accuracy
-/// is a few ulp over the whole domain (pinned against libm `ln` in the
-/// tests below). Replaces libm `ln` in [`norm_quantile`]'s tail branch,
-/// which was the one data-dependent-latency call left in the draw path
-/// — and the dominant cost of a tail draw.
+/// `s = (m−1)/(m+1)` summed as a degree-9 polynomial in `s²`. A
+/// subnormal `x` has no exponent field to read, so it is first scaled
+/// by 2⁵⁴ (exact) into the normal range and `k` corrected by 54 — a
+/// select, not a branch; a normal `x` passes through unchanged, so its
+/// bits do not depend on the correction. Accuracy is a few ulp over the
+/// whole domain (pinned against libm `ln` in the tests below). Replaces
+/// libm `ln` in [`norm_quantile`]'s tail branch, which was the one
+/// data-dependent-latency call left in the draw path — and the dominant
+/// cost of a tail draw.
 #[inline(always)]
 fn fast_neg_ln(x: f64) -> f64 {
-    debug_assert!(
-        (f64::MIN_POSITIVE..1.0).contains(&x),
-        "fast_neg_ln domain is normal (0,1), got {x}"
-    );
+    debug_assert!(x > 0.0 && x < 1.0, "fast_neg_ln domain is (0,1), got {x}");
     const SQRT_HALF_HI: u64 = 0x3fe6_a09e_0000_0000;
+    const TWO_54: f64 = (1u64 << 54) as f64;
+    let subnormal = x < f64::MIN_POSITIVE;
+    let x = if subnormal { x * TWO_54 } else { x };
+    let bias = if subnormal { 1023 + 54 } else { 1023 };
     let ux = x.to_bits().wrapping_add(0x3ff0_0000_0000_0000 - SQRT_HALF_HI);
-    let k = ((ux >> 52) as i64 - 1023) as f64;
+    let k = ((ux >> 52) as i64 - bias) as f64;
     let m = f64::from_bits((ux & 0x000f_ffff_ffff_ffff) + SQRT_HALF_HI);
     // m ∈ [√2/2, √2): m−1 is exact (Sterbenz), m+1 loses at most 1 ulp.
     let s = (m - 1.0) / (m + 1.0);
@@ -681,10 +686,10 @@ mod tests {
 
     #[test]
     fn fast_neg_ln_tracks_libm() {
-        // A few ulp of agreement with libm ln across the full normal
-        // range, including the deep-tail magnitudes norm_quantile feeds
-        // it (p down to f64::MIN_POSITIVE).
-        let mut x = f64::MIN_POSITIVE;
+        // A few ulp of agreement with libm ln across the full range,
+        // including the deep-tail magnitudes norm_quantile feeds it (p
+        // down to the smallest subnormal, 5e-324).
+        let mut x = 5e-324;
         while x < 1.0 {
             for &f in &[1.0, 1.37, 1.9999, 2.6, 3.3] {
                 let v = x * f;
@@ -701,6 +706,7 @@ mod tests {
             x *= 4.0;
         }
         assert!((fast_neg_ln(f64::MIN_POSITIVE) - 708.396_418_532_264_1).abs() < 1e-10);
+        assert_eq!(fast_neg_ln(5e-324), -(5e-324f64).ln());
     }
 
     #[test]
@@ -710,7 +716,7 @@ mod tests {
         // deferred tail lanes and in the scalar remainder.
         let kinds = [
             0.3, 0.01, 1e-13, 0.5, 0.97, 1.0 - 1e-12, 0.0, 0.62, 1.0, 0.08, 1e-300, 0.93, 0.2,
-            0.999, 1e-200, 0.45, 1e-3, 0.71,
+            0.999, 1e-200, 0.45, 1e-3, 0.71, 5e-320, 5e-324,
         ];
         for len in 0..=3 * LANES + 1 {
             for shift in 0..kinds.len() {
@@ -724,6 +730,18 @@ mod tests {
                     assert_eq!(got, scalar, "{isa:?} copy, len {len}, shift {shift}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn subnormal_quantile_matches_a_libm_ln_reference() {
+        // The far-tail branch with libm's `ln` in place of `fast_neg_ln`.
+        for p in [5e-320, 1e-310, 5e-324] {
+            let r = (-f64::ln(p)).sqrt();
+            let want = -ppnd_ratio(r - 5.0, &PPND_E, &PPND_F);
+            let got = norm_quantile(p);
+            let tol = 4.0 * f64::EPSILON * want.abs();
+            assert!((got - want).abs() <= tol, "p {p:e}: {got} vs {want}");
         }
     }
 

@@ -21,9 +21,10 @@
 //!   curves and statistical multiplexing gain.
 //! - [`model`] — the paper's four-parameter source model: estimation,
 //!   generation, ablations, validation.
-//! - [`serve`] — sharded multi-tenant source-fleet engine: lockstep
-//!   slice-slot serving of up to ~10⁶ concurrent sources, admission
-//!   control, whole-fleet checkpoint/migration.
+//! - [`serve`] — multi-tenant source-fleet engine: lockstep slice-slot
+//!   serving of up to ~10⁶ concurrent sources on one shard per pool
+//!   worker, admission control, whole-fleet checkpoints that restore at
+//!   any thread count.
 //!
 //! ```
 //! use vbr::prelude::*;
