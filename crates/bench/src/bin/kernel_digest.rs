@@ -218,4 +218,20 @@ fn main() {
         .to_bits(),
     );
     println!("qc_search {}", d.hex());
+
+    // Zero-loss searches, at Fig 16's 22 levels and at 30, deep enough
+    // that midpoints reach the band around the exact zero-loss capacity
+    // where the levels are replayed.
+    let mut d = Digest::new();
+    for n in [1, 5] {
+        let sim = MuxSim::new(&screenplay, n, 11);
+        for t_max in [0.0, 0.002] {
+            for metric in [LossMetric::Overall, LossMetric::WorstSecond] {
+                for levels in [22, 30] {
+                    d.push(sim.required_capacity(t_max, LossTarget::Zero, metric, levels).to_bits());
+                }
+            }
+        }
+    }
+    println!("qc_zero {}", d.hex());
 }

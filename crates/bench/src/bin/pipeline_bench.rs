@@ -78,6 +78,10 @@ const CHECK_BUDGET_SECS: f64 = 2.0;
 /// Workload sizes for the two modes.
 struct Sizes {
     fft_n: usize,
+    /// Transform size of the plan-cache and lane-batch FFT entries: small
+    /// enough that both arms' working sets stay in a core's L2, so the
+    /// ratio follows the code rather than the neighbours' memory traffic.
+    fft_cached_n: usize,
     whittle_n: usize,
     hurst_n: usize,
     trace_frames: usize,
@@ -92,6 +96,7 @@ impl Sizes {
     fn full() -> Sizes {
         Sizes {
             fft_n: 1 << 18,
+            fft_cached_n: 1 << 14,
             whittle_n: 1 << 16,
             hurst_n: 65_536,
             trace_frames: 20_000,
@@ -105,6 +110,7 @@ impl Sizes {
     fn test() -> Sizes {
         Sizes {
             fft_n: 1 << 12,
+            fft_cached_n: 1 << 10,
             whittle_n: 1 << 11,
             hurst_n: 4_096,
             trace_frames: 2_000,
@@ -425,7 +431,7 @@ fn legacy_fft_pow2(data: &mut [Complex], dir: Direction) {
 }
 
 fn bench_kernels(sizes: &Sizes, report: &mut PerfReport) {
-    let n = sizes.fft_n;
+    let n = sizes.fft_cached_n;
     let mut rng = Xoshiro256::seed_from_u64(1);
     let input: Vec<Complex> =
         (0..n).map(|_| Complex::from_re(rng.standard_normal())).collect();
@@ -811,8 +817,9 @@ fn bench_kernels_wide(sizes: &Sizes, report: &mut PerfReport) {
 fn bench_kernels_batch_fft(sizes: &Sizes, report: &mut PerfReport) {
     let l = vbr_fft::LANES;
     // A fleet-shaped transform size: small enough that per-call
-    // overhead matters, which is exactly what lane batching amortises.
-    let n = (sizes.fft_n >> 4).max(16);
+    // overhead matters, which is exactly what lane batching amortises,
+    // and that all lanes stay cache-resident (8 x 4096 points, 512 KiB).
+    let n = (sizes.fft_cached_n >> 2).max(16);
     let plan = vbr_fft::plan_for(n);
     let mut rng = Xoshiro256::seed_from_u64(31);
     let signals: Vec<Vec<Complex>> = (0..l)
@@ -852,6 +859,7 @@ fn bench_kernels_batch_fft(sizes: &Sizes, report: &mut PerfReport) {
     );
 
     // The Davies-Harte hot kernel, fleet shape: l Hermitian syntheses.
+    let n = (sizes.fft_n >> 4).max(16);
     let half = n / 2;
     let rplan = vbr_fft::real_plan_for(n);
     let spectra: Vec<Vec<Complex>> = (0..l)
@@ -1131,6 +1139,38 @@ fn bench_simulation(sizes: &Sizes, report: &mut PerfReport) {
     bench_qc_search(sizes, &sim, "qc_search_scalar_vs_speculative", report);
     let sim1 = MuxSim::new(&trace, 1, seed);
     bench_qc_search(sizes, &sim1, "qc_search_scalar_vs_speculative_n1", report);
+
+    // A zero-loss Q-C point at Fig 16's 22 levels, N = 5. The baseline
+    // replays every level: a zero rate target gives the same verdicts
+    // (`p <= 0` iff `p == 0`) through the lane passes alone. The new path
+    // decides the levels from the exact zero-loss capacity, one
+    // window-ratio scan per lag combination.
+    let sim5 = MuxSim::new(&trace, 5, seed);
+    let (t_max, levels) = (0.002, 22);
+    let replayed =
+        || sim5.required_capacity(t_max, LossTarget::Rate(0.0), LossMetric::Overall, levels);
+    let exact = || sim5.required_capacity(t_max, LossTarget::Zero, LossMetric::Overall, levels);
+    assert_eq!(replayed().to_bits(), exact().to_bits(), "zero-loss search drifted");
+    let t = time_paired(
+        sizes.budget,
+        || {
+            std::hint::black_box(replayed());
+        },
+        || {
+            std::hint::black_box(exact());
+        },
+    );
+    report.record(
+        "simulation",
+        "qc_search_zero_bisect_vs_exact",
+        t,
+        &format!(
+            "{levels}-level P_l = 0 search at N = 5, T_max = {t_max} s, {} lag combinations x \
+             {slots} slots; baseline replays every level through the lane passes, new path \
+             decides levels from the exact zero-loss capacity (bit-identical capacity)",
+            sim5.combos().len(),
+        ),
+    );
 
     // One 8-lane pass over the six lag combinations at N = 20, one
     // worker. The baseline replays each combination alone, summing its
@@ -1459,48 +1499,6 @@ fn bench_streaming(sizes: &Sizes, report: &mut PerfReport) {
         &format!(
             "one-shot generate -> transform -> queue, n={n}, fresh (H, n) per call; stream \
              peak live state is one {block}-sample block + one {chunk}-sample chunk"
-        ),
-    );
-
-    // One solo stream through the marginal map and the queue at one vs
-    // two pool workers: at two, the background worker synthesises each
-    // next window while the calling thread maps and queues the current
-    // one. Same draws, so the same queue state.
-    let solo = |threads: usize| -> (u64, f64) {
-        with_threads(threads, || {
-            let mut src = FgnStream::new(0.8, 1.0, block, 42);
-            let mut buf = vec![0.0f64; chunk];
-            let mut q = FluidQueue::new(1e6, 27_791.0 / dt * 1.2);
-            let mut digest = TraceDigest::new();
-            for _ in 0..n / chunk {
-                xform.map_block_from(&mut src, &mut buf);
-                q.step_block(&buf, dt);
-                digest.update(&buf);
-            }
-            (digest.value(), q.loss_rate())
-        })
-    };
-    let want = solo(1);
-    assert_eq!(solo(2).0, want.0, "two-worker solo stream diverged from one worker");
-    let t = time_paired(
-        sizes.budget,
-        || {
-            std::hint::black_box(solo(1));
-        },
-        || {
-            std::hint::black_box(solo(2));
-        },
-    );
-    report.record(
-        "streaming",
-        "solo_stream_one_vs_two_workers",
-        t,
-        &format!(
-            "{n} samples of one FgnStream (H 0.8, {block}-sample blocks, {}-point \
-             windows) -> Gamma/Pareto map -> queue in {chunk}-sample chunks; baseline at \
-             1 pool worker, new at 2, where the next window is synthesised on the \
-             background worker; traffic bits verified equal first",
-            2 * block
         ),
     );
 }

@@ -30,6 +30,7 @@ pub mod qc;
 pub mod queue;
 mod search;
 pub mod smg;
+mod zero;
 
 pub use admission::{admit_by_norros, admit_by_simulation, AdmissionResult};
 pub use analytic::{fbm_variance_coef, norros_capacity};

@@ -7,6 +7,7 @@ use crate::metrics::SimResult;
 use crate::mux::{lag_combinations, u32_batch, ArrivalCursor, LagCombination, EXACT_AGGREGATE};
 use crate::queue::FluidQueue;
 use crate::search::{self, check_search_args, LaneQueues, SearchPass, MAX_GROUPS, STREAM_CHUNK};
+use crate::zero::{Scale, WindowScan, ZeroLoss};
 use vbr_stats::error::{DataError, NumericError};
 use vbr_stats::obs::{self, Counter};
 use vbr_video::Trace;
@@ -276,6 +277,34 @@ impl<'a> MuxSim<'a> {
         lanes.totals()
     }
 
+    /// The exact zero-loss capacity at `t_max_secs`: one window-ratio
+    /// scan per lag combination, dealt to the pool workers a replay
+    /// would use. `None` when a scan gives up (hull cap, fixed-point
+    /// range), leaving the search to its passes.
+    pub(crate) fn zero_loss(&self, t_max_secs: f64) -> Option<ZeroLoss> {
+        let _span = obs::span("qsim.zero_loss_scan");
+        let slots = self.trace.slice_bytes().len();
+        let scale = Scale::new(slots, self.dt, t_max_secs)?;
+        let (workers, _) = self.grouping();
+        let windows: Option<Vec<_>> = vbr_stats::par::par_map_with(workers, &self.combos, |c| {
+            let mut cursor = ArrivalCursor::with_batch(self.trace, c, self.batch);
+            let mut scan = WindowScan::new(scale);
+            let mut buf = [0.0f64; STREAM_CHUNK];
+            loop {
+                let k = cursor.next_block(&mut buf);
+                if k == 0 {
+                    return Some(scan.finish());
+                }
+                if !scan.feed(&buf[..k]) {
+                    return None;
+                }
+            }
+        })
+        .into_iter()
+        .collect();
+        Some(ZeroLoss::new(&windows?, scale, slots, self.dt, t_max_secs))
+    }
+
     /// Fallible [`run`](Self::run): rejects an invalid capacity or buffer
     /// and — unlike `run` — a stable-state violation: offered load at or
     /// above capacity ([`QsimError::Overload`]), where a finite loss
@@ -297,8 +326,10 @@ impl<'a> MuxSim<'a> {
     /// `iterations` bisection levels between the mean rate and the peak
     /// slot rate, decided three to five at a time from one shared
     /// arrival pass, as the CPU's lane budget allows (see the `search`
-    /// module); the result is bit-identical to probing one midpoint per
-    /// [`run`](Self::run).
+    /// module); a zero target decides most levels from the exact
+    /// zero-loss capacity instead, with one window-ratio scan per lag
+    /// combination. The result is bit-identical to probing one midpoint
+    /// per [`run`](Self::run).
     pub fn required_capacity(
         &self,
         t_max_secs: f64,
@@ -339,6 +370,10 @@ impl SearchPass for &MuxSim<'_> {
         buffers: &[f64; L],
     ) -> Result<[AveragedLoss; L], QsimError> {
         Ok(self.replay(capacities, buffers))
+    }
+
+    fn zero_loss(&mut self, t_max_secs: f64) -> Option<ZeroLoss> {
+        MuxSim::zero_loss(self, t_max_secs)
     }
 }
 

@@ -25,6 +25,7 @@
 use crate::error::QsimError;
 use crate::qc::{AveragedLoss, LossMetric, LossTarget};
 use crate::queue::FluidQueue;
+use crate::zero::ZeroLoss;
 use vbr_stats::error::NumericError;
 use vbr_stats::obs::{self, Counter};
 use vbr_stats::simd::{Isa, Kernel};
@@ -309,13 +310,17 @@ fn midpoint_tree<const L: usize>(
 /// it runs once per `log₂ L` levels (the final pass decides what is
 /// left when that does not divide `iterations`).
 ///
+/// A zero-loss search may pass the exact zero-loss capacity as `zero`:
+/// each level is then decided from it without a pass
+/// ([`ZeroLoss::verdict`] gives the verdict the pass would give), until
+/// the first midpoint within the margin of `C*`, from which passes
+/// decide the remaining levels.
+///
 /// Counters: `QcProbes` counts decided levels, `MuxRuns` counts passes,
 /// and `QueueOverflowSlots` adds only the lanes on the decision path, so
-/// it equals what a one-probe-per-replay search would have counted.
-///
-/// `lo` is the mean arrival rate; a zero (all-silent arrivals) or
-/// non-finite one leaves no positive capacity to probe and is rejected
-/// before any pass.
+/// it equals what a one-probe-per-replay search would have counted for
+/// the levels passes decide.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn bisect<const L: usize>(
     mut lo: f64,
     mut hi: f64,
@@ -323,14 +328,26 @@ pub(crate) fn bisect<const L: usize>(
     t_max_secs: f64,
     target: LossTarget,
     metric: LossMetric,
+    zero: Option<ZeroLoss>,
     mut pass: impl FnMut(&[f64; L], &[f64; L]) -> Result<[AveragedLoss; L], QsimError>,
 ) -> Result<f64, QsimError> {
     const { assert!(L > 1 && L.is_power_of_two(), "L must be a power of two") };
-    if !(lo > 0.0 && lo.is_finite()) {
-        return Err(NumericError::NonPositive { what: "mean arrival rate", value: lo }.into());
+    debug_assert!(zero.is_none() || target == LossTarget::Zero);
+    let mut left = iterations;
+    if let Some(zero) = zero {
+        while left > 0 {
+            let mid = 0.5 * (lo + hi);
+            let Some(meets) = zero.verdict(mid) else { break };
+            obs::counter_add(Counter::QcProbes, 1);
+            if meets {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+            left -= 1;
+        }
     }
     let tree_depth = L.trailing_zeros() as usize;
-    let mut left = iterations;
     while left > 0 {
         let depth = left.min(tree_depth);
         let _span = obs::span("qsim.qc_pass");
@@ -370,9 +387,21 @@ pub(crate) trait SearchPass {
         capacities: &[f64; L],
         buffers: &[f64; L],
     ) -> Result<[AveragedLoss; L], QsimError>;
+
+    /// The exact zero-loss capacity at `t_max_secs`, where this replay
+    /// can compute one (integer arrivals); `None` leaves every level to
+    /// passes.
+    fn zero_loss(&mut self, _t_max_secs: f64) -> Option<ZeroLoss> {
+        None
+    }
 }
 
-/// [`bisect`] at the width [`search_lanes`] picks for `replay`'s groups.
+/// [`bisect`] at the width [`search_lanes`] picks for `replay`'s groups,
+/// given the replay's exact zero-loss capacity for a zero-loss target.
+///
+/// `lo` is the mean arrival rate; a zero (all-silent arrivals) or
+/// non-finite one leaves no positive capacity to probe and is rejected
+/// before any pass.
 pub(crate) fn search(
     lo: f64,
     hi: f64,
@@ -382,11 +411,18 @@ pub(crate) fn search(
     metric: LossMetric,
     mut replay: impl SearchPass,
 ) -> Result<f64, QsimError> {
+    if !(lo > 0.0 && lo.is_finite()) {
+        return Err(NumericError::NonPositive { what: "mean arrival rate", value: lo }.into());
+    }
     let (i, t) = (iterations, t_max_secs);
+    let z = match target {
+        LossTarget::Zero if i > 0 => replay.zero_loss(t),
+        _ => None,
+    };
     match search_lanes(replay.groups()) {
-        32 => bisect::<32>(lo, hi, i, t, target, metric, |c, b| replay.pass(c, b)),
-        16 => bisect::<16>(lo, hi, i, t, target, metric, |c, b| replay.pass(c, b)),
-        _ => bisect::<8>(lo, hi, i, t, target, metric, |c, b| replay.pass(c, b)),
+        32 => bisect::<32>(lo, hi, i, t, target, metric, z, |c, b| replay.pass(c, b)),
+        16 => bisect::<16>(lo, hi, i, t, target, metric, z, |c, b| replay.pass(c, b)),
+        _ => bisect::<8>(lo, hi, i, t, target, metric, z, |c, b| replay.pass(c, b)),
     }
 }
 
@@ -447,17 +483,22 @@ mod tests {
         assert_eq!(search_passes(0, 32), 0);
     }
 
+    /// The search bracket `MuxSim` starts from.
+    fn bracket(sim: &MuxSim) -> (f64, f64) {
+        (sim.mean_rate(), sim.peak_slot_rate().max(sim.mean_rate() * 1.001))
+    }
+
     /// The one-probe-per-replay bisection the trees replace, on the
-    /// public one-lane `run`: entry `i` is its answer after `i` levels.
+    /// public one-lane `run`, from `(lo, hi)`: entry `i` is its answer
+    /// after `i` levels.
     fn scalar_answers(
         sim: &MuxSim,
         t_max: f64,
         target: LossTarget,
         metric: LossMetric,
+        (mut lo, mut hi): (f64, f64),
         levels: usize,
     ) -> Vec<f64> {
-        let mut lo = sim.mean_rate();
-        let mut hi = sim.peak_slot_rate().max(lo * 1.001);
         let mut answers = vec![hi];
         for _ in 0..levels {
             let mid = 0.5 * (lo + hi);
@@ -478,10 +519,9 @@ mod tests {
         target: LossTarget,
         metric: LossMetric,
     ) {
-        let lo = sim.mean_rate();
-        let hi = sim.peak_slot_rate().max(lo * 1.001);
+        let (lo, hi) = bracket(sim);
         for (iterations, want) in want.iter().enumerate() {
-            let got = bisect::<L>(lo, hi, iterations, t_max, target, metric, |c, b| {
+            let got = bisect::<L>(lo, hi, iterations, t_max, target, metric, None, |c, b| {
                 Ok(sim.replay(c, b))
             })
             .unwrap();
@@ -504,7 +544,7 @@ mod tests {
             let sim = MuxSim::new(&trace, n, 7);
             for target in [LossTarget::Zero, LossTarget::Rate(1e-3)] {
                 for metric in [LossMetric::Overall, LossMetric::WorstSecond] {
-                    let want = scalar_answers(&sim, t_max, target, metric, 25);
+                    let want = scalar_answers(&sim, t_max, target, metric, bracket(&sim), 25);
                     check_tree_width::<8>(&sim, t_max, &want, target, metric);
                     check_tree_width::<16>(&sim, t_max, &want, target, metric);
                     check_tree_width::<32>(&sim, t_max, &want, target, metric);
@@ -631,5 +671,77 @@ mod tests {
         check_groups_against_step_block::<1>();
         check_groups_against_step_block::<2>();
         check_groups_against_step_block::<MAX_GROUPS>();
+    }
+
+    /// A zero-loss search from `(lo, hi)` against the scalar loop, bit
+    /// for bit: `bisect::<8>` given the exact capacity. Returns how many
+    /// passes it replayed.
+    fn check_exact_zero(
+        sim: &MuxSim,
+        t_max: f64,
+        metric: usize,
+        (lo, hi): (f64, f64),
+        levels: usize,
+    ) -> Result<usize, proptest::test_runner::TestCaseError> {
+        let metric = [LossMetric::Overall, LossMetric::WorstSecond][metric];
+        let zero = sim.zero_loss(t_max).expect("short traces scan");
+        let mut passes = 0;
+        let got = bisect::<8>(lo, hi, levels, t_max, LossTarget::Zero, metric, Some(zero), |c, b| {
+            passes += 1;
+            Ok(sim.replay(c, b))
+        })
+        .unwrap();
+        let want = scalar_answers(sim, t_max, LossTarget::Zero, metric, (lo, hi), levels)[levels];
+        proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?} x{}", metric, levels);
+        Ok(passes)
+    }
+
+    proptest::proptest! {
+        /// Constant arrivals whose `C*` is exactly the root midpoint: the
+        /// root sits inside the margin, so every level is replayed, and
+        /// the answer keeps the scalar bits whichever way the replay at
+        /// `C*` itself rounds.
+        #[test]
+        fn root_at_c_star_is_replayed(
+            slice in 1u32..5_000_000,
+            frames in 2usize..60,
+            spf_pick in 0usize..4,
+            t_pick in 0usize..4,
+            levels in 1usize..30,
+            metric in 0usize..2,
+        ) {
+            let spf = [1, 3, 30, 32][spf_pick];
+            let trace = vbr_video::Trace::from_slices(vec![slice; frames * spf], spf, 24.0);
+            let sim = MuxSim::new(&trace, 1, 1);
+            let t_max = [0.0, 0.3 * sim.dt(), 7.0 * sim.dt(), 0.05][t_pick];
+            let c = sim.zero_loss(t_max).unwrap().c_star();
+            // A bracket whose midpoint is `c` exactly (the top sixteenth
+            // of a binade rounds `c + e` and is skipped).
+            let e = 2f64.powi(c.log2().floor() as i32 - 3);
+            let (lo, hi) = (c - e, c + e);
+            proptest::prop_assume!(0.5 * (lo + hi) == c);
+            let passes = check_exact_zero(&sim, t_max, metric, (lo, hi), levels)?;
+            proptest::prop_assert_eq!(passes, levels.div_ceil(3), "root decided without a replay");
+        }
+
+        /// Brackets closing in on `C*` of screenplay traces, deep enough
+        /// that late midpoints fall within the margin: every level keeps
+        /// the scalar bits, whether `C*` or a replay decides it.
+        #[test]
+        fn verdicts_near_c_star_keep_scalar_bits(
+            seed in 0u64..1_000,
+            n_pick in 0usize..3,
+            t_pick in 0usize..4,
+            below in 1e-12f64..1e-3,
+            above in 1e-12f64..1e-3,
+            levels in 0usize..48,
+            metric in 0usize..2,
+        ) {
+            let trace = generate_screenplay(&ScreenplayConfig::short(120, 3));
+            let sim = MuxSim::new(&trace, [1, 2, 3][n_pick], seed);
+            let t_max = [0.0, 0.001, 0.004, 0.04][t_pick];
+            let c = sim.zero_loss(t_max).unwrap().c_star();
+            check_exact_zero(&sim, t_max, metric, (c * (1.0 - below), c * (1.0 + above)), levels)?;
+        }
     }
 }

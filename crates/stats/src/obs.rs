@@ -80,13 +80,18 @@ pub enum Counter {
     RobustHurstRuns,
     /// `robust_hurst`: headline answered by a non-Whittle fallback.
     EstimatorFallback,
-    /// Fluid queue: slots in which the buffer overflowed (lost > 0).
-    /// A speculative Q-C search adds only the lanes on its decision
-    /// path, so the count equals a one-probe-per-replay search's.
+    /// Fluid queue: slots in which the buffer overflowed (lost > 0),
+    /// counted only in simulated lanes. A speculative Q-C search adds
+    /// only the lanes on its decision path, so the count equals a
+    /// one-probe-per-replay search's over the levels it replays; levels
+    /// a zero-loss search decides from the exact zero-loss capacity
+    /// simulate nothing and add nothing.
     QueueOverflowSlots,
-    /// Multiplexer replays: shared arrival passes over every lag
+    /// Multiplexer replays: simulated arrival passes over every lag
     /// combination (`MuxSim::run`/`run_lanes`, one per speculative Q-C
-    /// pass of up to five levels) and model-driven source runs.
+    /// pass of up to five levels) and model-driven source runs. The
+    /// window-ratio scan behind a zero-loss search is not a replay and
+    /// is not counted.
     MuxRuns,
     /// Q–C sweeps: capacity bisection levels decided (one per level,
     /// however many levels a shared pass decides).
