@@ -857,56 +857,12 @@ fn bench_kernels_batch_fft(sizes: &Sizes, report: &mut PerfReport) {
              new path one lane-interleaved forward_lanes call (bits identical per lane)"
         ),
     );
-
-    // The Davies-Harte hot kernel, fleet shape: l Hermitian syntheses.
-    let n = (sizes.fft_n >> 4).max(16);
-    let half = n / 2;
-    let rplan = vbr_fft::real_plan_for(n);
-    let spectra: Vec<Vec<Complex>> = (0..l)
-        .map(|_| {
-            let mut hs: Vec<Complex> = (0..=half)
-                .map(|_| Complex::new(rng.standard_normal(), rng.standard_normal()))
-                .collect();
-            hs[0] = Complex::from_re(hs[0].re);
-            hs[half] = Complex::from_re(hs[half].re);
-            hs
-        })
-        .collect();
-    let mut half_il = vec![Complex::ZERO; (half + 1) * l];
-    for (v, hs) in spectra.iter().enumerate() {
-        for (k, &z) in hs.iter().enumerate() {
-            half_il[k * l + v] = z;
-        }
-    }
-    let (mut out, mut scratch) = (Vec::new(), Vec::new());
-    let (mut out_l, mut scratch_l) = (Vec::new(), Vec::new());
-    let t = time_paired(
-        sizes.budget,
-        || {
-            for hs in &spectra {
-                rplan.synthesize_hermitian(hs, &mut out, &mut scratch);
-                std::hint::black_box(out[n - 1]);
-            }
-        },
-        || {
-            rplan.synthesize_hermitian_lanes(&half_il, &mut out_l, &mut scratch_l, l);
-            std::hint::black_box(out_l[n * l - 1]);
-        },
-    );
-    report.record(
-        "kernels_batch_fft",
-        "hermitian_synthesis_scalar_loop_vs_lanes",
-        t,
-        &format!(
-            "{l} Hermitian syntheses of n={n}; baseline loops the scalar kernel, \
-             new path one synthesize_hermitian_lanes pass over interleaved bins"
-        ),
-    );
 }
 
 /// The ISA-dispatched kernels (DESIGN.md §11): each kernel's portable
 /// copy against every wider copy this CPU can run, on the stream's
-/// quantile pass and the fleet's lane FFT. The entries carry the copy in
+/// quantile pass, the fleet's lane FFT and the Q-C replay's arrival sum.
+/// The entries carry the copy in
 /// their name, so each is gated only on hosts that run that copy; a host
 /// without it skips the entry by name. The copies give the same bits
 /// (asserted first).
@@ -935,16 +891,40 @@ fn bench_kernels_isa(sizes: &Sizes, report: &mut PerfReport) {
         }
         std::hint::black_box(buf[m * l * cohorts - 1]);
     };
+    // The Q-C replay's arrival sum at N = 20: one sweep of a lag
+    // combination's cursor over a trace small enough (2 000 frames, 234
+    // KiB of slices) to stay in a core's L2, so neither arm waits on
+    // memory bandwidth.
+    let frames = sizes.trace_frames / 10;
+    let trace = generate_screenplay(&ScreenplayConfig::short(frames, 43));
+    let lags = lag_combinations(20, frames, frames / 40, 43).swap_remove(0);
+    let cursor = vbr_qsim::ArrivalCursor::new(&trace, &lags);
+    let arrival_sum = |isa: Isa, buf: &mut Vec<u64>| {
+        let mut c = cursor.clone();
+        let mut block = [0.0f64; 4096];
+        buf.clear();
+        loop {
+            let k = c.next_block_on(isa, &mut block);
+            if k == 0 {
+                break;
+            }
+            buf.extend(block[..k].iter().map(|x| x.to_bits()));
+        }
+        std::hint::black_box(buf.last());
+    };
     let (mut qa, mut qb) = (uniforms.clone(), uniforms.clone());
     let (mut ca, mut cb) = (input.clone(), input.clone());
+    let (mut aa, mut ab) = (Vec::new(), Vec::new());
     for &isa in Isa::ALL.iter().filter(|&&isa| isa != Isa::Portable) {
         let suffix = format!("{isa:?}").to_lowercase();
         let qname = format!("quantile_slice_portable_vs_{suffix}");
         let fname = format!("lane_fft_portable_vs_{suffix}");
+        let aname = format!("arrival_sum_portable_vs_{suffix}");
         if !isa.is_supported() {
             let why = format!("this CPU has no {isa:?} copy");
             report.skip("kernels_isa", &qname, &why);
             report.skip("kernels_isa", &fname, &why);
+            report.skip("kernels_isa", &aname, &why);
             continue;
         }
         quantile(Isa::Portable, &mut qa);
@@ -987,6 +967,25 @@ fn bench_kernels_isa(sizes: &Sizes, report: &mut PerfReport) {
             &format!(
                 "{cohorts} forward lane FFTs of m={m} x {l} lanes (the fleet's window); \
                  baseline is the portable copy, new the {isa:?} copy (bits verified equal first)"
+            ),
+        );
+
+        arrival_sum(Isa::Portable, &mut aa);
+        arrival_sum(isa, &mut ab);
+        assert_eq!(aa, ab, "{isa:?} arrival-sum copy diverged from the portable one");
+        let t = time_paired(
+            sizes.budget,
+            || arrival_sum(Isa::Portable, &mut aa),
+            || arrival_sum(isa, &mut ab),
+        );
+        report.record(
+            "kernels_isa",
+            &aname,
+            t,
+            &format!(
+                "one ArrivalCursor sweep of 20 sources x {} slots (cache-resident); baseline \
+                 is the portable next_block copy, new the {isa:?} copy (bits verified equal first)",
+                trace.slice_bytes().len()
             ),
         );
     }
@@ -1142,13 +1141,14 @@ fn bench_simulation(sizes: &Sizes, report: &mut PerfReport) {
 
     // A zero-loss Q-C point at Fig 16's 22 levels, N = 5. The baseline
     // replays every level: a zero rate target gives the same verdicts
-    // (`p <= 0` iff `p == 0`) through the lane passes alone. The new path
-    // decides the levels from the exact zero-loss capacity, one
-    // window-ratio scan per lag combination.
+    // (`p <= 0` iff `p == 0`) through fixed-width lane passes alone, as
+    // searches ran before the exact capacity (and before passes were
+    // sized, which would move this arm without touching the new one).
+    // The new path decides the levels from the exact zero-loss capacity,
+    // one window-ratio scan per lag combination.
     let sim5 = MuxSim::new(&trace, 5, seed);
     let (t_max, levels) = (0.002, 22);
-    let replayed =
-        || sim5.required_capacity(t_max, LossTarget::Rate(0.0), LossMetric::Overall, levels);
+    let replayed = || fixed_tree_search(&sim5, t_max, 0.0, levels);
     let exact = || sim5.required_capacity(t_max, LossTarget::Zero, LossMetric::Overall, levels);
     assert_eq!(replayed().to_bits(), exact().to_bits(), "zero-loss search drifted");
     let t = time_paired(
@@ -1166,8 +1166,44 @@ fn bench_simulation(sizes: &Sizes, report: &mut PerfReport) {
         t,
         &format!(
             "{levels}-level P_l = 0 search at N = 5, T_max = {t_max} s, {} lag combinations x \
-             {slots} slots; baseline replays every level through the lane passes, new path \
-             decides levels from the exact zero-loss capacity (bit-identical capacity)",
+             {slots} slots; baseline replays every level through fixed-width lane passes, new \
+             path decides levels from the exact zero-loss capacity (bit-identical capacity)",
+            sim5.combos().len(),
+        ),
+    );
+
+    // A 10-level P_l <= 1e-4 search at N = 5 (paper_qc's rate columns),
+    // one worker. The baseline runs the fixed trees a search made before
+    // passes were sized: full-width passes (16 lanes with AVX-512, else
+    // 8), the last one ragged, through the public run_lanes, which keeps
+    // both metrics. The new path spreads the levels evenly over as many
+    // passes, each 2^depth lanes wide, carrying only P_l.
+    let (t_max, levels, rate) = (0.002, 10, 1e-4);
+    let fixed = || with_threads(1, || fixed_tree_search(&sim5, t_max, rate, levels));
+    let sized = || {
+        with_threads(1, || {
+            sim5.required_capacity(t_max, LossTarget::Rate(rate), LossMetric::Overall, levels)
+        })
+    };
+    assert_eq!(fixed().to_bits(), sized().to_bits(), "sized search passes drifted");
+    let t = time_paired(
+        sizes.budget,
+        || {
+            std::hint::black_box(fixed());
+        },
+        || {
+            std::hint::black_box(sized());
+        },
+    );
+    report.record(
+        "simulation",
+        "qc_search_fixed_vs_sized_passes",
+        t,
+        &format!(
+            "{levels}-level P_l <= {rate} search at N = 5, T_max = {t_max} s, {} lag \
+             combinations x {slots} slots, 1 worker; baseline runs full-width trees with both \
+             metrics' accounting, new path passes sized to their depth carrying only P_l \
+             (bit-identical capacity)",
             sim5.combos().len(),
         ),
     );
@@ -1336,6 +1372,52 @@ fn bench_qc_search(sizes: &Sizes, sim: &MuxSim, name: &str, report: &mut PerfRep
             sim.trace().slice_bytes().len(),
         ),
     );
+}
+
+/// A `P_l <= rate` capacity search as searches ran with fixed trees, at
+/// the width the lane rule picks for interleaved combinations on up to
+/// two workers: 16 lanes with AVX-512, else 8.
+fn fixed_tree_search(sim: &MuxSim, t_max: f64, rate: f64, levels: usize) -> f64 {
+    match vbr_stats::simd::Isa::detect() {
+        #[cfg(target_arch = "x86_64")]
+        vbr_stats::simd::Isa::Avx512 => fixed_trees::<16>(sim, t_max, rate, levels),
+        _ => fixed_trees::<8>(sim, t_max, rate, levels),
+    }
+}
+
+/// [`fixed_tree_search`] at `L` lanes: every pass `L` lanes wide on the
+/// public `run_lanes` (both metrics kept), deciding `log2(L)` levels, the
+/// last pass what is left.
+fn fixed_trees<const L: usize>(sim: &MuxSim, t_max: f64, rate: f64, levels: usize) -> f64 {
+    fn tree<const L: usize>(mids: &mut [f64; L], node: usize, depth: usize, lo: f64, hi: f64) {
+        if depth > 0 {
+            let mid = 0.5 * (lo + hi);
+            mids[node] = mid;
+            tree(mids, 2 * node + 1, depth - 1, lo, mid);
+            tree(mids, 2 * node + 2, depth - 1, mid, hi);
+        }
+    }
+    let mut lo = sim.mean_rate();
+    let mut hi = sim.peak_slot_rate().max(lo * 1.001);
+    let mut left = levels;
+    while left > 0 {
+        let depth = left.min(L.trailing_zeros() as usize);
+        let mut mids = [0.5 * (lo + hi); L];
+        tree(&mut mids, 0, depth, lo, hi);
+        let losses = sim.run_lanes(&mids, &mids.map(|c| t_max * c));
+        let mut node = 0;
+        for _ in 0..depth {
+            if losses[node].p_l <= rate {
+                hi = mids[node];
+                node = 2 * node + 1;
+            } else {
+                lo = mids[node];
+                node = 2 * node + 2;
+            }
+        }
+        left -= depth;
+    }
+    hi
 }
 
 /// [`MuxSim::run_lanes`] as one combination per pass with per-source

@@ -4,6 +4,7 @@
 //! even at long lags — six random lag combinations averaged for N > 2.
 
 use vbr_stats::rng::Xoshiro256;
+use vbr_stats::simd::{Isa, Kernel};
 use vbr_stats::snapshot::{Payload, Section, SnapshotError};
 use vbr_video::Trace;
 
@@ -167,7 +168,38 @@ impl<'a> ArrivalCursor<'a> {
     /// contiguous runs and sums each batch of sources in `u32`, so the
     /// inner loops are straight integer adds plus one convert-and-add
     /// per slot and batch.
+    ///
+    /// Runs from the copy compiled for the widest ISA the CPU has: the
+    /// default SSE2 build adds four `u32` lanes per op, AVX2 eight and
+    /// AVX-512 sixteen. Integer adds and the `u32 → f64` conversion are
+    /// exact and each slot's batches are added in source order, so every
+    /// copy produces the same bits.
     pub fn next_block(&mut self, out: &mut [f64]) -> usize {
+        self.next_block_on(Isa::detect(), out)
+    }
+
+    /// [`next_block`](Self::next_block) from `isa`'s copy, whatever
+    /// [`Isa::detect`] picks: for tests and benches that compare copies.
+    ///
+    /// # Panics
+    /// If the running CPU does not support `isa`.
+    #[doc(hidden)]
+    pub fn next_block_on(&mut self, isa: Isa, out: &mut [f64]) -> usize {
+        let take = isa.run(NextBlock { cursor: self, out: &mut *out });
+        // Tripwire (debug builds): the aggregate is a sum of u32
+        // conversions so it can only go non-finite if enough sources
+        // overflow the f64 range — silent today, loud here.
+        debug_assert!(
+            out[..take].iter().all(|v| v.is_finite()),
+            "non-finite aggregate at the mux seam"
+        );
+        take
+    }
+
+    /// [`next_block`](Self::next_block) for whatever ISA it is inlined
+    /// into.
+    #[inline(always)]
+    fn next_block_body(&mut self, out: &mut [f64]) -> usize {
         let n = self.slices.len();
         let take = out.len().min(n - self.emitted);
         let out = &mut out[..take];
@@ -204,13 +236,6 @@ impl<'a> ArrivalCursor<'a> {
             }
         }
         self.emitted += take;
-        // Tripwire (debug builds): the aggregate is a sum of u32
-        // conversions so it can only go non-finite if enough sources
-        // overflow the f64 range — silent today, loud here.
-        debug_assert!(
-            out.iter().all(|v| v.is_finite()),
-            "non-finite aggregate at the mux seam"
-        );
         take
     }
 
@@ -253,6 +278,22 @@ impl<'a> ArrivalCursor<'a> {
         self.cursors.extend_from_slice(&st.cursors);
         self.emitted = st.emitted;
         Ok(())
+    }
+}
+
+/// One [`ArrivalCursor::next_block`] call, compiled per ISA by
+/// [`Isa::run`].
+struct NextBlock<'c, 'a, 'o> {
+    cursor: &'c mut ArrivalCursor<'a>,
+    out: &'o mut [f64],
+}
+
+impl Kernel for NextBlock<'_, '_, '_> {
+    type Output = usize;
+
+    #[inline(always)]
+    fn run(self) -> usize {
+        self.cursor.next_block_body(self.out)
     }
 }
 
@@ -486,6 +527,50 @@ mod tests {
                     }
                     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     assert_eq!(bits(&got), bits(&want), "top {top}, {:?}, block {block}", lags.offsets);
+                }
+            }
+        }
+    }
+
+    /// Sweeps `cursor` to the end in `block`-slot calls of `isa`'s copy.
+    fn sweep_on(isa: Isa, mut cursor: ArrivalCursor, block: usize) -> Vec<u64> {
+        let mut got = Vec::new();
+        let mut buf = vec![f64::NAN; block];
+        loop {
+            let k = cursor.next_block_on(isa, &mut buf);
+            if k == 0 {
+                return got;
+            }
+            got.extend(buf[..k].iter().map(|x| x.to_bits()));
+        }
+    }
+
+    #[test]
+    fn every_next_block_copy_matches_portable_body_bitwise() {
+        // 3003 slots: 1024-slot scratch parts end mid-block and every
+        // block crosses wrap points, at 20 sources with offsets up to the
+        // last frame.
+        let offsets: Vec<usize> = (0..20).map(|i| (i * 389 + 17) % 1000).collect();
+        let lags = LagCombination { offsets };
+        // One batch of all sources, several batches (u32_batch 7 < 20
+        // sources) and one source per batch (slices of 2³¹), each also
+        // through batches of one, the fallback `new` takes past 2⁵³.
+        for (top, batches) in [(40_000u32, 1usize), (1 << 29, 3), (1 << 31, 20)] {
+            let slices: Vec<u32> = (0..3003u32).map(|i| top - (i * 7919) % (top / 2)).collect();
+            let t = Trace::from_slices(slices, 3, 24.0);
+            let cursor = ArrivalCursor::new(&t, &lags);
+            assert_eq!(cursor.cursors.chunks(cursor.batch).len(), batches, "top {top}");
+            let want: Vec<u64> =
+                aggregate_arrivals(&t, &lags).iter().map(|x| x.to_bits()).collect();
+            for cursor in [cursor, ArrivalCursor::with_batch(&t, &lags, 1)] {
+                for block in [1, 333, 1024, 2500, 4096] {
+                    let portable = sweep_on(Isa::Portable, cursor.clone(), block);
+                    assert_eq!(portable, want, "portable, top {top}, block {block}");
+                    for isa in Isa::supported() {
+                        let copy = sweep_on(isa, cursor.clone(), block);
+                        let at = format!("top {top}, batch {}, block {block}", cursor.batch);
+                        assert_eq!(copy, portable, "{isa:?}, {at}");
+                    }
                 }
             }
         }

@@ -193,16 +193,17 @@ impl<'a> MuxSim<'a> {
         buffers: &[f64; L],
     ) -> [AveragedLoss; L] {
         obs::counter_add(Counter::MuxRuns, 1);
-        let losses = self.replay(capacities, buffers);
+        let losses = self.replay(capacities, buffers, true);
         let overflow = losses.iter().map(|l| l.overflow_slots).sum();
         obs::counter_add(Counter::QueueOverflowSlots, overflow);
         losses
     }
 
     /// One shared arrival pass per combination through `L` queue lanes,
-    /// touching no counter. Overload is deliberately legal here
-    /// (transient studies run below the mean rate); `try_run` is the
-    /// variant that rejects it.
+    /// touching no counter, keeping the worst-errored-second totals only
+    /// if `worst_second` (`p_wes` is NaN otherwise). Overload is
+    /// deliberately legal here (transient studies run below the mean
+    /// rate); `try_run` is the variant that rejects it.
     ///
     /// Each combination is an independent replay. The replays are dealt
     /// out in groups of `⌈combos / workers⌉` (at most [`MAX_GROUPS`]), and
@@ -218,14 +219,16 @@ impl<'a> MuxSim<'a> {
         &self,
         capacities: &[f64; L],
         buffers: &[f64; L],
+        worst_second: bool,
     ) -> [AveragedLoss; L] {
         let (workers, group) = self.grouping();
         let groups: Vec<&[LagCombination]> = self.combos.chunks(group).collect();
+        let (c, b, w) = (capacities, buffers, worst_second);
         let per_group: Vec<Vec<[AveragedLoss; L]>> =
             vbr_stats::par::par_map_with(workers, &groups, |combos| match combos.len() {
-                1 => self.replay_group::<L, 1>(combos, capacities, buffers).to_vec(),
-                2 => self.replay_group::<L, 2>(combos, capacities, buffers).to_vec(),
-                _ => self.replay_group::<L, MAX_GROUPS>(combos, capacities, buffers).to_vec(),
+                1 => self.replay_group::<L, 1>(combos, c, b, w).to_vec(),
+                2 => self.replay_group::<L, 2>(combos, c, b, w).to_vec(),
+                _ => self.replay_group::<L, MAX_GROUPS>(combos, c, b, w).to_vec(),
             });
         let k = self.combos.len() as f64;
         std::array::from_fn(|l| {
@@ -259,10 +262,12 @@ impl<'a> MuxSim<'a> {
         combos: &[LagCombination],
         capacities: &[f64; L],
         buffers: &[f64; L],
+        worst_second: bool,
     ) -> [[AveragedLoss; L]; G] {
         let mut cursors: [ArrivalCursor; G] =
             std::array::from_fn(|g| ArrivalCursor::with_batch(self.trace, &combos[g], self.batch));
-        let mut lanes = LaneQueues::<L, G>::new(capacities, buffers, self.dt, cursors[0].len());
+        let slots = cursors[0].len();
+        let mut lanes = LaneQueues::<L, G>::new(capacities, buffers, self.dt, slots, worst_second);
         let mut bufs = [[0.0f64; STREAM_CHUNK]; G];
         loop {
             let mut k = 0;
@@ -324,9 +329,9 @@ impl<'a> MuxSim<'a> {
     /// `Q = t_max × C_total` — one point of a Q-C curve.
     ///
     /// `iterations` bisection levels between the mean rate and the peak
-    /// slot rate, decided three to five at a time from one shared
-    /// arrival pass, as the CPU's lane budget allows (see the `search`
-    /// module); a zero target decides most levels from the exact
+    /// slot rate, up to five at a time from one shared arrival pass:
+    /// as few passes as the CPU's lane budget allows, the levels spread
+    /// evenly over them (see the `search` module); a zero target decides most levels from the exact
     /// zero-loss capacity instead, with one window-ratio scan per lag
     /// combination. The result is bit-identical to probing one midpoint
     /// per [`run`](Self::run).
@@ -368,8 +373,9 @@ impl SearchPass for &MuxSim<'_> {
         &mut self,
         capacities: &[f64; L],
         buffers: &[f64; L],
+        metric: LossMetric,
     ) -> Result<[AveragedLoss; L], QsimError> {
-        Ok(self.replay(capacities, buffers))
+        Ok(self.replay(capacities, buffers, metric == LossMetric::WorstSecond))
     }
 
     fn zero_loss(&mut self, t_max_secs: f64) -> Option<ZeroLoss> {
@@ -427,21 +433,33 @@ pub fn qc_curve(
     // Each T_max bisection is independent; sweep the grid on the worker
     // pool. The nested `MuxSim::run` parallelism automatically degrades
     // to serial inside these workers, so the thread count stays bounded,
-    // and grid order is preserved in the returned curve. Each grid point
-    // costs one full replay of every combination per search pass.
-    let passes = search::search_passes(iterations, search::search_lanes(sim.grouping().1));
+    // and grid order is preserved in the returned curve.
     let work = sim
         .trace()
         .slice_bytes()
         .len()
         .saturating_mul(sim.combos().len())
-        .saturating_mul(passes.max(1))
+        .saturating_mul(point_sweeps(sim, target, iterations))
         .saturating_mul(t_max_grid.len());
     vbr_stats::par::par_map_sized(work, t_max_grid, |&t| QcPoint {
         t_max_secs: t,
         capacity_per_source: sim.required_capacity(t, target, metric, iterations)
             / sim.n_sources() as f64,
     })
+}
+
+/// Sweeps of every lag combination one grid point of [`qc_curve`]
+/// costs, for its pool work estimate: a rate search makes one pass per
+/// tree of levels, a zero-loss search one window-ratio scan and at most
+/// one pass (its levels are decided from the exact capacity until a
+/// midpoint falls within the margin). The estimate only gates
+/// parallelism; it never changes bits.
+fn point_sweeps(sim: &MuxSim, target: LossTarget, iterations: usize) -> usize {
+    let passes = search::search_passes(iterations, search::search_lanes(sim.grouping().1));
+    match target {
+        LossTarget::Zero => 1 + passes.min(1),
+        LossTarget::Rate(_) => passes.max(1),
+    }
 }
 
 #[cfg(test)]
@@ -544,6 +562,31 @@ mod tests {
                 w[1].capacity_per_source <= w[0].capacity_per_source * 1.01,
                 "curve not decreasing: {curve:?}"
             );
+        }
+    }
+
+    #[test]
+    fn zero_curves_are_estimated_below_rate_curves_with_the_same_bits() {
+        let t = test_trace();
+        let grid = [0.0005, 0.002, 0.01];
+        for n in [1, 5] {
+            let sim = MuxSim::new(&t, n, 14);
+            let zero = point_sweeps(&sim, LossTarget::Zero, 22);
+            let rate = point_sweeps(&sim, LossTarget::Rate(1e-3), 22);
+            assert!(zero < rate, "N = {n}: zero {zero} vs rate {rate}");
+            for target in [LossTarget::Zero, LossTarget::Rate(1e-3)] {
+                let curve = |threads| {
+                    vbr_stats::par::with_threads(threads, || {
+                        qc_curve(&sim, &grid, target, LossMetric::Overall, 22)
+                            .iter()
+                            .map(|p| (p.t_max_secs.to_bits(), p.capacity_per_source.to_bits()))
+                            .collect::<Vec<_>>()
+                    })
+                };
+                let serial = curve(1);
+                assert_eq!(curve(2), serial, "N = {n}, {target:?}, 2 threads");
+                assert_eq!(curve(3), serial, "N = {n}, {target:?}, 3 threads");
+            }
         }
     }
 

@@ -11,7 +11,12 @@
 //! aggregation and the latency-bound clamp recurrence are paid once per
 //! `d` levels instead of once per level. The depth follows the lane
 //! budget: [`search_lanes`] picks `2^d` lanes from the CPU's kernel copy
-//! and the number of lag combinations a pass interleaves.
+//! and the number of lag combinations a pass interleaves, which fixes
+//! how many passes a search makes; [`bisect`] then spreads the levels
+//! evenly over those passes and runs each at `2^depth` lanes for its own
+//! depth, so no pass carries lanes whose verdicts it never reads. A pass
+//! also carries only the searched metric: an `Overall` search skips the
+//! worst-errored-second accounting.
 //!
 //! Lane contract (as for the lane-batched FFT): every lane runs exactly
 //! the op sequence of [`FluidQueue::step_block`] on its own `(C, Q)`,
@@ -58,8 +63,8 @@ pub(crate) fn search_lanes(groups: usize) -> usize {
     }
 }
 
-/// Shared arrival passes a search of `iterations` levels makes at
-/// `lanes` lanes per pass (the final pass decides what is left).
+/// Shared arrival passes a search of `iterations` levels makes with
+/// trees of at most `lanes` lanes per pass.
 pub(crate) fn search_passes(iterations: usize, lanes: usize) -> usize {
     iterations.div_ceil(lanes.trailing_zeros() as usize)
 }
@@ -96,12 +101,21 @@ pub(crate) struct LaneQueues<const L: usize, const G: usize = 1> {
     slots_per_sec: usize,
     fed: usize,
     total: usize,
+    /// Whether the worst-errored-second totals are kept.
+    worst_second: bool,
 }
 
 impl<const L: usize, const G: usize> LaneQueues<L, G> {
-    /// Empty queues for replays of `total` slots of `dt` seconds.
-    /// Every lane is validated exactly as [`FluidQueue::new`] validates.
-    pub fn new(capacities: &[f64; L], buffers: &[f64; L], dt: f64, total: usize) -> Self {
+    /// Empty queues for replays of `total` slots of `dt` seconds, keeping
+    /// the worst-errored-second totals only if `worst_second`. Every lane
+    /// is validated exactly as [`FluidQueue::new`] validates.
+    pub fn new(
+        capacities: &[f64; L],
+        buffers: &[f64; L],
+        dt: f64,
+        total: usize,
+        worst_second: bool,
+    ) -> Self {
         let mut service = [0.0; L];
         for (s, (&c, &b)) in service.iter_mut().zip(capacities.iter().zip(buffers)) {
             *s = FluidQueue::new(b, c).capacity_bps() * dt;
@@ -120,6 +134,7 @@ impl<const L: usize, const G: usize> LaneQueues<L, G> {
             slots_per_sec: (1.0 / dt).round() as usize,
             fed: 0,
             total,
+            worst_second,
         }
     }
 
@@ -140,7 +155,8 @@ impl<const L: usize, const G: usize> LaneQueues<L, G> {
             self.step_run(blocks.map(|b| &b[pos..pos + run]));
             pos += run;
             self.fed += run;
-            if (sps > 0 && self.fed.is_multiple_of(sps)) || self.fed == self.total {
+            let closes = (sps > 0 && self.fed.is_multiple_of(sps)) || self.fed == self.total;
+            if self.worst_second && closes {
                 for g in 0..G {
                     for l in 0..L {
                         if self.win_arr[g] > 0.0 {
@@ -166,18 +182,24 @@ impl<const L: usize, const G: usize> LaneQueues<L, G> {
     /// multiplies and Rust never contracts or reassociates float ops, so
     /// every copy produces the same bits (tested below, copy by copy).
     fn step_run(&mut self, runs: [&[f64]; G]) {
-        Isa::detect().run(StepRun { queues: self, runs });
+        let isa = Isa::detect();
+        if self.worst_second {
+            isa.run(StepRun::<L, G, true> { queues: self, runs });
+        } else {
+            isa.run(StepRun::<L, G, false> { queues: self, runs });
+        }
     }
 
     /// [`step_run`](Self::step_run) for whatever ISA it is inlined
     /// into. Slot-major, group-minor: the `G` independent backlog
     /// chains of one slot are in flight together, which is what hides
-    /// the recurrence's latency.
+    /// the recurrence's latency. Without `WES` the run's per-lane loss
+    /// sums, which only feed the errored-second windows, are not kept.
     // The slot index walks `G` slices at once, which no iterator adapter
     // expresses for a const-generic `G`.
     #[allow(clippy::needless_range_loop)]
     #[inline(always)]
-    fn step_run_body(&mut self, runs: [&[f64]; G]) {
+    fn step_run_body<const WES: bool>(&mut self, runs: [&[f64]; G]) {
         let n = runs[0].len();
         let runs = runs.map(|r| &r[..n]);
         let (service, buffer) = (self.service, self.buffer);
@@ -200,7 +222,9 @@ impl<const L: usize, const G: usize> LaneQueues<L, G> {
                     let loss = (unserved - buffer[l]).max(0.0);
                     backlog[g][l] = unserved - loss;
                     lost[g][l] += loss;
-                    run_loss[g][l] += loss;
+                    if WES {
+                        run_loss[g][l] += loss;
+                    }
                     overflow[g][l] += (loss > 0.0) as u64;
                 }
             }
@@ -210,17 +234,19 @@ impl<const L: usize, const G: usize> LaneQueues<L, G> {
         self.overflow = overflow;
         self.arrived = arrived;
         for g in 0..G {
-            for (w, r) in self.win_loss[g].iter_mut().zip(run_loss[g]) {
-                *w += r;
+            if WES {
+                for (w, r) in self.win_loss[g].iter_mut().zip(run_loss[g]) {
+                    *w += r;
+                }
+                self.win_arr[g] += run_arr[g];
             }
-            self.win_arr[g] += run_arr[g];
             self.offered[g] += run_arr[g];
         }
     }
 
     /// Per-group, per-lane losses of the replay: `p_l = lost / arrived`
-    /// (0 when nothing arrived), the worst errored second, and overflow
-    /// slots.
+    /// (0 when nothing arrived), the worst errored second (NaN unless
+    /// kept), and overflow slots.
     pub fn totals(&self) -> [[AveragedLoss; L]; G] {
         std::array::from_fn(|g| {
             std::array::from_fn(|l| AveragedLoss {
@@ -229,25 +255,26 @@ impl<const L: usize, const G: usize> LaneQueues<L, G> {
                 } else {
                     0.0
                 },
-                p_wes: self.worst[g][l],
+                p_wes: if self.worst_second { self.worst[g][l] } else { f64::NAN },
                 overflow_slots: self.overflow[g][l],
             })
         })
     }
 }
 
-/// One [`LaneQueues::step_run`] call, compiled per ISA by [`Isa::run`].
-struct StepRun<'q, 'r, const L: usize, const G: usize> {
+/// One [`LaneQueues::step_run`] call, compiled per ISA by [`Isa::run`],
+/// with or without the worst-errored-second accounting (`WES`).
+struct StepRun<'q, 'r, const L: usize, const G: usize, const WES: bool> {
     queues: &'q mut LaneQueues<L, G>,
     runs: [&'r [f64]; G],
 }
 
-impl<const L: usize, const G: usize> Kernel for StepRun<'_, '_, L, G> {
+impl<const L: usize, const G: usize, const WES: bool> Kernel for StepRun<'_, '_, L, G, WES> {
     type Output = ();
 
     #[inline(always)]
     fn run(self) {
-        self.queues.step_run_body(self.runs);
+        self.queues.step_run_body::<WES>(self.runs);
     }
 }
 
@@ -303,12 +330,23 @@ fn midpoint_tree<const L: usize>(
     midpoint_tree(mids, 2 * node + 2, levels - 1, mid, hi);
 }
 
+/// Levels each pass of a search decides: `levels` spread evenly over the
+/// `search_passes(levels, 2^max_depth)` passes a full-width tree would
+/// make, earlier passes taking the remainder. 10 levels at depth 4 are
+/// 4 + 3 + 3, not 4 + 4 + 2.
+fn pass_depths(levels: usize, max_depth: usize) -> impl Iterator<Item = usize> {
+    let passes = search_passes(levels, 1 << max_depth);
+    (0..passes).map(move |p| levels / passes + usize::from(p < levels % passes))
+}
+
 /// The capacity bisection every Q-C search runs: `iterations` levels
 /// from the bracket `[lo, hi]`, with the buffer tied to the capacity
-/// through `Q = t_max × C`. `pass` replays the arrivals once through
-/// `L` lanes of `(capacities, buffers)` and returns each lane's losses;
-/// it runs once per `log₂ L` levels (the final pass decides what is
-/// left when that does not divide `iterations`).
+/// through `Q = t_max × C`. Each pass replays `replay`'s arrivals once
+/// through one lane per midpoint of the next levels' tree and walks it
+/// with the scalar decisions. A search makes as many passes as trees of
+/// `max_depth` levels need, with the levels spread evenly over them
+/// ([`pass_depths`]), each pass at `2^depth` lanes for its own depth;
+/// every pass carries only `metric`'s accounting.
 ///
 /// A zero-loss search may pass the exact zero-loss capacity as `zero`:
 /// each level is then decided from it without a pass
@@ -321,7 +359,7 @@ fn midpoint_tree<const L: usize>(
 /// it equals what a one-probe-per-replay search would have counted for
 /// the levels passes decide.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn bisect<const L: usize>(
+pub(crate) fn bisect(
     mut lo: f64,
     mut hi: f64,
     iterations: usize,
@@ -329,9 +367,10 @@ pub(crate) fn bisect<const L: usize>(
     target: LossTarget,
     metric: LossMetric,
     zero: Option<ZeroLoss>,
-    mut pass: impl FnMut(&[f64; L], &[f64; L]) -> Result<[AveragedLoss; L], QsimError>,
+    max_depth: usize,
+    replay: &mut impl SearchPass,
 ) -> Result<f64, QsimError> {
-    const { assert!(L > 1 && L.is_power_of_two(), "L must be a power of two") };
+    assert!((1..=5).contains(&max_depth), "trees of 1 to 5 levels per pass");
     debug_assert!(zero.is_none() || target == LossTarget::Zero);
     let mut left = iterations;
     if let Some(zero) = zero {
@@ -347,22 +386,51 @@ pub(crate) fn bisect<const L: usize>(
             left -= 1;
         }
     }
-    let tree_depth = L.trailing_zeros() as usize;
-    while left > 0 {
-        let depth = left.min(tree_depth);
+    let tree = Tree { t_max_secs, target, metric };
+    for depth in pass_depths(left, max_depth) {
+        (lo, hi) = match depth {
+            1 => tree.pass::<2>(lo, hi, replay)?,
+            2 => tree.pass::<4>(lo, hi, replay)?,
+            3 => tree.pass::<8>(lo, hi, replay)?,
+            4 => tree.pass::<16>(lo, hi, replay)?,
+            _ => tree.pass::<32>(lo, hi, replay)?,
+        };
+    }
+    Ok(hi)
+}
+
+/// What every pass of one search shares.
+struct Tree {
+    t_max_secs: f64,
+    target: LossTarget,
+    metric: LossMetric,
+}
+
+impl Tree {
+    /// One shared pass deciding the next `log₂ L` levels from
+    /// `[lo, hi]` through the `L − 1` midpoints of their tree and one pad
+    /// lane; returns the bracket after them.
+    fn pass<const L: usize>(
+        &self,
+        mut lo: f64,
+        mut hi: f64,
+        replay: &mut impl SearchPass,
+    ) -> Result<(f64, f64), QsimError> {
+        const { assert!(L > 1 && L.is_power_of_two(), "L must be a power of two") };
+        let depth = L.trailing_zeros() as usize;
         let _span = obs::span("qsim.qc_pass");
         obs::counter_add(Counter::MuxRuns, 1);
-        // Unused lanes replay the root midpoint; their verdicts are
-        // never read.
+        // The pad lane replays the root midpoint; its verdict is never
+        // read.
         let mut mids = [0.5 * (lo + hi); L];
         midpoint_tree(&mut mids, 0, depth, lo, hi);
-        let buffers = mids.map(|c| t_max_secs * c);
-        let losses = pass(&mids, &buffers)?;
+        let buffers = mids.map(|c| self.t_max_secs * c);
+        let losses = replay.pass(&mids, &buffers, self.metric)?;
         let mut node = 0;
         for _ in 0..depth {
             obs::counter_add(Counter::QcProbes, 1);
             obs::counter_add(Counter::QueueOverflowSlots, losses[node].overflow_slots);
-            if losses[node].meets(target, metric) {
+            if losses[node].meets(self.target, self.metric) {
                 hi = mids[node];
                 node = 2 * node + 1;
             } else {
@@ -370,9 +438,8 @@ pub(crate) fn bisect<const L: usize>(
                 node = 2 * node + 2;
             }
         }
-        left -= depth;
+        Ok((lo, hi))
     }
-    Ok(hi)
 }
 
 /// The arrival replay behind a capacity search, at any lane width.
@@ -381,11 +448,14 @@ pub(crate) trait SearchPass {
     fn groups(&self) -> usize;
 
     /// One shared pass of the arrivals through `L` lanes of
-    /// `(capacities, buffers)`, returning each lane's losses.
+    /// `(capacities, buffers)`, returning each lane's losses. Only
+    /// `metric`'s statistic need be kept: a `WorstSecond` pass returns
+    /// both, an `Overall` pass may leave `p_wes` NaN.
     fn pass<const L: usize>(
         &mut self,
         capacities: &[f64; L],
         buffers: &[f64; L],
+        metric: LossMetric,
     ) -> Result<[AveragedLoss; L], QsimError>;
 
     /// The exact zero-loss capacity at `t_max_secs`, where this replay
@@ -396,8 +466,9 @@ pub(crate) trait SearchPass {
     }
 }
 
-/// [`bisect`] at the width [`search_lanes`] picks for `replay`'s groups,
-/// given the replay's exact zero-loss capacity for a zero-loss target.
+/// [`bisect`] at the tree depth [`search_lanes`] picks for `replay`'s
+/// groups, given the replay's exact zero-loss capacity for a zero-loss
+/// target.
 ///
 /// `lo` is the mean arrival rate; a zero (all-silent arrivals) or
 /// non-finite one leaves no positive capacity to probe and is rejected
@@ -414,16 +485,12 @@ pub(crate) fn search(
     if !(lo > 0.0 && lo.is_finite()) {
         return Err(NumericError::NonPositive { what: "mean arrival rate", value: lo }.into());
     }
-    let (i, t) = (iterations, t_max_secs);
-    let z = match target {
-        LossTarget::Zero if i > 0 => replay.zero_loss(t),
+    let zero = match target {
+        LossTarget::Zero if iterations > 0 => replay.zero_loss(t_max_secs),
         _ => None,
     };
-    match search_lanes(replay.groups()) {
-        32 => bisect::<32>(lo, hi, i, t, target, metric, z, |c, b| replay.pass(c, b)),
-        16 => bisect::<16>(lo, hi, i, t, target, metric, z, |c, b| replay.pass(c, b)),
-        _ => bisect::<8>(lo, hi, i, t, target, metric, z, |c, b| replay.pass(c, b)),
-    }
+    let max_depth = search_lanes(replay.groups()).trailing_zeros() as usize;
+    bisect(lo, hi, iterations, t_max_secs, target, metric, zero, max_depth, &mut replay)
 }
 
 #[cfg(test)]
@@ -483,6 +550,26 @@ mod tests {
         assert_eq!(search_passes(0, 32), 0);
     }
 
+    #[test]
+    fn pass_depths_spread_levels_evenly() {
+        let depths = |levels, max_depth| pass_depths(levels, max_depth).collect::<Vec<_>>();
+        assert_eq!(depths(10, 4), [4, 3, 3]);
+        assert_eq!(depths(10, 3), [3, 3, 2, 2]);
+        assert_eq!(depths(10, 5), [5, 5]);
+        assert_eq!(depths(22, 4), [4, 4, 4, 4, 3, 3]);
+        assert_eq!(depths(1, 5), [1]);
+        assert!(depths(0, 4).is_empty());
+        for max_depth in 1..=5 {
+            for levels in 0..64 {
+                let d = depths(levels, max_depth);
+                assert_eq!(d.len(), search_passes(levels, 1 << max_depth));
+                assert_eq!(d.iter().sum::<usize>(), levels);
+                assert!(d.windows(2).all(|w| w[0] >= w[1] && w[0] - w[1] <= 1), "{d:?}");
+                assert!(d.iter().all(|&k| (1..=max_depth).contains(&k)), "{d:?}");
+            }
+        }
+    }
+
     /// The search bracket `MuxSim` starts from.
     fn bracket(sim: &MuxSim) -> (f64, f64) {
         (sim.mean_rate(), sim.peak_slot_rate().max(sim.mean_rate() * 1.001))
@@ -512,32 +599,74 @@ mod tests {
         answers
     }
 
-    fn check_tree_width<const L: usize>(
+    /// A `MuxSim` replay that records the lane width of every pass, so a
+    /// search's `MuxRuns` (passes) and `QcProbes` (levels the passes
+    /// decide, `log₂` of each width) can be read without the
+    /// process-global counters.
+    struct Counted<'s, 'a> {
+        sim: &'s MuxSim<'a>,
+        lanes: Vec<usize>,
+    }
+
+    impl<'s, 'a> Counted<'s, 'a> {
+        fn new(sim: &'s MuxSim<'a>) -> Self {
+            Counted { sim, lanes: Vec::new() }
+        }
+
+        fn probes(&self) -> usize {
+            self.lanes.iter().map(|l| l.trailing_zeros() as usize).sum()
+        }
+    }
+
+    impl SearchPass for Counted<'_, '_> {
+        fn groups(&self) -> usize {
+            self.sim.groups()
+        }
+
+        fn pass<const L: usize>(
+            &mut self,
+            capacities: &[f64; L],
+            buffers: &[f64; L],
+            metric: LossMetric,
+        ) -> Result<[AveragedLoss; L], QsimError> {
+            self.lanes.push(L);
+            self.sim.pass(capacities, buffers, metric)
+        }
+    }
+
+    /// `bisect` at trees of up to `max_depth` levels against the scalar
+    /// answers `want`, for every level count in `want`: same capacity
+    /// bits, as many passes as full-width trees would make (`MuxRuns`),
+    /// one probe per level (`QcProbes`), and each pass `2^depth` lanes
+    /// wide for its own share of the levels.
+    fn check_sized_passes(
         sim: &MuxSim,
         t_max: f64,
         want: &[f64],
         target: LossTarget,
         metric: LossMetric,
+        max_depth: usize,
     ) {
         let (lo, hi) = bracket(sim);
-        for (iterations, want) in want.iter().enumerate() {
-            let got = bisect::<L>(lo, hi, iterations, t_max, target, metric, None, |c, b| {
-                Ok(sim.replay(c, b))
-            })
-            .unwrap();
-            assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "L = {L}, N = {}, {target:?} {metric:?} x{iterations}",
-                sim.n_sources()
-            );
+        for (levels, want) in want.iter().enumerate() {
+            let n = sim.n_sources();
+            let at = format!("max depth {max_depth}, N = {n}, {target:?} {metric:?} x{levels}");
+            let mut replay = Counted::new(sim);
+            let got = bisect(lo, hi, levels, t_max, target, metric, None, max_depth, &mut replay);
+            let got = got.unwrap();
+            assert_eq!(got.to_bits(), want.to_bits(), "{at}");
+            assert_eq!(replay.lanes.len(), search_passes(levels, 1 << max_depth), "{at}");
+            assert_eq!(replay.probes(), levels, "{at}");
+            let sized: Vec<usize> = pass_depths(levels, max_depth).map(|d| 1 << d).collect();
+            assert_eq!(replay.lanes, sized, "{at}");
         }
     }
 
     #[test]
-    fn every_tree_width_matches_scalar_bisection() {
-        // Whatever width the lane rule picks on this CPU, every tree is
-        // checked, including ragged final passes at depths 3, 4 and 5.
+    fn sized_passes_match_scalar_bisection() {
+        // Whatever depth the lane rule picks on this CPU, every depth is
+        // checked: full trees and the sized 2- to 32-lane passes that
+        // share out the levels a full-width tree would leave ragged.
         let trace = generate_screenplay(&ScreenplayConfig::short(300, 5));
         let t_max = 0.004;
         for n in [1, 3] {
@@ -545,9 +674,9 @@ mod tests {
             for target in [LossTarget::Zero, LossTarget::Rate(1e-3)] {
                 for metric in [LossMetric::Overall, LossMetric::WorstSecond] {
                     let want = scalar_answers(&sim, t_max, target, metric, bracket(&sim), 25);
-                    check_tree_width::<8>(&sim, t_max, &want, target, metric);
-                    check_tree_width::<16>(&sim, t_max, &want, target, metric);
-                    check_tree_width::<32>(&sim, t_max, &want, target, metric);
+                    for max_depth in 1..=5 {
+                        check_sized_passes(&sim, t_max, &want, target, metric, max_depth);
+                    }
                 }
             }
         }
@@ -567,6 +696,7 @@ mod tests {
     /// Runs one copy of the lane kernel over `G` fixed arrival streams
     /// in 30-slot runs.
     fn run_kernel_copy<const L: usize, const G: usize>(
+        worst_second: bool,
         step: impl Fn(&mut LaneQueues<L, G>, [&[f64]; G]),
     ) -> LaneQueues<L, G> {
         let (dt, n) = (1.0 / 30.0, 997);
@@ -575,7 +705,7 @@ mod tests {
         });
         let caps: [f64; L] = std::array::from_fn(|l| 7_000.0 + 600.0 * l as f64);
         let bufs = caps.map(|c| 0.01 * c);
-        let mut q = LaneQueues::<L, G>::new(&caps, &bufs, dt, n);
+        let mut q = LaneQueues::<L, G>::new(&caps, &bufs, dt, n, worst_second);
         for start in (0..n).step_by(30) {
             step(&mut q, arrivals.each_ref().map(|a| &a[start..n.min(start + 30)]));
         }
@@ -595,22 +725,31 @@ mod tests {
 
     /// Runs every kernel copy the CPU supports directly, whatever
     /// `step_run` would dispatch to, and compares each with the
-    /// portable body.
+    /// portable body, with and without the errored-second accounting.
     fn check_kernel_copies<const L: usize, const G: usize>() {
-        let portable = run_kernel_copy::<L, G>(|q, r| q.step_run_body(r));
+        check_kernel_copies_of::<L, G, true>();
+        check_kernel_copies_of::<L, G, false>();
+    }
+
+    fn check_kernel_copies_of<const L: usize, const G: usize, const WES: bool>() {
+        let portable = run_kernel_copy::<L, G>(WES, |q, r| q.step_run_body::<WES>(r));
         assert!(
             portable.overflow.iter().all(|g| g.iter().any(|&o| o > 0)),
             "L = {L}, G = {G}: a group never overflowed: weak test"
         );
         let want = state_bits(&portable);
         for isa in Isa::supported() {
-            let copy = run_kernel_copy::<L, G>(|queues, runs| isa.run(StepRun { queues, runs }));
-            assert_eq!(state_bits(&copy), want, "{isa:?} copy, L = {L}, G = {G}");
+            let copy = run_kernel_copy::<L, G>(WES, |queues, runs| {
+                isa.run(StepRun::<L, G, WES> { queues, runs })
+            });
+            assert_eq!(state_bits(&copy), want, "{isa:?} copy, L = {L}, G = {G}, WES = {WES}");
         }
     }
 
     #[test]
     fn every_kernel_copy_matches_portable_body_bitwise() {
+        check_kernel_copies::<2, 1>();
+        check_kernel_copies::<4, 3>();
         check_kernel_copies::<8, 1>();
         check_kernel_copies::<8, 2>();
         check_kernel_copies::<8, 3>();
@@ -622,6 +761,58 @@ mod tests {
         check_kernel_copies::<32, 3>();
     }
 
+    /// Feeds the same arrivals through lanes with and without the
+    /// errored-second accounting, in blocks that cut windows, and checks
+    /// every lane of every group keeps its `p_l` and overflow bits.
+    fn check_overall_only<const L: usize, const G: usize>() {
+        let (dt, n) = (1.0 / 30.0, 1000);
+        let arrivals: [Vec<f64>; G] = std::array::from_fn(|g| group_arrivals(g, n));
+        let caps: [f64; L] = std::array::from_fn(|l| 2300.0 + 150.0 * l as f64);
+        let bufs: [f64; L] = std::array::from_fn(|l| [0.0, 60.0, 200.0][l % 3]);
+        let lanes = |worst_second| {
+            let mut q = LaneQueues::<L, G>::new(&caps, &bufs, dt, n, worst_second);
+            for start in (0..n).step_by(64) {
+                q.feed(arrivals.each_ref().map(|a| &a[start..n.min(start + 64)]));
+            }
+            q
+        };
+        let (full, overall) = (lanes(true), lanes(false));
+        assert_eq!(full.offered.map(f64::to_bits), overall.offered.map(f64::to_bits));
+        for (g, (f, o)) in full.totals().iter().zip(overall.totals()).enumerate() {
+            for (l, (f, o)) in f.iter().zip(o).enumerate() {
+                let at = format!("L = {L}, G = {G}, group {g}, lane {l}");
+                assert_eq!(o.p_l.to_bits(), f.p_l.to_bits(), "{at}");
+                assert_eq!(o.overflow_slots, f.overflow_slots, "{at}");
+                assert!(o.p_wes.is_nan() && f.p_wes.is_finite(), "{at}");
+            }
+            assert!(f.iter().any(|f| f.overflow_slots > 0), "group {g} never lost: weak test");
+        }
+    }
+
+    #[test]
+    fn overall_only_lanes_keep_overall_bits() {
+        check_overall_only::<2, 1>();
+        check_overall_only::<8, 2>();
+        check_overall_only::<16, MAX_GROUPS>();
+        check_overall_only::<32, 1>();
+        // And through a whole replay, every pool grouping.
+        let trace = generate_screenplay(&ScreenplayConfig::short(300, 5));
+        let sim = MuxSim::new(&trace, 5, 3);
+        let caps: [f64; 16] = std::array::from_fn(|l| sim.mean_rate() * (1.0 + 0.03 * l as f64));
+        let bufs = caps.map(|c| 0.002 * c);
+        for threads in 1..=3 {
+            vbr_stats::par::with_threads(threads, || {
+                let full = sim.replay(&caps, &bufs, true);
+                let overall = sim.replay(&caps, &bufs, false);
+                for (l, (f, o)) in full.iter().zip(&overall).enumerate() {
+                    assert_eq!(o.p_l.to_bits(), f.p_l.to_bits(), "{threads} threads, lane {l}");
+                    assert_eq!(o.overflow_slots, f.overflow_slots, "{threads} threads, lane {l}");
+                }
+                assert!(full[0].overflow_slots > 0, "weak test");
+            });
+        }
+    }
+
     /// Feeds `G` groups of different arrivals and checks every lane of
     /// every group against the scalar `step_block` replay of its own
     /// group's arrivals.
@@ -631,7 +822,7 @@ mod tests {
         let arrivals: [Vec<f64>; G] = std::array::from_fn(|g| group_arrivals(g, n));
         let caps = [2400.0, 3000.0, 3300.0];
         let bufs = [0.0, 60.0, 200.0];
-        let mut lanes = LaneQueues::<3, G>::new(&caps, &bufs, dt, n);
+        let mut lanes = LaneQueues::<3, G>::new(&caps, &bufs, dt, n, true);
         for start in (0..n).step_by(64) {
             lanes.feed(arrivals.each_ref().map(|a| &a[start..n.min(start + 64)]));
         }
@@ -674,8 +865,8 @@ mod tests {
     }
 
     /// A zero-loss search from `(lo, hi)` against the scalar loop, bit
-    /// for bit: `bisect::<8>` given the exact capacity. Returns how many
-    /// passes it replayed.
+    /// for bit: `bisect` at 8-lane trees given the exact capacity.
+    /// Returns how many passes it replayed.
     fn check_exact_zero(
         sim: &MuxSim,
         t_max: f64,
@@ -685,15 +876,13 @@ mod tests {
     ) -> Result<usize, proptest::test_runner::TestCaseError> {
         let metric = [LossMetric::Overall, LossMetric::WorstSecond][metric];
         let zero = sim.zero_loss(t_max).expect("short traces scan");
-        let mut passes = 0;
-        let got = bisect::<8>(lo, hi, levels, t_max, LossTarget::Zero, metric, Some(zero), |c, b| {
-            passes += 1;
-            Ok(sim.replay(c, b))
-        })
-        .unwrap();
-        let want = scalar_answers(sim, t_max, LossTarget::Zero, metric, (lo, hi), levels)[levels];
+        let mut replay = Counted::new(sim);
+        let target = LossTarget::Zero;
+        let got = bisect(lo, hi, levels, t_max, target, metric, Some(zero), 3, &mut replay);
+        let got = got.unwrap();
+        let want = scalar_answers(sim, t_max, target, metric, (lo, hi), levels)[levels];
         proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?} x{}", metric, levels);
-        Ok(passes)
+        Ok(replay.lanes.len())
     }
 
     proptest::proptest! {

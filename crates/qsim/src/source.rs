@@ -45,7 +45,8 @@ pub fn run_source_queue(
     assert!(slots > 0, "need at least one slot");
     let _span = obs::span("qsim.source_run");
     obs::counter_add(Counter::MuxRuns, 1);
-    let (lanes, peak_slot) = replay_source(src, slots, dt, &[capacity_bps], &[buffer_bytes]);
+    let (lanes, peak_slot) =
+        replay_source(src, slots, dt, &[capacity_bps], &[buffer_bytes], true);
     let [[lane]] = lanes.totals();
     obs::counter_add(Counter::QueueOverflowSlots, lane.overflow_slots);
     SourceRunStats {
@@ -56,7 +57,8 @@ pub fn run_source_queue(
     }
 }
 
-/// Streams `slots` samples from `src` through `L` queue lanes, returning
+/// Streams `slots` samples from `src` through `L` queue lanes (keeping
+/// the worst-errored-second totals only if `worst_second`), returning
 /// the lanes and the peak single-slot arrival.
 fn replay_source<const L: usize>(
     src: &mut dyn BlockSource,
@@ -64,8 +66,9 @@ fn replay_source<const L: usize>(
     dt: f64,
     capacities: &[f64; L],
     buffers: &[f64; L],
+    worst_second: bool,
 ) -> (LaneQueues<L>, f64) {
-    let mut lanes = LaneQueues::new(capacities, buffers, dt, slots);
+    let mut lanes = LaneQueues::new(capacities, buffers, dt, slots, worst_second);
     let mut buf = [0.0f64; STREAM_CHUNK];
     let mut peak_slot = 0.0f64;
     let mut i = 0usize;
@@ -141,13 +144,15 @@ impl SearchPass for ModelReplay<'_> {
         &mut self,
         capacities: &[f64; L],
         buffers: &[f64; L],
+        metric: LossMetric,
     ) -> Result<[AveragedLoss; L], QsimError> {
         self.model.restore(&self.entry).map_err(|_| {
             QsimError::from(NumericError::NotConverged {
                 what: "model snapshot replay",
             })
         })?;
-        let (lanes, _) = replay_source(self.model, self.slots, self.dt, capacities, buffers);
+        let wes = metric == LossMetric::WorstSecond;
+        let (lanes, _) = replay_source(self.model, self.slots, self.dt, capacities, buffers, wes);
         let [totals] = lanes.totals();
         Ok(totals)
     }

@@ -2,7 +2,9 @@
 //!
 //! Every kernel is plain safe Rust written as chunk-of-[`LANES`] loops
 //! over `f64` lanes — a shape LLVM reliably autovectorizes to SSE2/AVX/
-//! AVX-512 (or NEON) without explicit intrinsics. The width is one
+//! AVX-512 (or NEON) without explicit intrinsics — or, where the chunked
+//! shape compiles worse, as a plain element-wise loop
+//! ([`accumulate_u32`]). The width is one
 //! compile-time constant shared with the FFT ([`vbr_fft::LANES`]):
 //!
 //! - **Chunk boundaries never change bits.** Every chunked kernel
@@ -25,23 +27,17 @@ pub use vbr_fft::{target_features, Isa, Kernel, LANES};
 
 /// `out[i] += src[i] as f64` — the multiplexer's arrival-aggregation
 /// kernel. Each output element receives exactly one convert + add, so
-/// the result is bit-identical to the scalar loop wherever chunk
-/// boundaries fall.
+/// the result is bit-identical to the scalar loop at any vector width.
+/// A plain element-wise loop, not chunks of [`LANES`]: with AVX-512 the
+/// compiler turned the chunked shape into gathers and scatters across
+/// chunks. Always inlined, so an ISA copy of its caller (the arrival
+/// cursor's `next_block`) widens it too.
 ///
 /// Panics if the slices differ in length.
-#[inline]
+#[inline(always)]
 pub fn accumulate_u32(out: &mut [f64], src: &[u32]) {
     assert_eq!(out.len(), src.len(), "accumulate_u32: length mismatch");
-    let mut o = out.chunks_exact_mut(LANES);
-    let mut s = src.chunks_exact(LANES);
-    for (oc, sc) in (&mut o).zip(&mut s) {
-        // LANES independent convert+add lanes; LLVM lowers this to
-        // vcvtudq2pd/vaddpd-shaped code with no cross-lane dependency.
-        for l in 0..LANES {
-            oc[l] += sc[l] as f64;
-        }
-    }
-    for (o, &s) in o.into_remainder().iter_mut().zip(s.remainder()) {
+    for (o, &s) in out.iter_mut().zip(src) {
         *o += s as f64;
     }
 }
