@@ -83,6 +83,10 @@ struct Sizes {
     /// ratio follows the code rather than the neighbours' memory traffic.
     fft_cached_n: usize,
     whittle_n: usize,
+    /// Series length of the periodogram memo entry: not a power of two,
+    /// so the periodogram is a Bluestein transform, and small enough that
+    /// its 64 Ki-point convolution stays in a core's L2.
+    periodogram_n: usize,
     hurst_n: usize,
     trace_frames: usize,
     stream_n: usize,
@@ -98,6 +102,7 @@ impl Sizes {
             fft_n: 1 << 18,
             fft_cached_n: 1 << 14,
             whittle_n: 1 << 16,
+            periodogram_n: 24_000,
             hurst_n: 65_536,
             trace_frames: 20_000,
             stream_n: 1 << 20,
@@ -112,6 +117,7 @@ impl Sizes {
             fft_n: 1 << 12,
             fft_cached_n: 1 << 10,
             whittle_n: 1 << 11,
+            periodogram_n: 2_400,
             hurst_n: 4_096,
             trace_frames: 2_000,
             stream_n: 1 << 16,
@@ -173,6 +179,7 @@ fn main() -> ExitCode {
     bench_kernels_batch_fft(&sizes, &mut report);
     bench_kernels_isa(&sizes, &mut report);
     bench_estimators(&sizes, &mut report);
+    bench_analysis(&sizes, &mut report);
     bench_simulation(&sizes, &mut report);
     bench_streaming(&sizes, &mut report);
     bench_batch_fgn(&sizes, &mut report);
@@ -873,8 +880,13 @@ fn bench_kernels_isa(sizes: &Sizes, report: &mut PerfReport) {
     let mut rng = Xoshiro256::seed_from_u64(41);
     let uniforms: Vec<f64> = (0..n).map(|_| rng.open01()).collect();
     // The fleet's window: m = 32 points, LANES lanes per cohort, over
-    // enough cohorts that one arm call is not timer-bound.
+    // enough cohorts that one arm call is not timer-bound. The AVX2 entry
+    // transforms the first 32 cohorts only: its arms then touch 384 KiB
+    // (the input's first 128 KiB and two 128 KiB buffers), inside a
+    // core's L2, where at all 256 (3 MiB) its ratio followed the
+    // neighbours' memory traffic.
     let (m, l, cohorts) = (32usize, vbr_fft::LANES, 256usize);
+    let cohorts_for = |isa: Isa| if isa == Isa::Avx2 { 32 } else { cohorts };
     let plan = vbr_fft::plan_for(m);
     let input: Vec<Complex> = (0..m * l * cohorts)
         .map(|_| Complex::new(rng.standard_normal(), rng.standard_normal()))
@@ -884,12 +896,15 @@ fn bench_kernels_isa(sizes: &Sizes, report: &mut PerfReport) {
         norm_quantile_slice_on(isa, buf);
         std::hint::black_box(buf[n - 1]);
     };
-    let lanes_pass = |isa: Isa, buf: &mut Vec<Complex>| {
-        buf.copy_from_slice(&input);
+    // Transforms the first `cohorts` cohorts of `input` with `isa`'s copy.
+    let lanes_pass = |isa: Isa, cohorts: usize, buf: &mut Vec<Complex>| {
+        let len = m * l * cohorts;
+        buf.truncate(0);
+        buf.extend_from_slice(&input[..len]);
         for cohort in buf.chunks_exact_mut(m * l) {
             plan.forward_lanes_on(isa, cohort, l);
         }
-        std::hint::black_box(buf[m * l * cohorts - 1]);
+        std::hint::black_box(buf[len - 1]);
     };
     // The Q-C replay's arrival sum at N = 20: one sweep of a lag
     // combination's cursor over a trace small enough (2 000 frames, 234
@@ -948,8 +963,9 @@ fn bench_kernels_isa(sizes: &Sizes, report: &mut PerfReport) {
             ),
         );
 
-        lanes_pass(Isa::Portable, &mut ca);
-        lanes_pass(isa, &mut cb);
+        let cohorts = cohorts_for(isa);
+        lanes_pass(Isa::Portable, cohorts, &mut ca);
+        lanes_pass(isa, cohorts, &mut cb);
         assert!(
             ca.iter().zip(&cb).all(|(x, y)| (x.re.to_bits(), x.im.to_bits())
                 == (y.re.to_bits(), y.im.to_bits())),
@@ -957,8 +973,8 @@ fn bench_kernels_isa(sizes: &Sizes, report: &mut PerfReport) {
         );
         let t = time_paired(
             sizes.budget,
-            || lanes_pass(Isa::Portable, &mut ca),
-            || lanes_pass(isa, &mut cb),
+            || lanes_pass(Isa::Portable, cohorts, &mut ca),
+            || lanes_pass(isa, cohorts, &mut cb),
         );
         report.record(
             "kernels_isa",
@@ -1056,6 +1072,42 @@ fn bench_estimators(sizes: &Sizes, report: &mut PerfReport) {
             "4 calls, 4-member ensemble, n={ens_n}; baseline pins a 4-worker pool (the old \
              always-fork scheduler, one spawn/join per call), auto applies the \
              par_map_sized work threshold"
+        ),
+    );
+}
+
+/// One series analysed by several estimators: the baseline computes its
+/// periodogram afresh, as each estimator call did before periodograms
+/// were memoized; the new path is `Periodogram::of` on a series the memo
+/// already holds (a hash, a bit comparison and a shared handle).
+fn bench_analysis(sizes: &Sizes, report: &mut PerfReport) {
+    let n = sizes.periodogram_n;
+    let xs = DaviesHarte::new(0.8, 1.0).generate(n, 13);
+    let bits = |p: &Periodogram| -> Vec<u64> {
+        p.freqs().iter().chain(p.power()).map(|x| x.to_bits()).collect()
+    };
+    assert_eq!(
+        bits(&Periodogram::compute(&xs)),
+        bits(&Periodogram::of(&xs)),
+        "memoized periodogram drifted"
+    );
+    let t = time_paired(
+        sizes.budget,
+        || {
+            std::hint::black_box(Periodogram::compute(&xs));
+        },
+        || {
+            std::hint::black_box(Periodogram::of(&xs));
+        },
+    );
+    report.record(
+        "analysis",
+        "periodogram_compute_vs_memo_hit",
+        t,
+        &format!(
+            "periodogram of one {n}-point series (a Bluestein length, 64 Ki-point cache-resident \
+             convolution); baseline computes it, new path is a memo hit (bits verified equal \
+             first)"
         ),
     );
 }
@@ -1389,35 +1441,52 @@ fn fixed_tree_search(sim: &MuxSim, t_max: f64, rate: f64, levels: usize) -> f64 
 /// public `run_lanes` (both metrics kept), deciding `log2(L)` levels, the
 /// last pass what is left.
 fn fixed_trees<const L: usize>(sim: &MuxSim, t_max: f64, rate: f64, levels: usize) -> f64 {
-    fn tree<const L: usize>(mids: &mut [f64; L], node: usize, depth: usize, lo: f64, hi: f64) {
-        if depth > 0 {
-            let mid = 0.5 * (lo + hi);
-            mids[node] = mid;
-            tree(mids, 2 * node + 1, depth - 1, lo, mid);
-            tree(mids, 2 * node + 2, depth - 1, mid, hi);
-        }
-    }
     let mut lo = sim.mean_rate();
     let mut hi = sim.peak_slot_rate().max(lo * 1.001);
     let mut left = levels;
     while left > 0 {
         let depth = left.min(L.trailing_zeros() as usize);
         let mut mids = [0.5 * (lo + hi); L];
-        tree(&mut mids, 0, depth, lo, hi);
+        midpoint_tree(&mut mids, 0, depth, lo, hi);
         let losses = sim.run_lanes(&mids, &mids.map(|c| t_max * c));
-        let mut node = 0;
-        for _ in 0..depth {
-            if losses[node].p_l <= rate {
-                hi = mids[node];
-                node = 2 * node + 1;
-            } else {
-                lo = mids[node];
-                node = 2 * node + 2;
-            }
-        }
+        (lo, hi) = walk_tree(&mids, &losses, depth, rate, lo, hi);
         left -= depth;
     }
     hi
+}
+
+/// The midpoints of the next `depth` bisection levels from `[lo, hi]`,
+/// in heap order (the left child follows a met target).
+fn midpoint_tree<const L: usize>(mids: &mut [f64; L], node: usize, depth: usize, lo: f64, hi: f64) {
+    if depth > 0 {
+        let mid = 0.5 * (lo + hi);
+        mids[node] = mid;
+        midpoint_tree(mids, 2 * node + 1, depth - 1, lo, mid);
+        midpoint_tree(mids, 2 * node + 2, depth - 1, mid, hi);
+    }
+}
+
+/// Walks a pass's `depth` levels with the scalar `P_l <= rate` decisions;
+/// returns the bracket after them.
+fn walk_tree<const L: usize>(
+    mids: &[f64; L],
+    losses: &[vbr_qsim::AveragedLoss; L],
+    depth: usize,
+    rate: f64,
+    mut lo: f64,
+    mut hi: f64,
+) -> (f64, f64) {
+    let mut node = 0;
+    for _ in 0..depth {
+        if losses[node].p_l <= rate {
+            hi = mids[node];
+            node = 2 * node + 1;
+        } else {
+            lo = mids[node];
+            node = 2 * node + 2;
+        }
+    }
+    (lo, hi)
 }
 
 /// [`MuxSim::run_lanes`] as one combination per pass with per-source
@@ -1774,6 +1843,64 @@ fn bench_fleet(sizes: &Sizes, report: &mut PerfReport) {
 /// quantile kernel's portable copy, which no CPU's ISA copy moves. The
 /// reference shares only the RNG with the families, so a fitting or
 /// synthesis regression in any one model drops its ratio in the gate.
+/// A model-driven `P_l <= rate` capacity search as it ran before the
+/// model's path was stored: snapshot the model, calibrate on the live
+/// model, then restore the snapshot and redraw the path before each of
+/// the search's passes (levels spread evenly over passes of up to 32
+/// lanes with AVX-512, else 8, as the search spreads them).
+fn redrawn_model_search(
+    model: &mut dyn vbr_fgn::traffic::TrafficModel,
+    slots: usize,
+    dt: f64,
+    t_max: f64,
+    rate: f64,
+    levels: usize,
+) -> f64 {
+    let entry = model.snapshot(0);
+    let probe = vbr_qsim::run_source_queue(model, slots, dt, f64::MAX / 4.0, 0.0);
+    let mut lo = probe.mean_rate;
+    let mut hi = probe.peak_slot_rate.max(lo * 1.001);
+    let max_depth = match vbr_stats::simd::Isa::detect() {
+        #[cfg(target_arch = "x86_64")]
+        vbr_stats::simd::Isa::Avx512 => 5,
+        _ => 3,
+    };
+    let passes = levels.div_ceil(max_depth);
+    let mut path = vec![0.0; slots];
+    for p in 0..passes {
+        model.restore(&entry).expect("own snapshot restores");
+        for chunk in path.chunks_mut(4096) {
+            model.next_block(chunk);
+        }
+        let depth = levels / passes + usize::from(p < levels % passes);
+        (lo, hi) = match depth {
+            1 => redrawn_pass::<2>(&path, dt, t_max, rate, lo, hi),
+            2 => redrawn_pass::<4>(&path, dt, t_max, rate, lo, hi),
+            3 => redrawn_pass::<8>(&path, dt, t_max, rate, lo, hi),
+            4 => redrawn_pass::<16>(&path, dt, t_max, rate, lo, hi),
+            _ => redrawn_pass::<32>(&path, dt, t_max, rate, lo, hi),
+        };
+    }
+    hi
+}
+
+/// One pass of [`redrawn_model_search`]: `log2(L)` levels over `path`.
+fn redrawn_pass<const L: usize>(
+    path: &[f64],
+    dt: f64,
+    t_max: f64,
+    rate: f64,
+    lo: f64,
+    hi: f64,
+) -> (f64, f64) {
+    let depth = L.trailing_zeros() as usize;
+    let mut mids = [0.5 * (lo + hi); L];
+    midpoint_tree(&mut mids, 0, depth, lo, hi);
+    let buffers = mids.map(|c| t_max * c);
+    let losses = vbr_qsim::path_pass(path, dt, &mids, &buffers, LossMetric::Overall);
+    walk_tree(&mids, &losses, depth, rate, lo, hi)
+}
+
 fn bench_models(sizes: &Sizes, report: &mut PerfReport) {
     let n = sizes.hurst_n;
     let trace =
@@ -1808,4 +1935,55 @@ fn bench_models(sizes: &Sizes, report: &mut PerfReport) {
             ),
         );
     }
+
+    // The bake-off's quick Q-C search on its fARIMA member: 4 096 slots,
+    // 18 levels, P_l <= 1e-2 at T_max = 0.1 s. Both arms start from one
+    // snapshot of the model.
+    let quick = vbr_model::BakeoffOptions::quick();
+    let (slots, levels, dt, t_max, rate) =
+        (quick.qc_slots, quick.qc_iterations, quick.dt, quick.qc_tmax[0], quick.qc_loss);
+    let farima = zoo[0].as_mut();
+    let entry = farima.snapshot(0);
+    let mut search = |stored: bool| {
+        farima.restore(&entry).expect("own snapshot restores");
+        if stored {
+            vbr_qsim::required_capacity_model(
+                farima,
+                slots,
+                dt,
+                t_max,
+                LossTarget::Rate(rate),
+                LossMetric::Overall,
+                levels,
+            )
+        } else {
+            redrawn_model_search(farima, slots, dt, t_max, rate, levels)
+        }
+    };
+    assert_eq!(
+        search(false).to_bits(),
+        search(true).to_bits(),
+        "stored-path model search drifted"
+    );
+    let search = std::cell::RefCell::new(search);
+    let t = time_paired(
+        sizes.budget,
+        || {
+            std::hint::black_box((search.borrow_mut())(false));
+        },
+        || {
+            std::hint::black_box((search.borrow_mut())(true));
+        },
+    );
+    report.record(
+        "models",
+        "model_search_redraw_vs_stored_path",
+        t,
+        &format!(
+            "the bake-off's quick Q-C search on its fARIMA member: {levels} levels, {slots} \
+             slots, P_l <= {rate} at T_max = {t_max} s; baseline restores the model and redraws \
+             its path before every pass, new path draws it once and replays the stored copy \
+             (bit-identical capacity)"
+        ),
+    );
 }

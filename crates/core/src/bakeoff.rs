@@ -16,8 +16,8 @@ use std::sync::Mutex;
 use vbr_fgn::traffic::TrafficModel;
 use vbr_fgn::TraceReplay;
 use vbr_lrd::{
-    try_rs_analysis, try_variance_time, try_wavelet_hurst, RsOptions, SharedPeriodogram,
-    VtOptions, WaveletOptions,
+    try_local_whittle, try_periodogram_h, try_rs_analysis, try_variance_time, try_wavelet_hurst,
+    try_whittle, RsOptions, VtOptions, WaveletOptions,
 };
 use vbr_qsim::{try_required_capacity_model, LossMetric, LossTarget};
 use vbr_stats::gof::ks_two_sample_sorted;
@@ -95,16 +95,16 @@ pub struct HurstPanel {
 
 impl HurstPanel {
     /// Runs all six estimators on `xs`. Whittle, local Whittle and the
-    /// periodogram regression read one shared periodogram.
+    /// periodogram regression read one memoized periodogram
+    /// ([`Periodogram::of`](vbr_stats::periodogram::Periodogram::of)).
     pub fn measure(xs: &[f64]) -> Self {
-        let spectrum = SharedPeriodogram::new(xs);
         HurstPanel {
-            whittle: spectrum.try_whittle().ok().map(|e| e.hurst),
-            local_whittle: spectrum.try_local_whittle(None).ok().map(|e| e.hurst),
+            whittle: try_whittle(xs).ok().map(|e| e.hurst),
+            local_whittle: try_local_whittle(xs, None).ok().map(|e| e.hurst),
             wavelet: try_wavelet_hurst(xs, &WaveletOptions::default()).ok().map(|e| e.hurst),
             rs: try_rs_analysis(xs, &RsOptions::default()).ok().map(|e| e.hurst),
             variance_time: try_variance_time(xs, &VtOptions::default()).ok().map(|e| e.hurst),
-            periodogram: spectrum.try_periodogram_h(0.1).ok().map(|e| e.hurst),
+            periodogram: try_periodogram_h(xs, 0.1).ok().map(|e| e.hurst),
         }
     }
 
@@ -572,22 +572,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(nan_member.median(), Some(0.7));
-    }
-
-    #[test]
-    fn shared_periodogram_panel_equals_separate_calls() {
-        let bits = |r: Result<f64, vbr_lrd::LrdError>| r.map(f64::to_bits);
-        let trace = small_trace();
-        // 12 288 points: a Bluestein length, like the paper's 171 000.
-        for xs in [&trace[..], &trace[..1_000], &trace[..300], &trace[..200]] {
-            let p = HurstPanel::measure(xs);
-            let whittle = vbr_lrd::try_whittle(xs).map(|e| e.hurst);
-            let local = vbr_lrd::try_local_whittle(xs, None).map(|e| e.hurst);
-            let pgram = vbr_lrd::try_periodogram_h(xs, 0.1).map(|e| e.hurst);
-            assert_eq!(p.whittle.map(f64::to_bits), bits(whittle).ok(), "n = {}", xs.len());
-            assert_eq!(p.local_whittle.map(f64::to_bits), bits(local).ok(), "n = {}", xs.len());
-            assert_eq!(p.periodogram.map(f64::to_bits), bits(pgram).ok(), "n = {}", xs.len());
-        }
     }
 
     #[test]

@@ -26,7 +26,6 @@ pub mod periodogram_h;
 pub mod report;
 pub mod robust;
 pub mod rs;
-pub mod spectrum;
 pub mod variance_time;
 pub mod wavelet;
 pub mod whittle;
@@ -42,7 +41,6 @@ pub use robust::{
 pub use rs::{
     rs_aggregated, rs_analysis, rs_statistic, rs_varied, try_rs_analysis, RsAnalysis, RsOptions,
 };
-pub use spectrum::SharedPeriodogram;
 pub use variance_time::{try_variance_time, variance_time, VarianceTime, VtOptions};
 pub use wavelet::{
     logscale_diagram, try_wavelet_hurst, wavelet_hurst, wavelet_hurst_with, LogscaleDiagram,

@@ -5,8 +5,8 @@
 //! fARIMA-vs-fGn misspecification the full Whittle can suffer.
 
 use crate::error::LrdError;
-use crate::spectrum::SharedPeriodogram;
 use vbr_stats::error::{check_all_finite, check_min_len, check_non_constant, NumericError};
+use vbr_stats::periodogram::Periodogram;
 
 /// A local Whittle estimate.
 #[derive(Debug, Clone, Copy)]
@@ -55,19 +55,11 @@ impl<'a> Objective<'a> {
 ///
 /// A common bandwidth choice is `m = n^0.65`; pass `None` to use it.
 pub fn local_whittle(xs: &[f64], m: Option<usize>) -> LocalWhittleEstimate {
-    local_whittle_on(&SharedPeriodogram::new(xs), m)
-}
-
-/// [`local_whittle`] on a shared periodogram.
-pub(crate) fn local_whittle_on(
-    sp: &SharedPeriodogram<'_>,
-    m: Option<usize>,
-) -> LocalWhittleEstimate {
-    let n = sp.series().len();
+    let n = xs.len();
     assert!(n >= 256, "local Whittle needs a longer series, got {n}");
     // Legacy behaviour: a boundary-stuck optimum returns the endpoint
     // estimate rather than erroring.
-    match local_whittle_core(sp, m) {
+    match local_whittle_core(xs, m) {
         Ok((est, _)) => est,
         Err(e) => panic!("local_whittle: {e}"),
     }
@@ -80,34 +72,26 @@ pub fn try_local_whittle(
     xs: &[f64],
     m: Option<usize>,
 ) -> Result<LocalWhittleEstimate, LrdError> {
-    SharedPeriodogram::new(xs).try_local_whittle(m)
-}
-
-impl SharedPeriodogram<'_> {
-    /// [`try_local_whittle`](crate::try_local_whittle) on the shared
-    /// periodogram.
-    pub fn try_local_whittle(&self, m: Option<usize>) -> Result<LocalWhittleEstimate, LrdError> {
-        let (est, boundary) = local_whittle_core(self, m)?;
-        if boundary {
-            return Err(NumericError::NotConverged { what: "local Whittle optimisation" }.into());
-        }
-        Ok(est)
+    let (est, boundary) = local_whittle_core(xs, m)?;
+    if boundary {
+        return Err(NumericError::NotConverged { what: "local Whittle optimisation" }.into());
     }
+    Ok(est)
 }
 
 /// Shared search: input checks are typed errors and run before the
-/// periodogram is touched; a boundary-stuck optimum is a flag so the
-/// panicking wrapper keeps the legacy endpoint value.
+/// periodogram is requested, so a rejected series never reaches the FFT;
+/// a boundary-stuck optimum is a flag so the panicking wrapper keeps the
+/// legacy endpoint value.
 fn local_whittle_core(
-    sp: &SharedPeriodogram<'_>,
+    xs: &[f64],
     m: Option<usize>,
 ) -> Result<(LocalWhittleEstimate, bool), LrdError> {
-    let xs = sp.series();
     let n = xs.len();
     check_min_len(xs, 256)?;
     check_all_finite(xs)?;
     check_non_constant(xs)?;
-    let pg = sp.periodogram();
+    let pg = Periodogram::of(xs);
     let m = m
         .unwrap_or_else(|| (n as f64).powf(0.65) as usize)
         .clamp(8, pg.len());

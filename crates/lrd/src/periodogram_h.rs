@@ -6,10 +6,10 @@
 //! `ln ω_j` over the lowest frequencies gives `H = (1 − slope)/2`.
 
 use crate::error::LrdError;
-use crate::spectrum::SharedPeriodogram;
 use vbr_stats::error::{
     check_all_finite, check_min_len, check_non_constant, check_positive_param, NumericError,
 };
+use vbr_stats::periodogram::Periodogram;
 use vbr_stats::regression::LineFit;
 
 /// Result of the log-periodogram regression.
@@ -32,53 +32,40 @@ pub struct PeriodogramH {
 /// Panics on a series shorter than 256 and wherever
 /// [`try_periodogram_h`] returns an error.
 pub fn periodogram_h(xs: &[f64], fraction: f64) -> PeriodogramH {
-    periodogram_h_on(&SharedPeriodogram::new(xs), fraction)
-}
-
-/// [`periodogram_h`] on a shared periodogram.
-pub(crate) fn periodogram_h_on(sp: &SharedPeriodogram<'_>, fraction: f64) -> PeriodogramH {
-    assert!(sp.series().len() >= 256, "periodogram regression needs a longer series");
-    sp.try_periodogram_h(fraction).unwrap_or_else(|e| panic!("periodogram_h: {e}"))
+    assert!(xs.len() >= 256, "periodogram regression needs a longer series");
+    try_periodogram_h(xs, fraction).unwrap_or_else(|e| panic!("periodogram_h: {e}"))
 }
 
 /// Fallible [`periodogram_h`]: rejects a `fraction` outside `(0, 1]`, a
 /// series that is shorter than 256, non-finite or constant, and a band
 /// with fewer than two positive ordinates to fit.
 pub fn try_periodogram_h(xs: &[f64], fraction: f64) -> Result<PeriodogramH, LrdError> {
-    SharedPeriodogram::new(xs).try_periodogram_h(fraction)
-}
-
-impl SharedPeriodogram<'_> {
-    /// [`try_periodogram_h`] on the shared periodogram.
-    pub fn try_periodogram_h(&self, fraction: f64) -> Result<PeriodogramH, LrdError> {
-        const WHAT: &str = "periodogram fraction";
-        check_positive_param(WHAT, fraction)?;
-        if fraction > 1.0 {
-            let hi = 1.0f64.next_up();
-            let e = NumericError::OutOfRange { what: WHAT, value: fraction, lo: 0.0, hi };
-            return Err(e.into());
-        }
-        let xs = self.series();
-        check_min_len(xs, 256)?;
-        check_all_finite(xs)?;
-        check_non_constant(xs)?;
-        let pg = self.periodogram();
-        // The band `low_freq_slope` fits: its log-log regression drops
-        // non-positive ordinates and needs two points.
-        let band = ((pg.len() as f64 * fraction) as usize).max(2);
-        let positive = pg.power()[..band].iter().filter(|&&p| p > 0.0).count();
-        if positive < 2 {
-            return Err(LrdError::GridTooSmall { got: positive, needed: 2 });
-        }
-        let fit = pg.low_freq_slope(fraction);
-        let alpha = -fit.slope;
-        Ok(PeriodogramH {
-            alpha,
-            hurst: (1.0 + alpha) / 2.0,
-            ordinates_used: ((pg.len() as f64) * fraction) as usize,
-            fit,
-        })
+    const WHAT: &str = "periodogram fraction";
+    check_positive_param(WHAT, fraction)?;
+    if fraction > 1.0 {
+        let hi = 1.0f64.next_up();
+        let e = NumericError::OutOfRange { what: WHAT, value: fraction, lo: 0.0, hi };
+        return Err(e.into());
     }
+    check_min_len(xs, 256)?;
+    check_all_finite(xs)?;
+    check_non_constant(xs)?;
+    let pg = Periodogram::of(xs);
+    // The band `low_freq_slope` fits: its log-log regression drops
+    // non-positive ordinates and needs two points.
+    let band = ((pg.len() as f64 * fraction) as usize).max(2);
+    let positive = pg.power()[..band].iter().filter(|&&p| p > 0.0).count();
+    if positive < 2 {
+        return Err(LrdError::GridTooSmall { got: positive, needed: 2 });
+    }
+    let fit = pg.low_freq_slope(fraction);
+    let alpha = -fit.slope;
+    Ok(PeriodogramH {
+        alpha,
+        hurst: (1.0 + alpha) / 2.0,
+        ordinates_used: ((pg.len() as f64) * fraction) as usize,
+        fit,
+    })
 }
 
 #[cfg(test)]

@@ -1,10 +1,9 @@
 //! The combined Hurst-estimation report — Table 3 of the paper, with the
 //! periodogram-regression estimator added as a cross-check.
 
-use crate::local_whittle::{local_whittle_on, LocalWhittleEstimate};
-use crate::periodogram_h::{periodogram_h_on, PeriodogramH};
+use crate::local_whittle::{local_whittle, LocalWhittleEstimate};
+use crate::periodogram_h::{periodogram_h, PeriodogramH};
 use crate::rs::{rs_aggregated, rs_analysis, rs_varied_given, RsAnalysis, RsOptions};
-use crate::spectrum::SharedPeriodogram;
 use crate::variance_time::{variance_time, VarianceTime, VtOptions};
 use crate::whittle::{whittle_aggregated, whittle_log, WhittleEstimate};
 
@@ -63,7 +62,8 @@ impl Default for ReportOptions {
 
 /// Computes every estimator on the series. The plain R/S fit doubles as
 /// the base-options member of the varied R/S row, and the periodogram
-/// regression and local Whittle share one periodogram.
+/// regression and local Whittle read one memoized periodogram
+/// ([`Periodogram::of`](vbr_stats::periodogram::Periodogram::of)).
 pub fn hurst_report(xs: &[f64], opts: &ReportOptions) -> HurstReport {
     let vt = variance_time(xs, &opts.vt);
     let rs = rs_analysis(xs, &opts.rs);
@@ -85,7 +85,6 @@ pub fn hurst_report(xs: &[f64], opts: &ReportOptions) -> HurstReport {
         .map(|(_, e)| *e)
         .unwrap_or_else(|| whittle_log(&xs.iter().map(|&x| x.max(1e-9).exp()).collect::<Vec<_>>()));
 
-    let spectrum = SharedPeriodogram::new(xs);
     HurstReport {
         variance_time: vt,
         rs,
@@ -93,8 +92,8 @@ pub fn hurst_report(xs: &[f64], opts: &ReportOptions) -> HurstReport {
         rs_varied_range: (lo, hi),
         whittle: headline,
         whittle_sweep: sweep,
-        periodogram: periodogram_h_on(&spectrum, opts.periodogram_fraction),
-        local_whittle: local_whittle_on(&spectrum, None),
+        periodogram: periodogram_h(xs, opts.periodogram_fraction),
+        local_whittle: local_whittle(xs, None),
     }
 }
 

@@ -11,7 +11,6 @@
 
 use crate::aggregate::aggregate;
 use crate::error::LrdError;
-use crate::spectrum::SharedPeriodogram;
 use vbr_stats::error::{check_all_finite, check_all_positive, check_min_len, check_non_constant, NumericError};
 use vbr_stats::periodogram::Periodogram;
 
@@ -213,7 +212,7 @@ pub fn whittle(xs: &[f64]) -> WhittleEstimate {
 
 /// Fallible [`whittle`].
 pub fn try_whittle(xs: &[f64]) -> Result<WhittleEstimate, LrdError> {
-    SharedPeriodogram::new(xs).try_whittle()
+    try_whittle_with(xs, SpectralModel::Farima)
 }
 
 /// Whittle estimate of H under a chosen spectral model.
@@ -225,7 +224,7 @@ pub fn whittle_with(xs: &[f64], model: SpectralModel) -> WhittleEstimate {
     assert!(n >= 128, "Whittle estimation needs a longer series, got {n}");
     // Legacy behaviour: a boundary-stuck optimum returns the endpoint
     // estimate rather than erroring (callers historically clamp it).
-    match whittle_core(&SharedPeriodogram::new(xs), model) {
+    match whittle_core(xs, model) {
         Ok((est, _)) => est,
         Err(e) => panic!("whittle_with: {e}"),
     }
@@ -236,42 +235,26 @@ pub fn whittle_with(xs: &[f64], model: SpectralModel) -> WhittleEstimate {
 /// the admissible `d` interval (the spectral model cannot represent the
 /// series) instead of returning the untrustworthy boundary value.
 pub fn try_whittle_with(xs: &[f64], model: SpectralModel) -> Result<WhittleEstimate, LrdError> {
-    SharedPeriodogram::new(xs).try_whittle_with(model)
-}
-
-impl SharedPeriodogram<'_> {
-    /// [`try_whittle`](crate::try_whittle) on the shared periodogram.
-    pub fn try_whittle(&self) -> Result<WhittleEstimate, LrdError> {
-        self.try_whittle_with(SpectralModel::Farima)
+    let (est, boundary) = whittle_core(xs, model)?;
+    if boundary {
+        return Err(NumericError::NotConverged { what: "Whittle optimisation" }.into());
     }
-
-    /// [`try_whittle_with`](crate::try_whittle_with) on the shared
-    /// periodogram.
-    pub fn try_whittle_with(&self, model: SpectralModel) -> Result<WhittleEstimate, LrdError> {
-        let (est, boundary) = whittle_core(self, model)?;
-        if boundary {
-            return Err(NumericError::NotConverged { what: "Whittle optimisation" }.into());
-        }
-        Ok(est)
-    }
+    Ok(est)
 }
 
 /// Shared search: input checks are typed errors and run before the
-/// periodogram is touched; a boundary-stuck optimum is reported as a flag
-/// so the panicking wrappers can keep the legacy behaviour of returning
-/// the clamped endpoint estimate.
-fn whittle_core(
-    sp: &SharedPeriodogram<'_>,
-    model: SpectralModel,
-) -> Result<(WhittleEstimate, bool), LrdError> {
-    let xs = sp.series();
+/// periodogram is requested, so a rejected series never reaches the FFT;
+/// a boundary-stuck optimum is reported as a flag so the panicking
+/// wrappers can keep the legacy behaviour of returning the clamped
+/// endpoint estimate.
+fn whittle_core(xs: &[f64], model: SpectralModel) -> Result<(WhittleEstimate, bool), LrdError> {
     let n = xs.len();
     check_min_len(xs, 128)?;
     check_all_finite(xs)?;
     check_non_constant(xs)?;
     // Per-frequency log tables built once; each golden-section iteration
     // is then an exp + multiply-add pass over the ordinates.
-    let obj = WhittleObjective::new(sp.periodogram(), model);
+    let obj = WhittleObjective::new(&Periodogram::of(xs), model);
 
     // Golden-section search for d over (0, 0.4999).
     let (mut a, mut b) = (1e-4, 0.4999f64);

@@ -40,7 +40,10 @@ pub use mux::{
     aggregate_arrivals, aggregate_arrivals_multi, draw_offsets, lag_combinations, ArrivalCursor,
     CursorState, LagCombination,
 };
-pub use source::{required_capacity_model, run_source_queue, try_required_capacity_model, SourceRunStats};
+pub use source::{
+    path_pass, required_capacity_model, run_source_queue, try_required_capacity_model,
+    SourceRunStats,
+};
 pub use qc::{qc_curve, AveragedLoss, LossMetric, LossTarget, MuxSim, QcPoint};
 pub use queue::{FluidQueue, QueueState};
 pub use smg::{smg_curve, SmgPoint};

@@ -1,12 +1,13 @@
 //! Model-driven queueing: the queueing side of the model-zoo seam.
 //!
 //! [`crate::MuxSim`] replays a *stored* trace; this module feeds the
-//! fluid queue straight from any live [`BlockSource`] — and, for a full
-//! [`TrafficModel`], runs the Q-C capacity bisection by replaying the
-//! *same* sample path for every candidate capacity through the model's
-//! snapshot/restore contract. That keeps the search deterministic (every
-//! probe sees an identical arrival process, exactly like the stored-trace
-//! search) without ever materialising the series.
+//! fluid queue straight from any live [`BlockSource`] in cache-sized
+//! chunks — and, for a full [`TrafficModel`], runs the Q-C capacity
+//! bisection over *one* sample path: the search draws the model's next
+//! `slots` samples once, keeps them (`O(slots)` memory, 128 KiB at
+//! 16 384 slots) and replays that stored path for every candidate
+//! capacity. Every probe therefore sees an identical arrival process,
+//! exactly like the stored-trace search.
 
 use vbr_fgn::stream::BlockSource;
 use vbr_fgn::traffic::TrafficModel;
@@ -45,30 +46,7 @@ pub fn run_source_queue(
     assert!(slots > 0, "need at least one slot");
     let _span = obs::span("qsim.source_run");
     obs::counter_add(Counter::MuxRuns, 1);
-    let (lanes, peak_slot) =
-        replay_source(src, slots, dt, &[capacity_bps], &[buffer_bytes], true);
-    let [[lane]] = lanes.totals();
-    obs::counter_add(Counter::QueueOverflowSlots, lane.overflow_slots);
-    SourceRunStats {
-        loss_rate: lane.p_l,
-        worst_second_loss: lane.p_wes,
-        mean_rate: lanes.offered() / (slots as f64 * dt),
-        peak_slot_rate: peak_slot / dt,
-    }
-}
-
-/// Streams `slots` samples from `src` through `L` queue lanes (keeping
-/// the worst-errored-second totals only if `worst_second`), returning
-/// the lanes and the peak single-slot arrival.
-fn replay_source<const L: usize>(
-    src: &mut dyn BlockSource,
-    slots: usize,
-    dt: f64,
-    capacities: &[f64; L],
-    buffers: &[f64; L],
-    worst_second: bool,
-) -> (LaneQueues<L>, f64) {
-    let mut lanes = LaneQueues::new(capacities, buffers, dt, slots, worst_second);
+    let mut lanes = LaneQueues::new(&[capacity_bps], &[buffer_bytes], dt, slots, true);
     let mut buf = [0.0f64; STREAM_CHUNK];
     let mut peak_slot = 0.0f64;
     let mut i = 0usize;
@@ -79,7 +57,38 @@ fn replay_source<const L: usize>(
         peak_slot = buf[..k].iter().fold(peak_slot, |p, &a| p.max(a));
         i += k;
     }
-    (lanes, peak_slot)
+    let [[lane]] = lanes.totals();
+    obs::counter_add(Counter::QueueOverflowSlots, lane.overflow_slots);
+    SourceRunStats {
+        loss_rate: lane.p_l,
+        worst_second_loss: lane.p_wes,
+        mean_rate: lanes.offered() / (slots as f64 * dt),
+        peak_slot_rate: peak_slot / dt,
+    }
+}
+
+/// `L` fluid queues, one per `(capacity, buffer)` lane, over one pass of
+/// a stored arrival `path` (one byte count per `dt`-long slot) in
+/// [`STREAM_CHUNK`] chunks, keeping the worst-errored-second totals only
+/// for a [`LossMetric::WorstSecond`] pass (`p_wes` is NaN otherwise).
+/// Touches no counter. The model-driven search runs every pass through
+/// it; public only so benchmarks can replay a path the way the search
+/// does.
+#[doc(hidden)]
+pub fn path_pass<const L: usize>(
+    path: &[f64],
+    dt: f64,
+    capacities: &[f64; L],
+    buffers: &[f64; L],
+    metric: LossMetric,
+) -> [AveragedLoss; L] {
+    let wes = metric == LossMetric::WorstSecond;
+    let mut lanes = LaneQueues::new(capacities, buffers, dt, path.len(), wes);
+    for chunk in path.chunks(STREAM_CHUNK) {
+        lanes.feed([chunk]);
+    }
+    let [totals] = lanes.totals();
+    totals
 }
 
 /// Smallest capacity (bytes/s) achieving `target` under `metric` for a
@@ -87,13 +96,13 @@ fn replay_source<const L: usize>(
 /// buffer tied to the capacity through `Q = t_max × C` — one point of a
 /// model-driven Q-C curve.
 ///
-/// The model is snapshotted on entry and restored before every shared
-/// arrival pass of the speculative bisection (one pass decides up to
-/// five levels, as the CPU's lane budget allows), so each candidate
-/// capacity faces the identical sample path and the search is exactly
-/// as deterministic as the stored-trace one; on return the model is
-/// restored to its entry state, then advanced by one run (`slots`
-/// samples), leaving its stream position well-defined.
+/// The calibration run draws the model's next `slots` samples (in the
+/// [`STREAM_CHUNK`] chunks every replay uses) and keeps them; every
+/// shared arrival pass of the speculative bisection (one pass decides up
+/// to five levels, as the CPU's lane budget allows) then replays that
+/// stored path, so each candidate capacity faces the identical sample
+/// path and the search is exactly as deterministic as the stored-trace
+/// one. The model ends `slots` samples past its entry state.
 ///
 /// Rejects zero `slots`, a non-positive or non-finite `dt` and the
 /// [`check_search_args`] cases before touching the model, and a model
@@ -117,25 +126,36 @@ pub fn try_required_capacity_model(
     if dt <= 0.0 {
         return Err(NumericError::NonPositive { what: "dt", value: dt }.into());
     }
-    let entry = model.snapshot(0);
     // Calibration pass: mean and peak rates bound the bisection bracket.
-    let probe = run_source_queue(model, slots, dt, f64::MAX / 4.0, 0.0);
+    let mut recorder = Recorder { model, path: Vec::with_capacity(slots) };
+    let probe = run_source_queue(&mut recorder, slots, dt, f64::MAX / 4.0, 0.0);
     let lo = probe.mean_rate; // below the mean, loss is unavoidable
     let hi = probe.peak_slot_rate.max(lo * 1.001); // provably lossless
-    let replay = ModelReplay { model, entry, slots, dt };
+    let replay = StoredPath { path: recorder.path, dt };
     search::search(lo, hi, iterations, t_max_secs, target, metric, replay)
 }
 
-/// A model's sample path from a fixed snapshot, replayed once per search
-/// pass: one arrival stream, so one lane group.
-struct ModelReplay<'m> {
+/// A model that keeps a copy of every block it emits.
+struct Recorder<'m> {
     model: &'m mut dyn TrafficModel,
-    entry: Vec<u8>,
-    slots: usize,
+    path: Vec<f64>,
+}
+
+impl BlockSource for Recorder<'_> {
+    fn next_block(&mut self, out: &mut [f64]) {
+        self.model.next_block(out);
+        self.path.extend_from_slice(out);
+    }
+}
+
+/// A model's stored sample path, replayed once per search pass: one
+/// arrival stream, so one lane group.
+struct StoredPath {
+    path: Vec<f64>,
     dt: f64,
 }
 
-impl SearchPass for ModelReplay<'_> {
+impl SearchPass for StoredPath {
     fn groups(&self) -> usize {
         1
     }
@@ -146,15 +166,7 @@ impl SearchPass for ModelReplay<'_> {
         buffers: &[f64; L],
         metric: LossMetric,
     ) -> Result<[AveragedLoss; L], QsimError> {
-        self.model.restore(&self.entry).map_err(|_| {
-            QsimError::from(NumericError::NotConverged {
-                what: "model snapshot replay",
-            })
-        })?;
-        let wes = metric == LossMetric::WorstSecond;
-        let (lanes, _) = replay_source(self.model, self.slots, self.dt, capacities, buffers, wes);
-        let [totals] = lanes.totals();
-        Ok(totals)
+        Ok(path_pass(&self.path, self.dt, capacities, buffers, metric))
     }
 }
 
@@ -251,8 +263,8 @@ mod tests {
 
     #[test]
     fn probes_replay_identical_paths() {
-        // A stochastic model must give the same answer twice: the
-        // snapshot/restore replay makes the search deterministic.
+        // A stochastic model must give the same answer twice: every pass
+        // replays the one stored path, so the search is deterministic.
         let mut a = vbr_fgn::MwmModel::new(test_mwm_cfg(), 42);
         let mut b = vbr_fgn::MwmModel::new(test_mwm_cfg(), 42);
         let dt = 1.0 / 30.0;
@@ -264,6 +276,101 @@ mod tests {
         );
         assert_eq!(ca, cb);
         assert!(ca.is_finite() && ca > 0.0);
+        // The search leaves the model one run (4096 samples) past where
+        // it started: its next samples are an untouched twin's after
+        // drawing 4096.
+        let mut twin = vbr_fgn::MwmModel::new(test_mwm_cfg(), 42);
+        twin.sample_series(4096);
+        assert_eq!(bits(&a.sample_series(1000)), bits(&twin.sample_series(1000)));
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The search as it ran before paths were stored: snapshot the model
+    /// on entry, calibrate on the live model, then restore the snapshot
+    /// and redraw the path before every pass.
+    fn redrawn_search(
+        model: &mut dyn TrafficModel,
+        slots: usize,
+        dt: f64,
+        t_max_secs: f64,
+        target: LossTarget,
+        metric: LossMetric,
+        iterations: usize,
+    ) -> Result<f64, QsimError> {
+        struct Redraw<'m> {
+            model: &'m mut dyn TrafficModel,
+            entry: Vec<u8>,
+            slots: usize,
+            dt: f64,
+        }
+        impl SearchPass for Redraw<'_> {
+            fn groups(&self) -> usize {
+                1
+            }
+            fn pass<const L: usize>(
+                &mut self,
+                capacities: &[f64; L],
+                buffers: &[f64; L],
+                metric: LossMetric,
+            ) -> Result<[AveragedLoss; L], QsimError> {
+                self.model.restore(&self.entry).expect("own snapshot restores");
+                let mut path = vec![0.0; self.slots];
+                for chunk in path.chunks_mut(STREAM_CHUNK) {
+                    self.model.next_block(chunk);
+                }
+                Ok(path_pass(&path, self.dt, capacities, buffers, metric))
+            }
+        }
+        let entry = model.snapshot(0);
+        let probe = run_source_queue(model, slots, dt, f64::MAX / 4.0, 0.0);
+        let lo = probe.mean_rate;
+        let hi = probe.peak_slot_rate.max(lo * 1.001);
+        let replay = Redraw { model, entry, slots, dt };
+        search::search(lo, hi, iterations, t_max_secs, target, metric, replay)
+    }
+
+    /// The bake-off's members on a fitted trace: trace replay, fARIMA,
+    /// MWM and the scene chain, freshly built.
+    fn members() -> Vec<Box<dyn TrafficModel>> {
+        let params = vbr_model::ModelParams::paper_frame_defaults();
+        let trace = vbr_model::FarimaGpModel::from_params(&params, 512, 31).sample_series(12_288);
+        let mut zoo = vbr_model::model_zoo(&trace, &params, 7);
+        zoo.insert(0, Box::new(TraceReplay::new(trace)));
+        zoo
+    }
+
+    #[test]
+    fn stored_path_search_matches_redraw_per_pass() {
+        let dt = 1.0 / 30.0;
+        let slots = 6_000; // one full chunk and a ragged one
+        let cases = [
+            (LossTarget::Zero, LossMetric::Overall),
+            (LossTarget::Zero, LossMetric::WorstSecond),
+            (LossTarget::Rate(0.01), LossMetric::Overall),
+            (LossTarget::Rate(0.01), LossMetric::WorstSecond),
+        ];
+        for threads in [1, 2] {
+            vbr_stats::par::with_threads(threads, || {
+                for (target, metric) in cases {
+                    let stored = members();
+                    let redrawn = members();
+                    for (mut a, mut b) in stored.into_iter().zip(redrawn) {
+                        // Start mid-stream, as the bake-off does.
+                        a.sample_series(1_000);
+                        b.sample_series(1_000);
+                        let what = format!("{} {target:?} {metric:?} {threads}t", a.name());
+                        let ca =
+                            try_required_capacity_model(a.as_mut(), slots, dt, 0.05, target, metric, 12);
+                        let cb = redrawn_search(b.as_mut(), slots, dt, 0.05, target, metric, 12);
+                        assert_eq!(ca.map(f64::to_bits), cb.map(f64::to_bits), "{what}");
+                        assert_eq!(bits(&a.sample_series(500)), bits(&b.sample_series(500)), "{what}");
+                    }
+                }
+            });
+        }
     }
 
     /// Runs the model search with `slots` and `dt`, expecting a typed

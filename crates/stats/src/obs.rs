@@ -68,6 +68,12 @@ pub enum Counter {
     FgnCacheMiss,
     /// fGn/fARIMA vector caches: least-recently-used entry evicted.
     FgnCacheEvict,
+    /// `Periodogram::of`: a series' periodogram served from the memo.
+    PeriodogramHit,
+    /// `Periodogram::of`: a periodogram computed and memoized.
+    PeriodogramMiss,
+    /// `Periodogram::of`: least-recently-used periodogram evicted.
+    PeriodogramEvict,
     /// Streaming generators: circulant windows synthesised.
     StreamBlocks,
     /// Streaming generators: window seams joined by a cross-fade.
@@ -107,8 +113,8 @@ pub enum Counter {
     CheckpointFallbacks,
     /// Plan/spectrum caches: lock acquisitions that actually waited for
     /// another thread. Covers the FFT complex/real plan caches (counted
-    /// inside `vbr-fft`, merged here) and the fGn/fARIMA vector-cache
-    /// map locks. Those locks wrap lookup/insert only — never a build
+    /// inside `vbr-fft`, merged here), the fGn/fARIMA vector-cache
+    /// map locks and the periodogram memo's. Those locks wrap lookup/insert only — never a build
     /// or an FFT execution — so under the sharded serving load this
     /// must stay near zero (DESIGN.md §15; `fleet_bench` proves it).
     PlanCacheContention,
@@ -132,13 +138,16 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in declaration order (the reporting order).
-    pub const ALL: [Counter; 24] = [
+    pub const ALL: [Counter; 27] = [
         Counter::FftPlanHit,
         Counter::FftPlanMiss,
         Counter::FftPlanEvict,
         Counter::FgnCacheHit,
         Counter::FgnCacheMiss,
         Counter::FgnCacheEvict,
+        Counter::PeriodogramHit,
+        Counter::PeriodogramMiss,
+        Counter::PeriodogramEvict,
         Counter::StreamBlocks,
         Counter::SeamCrossFades,
         Counter::HoskingFallback,
@@ -168,6 +177,9 @@ impl Counter {
             Counter::FgnCacheHit => "fgn_cache_hit",
             Counter::FgnCacheMiss => "fgn_cache_miss",
             Counter::FgnCacheEvict => "fgn_cache_evict",
+            Counter::PeriodogramHit => "periodogram_hit",
+            Counter::PeriodogramMiss => "periodogram_miss",
+            Counter::PeriodogramEvict => "periodogram_evict",
             Counter::StreamBlocks => "stream_blocks",
             Counter::SeamCrossFades => "seam_cross_fades",
             Counter::HoskingFallback => "hosking_fallback",
