@@ -12,6 +12,7 @@
 use vbr_fft::{plan_for, real_plan_for, Complex, Direction};
 use vbr_fgn::{BatchStream, DaviesHarte, Family, MarginalTransform, TableMode};
 use vbr_fgn::TraceReplay;
+use vbr_lrd::{try_rs_analysis, RsOptions};
 use vbr_qsim::{required_capacity_model, FluidQueue, LossMetric, LossTarget, MuxSim};
 use vbr_stats::dist::GammaPareto;
 use vbr_stats::rng::Xoshiro256;
@@ -55,6 +56,18 @@ fn main() {
     let mut d = Digest::new();
     d.push_f64s(&normals);
     println!("fill_standard_normal {}", d.hex());
+
+    // R/S windows in lanes: the pox points of the normals from lag 2 up,
+    // 13 windows per lag, so every lag ends on a short pass.
+    let opts = RsOptions { min_lag: 2, fit_min_lag: 16, starts_per_lag: 13, ..RsOptions::default() };
+    let rs = try_rs_analysis(&normals, &opts).expect("normals analyse");
+    let mut d = Digest::new();
+    for &(lag, v) in &rs.points {
+        d.push(lag as u64);
+        d.push(v.to_bits());
+    }
+    d.push(rs.hurst.to_bits());
+    println!("rs_lanes {}", d.hex());
 
     // Blocked quantile kernel on a central + two-tail probability sweep.
     let mut ps: Vec<f64> = (0..n).map(|i| (i as f64 + 0.5) / n as f64).collect();

@@ -59,13 +59,16 @@ use vbr_bench::perf::{
 };
 use vbr_fft::{fft_pow2_in_place, reference_radix2, Complex, Direction, FftPlan};
 use vbr_fgn::{BatchStream, DaviesHarte, Family, FgnStream, MarginalTransform, TableMode};
-use vbr_lrd::{robust_hurst, whittle_objective_direct, SpectralModel, WhittleObjective};
+use vbr_lrd::{
+    log_spaced_blocks, robust_hurst, rs_statistic, try_rs_analysis, whittle_objective_direct,
+    RsOptions, SpectralModel, WhittleObjective,
+};
 use vbr_qsim::{aggregate_arrivals, lag_combinations, FluidQueue, LossMetric, LossTarget, MuxSim};
 use vbr_serve::{Fleet, FleetConfig, SourceModel, TenantSpec};
 use vbr_stats::dist::{ContinuousDist, GammaPareto};
 use vbr_stats::obs;
 use vbr_stats::par::{num_threads, with_threads};
-use vbr_stats::periodogram::Periodogram;
+use vbr_stats::periodogram::{Periodogram, MEMO_CAPACITY};
 use vbr_stats::rng::Xoshiro256;
 use vbr_video::{generate_screenplay, generate_screenplay_batch, ScreenplayConfig};
 
@@ -89,6 +92,9 @@ struct Sizes {
     periodogram_n: usize,
     hurst_n: usize,
     trace_frames: usize,
+    /// Trace length of the zero-loss search entry: at 30 slices a frame,
+    /// its `u32` slices fit in 1 MiB, inside a core's L2.
+    qc_zero_frames: usize,
     stream_n: usize,
     qc_iters: usize,
     fleet_sources: usize,
@@ -105,6 +111,7 @@ impl Sizes {
             periodogram_n: 24_000,
             hurst_n: 65_536,
             trace_frames: 20_000,
+            qc_zero_frames: 8_000,
             stream_n: 1 << 20,
             qc_iters: 14,
             fleet_sources: 32_768,
@@ -120,6 +127,7 @@ impl Sizes {
             periodogram_n: 2_400,
             hurst_n: 4_096,
             trace_frames: 2_000,
+            qc_zero_frames: 2_000,
             stream_n: 1 << 16,
             qc_iters: 6,
             fleet_sources: 2_048,
@@ -1056,11 +1064,21 @@ fn bench_estimators(sizes: &Sizes, report: &mut PerfReport) {
     // by pinning the pool to 4 workers (a pinned thread count bypasses
     // the work-size threshold); the new path lets `par_map_sized`
     // choose, which at this work size (4n < 2^19) is the serial lane.
+    //
+    // The calls rotate through more distinct series than the periodogram
+    // memo holds, in one order shared by both arms, so every call
+    // computes its periodograms as the ensemble did when this entry was
+    // first recorded.
     let ens_n = (sizes.hurst_n / 64).max(256);
-    let hs = DaviesHarte::new(0.8, 1.0).generate(ens_n, 5);
+    let series: Vec<Vec<f64>> = (0..MEMO_CAPACITY as u64 + 1)
+        .map(|seed| DaviesHarte::new(0.8, 1.0).generate(ens_n, 5 + seed))
+        .collect();
+    let next = Cell::new(0usize);
     let four_calls = || {
         for _ in 0..4 {
-            robust_hurst(&hs).expect("estimation");
+            let k = next.get();
+            next.set((k + 1) % series.len());
+            robust_hurst(&series[k]).expect("estimation");
         }
     };
     let t = time_paired(sizes.budget, || with_threads(4, four_calls), four_calls);
@@ -1069,11 +1087,70 @@ fn bench_estimators(sizes: &Sizes, report: &mut PerfReport) {
         "robust_hurst_forced_parallel_vs_auto",
         t,
         &format!(
-            "4 calls, 4-member ensemble, n={ens_n}; baseline pins a 4-worker pool (the old \
-             always-fork scheduler, one spawn/join per call), auto applies the \
-             par_map_sized work threshold"
+            "4 calls, 4-member ensemble, n={ens_n}, {} series in rotation (each call computes its \
+             periodogram afresh); baseline pins a 4-worker pool (the old always-fork scheduler, one \
+             spawn/join per call), auto applies the par_map_sized work threshold",
+            series.len()
         ),
     );
+
+    // R/S analysis at the default grid, one worker. The baseline is the
+    // sweep as it ran before the lane kernel: one `rs_statistic` call per
+    // window. The new path is `try_rs_analysis`, which advances a lag's
+    // windows in lanes.
+    let xs = DaviesHarte::new(0.8, 1.0).generate(sizes.hurst_n, 17);
+    let opts = RsOptions::default();
+    let window_loop = || rs_points_window_loop(&xs, &opts);
+    let lanes = || try_rs_analysis(&xs, &opts).expect("R/S analysis").points;
+    let bits = |pts: Vec<(usize, f64)>| -> Vec<(usize, u64)> {
+        pts.into_iter().map(|(m, v)| (m, v.to_bits())).collect()
+    };
+    assert_eq!(bits(window_loop()), bits(lanes()), "R/S lanes drifted");
+    let t = time_paired(
+        sizes.budget,
+        || {
+            std::hint::black_box(window_loop());
+        },
+        || {
+            std::hint::black_box(lanes());
+        },
+    );
+    report.record(
+        "estimators",
+        "rs_analysis_window_loop_vs_lanes",
+        t,
+        &format!(
+            "R/S pox points of one {}-point series at the default grid ({} starts per lag); \
+             baseline calls rs_statistic once per window, new path runs a lag's windows in \
+             lanes (bits verified equal first)",
+            sizes.hurst_n, opts.starts_per_lag
+        ),
+    );
+}
+
+/// The R/S pox diagram one window at a time: `try_rs_analysis`'s grid,
+/// window starts and `rs > 0` filter around per-window `rs_statistic`
+/// calls, as the analysis ran before its lane kernel.
+fn rs_points_window_loop(xs: &[f64], opts: &RsOptions) -> Vec<(usize, f64)> {
+    let n = xs.len();
+    let max_lag = opts.max_lag.unwrap_or(n / 2).min(n);
+    let starts = opts.starts_per_lag.max(1);
+    let mut points = Vec::new();
+    for lag in log_spaced_blocks(max_lag, opts.points_per_decade) {
+        if lag < opts.min_lag {
+            continue;
+        }
+        let span = n - lag;
+        for i in 0..starts {
+            let t = if starts == 1 { 0 } else { span * i / (starts - 1) };
+            if let Some(rs) = rs_statistic(&xs[t..t + lag]) {
+                if rs > 0.0 {
+                    points.push((lag, rs));
+                }
+            }
+        }
+    }
+    points
 }
 
 /// One series analysed by several estimators: the baseline computes its
@@ -1197,11 +1274,16 @@ fn bench_simulation(sizes: &Sizes, report: &mut PerfReport) {
     // searches ran before the exact capacity (and before passes were
     // sized, which would move this arm without touching the new one).
     // The new path decides the levels from the exact zero-loss capacity,
-    // one window-ratio scan per lag combination.
-    let sim5 = MuxSim::new(&trace, 5, seed);
+    // one window-ratio scan per lag combination. The entry runs on a
+    // trace of its own, short enough that its slices stay in a core's
+    // L2, so the ratio follows the code rather than the neighbours'
+    // memory traffic.
+    let zero_trace = generate_screenplay(&ScreenplayConfig::short(sizes.qc_zero_frames, 6));
+    let zero_slots = zero_trace.slice_bytes().len();
+    let zero5 = MuxSim::new(&zero_trace, 5, seed);
     let (t_max, levels) = (0.002, 22);
-    let replayed = || fixed_tree_search(&sim5, t_max, 0.0, levels);
-    let exact = || sim5.required_capacity(t_max, LossTarget::Zero, LossMetric::Overall, levels);
+    let replayed = || fixed_tree_search(&zero5, t_max, 0.0, levels);
+    let exact = || zero5.required_capacity(t_max, LossTarget::Zero, LossMetric::Overall, levels);
     assert_eq!(replayed().to_bits(), exact().to_bits(), "zero-loss search drifted");
     let t = time_paired(
         sizes.budget,
@@ -1218,11 +1300,15 @@ fn bench_simulation(sizes: &Sizes, report: &mut PerfReport) {
         t,
         &format!(
             "{levels}-level P_l = 0 search at N = 5, T_max = {t_max} s, {} lag combinations x \
-             {slots} slots; baseline replays every level through fixed-width lane passes, new \
-             path decides levels from the exact zero-loss capacity (bit-identical capacity)",
-            sim5.combos().len(),
+             {zero_slots} slots ({} KiB of slices, cache-resident); baseline replays every \
+             level through fixed-width lane passes, new path decides levels from the exact \
+             zero-loss capacity (bit-identical capacity)",
+            zero5.combos().len(),
+            zero_slots * 4 / 1024,
         ),
     );
+
+    let sim5 = MuxSim::new(&trace, 5, seed);
 
     // A 10-level P_l <= 1e-4 search at N = 5 (paper_qc's rate columns),
     // one worker. The baseline runs the fixed trees a search made before

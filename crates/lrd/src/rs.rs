@@ -15,26 +15,113 @@ use vbr_stats::regression::{fit_line, LineFit};
 /// `W_j = (X_1 + … + X_j) − j·X̄(n)`;
 /// `R = max(0, W_1..W_n) − min(0, W_1..W_n)`; `S` is the window's standard
 /// deviation. Returns `None` for degenerate windows (constant data).
+///
+/// This is the one-lane case of the kernel that [`try_rs_analysis`]
+/// runs over several windows at a time, so both give the same bits.
 pub fn rs_statistic(window: &[f64]) -> Option<f64> {
-    let n = window.len();
+    let [rs] = rs_lanes([window]);
+    rs
+}
+
+/// Windows of one lag that an R/S pass advances together. Each window's
+/// sums are serial add chains, so one window runs at the add latency;
+/// four independent chains keep the adder busy (two SSE2 registers a
+/// chain). Two left it idle; six, eight and sixteen ran slower, their
+/// chains' state spilling out of registers.
+const RS_LANES: usize = 4;
+
+/// Elements per block of [`each_row`]: within a block every window is a
+/// fixed-size array, so the lane loops index it without bounds checks.
+const ROW_BLOCK: usize = 64;
+
+/// Calls `f(j, [w_0[j], …, w_{K−1}[j]])` for `j` in `0..n`, in order, where
+/// `n` is the length of the windows (all equal).
+// The element index walks `K` windows at once, which no iterator adapter
+// expresses for a const-generic `K`.
+#[allow(clippy::needless_range_loop)]
+#[inline(always)]
+fn each_row<const K: usize>(windows: [&[f64]; K], mut f: impl FnMut(usize, [f64; K])) {
+    let n = windows[0].len();
+    let whole = n - n % ROW_BLOCK;
+    for j0 in (0..whole).step_by(ROW_BLOCK) {
+        let blocks: [&[f64; ROW_BLOCK]; K] = std::array::from_fn(|k| {
+            windows[k][j0..j0 + ROW_BLOCK].try_into().expect("block length")
+        });
+        for i in 0..ROW_BLOCK {
+            f(j0 + i, std::array::from_fn(|k| blocks[k][i]));
+        }
+    }
+    for j in whole..n {
+        f(j, std::array::from_fn(|k| windows[k][j]));
+    }
+}
+
+/// [`rs_statistic`] of `K` equal-length windows at once. Each lane runs
+/// `rs_statistic`'s own op sequence — the sum for the mean, then the
+/// running partial sum `acc`, its deviation `w` with running max and min,
+/// and the sum of `(x − mean)²`, all in element order — so a lane's bits
+/// do not depend on `K` or on the other lanes. The running max and min
+/// are compare-and-select, which gives `f64::max`/`min`'s bits here: they
+/// start at `+0.0` and never become NaN (a NaN `w` fails both compares,
+/// as `max`/`min` ignore it), and `w` is never `-0.0`: `acc` starts at
+/// `+0.0` and a sum is `-0.0` only when both addends are, so `acc` never
+/// is, and `acc − j·mean` is `-0.0` only when `acc` is. So no tie between
+/// zeros of opposite sign arises.
+fn rs_lanes<const K: usize>(windows: [&[f64]; K]) -> [Option<f64>; K] {
+    let n = windows[0].len();
+    assert!(windows.iter().all(|w| w.len() == n), "R/S lanes need equal windows");
     if n < 2 {
-        return None;
+        return [None; K];
     }
-    let mean = window.iter().sum::<f64>() / n as f64;
-    let mut acc = 0.0;
-    let mut wmax = 0.0f64;
-    let mut wmin = 0.0f64;
-    for (j, &x) in window.iter().enumerate() {
-        acc += x;
-        let w = acc - (j + 1) as f64 * mean;
-        wmax = wmax.max(w);
-        wmin = wmin.min(w);
+    let len = n as f64;
+    let mut sum = [0.0f64; K];
+    each_row(windows, |_, row| {
+        for k in 0..K {
+            sum[k] += row[k];
+        }
+    });
+    let mean = sum.map(|s| s / len);
+    let mut acc = [0.0f64; K];
+    let mut wmax = [0.0f64; K];
+    let mut wmin = [0.0f64; K];
+    let mut sq = [0.0f64; K];
+    each_row(windows, |j, row| {
+        let steps = (j + 1) as f64;
+        for k in 0..K {
+            acc[k] += row[k];
+            let w = acc[k] - steps * mean[k];
+            if w > wmax[k] {
+                wmax[k] = w;
+            }
+            if w < wmin[k] {
+                wmin[k] = w;
+            }
+            sq[k] += (row[k] - mean[k]).powi(2);
+        }
+    });
+    std::array::from_fn(|k| {
+        let var = sq[k] / len;
+        if var <= 0.0 {
+            None
+        } else {
+            Some((wmax[k] - wmin[k]) / var.sqrt())
+        }
+    })
+}
+
+/// [`rs_statistic`] of the window `xs[t..t + lag]` for every `t` in
+/// `starts`, in order, [`RS_LANES`] windows per pass. A short last pass
+/// repeats its final window in the spare lanes and drops their results.
+fn rs_windows(xs: &[f64], lag: usize, starts: &[usize]) -> Vec<Option<f64>> {
+    let mut out = Vec::with_capacity(starts.len());
+    for chunk in starts.chunks(RS_LANES) {
+        let windows = std::array::from_fn(|k| {
+            let t = chunk[k.min(chunk.len() - 1)];
+            &xs[t..t + lag]
+        });
+        out.extend_from_slice(&rs_lanes::<RS_LANES>(windows)[..chunk.len()]);
     }
-    let var = window.iter().map(|&x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-    if var <= 0.0 {
-        return None;
-    }
-    Some((wmax - wmin) / var.sqrt())
+    out
 }
 
 /// Options for R/S analysis.
@@ -108,15 +195,15 @@ pub fn try_rs_analysis(xs: &[f64], opts: &RsOptions) -> Result<RsAnalysis, LrdEr
         vbr_stats::par::par_map(&grid, |&lag| {
             let starts = opts.starts_per_lag.max(1);
             let span = n - lag;
+            let ts: Vec<usize> = (0..starts)
+                .map(|i| if starts == 1 { 0 } else { span * i / (starts - 1).max(1) })
+                .collect();
             let mut lag_points = Vec::with_capacity(starts);
             let mut lag_vals = Vec::with_capacity(starts);
-            for i in 0..starts {
-                let t = if starts == 1 { 0 } else { span * i / (starts - 1).max(1) };
-                if let Some(rs) = rs_statistic(&xs[t..t + lag]) {
-                    if rs > 0.0 {
-                        lag_points.push((lag, rs));
-                        lag_vals.push(rs);
-                    }
+            for rs in rs_windows(xs, lag, &ts).into_iter().flatten() {
+                if rs > 0.0 {
+                    lag_points.push((lag, rs));
+                    lag_vals.push(rs);
                 }
             }
             let fit_point = if !lag_vals.is_empty() && lag >= opts.fit_min_lag {
@@ -160,38 +247,26 @@ pub fn rs_aggregated(xs: &[f64], m: usize, opts: &RsOptions) -> RsAnalysis {
 /// Table 3: the paper reports 0.81–0.83 and concludes the estimate is
 /// robust).
 pub fn rs_varied(xs: &[f64], base: &RsOptions) -> Vec<f64> {
-    rs_varied_given(xs, base, None)
+    rs_variations(base).iter().map(|opts| rs_analysis(xs, opts).hurst).collect()
 }
 
-/// [`rs_varied`], taking `base_fit = rs_analysis(xs, base)` when the
-/// caller already has it: a variation whose options equal `base` reuses
-/// its H instead of rerunning the analysis.
-pub(crate) fn rs_varied_given(
-    xs: &[f64],
-    base: &RsOptions,
-    base_fit: Option<&RsAnalysis>,
-) -> Vec<f64> {
-    let variations = [
+/// The grids [`rs_varied`] analyses, in order: the base grid, a denser
+/// lag grid, more starts per lag, a sparser grid with fewer starts, and
+/// both denser. The first equals `base` unless `base` is below the
+/// clamps (fewer than two points per decade or no starts).
+pub(crate) fn rs_variations(base: &RsOptions) -> [RsOptions; 5] {
+    [
         (base.points_per_decade, base.starts_per_lag),
         (base.points_per_decade * 2, base.starts_per_lag),
         (base.points_per_decade, base.starts_per_lag * 3),
         (base.points_per_decade.max(3) - 2, base.starts_per_lag.max(4) / 2),
         (base.points_per_decade * 2, base.starts_per_lag * 2),
-    ];
-    variations
-        .iter()
-        .map(|&(ppd, spl)| {
-            let opts = RsOptions {
-                points_per_decade: ppd.max(2),
-                starts_per_lag: spl.max(1),
-                ..*base
-            };
-            match base_fit {
-                Some(fit) if opts == *base => fit.hurst,
-                _ => rs_analysis(xs, &opts).hurst,
-            }
-        })
-        .collect()
+    ]
+    .map(|(ppd, spl)| RsOptions {
+        points_per_decade: ppd.max(2),
+        starts_per_lag: spl.max(1),
+        ..*base
+    })
 }
 
 #[cfg(test)]
@@ -266,19 +341,91 @@ mod tests {
         assert!((0.5 * (lo + hi) - h).abs() < 0.08);
     }
 
-    #[test]
-    fn varied_reuses_the_base_fit_with_the_same_bits() {
-        let xs = DaviesHarte::new(0.75, 1.0).generate(30_000, 12);
-        // The default options are the first variation; `points_per_decade
-        // = 1` is clamped to 2, so no variation equals that base.
-        let sparse = RsOptions { points_per_decade: 1, ..RsOptions::default() };
-        for base in [RsOptions::default(), sparse] {
-            let fit = rs_analysis(&xs, &base);
-            let reused = rs_varied_given(&xs, &base, Some(&fit));
-            let fresh = rs_varied(&xs, &base);
-            let bits = |v: &[f64]| v.iter().map(|h| h.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&reused), bits(&fresh), "{base:?}");
+    /// `rs_statistic` as three plain passes (mean, bridge range,
+    /// variance), the textbook form the lane kernel must match bit for
+    /// bit.
+    fn rs_reference(window: &[f64]) -> Option<f64> {
+        let n = window.len();
+        if n < 2 {
+            return None;
         }
+        let mean = window.iter().sum::<f64>() / n as f64;
+        let (mut acc, mut wmax, mut wmin) = (0.0, 0.0f64, 0.0f64);
+        for (j, &x) in window.iter().enumerate() {
+            acc += x;
+            let w = acc - (j + 1) as f64 * mean;
+            wmax = wmax.max(w);
+            wmin = wmin.min(w);
+        }
+        let var = window.iter().map(|&x| (x - mean).powi(2)).sum::<f64>() / n as f64;
+        if var <= 0.0 {
+            return None;
+        }
+        Some((wmax - wmin) / var.sqrt())
+    }
+
+    /// A series with every kind of window: fGn, constant stretches
+    /// (zero variance: `None`), and stretches of ones with one
+    /// `1 + ε` whose range rounds to zero while the variance does not
+    /// (`Some(0.0)`, dropped from the pox diagram).
+    fn awkward_series() -> Vec<f64> {
+        let mut xs = DaviesHarte::new(0.8, 1.0).generate(4_000, 21);
+        xs[500..900].fill(3.0);
+        for (k, x) in xs[1_500..1_800].iter_mut().enumerate() {
+            *x = if k % 4 == 3 { 1.0 + f64::EPSILON } else { 1.0 };
+        }
+        xs
+    }
+
+    #[test]
+    fn lanes_match_rs_statistic_window_by_window() {
+        let xs = awkward_series();
+        let bits = |v: Option<f64>| v.map(f64::to_bits);
+        assert_eq!(rs_reference(&xs[1_500..1_504]), Some(0.0));
+        let (mut nones, mut zeros) = (0, 0);
+        for lag in 2..=300 {
+            let span = xs.len() - lag;
+            let counts: &[usize] = if lag % 50 == 0 { &[1, 2, 3, 4, 5, 7, 8, 9, 33] } else { &[] };
+            for starts in counts.iter().copied().chain([1 + lag % 33]) {
+                // Every `span / starts` offset, plus the constant and
+                // rounding stretches.
+                let mut ts: Vec<usize> = (0..starts).map(|i| span * i / starts).collect();
+                ts[0] = [500, 1_500, 0][lag % 3].min(span);
+                let lanes = rs_windows(&xs, lag, &ts);
+                assert_eq!(lanes.len(), ts.len());
+                for (&t, &rs) in ts.iter().zip(&lanes) {
+                    let window = &xs[t..t + lag];
+                    assert_eq!(bits(rs), bits(rs_statistic(window)), "lag {lag} start {t}");
+                    assert_eq!(bits(rs), bits(rs_reference(window)), "lag {lag} start {t}");
+                    nones += usize::from(rs.is_none());
+                    zeros += usize::from(rs == Some(0.0));
+                }
+            }
+        }
+        assert!(nones > 0 && zeros > 0, "{nones} constant, {zeros} zero-range windows");
+    }
+
+    #[test]
+    fn pox_points_match_a_per_window_sweep() {
+        let xs = awkward_series();
+        let opts = RsOptions { min_lag: 2, fit_min_lag: 20, starts_per_lag: 13, ..RsOptions::default() };
+        let rs = try_rs_analysis(&xs, &opts).expect("series analyses");
+        let mut points = Vec::new();
+        let mut dropped = 0;
+        let grid = log_spaced_blocks(xs.len() / 2, opts.points_per_decade);
+        for lag in grid.into_iter().filter(|&m| m >= opts.min_lag) {
+            let span = xs.len() - lag;
+            for i in 0..opts.starts_per_lag {
+                let t = span * i / (opts.starts_per_lag - 1);
+                match rs_reference(&xs[t..t + lag]) {
+                    Some(v) if v > 0.0 => points.push((lag, v.to_bits())),
+                    _ => dropped += 1,
+                }
+            }
+        }
+        let got: Vec<(usize, u64)> = rs.points.iter().map(|&(m, v)| (m, v.to_bits())).collect();
+        assert_eq!(got, points);
+        assert!(dropped > 0);
     }
 
     #[test]

@@ -344,17 +344,21 @@ pub fn whittle_aggregated_with(
     // Levels are independent full Whittle fits over different aggregated
     // series — run them on the worker pool; index-ordered collection
     // keeps the output identical to the serial sweep.
-    vbr_stats::par::par_map(levels, |&m| {
-        let agg = aggregate(xs, m);
-        if agg.len() >= 128 {
-            Some((m, whittle_with(&agg, model)))
-        } else {
-            None
-        }
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    vbr_stats::par::par_map(levels, |&m| whittle_level(xs, m, model))
+        .into_iter()
+        .flatten()
+        .collect()
+}
+
+/// One level of [`whittle_aggregated_with`]: the Whittle fit of `X^(m)`,
+/// or `None` when the aggregated series is shorter than 128 points.
+pub(crate) fn whittle_level(
+    xs: &[f64],
+    m: usize,
+    model: SpectralModel,
+) -> Option<(usize, WhittleEstimate)> {
+    let agg = aggregate(xs, m);
+    (agg.len() >= 128).then(|| (m, whittle_with(&agg, model)))
 }
 
 #[cfg(test)]

@@ -501,9 +501,6 @@ pub fn install_collector(capacity: usize) {
         ring: Ring { buf: Vec::new(), cap: capacity.max(1), next: 0, pushed: 0 },
     };
     *collector().lock().expect("obs collector poisoned") = Some(state);
-    // The RSS sample cache is stamped in collector-epoch time, which
-    // just restarted — force a fresh sample on the first span close.
-    RSS_SAMPLED_NS.store(0, Ordering::Relaxed);
     COLLECTOR_ON.store(true, Ordering::Relaxed);
 }
 
@@ -540,8 +537,9 @@ pub fn peak_rss_kib() -> Option<u64> {
     }
 }
 
-/// Last sampled peak RSS (KiB) and the `start_ns`-epoch time it was
-/// sampled at, packed into two atomics so span close stays cheap.
+/// Last sampled peak RSS (KiB) and the time it was sampled at, in
+/// nanoseconds since [`rss_clock`]'s epoch (0: never), packed into two
+/// atomics so span close stays cheap.
 static RSS_CACHE_KIB: AtomicU64 = AtomicU64::new(0);
 static RSS_SAMPLED_NS: AtomicU64 = AtomicU64::new(0);
 /// Re-read `/proc/self/status` at most this often (10 ms): a `/proc`
@@ -550,10 +548,18 @@ static RSS_SAMPLED_NS: AtomicU64 = AtomicU64::new(0);
 /// bound on the true peak.
 const RSS_SAMPLE_INTERVAL_NS: u64 = 10_000_000;
 
+/// The process-wide epoch the RSS samples are stamped against. It
+/// outlives collectors, so installing one keeps a fresh sample instead
+/// of forcing a `/proc` read on its first span.
+fn rss_clock() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
+}
+
 /// Time-throttled [`peak_rss_kib`]: returns a cached sample unless the
-/// cache is older than [`RSS_SAMPLE_INTERVAL_NS`] relative to `now_ns`
-/// (nanoseconds since the collector epoch).
-fn sampled_peak_rss_kib(now_ns: u64) -> u64 {
+/// cache is older than [`RSS_SAMPLE_INTERVAL_NS`] at `now`.
+fn sampled_peak_rss_kib(now: Instant) -> u64 {
+    let now_ns = now.saturating_duration_since(rss_clock()).as_nanos() as u64;
     let last = RSS_SAMPLED_NS.load(Ordering::Relaxed);
     if last == 0 || now_ns.saturating_sub(last) >= RSS_SAMPLE_INTERVAL_NS {
         // Racing threads may both re-read; that is harmless (same file,
@@ -611,7 +617,8 @@ impl Drop for Span {
                 s.remove(pos);
             }
         });
-        let dur_ns = live.start.elapsed().as_nanos() as u64;
+        let end = Instant::now();
+        let dur_ns = end.saturating_duration_since(live.start).as_nanos() as u64;
         hist_record(Hist::SpanNanos, dur_ns);
         let mut guard = collector().lock().expect("obs collector poisoned");
         if let Some(state) = guard.as_mut() {
@@ -619,7 +626,7 @@ impl Drop for Span {
                 .start
                 .checked_duration_since(state.epoch)
                 .map_or(0, |d| d.as_nanos() as u64);
-            let rss = sampled_peak_rss_kib(start_ns + dur_ns);
+            let rss = sampled_peak_rss_kib(end);
             state.ring.push(SpanRecord {
                 id: live.id,
                 parent: live.parent,
