@@ -92,9 +92,6 @@ struct Sizes {
     periodogram_n: usize,
     hurst_n: usize,
     trace_frames: usize,
-    /// Trace length of the zero-loss search entry: at 30 slices a frame,
-    /// its `u32` slices fit in 1 MiB, inside a core's L2.
-    qc_zero_frames: usize,
     stream_n: usize,
     qc_iters: usize,
     fleet_sources: usize,
@@ -111,7 +108,6 @@ impl Sizes {
             periodogram_n: 24_000,
             hurst_n: 65_536,
             trace_frames: 20_000,
-            qc_zero_frames: 8_000,
             stream_n: 1 << 20,
             qc_iters: 14,
             fleet_sources: 32_768,
@@ -127,7 +123,6 @@ impl Sizes {
             periodogram_n: 2_400,
             hurst_n: 4_096,
             trace_frames: 2_000,
-            qc_zero_frames: 2_000,
             stream_n: 1 << 16,
             qc_iters: 6,
             fleet_sources: 2_048,
@@ -1268,46 +1263,6 @@ fn bench_simulation(sizes: &Sizes, report: &mut PerfReport) {
     let sim1 = MuxSim::new(&trace, 1, seed);
     bench_qc_search(sizes, &sim1, "qc_search_scalar_vs_speculative_n1", report);
 
-    // A zero-loss Q-C point at Fig 16's 22 levels, N = 5. The baseline
-    // replays every level: a zero rate target gives the same verdicts
-    // (`p <= 0` iff `p == 0`) through fixed-width lane passes alone, as
-    // searches ran before the exact capacity (and before passes were
-    // sized, which would move this arm without touching the new one).
-    // The new path decides the levels from the exact zero-loss capacity,
-    // one window-ratio scan per lag combination. The entry runs on a
-    // trace of its own, short enough that its slices stay in a core's
-    // L2, so the ratio follows the code rather than the neighbours'
-    // memory traffic.
-    let zero_trace = generate_screenplay(&ScreenplayConfig::short(sizes.qc_zero_frames, 6));
-    let zero_slots = zero_trace.slice_bytes().len();
-    let zero5 = MuxSim::new(&zero_trace, 5, seed);
-    let (t_max, levels) = (0.002, 22);
-    let replayed = || fixed_tree_search(&zero5, t_max, 0.0, levels);
-    let exact = || zero5.required_capacity(t_max, LossTarget::Zero, LossMetric::Overall, levels);
-    assert_eq!(replayed().to_bits(), exact().to_bits(), "zero-loss search drifted");
-    let t = time_paired(
-        sizes.budget,
-        || {
-            std::hint::black_box(replayed());
-        },
-        || {
-            std::hint::black_box(exact());
-        },
-    );
-    report.record(
-        "simulation",
-        "qc_search_zero_bisect_vs_exact",
-        t,
-        &format!(
-            "{levels}-level P_l = 0 search at N = 5, T_max = {t_max} s, {} lag combinations x \
-             {zero_slots} slots ({} KiB of slices, cache-resident); baseline replays every \
-             level through fixed-width lane passes, new path decides levels from the exact \
-             zero-loss capacity (bit-identical capacity)",
-            zero5.combos().len(),
-            zero_slots * 4 / 1024,
-        ),
-    );
-
     let sim5 = MuxSim::new(&trace, 5, seed);
 
     // A 10-level P_l <= 1e-4 search at N = 5 (paper_qc's rate columns),
@@ -1315,13 +1270,13 @@ fn bench_simulation(sizes: &Sizes, report: &mut PerfReport) {
     // passes were sized: full-width passes (16 lanes with AVX-512, else
     // 8), the last one ragged, through the public run_lanes, which keeps
     // both metrics. The new path spreads the levels evenly over as many
-    // passes, each 2^depth lanes wide, carrying only P_l.
+    // passes, each 2^depth lanes wide, carrying only P_l; like the
+    // baseline, it replays every slot of every pass.
     let (t_max, levels, rate) = (0.002, 10, 1e-4);
+    let target = LossTarget::Rate(rate);
     let fixed = || with_threads(1, || fixed_tree_search(&sim5, t_max, rate, levels));
     let sized = || {
-        with_threads(1, || {
-            sim5.required_capacity(t_max, LossTarget::Rate(rate), LossMetric::Overall, levels)
-        })
+        with_threads(1, || sim5.required_capacity_dense(t_max, target, LossMetric::Overall, levels))
     };
     assert_eq!(fixed().to_bits(), sized().to_bits(), "sized search passes drifted");
     let t = time_paired(
@@ -1342,6 +1297,34 @@ fn bench_simulation(sizes: &Sizes, report: &mut PerfReport) {
              combinations x {slots} slots, 1 worker; baseline runs full-width trees with both \
              metrics' accounting, new path passes sized to their depth carrying only P_l \
              (bit-identical capacity)",
+            sim5.combos().len(),
+        ),
+    );
+
+    // The same search with passes that skip idle blocks: once the first
+    // pass has narrowed the bracket, most blocks leave every lane's queue
+    // empty, and later passes neither sum nor step them.
+    let skipping =
+        || with_threads(1, || sim5.required_capacity(t_max, target, LossMetric::Overall, levels));
+    assert_eq!(sized().to_bits(), skipping().to_bits(), "idle-block skip drifted");
+    let t = time_paired(
+        sizes.budget,
+        || {
+            std::hint::black_box(sized());
+        },
+        || {
+            std::hint::black_box(skipping());
+        },
+    );
+    report.record(
+        "simulation",
+        "qc_search_dense_vs_idle_skip",
+        t,
+        &format!(
+            "{levels}-level P_l <= {rate} search at N = 5, T_max = {t_max} s, {} lag \
+             combinations x {slots} slots, 1 worker; baseline replays every slot of every pass, \
+             new path's passes skip the blocks where every lane's queue stays empty, from a \
+             per-combination block-peak index (bit-identical capacity)",
             sim5.combos().len(),
         ),
     );
@@ -1468,7 +1451,8 @@ impl EightLanes {
 /// one-probe-per-replay loop on the public one-lane `run`; the new path
 /// decides `log2(lanes)` levels per shared arrival pass through the
 /// lane-batched queue kernel, with the lane count set by the CPU and the
-/// combinations per pass. Both return the same capacity bits.
+/// combinations per pass. Both return the same capacity bits. Both
+/// replay every slot: `qc_search_dense_vs_idle_skip` times the skip.
 fn bench_qc_search(sizes: &Sizes, sim: &MuxSim, name: &str, report: &mut PerfReport) {
     let (t_max, target, metric) = (0.002, LossTarget::Rate(1e-3), LossMetric::Overall);
     let scalar_search = || {
@@ -1484,7 +1468,7 @@ fn bench_qc_search(sizes: &Sizes, sim: &MuxSim, name: &str, report: &mut PerfRep
         }
         hi
     };
-    let speculative = || sim.required_capacity(t_max, target, metric, sizes.qc_iters);
+    let speculative = || sim.required_capacity_dense(t_max, target, metric, sizes.qc_iters);
     assert_eq!(scalar_search().to_bits(), speculative().to_bits(), "speculative bisection drifted");
     let t = time_paired(
         sizes.budget,

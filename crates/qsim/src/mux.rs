@@ -239,6 +239,22 @@ impl<'a> ArrivalCursor<'a> {
         take
     }
 
+    /// Advances past the next `slots` slots without summing them, as if
+    /// `next_block` had yielded them; returns how many were passed
+    /// (short only at the end of the sweep).
+    pub fn skip_slots(&mut self, slots: usize) -> usize {
+        let n = self.slices.len();
+        let take = slots.min(n - self.emitted);
+        for c in &mut self.cursors {
+            *c += take;
+            if *c >= n {
+                *c -= n;
+            }
+        }
+        self.emitted += take;
+        take
+    }
+
     /// Fallible [`next_block`](Self::next_block): verifies the
     /// aggregate slots are all finite before handing them downstream,
     /// consistent with the typed guards on `FluidQueue::try_step`.

@@ -55,9 +55,43 @@ pub struct MuxSim<'a> {
     mean_rate: f64,
     peak_slot_rate: f64,
     combos: Vec<LagCombination>,
+    /// Per combination, what the rate sweep recorded for skipping idle
+    /// blocks.
+    index: Vec<BlockIndex>,
     /// Sources per exact `u32` batch in every cursor (`mux::u32_batch`),
     /// fixed by the trace's largest slice.
     batch: usize,
+}
+
+/// Slots per entry of a [`BlockIndex`] (4 bytes per 64 slots).
+const IDLE_BLOCK: usize = 64;
+
+/// Slots a search pass's skipping replay sums at most per call, in
+/// whole blocks.
+const FEED_BLOCKS: usize = STREAM_CHUNK / IDLE_BLOCK;
+
+const _: () = assert!(STREAM_CHUNK.is_multiple_of(IDLE_BLOCK), "sweep chunks hold whole blocks");
+
+/// What [`MuxSim::try_new`]'s rate sweep records of one lag combination
+/// so that `Overall` search passes can skip the blocks in which no lane
+/// can leave an empty queue (DESIGN.md §10, "Idle blocks").
+#[derive(Debug, Clone)]
+struct BlockIndex {
+    /// The largest aggregate of each [`IDLE_BLOCK`]-slot block (the last
+    /// block may be short). `u32::MAX` stands for any peak from there
+    /// up and never lets a block be skipped.
+    peaks: Vec<u32>,
+    /// The arrivals added slot by slot from `0.0`: the bits of a whole
+    /// replay's `arrived` chain in `LaneQueues`.
+    total: f64,
+}
+
+impl BlockIndex {
+    /// Whether no slot of block `b` offers more than `service`.
+    fn quiet(&self, b: usize, service: f64) -> bool {
+        let p = self.peaks[b];
+        p != u32::MAX && f64::from(p) <= service
+    }
 }
 
 impl<'a> MuxSim<'a> {
@@ -95,9 +129,13 @@ impl<'a> MuxSim<'a> {
         // rates bit-identical to a serial materializing build).
         let dt = trace.slice_duration();
         let work = trace.slice_bytes().len().saturating_mul(combos.len());
-        let per_combo: Vec<(f64, f64)> = vbr_stats::par::par_map_sized(work, &combos, |c| {
+        // The same sweep records each combination's block peaks and
+        // total for the idle-block skip.
+        let slots = trace.slice_bytes().len();
+        let per_combo: Vec<(BlockIndex, f64)> = vbr_stats::par::par_map_sized(work, &combos, |c| {
             let mut cursor = ArrivalCursor::with_batch(trace, c, batch);
             let mut buf = [0.0f64; STREAM_CHUNK];
+            let mut peaks = Vec::with_capacity(slots.div_ceil(IDLE_BLOCK));
             let mut total = 0.0f64;
             let mut peak = 0.0f64;
             loop {
@@ -105,17 +143,23 @@ impl<'a> MuxSim<'a> {
                 if k == 0 {
                     break;
                 }
-                for &a in &buf[..k] {
-                    total += a;
-                    peak = peak.max(a);
+                for block in buf[..k].chunks(IDLE_BLOCK) {
+                    let mut top = 0.0f64;
+                    for &a in block {
+                        total += a;
+                        top = top.max(a);
+                    }
+                    peak = peak.max(top);
+                    // Exact: `top` is an integer below `u32::MAX` here.
+                    peaks.push(if top < f64::from(u32::MAX) { top as u32 } else { u32::MAX });
                 }
             }
-            (total, peak)
+            (BlockIndex { peaks, total }, peak)
         });
-        let slots = trace.slice_bytes().len();
-        let mean_rate = per_combo[0].0 / (slots as f64 * dt);
+        let mean_rate = per_combo[0].0.total / (slots as f64 * dt);
         let peak_slot_rate = per_combo.iter().map(|&(_, p)| p).fold(0.0f64, f64::max) / dt;
-        Ok(MuxSim { trace, n_sources, dt, mean_rate, peak_slot_rate, combos, batch })
+        let index = per_combo.into_iter().map(|(ix, _)| ix).collect();
+        Ok(MuxSim { trace, n_sources, dt, mean_rate, peak_slot_rate, combos, index, batch })
     }
 
     /// The borrowed arrival trace.
@@ -193,7 +237,7 @@ impl<'a> MuxSim<'a> {
         buffers: &[f64; L],
     ) -> [AveragedLoss; L] {
         obs::counter_add(Counter::MuxRuns, 1);
-        let losses = self.replay(capacities, buffers, true);
+        let losses = self.replay(capacities, buffers, true, false);
         let overflow = losses.iter().map(|l| l.overflow_slots).sum();
         obs::counter_add(Counter::QueueOverflowSlots, overflow);
         losses
@@ -215,20 +259,29 @@ impl<'a> MuxSim<'a> {
     /// bit-identical to the serial one-combination loop at any thread
     /// count. Overflow slots are counted in registers per lane, so a
     /// run's figure is its own whatever runs concurrently.
+    ///
+    /// With `skip_idle` (and without `worst_second`), a group whose
+    /// blocks are mostly quiet at the lanes' smallest service replays
+    /// only the blocks where some lane can leave an empty queue
+    /// ([`replay_group_skipping`](Self::replay_group_skipping)), with
+    /// the same bits.
     pub(crate) fn replay<const L: usize>(
         &self,
         capacities: &[f64; L],
         buffers: &[f64; L],
         worst_second: bool,
+        skip_idle: bool,
     ) -> [AveragedLoss; L] {
         let (workers, group) = self.grouping();
-        let groups: Vec<&[LagCombination]> = self.combos.chunks(group).collect();
-        let (c, b, w) = (capacities, buffers, worst_second);
+        let firsts: Vec<usize> = (0..self.combos.len()).step_by(group).collect();
+        let (c, b, w, skip) = (capacities, buffers, worst_second, skip_idle && !worst_second);
         let per_group: Vec<Vec<[AveragedLoss; L]>> =
-            vbr_stats::par::par_map_with(workers, &groups, |combos| match combos.len() {
-                1 => self.replay_group::<L, 1>(combos, c, b, w).to_vec(),
-                2 => self.replay_group::<L, 2>(combos, c, b, w).to_vec(),
-                _ => self.replay_group::<L, MAX_GROUPS>(combos, c, b, w).to_vec(),
+            vbr_stats::par::par_map_with(workers, &firsts, |&first| {
+                match group.min(self.combos.len() - first) {
+                    1 => self.replay_group::<L, 1>(first, c, b, w, skip).to_vec(),
+                    2 => self.replay_group::<L, 2>(first, c, b, w, skip).to_vec(),
+                    _ => self.replay_group::<L, MAX_GROUPS>(first, c, b, w, skip).to_vec(),
+                }
             });
         let k = self.combos.len() as f64;
         std::array::from_fn(|l| {
@@ -255,19 +308,26 @@ impl<'a> MuxSim<'a> {
         (workers, self.combos.len().div_ceil(workers).min(MAX_GROUPS))
     }
 
-    /// Replays the `G` combinations in `combos` through one interleaved
-    /// pass of `G × L` queue lanes.
+    /// Replays the `G` combinations from `first` through one interleaved
+    /// pass of `G × L` queue lanes: every slot, or with `skip_idle`,
+    /// only the blocks that can move a lane when at least
+    /// [`SKIP_SHARE`] of the group's blocks are quiet.
     fn replay_group<const L: usize, const G: usize>(
         &self,
-        combos: &[LagCombination],
+        first: usize,
         capacities: &[f64; L],
         buffers: &[f64; L],
         worst_second: bool,
+        skip_idle: bool,
     ) -> [[AveragedLoss; L]; G] {
-        let mut cursors: [ArrivalCursor; G] =
-            std::array::from_fn(|g| ArrivalCursor::with_batch(self.trace, &combos[g], self.batch));
-        let slots = cursors[0].len();
+        let slots = self.trace.slice_bytes().len();
         let mut lanes = LaneQueues::<L, G>::new(capacities, buffers, self.dt, slots, worst_second);
+        if skip_idle && skip_pays(&self.index[first..first + G], lanes.min_service()) {
+            return self.replay_group_skipping(first, lanes);
+        }
+        let mut cursors: [ArrivalCursor; G] = std::array::from_fn(|g| {
+            ArrivalCursor::with_batch(self.trace, &self.combos[first + g], self.batch)
+        });
         let mut bufs = [[0.0f64; STREAM_CHUNK]; G];
         loop {
             let mut k = 0;
@@ -279,6 +339,76 @@ impl<'a> MuxSim<'a> {
             }
             lanes.feed(bufs.each_ref().map(|b| &b[..k]));
         }
+        lanes.totals()
+    }
+
+    /// [`replay_group`](Self::replay_group) over the blocks that can move
+    /// a lane, for `Overall`-only `lanes`.
+    ///
+    /// A block is idle for a combination when, at its start, every lane
+    /// holds a backlog of exactly `+0.0` and the block's peak is at most
+    /// the smallest lane service `S`. Each slot then computes
+    /// `max(0 + a − S, 0) = +0.0` and loses `max(0 − Q, 0) = +0.0`, so no
+    /// lane's backlog, loss or overflow changes a bit. A block idle for
+    /// every combination is neither summed nor stepped; in a block that
+    /// some combination must step, an idle one is fed zeros, which leave
+    /// it as bit-for-bit unchanged. Each combination sums the blocks it
+    /// must step in long runs ([`BlockFeed`]), and `arrived` comes from
+    /// the index, which holds the same left-to-right sum.
+    fn replay_group_skipping<const L: usize, const G: usize>(
+        &self,
+        first: usize,
+        mut lanes: LaneQueues<L, G>,
+    ) -> [[AveragedLoss; L]; G] {
+        let index = &self.index[first..first + G];
+        let service = lanes.min_service();
+        let slots = self.trace.slice_bytes().len();
+        let blocks = index[0].peaks.len();
+        let mut feeds: [BlockFeed; G] = std::array::from_fn(|g| {
+            BlockFeed::new(ArrivalCursor::with_batch(
+                self.trace,
+                &self.combos[first + g],
+                self.batch,
+            ))
+        });
+        let zeros = [0.0f64; IDLE_BLOCK];
+        let mut b = 0;
+        while b < blocks {
+            let steps: [bool; G] =
+                std::array::from_fn(|g| !(lanes.drained(g) && index[g].quiet(b, service)));
+            if !steps.contains(&true) {
+                b += 1;
+                continue;
+            }
+            // When every combination steps this block, also take the
+            // blocks after it that every combination must step anyway.
+            let mut end = b + 1;
+            if !steps.contains(&false) {
+                while end < blocks
+                    && end - b < FEED_BLOCKS
+                    && index.iter().all(|ix| !ix.quiet(end, service))
+                {
+                    end += 1;
+                }
+            }
+            let lo = b * IDLE_BLOCK;
+            let mut hi = (end * IDLE_BLOCK).min(slots);
+            for (g, feed) in feeds.iter_mut().enumerate() {
+                if steps[g] {
+                    hi = hi.min(feed.fill(lo, &index[g], service));
+                }
+            }
+            let runs: [&[f64]; G] = std::array::from_fn(|g| {
+                if steps[g] {
+                    feeds[g].slots(lo, hi)
+                } else {
+                    &zeros[..hi - lo]
+                }
+            });
+            lanes.step(runs);
+            b = hi.div_ceil(IDLE_BLOCK);
+        }
+        lanes.settle_arrived(std::array::from_fn(|g| index[g].total));
         lanes.totals()
     }
 
@@ -358,15 +488,46 @@ impl<'a> MuxSim<'a> {
         iterations: usize,
     ) -> Result<f64, QsimError> {
         check_search_args(t_max_secs, target)?;
-        let lo = self.mean_rate; // below the mean, loss is unavoidable
-        let hi = self.peak_slot_rate.max(lo * 1.001); // provably lossless
-        search::search(lo, hi, iterations, t_max_secs, target, metric, self)
+        let (lo, hi) = self.bracket();
+        let passes = Passes { sim: self, skip_idle: true };
+        search::search(lo, hi, iterations, t_max_secs, target, metric, passes)
+    }
+
+    /// Where every capacity search starts: below the mean rate loss is
+    /// unavoidable, and at the peak slot rate provably nil.
+    fn bracket(&self) -> (f64, f64) {
+        (self.mean_rate, self.peak_slot_rate.max(self.mean_rate * 1.001))
+    }
+
+    /// [`required_capacity`](Self::required_capacity) with every pass
+    /// replaying every slot, as searches ran before passes skipped idle
+    /// blocks (same bits): the baseline benches and tests compare with.
+    #[doc(hidden)]
+    pub fn required_capacity_dense(
+        &self,
+        t_max_secs: f64,
+        target: LossTarget,
+        metric: LossMetric,
+        iterations: usize,
+    ) -> f64 {
+        let (lo, hi) = self.bracket();
+        let passes = Passes { sim: self, skip_idle: false };
+        check_search_args(t_max_secs, target)
+            .and_then(|()| search::search(lo, hi, iterations, t_max_secs, target, metric, passes))
+            .unwrap_or_else(|e| panic!("required_capacity_dense: {e}"))
     }
 }
 
-impl SearchPass for &MuxSim<'_> {
+/// The passes of a search over a [`MuxSim`]: `Overall` passes skip idle
+/// blocks when `skip_idle` is set, and replay every slot otherwise.
+pub(crate) struct Passes<'s, 'a> {
+    pub sim: &'s MuxSim<'a>,
+    pub skip_idle: bool,
+}
+
+impl SearchPass for Passes<'_, '_> {
     fn groups(&self) -> usize {
-        self.grouping().1
+        self.sim.grouping().1
     }
 
     fn pass<const L: usize>(
@@ -375,11 +536,75 @@ impl SearchPass for &MuxSim<'_> {
         buffers: &[f64; L],
         metric: LossMetric,
     ) -> Result<[AveragedLoss; L], QsimError> {
-        Ok(self.replay(capacities, buffers, metric == LossMetric::WorstSecond))
+        let worst_second = metric == LossMetric::WorstSecond;
+        Ok(self.sim.replay(capacities, buffers, worst_second, self.skip_idle))
     }
 
     fn zero_loss(&mut self, t_max_secs: f64) -> Option<ZeroLoss> {
-        MuxSim::zero_loss(self, t_max_secs)
+        self.sim.zero_loss(t_max_secs)
+    }
+}
+
+/// Share of a group's blocks that must be quiet at a pass's smallest
+/// service for the pass to skip idle blocks, as `(num, den)`. Below it
+/// the pass stays on the dense path: skipping short gaps saves little
+/// memory traffic, and shorter sums cost more per slot.
+const SKIP_SHARE: (usize, usize) = (1, 2);
+
+/// Whether a pass at smallest lane service `service` skips idle blocks
+/// of the combinations in `index`: at least [`SKIP_SHARE`] of their
+/// blocks are quiet. Depends only on the index and the capacities.
+fn skip_pays(index: &[BlockIndex], service: f64) -> bool {
+    let blocks: usize = index.iter().map(|ix| ix.peaks.len()).sum();
+    let quiet: usize =
+        index.iter().map(|ix| (0..ix.peaks.len()).filter(|&b| ix.quiet(b, service)).count()).sum();
+    quiet * SKIP_SHARE.1 >= blocks * SKIP_SHARE.0
+}
+
+/// The arrivals one combination of a skipping pass steps: a cursor that
+/// sums from the first block it must step through the blocks after it
+/// that are not quiet and a quiet tail, up to [`FEED_BLOCKS`], and
+/// passes over everything else unsummed.
+struct BlockFeed<'a> {
+    cursor: ArrivalCursor<'a>,
+    buf: [f64; STREAM_CHUNK],
+    /// Slots `start..end` are in `buf`.
+    start: usize,
+    end: usize,
+    /// Quiet blocks a sum takes after its last loud one: 1, doubled
+    /// each time a backlog outlasts the previous sum.
+    tail: usize,
+}
+
+impl<'a> BlockFeed<'a> {
+    fn new(cursor: ArrivalCursor<'a>) -> Self {
+        BlockFeed { cursor, buf: [0.0; STREAM_CHUNK], start: 0, end: 0, tail: 1 }
+    }
+
+    /// Makes sure slot `lo` (a block start at or after every slot asked
+    /// for before) is summed, and returns where the summed run ends.
+    fn fill(&mut self, lo: usize, index: &BlockIndex, service: f64) -> usize {
+        if (self.start..self.end).contains(&lo) {
+            return self.end;
+        }
+        self.tail = if lo == self.end && lo > 0 { (2 * self.tail).min(FEED_BLOCKS) } else { 1 };
+        let emitted = self.cursor.len() - self.cursor.remaining();
+        self.cursor.skip_slots(lo - emitted);
+        let first = lo / IDLE_BLOCK;
+        let (mut end, mut quiet) = (first + 1, 0);
+        while end < index.peaks.len() && end - first < FEED_BLOCKS && quiet < self.tail {
+            quiet = if index.quiet(end, service) { quiet + 1 } else { 0 };
+            end += 1;
+        }
+        let k = self.cursor.next_block(&mut self.buf[..(end - first) * IDLE_BLOCK]);
+        (self.start, self.end) = (lo, lo + k);
+        self.end
+    }
+
+    /// The summed slots `lo..hi`, inside the run [`fill`](Self::fill)
+    /// last made sure of.
+    fn slots(&self, lo: usize, hi: usize) -> &[f64] {
+        &self.buf[lo - self.start..hi - self.start]
     }
 }
 
@@ -707,6 +932,198 @@ mod tests {
             assert_eq!(a.join().unwrap(), vec![solo_a; 4]);
             assert_eq!(b.join().unwrap(), vec![solo_b; 4]);
         });
+    }
+
+    /// The one-probe-per-replay bisection on the public dense `run`: the
+    /// capacity after `levels` `P_l <= rate` levels from `(lo, hi)`.
+    fn scalar_capacity(
+        sim: &MuxSim,
+        t_max: f64,
+        rate: f64,
+        (lo, hi): (f64, f64),
+        levels: usize,
+    ) -> f64 {
+        let (mut lo, mut hi) = (lo, hi);
+        for _ in 0..levels {
+            let mid = 0.5 * (lo + hi);
+            if sim.run(mid, t_max * mid).p_l <= rate {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi
+    }
+
+    /// The capacity at which `share` of all blocks are quiet: block peak
+    /// quantiles, as a rate. Share 0 is the smallest peak, below which
+    /// no block of any combination is quiet.
+    fn quiet_at(sim: &MuxSim, share: f64) -> f64 {
+        let mut peaks: Vec<u32> =
+            sim.index.iter().flat_map(|ix| ix.peaks.iter().copied()).collect();
+        peaks.sort_unstable();
+        let at = ((peaks.len() - 1) as f64 * share) as usize;
+        f64::from(peaks[at]) / sim.dt()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Searches whose passes skip idle blocks against the
+        /// one-probe-per-replay loop, bit for bit, over the search's own
+        /// bracket, one where every block is idle (above the peak), one
+        /// where none is (below every block's peak) and one where most
+        /// are quiet but queues still build, at 1–3 threads, so one to
+        /// three combinations share a pass; on screenplay traces and on
+        /// bursts whose backlogs run into quiet blocks.
+        #[test]
+        fn skipping_searches_keep_scalar_bits(
+            trace_pick in 0usize..2,
+            n_pick in 0usize..4,
+            seed in 0u64..1_000,
+            t_pick in 0usize..3,
+            rate_pick in 0usize..3,
+            bracket_pick in 0usize..4,
+            levels in 0usize..26,
+            threads in 1usize..4,
+        ) {
+            let trace =
+                if trace_pick == 1 { bursty_trace() } else { generate_screenplay(&ScreenplayConfig::short(200, 5)) };
+            let sim = MuxSim::new(&trace, [1, 3, 5, 20][n_pick], seed);
+            let t_max = [0.0, 0.002, 0.02][t_pick];
+            let rate = [0.0, 1e-4, 1e-2][rate_pick];
+            let (mean, peak) = (sim.mean_rate(), sim.peak_slot_rate());
+            let bracket = match bracket_pick {
+                0 => (mean, peak.max(mean * 1.001)),
+                1 => (peak, 2.0 * peak),
+                2 => (0.25 * quiet_at(&sim, 0.0), 0.5 * quiet_at(&sim, 0.0)),
+                _ => (quiet_at(&sim, 0.6), quiet_at(&sim, 0.95)),
+            };
+            proptest::prop_assume!(bracket.0 > 0.0);
+            let target = LossTarget::Rate(rate);
+            let got = vbr_stats::par::with_threads(threads, || {
+                let passes = Passes { sim: &sim, skip_idle: true };
+                search::search(bracket.0, bracket.1, levels, t_max, target, LossMetric::Overall, passes)
+            });
+            let want = scalar_capacity(&sim, t_max, rate, bracket, levels);
+            proptest::prop_assert_eq!(got.unwrap().to_bits(), want.to_bits());
+        }
+    }
+
+    /// 40 000 slots of an uneven floor of 300–556 bytes with a
+    /// 20 000-byte burst every 4 999 slots: bursts that land anywhere in
+    /// a block, so backlogs cross into quiet blocks.
+    fn bursty_trace() -> Trace {
+        let slices = (0..40_000u32)
+            .map(|i| if i % 4_999 == 4_998 { 20_000 } else { 300 + (i * 7_919) % 257 })
+            .collect();
+        Trace::from_slices(slices, 40, 25.0)
+    }
+
+    #[test]
+    fn skipping_passes_keep_dense_bits() {
+        // Lane ladders from below every block's peak to past the peak
+        // slot rate: dense passes, skipping passes with most blocks
+        // stepped, and passes that skip every block.
+        let (mut skipped, mut dense, mut lossy_skips) = (0, 0, 0);
+        let traces = [generate_screenplay(&ScreenplayConfig::short(400, 3)), bursty_trace()];
+        for (t, n) in traces.iter().flat_map(|t| [1, 3, 5, 20].map(|n| (t, n))) {
+            let sim = MuxSim::new(t, n, 17);
+            let (floor, peak) = (quiet_at(&sim, 0.0), sim.peak_slot_rate());
+            let ladders = [
+                (0.5 * floor, floor),
+                (quiet_at(&sim, 0.6), quiet_at(&sim, 0.9)),
+                (peak, 1.5 * peak),
+            ];
+            for (lo, hi) in ladders {
+                let caps: [f64; 8] = std::array::from_fn(|l| lo + (hi - lo) * l as f64 / 7.0);
+                let service = caps[0] * sim.dt();
+                let skips = sim.index.chunks(sim.grouping().1).all(|ix| skip_pays(ix, service));
+                if skips {
+                    skipped += 1;
+                } else {
+                    dense += 1;
+                }
+                for t_max in [0.0, 0.004, 0.05] {
+                    let bufs = caps.map(|c| t_max * c);
+                    for threads in 1..=3 {
+                        vbr_stats::par::with_threads(threads, || {
+                            let want = sim.replay(&caps, &bufs, false, false);
+                            let got = sim.replay(&caps, &bufs, false, true);
+                            if skips && want[0].overflow_slots > 0 {
+                                lossy_skips += 1;
+                            }
+                            for (l, (g, w)) in got.iter().zip(&want).enumerate() {
+                                let at =
+                                    format!("N = {n}, lane {l}, T_max {t_max}, {threads} threads");
+                                assert_eq!(g.p_l.to_bits(), w.p_l.to_bits(), "{at}");
+                                assert_eq!(g.overflow_slots, w.overflow_slots, "{at}");
+                            }
+                        });
+                    }
+                }
+            }
+        }
+        assert!(skipped > 0 && dense > 0, "skipped {skipped}, dense {dense}: weak test");
+        assert!(lossy_skips > 0, "no skipping pass lost a byte: weak test");
+    }
+
+    #[test]
+    fn quiet_block_behind_a_backlog_is_stepped() {
+        // 16 blocks of 64 slots at 768 slots/s, one source. Service is
+        // ~1000 bytes a slot, the buffer 5000 bytes. Block 0 ends on a
+        // 4000-byte burst, leaving a 3000-byte backlog; block 1 is quiet
+        // (900 bytes a slot) and drains it; block 2 opens on an
+        // 8000-byte burst. Skipping block 1 would meet that burst with
+        // the backlog still queued and lose 3000 bytes more.
+        let mut slices = vec![0u32; 16 * IDLE_BLOCK];
+        slices[IDLE_BLOCK - 1] = 4_000;
+        slices[IDLE_BLOCK..2 * IDLE_BLOCK].fill(900);
+        slices[2 * IDLE_BLOCK] = 8_000;
+        let trace = Trace::from_slices(slices, 32, 24.0);
+        let sim = MuxSim::new(&trace, 1, 1);
+        let c = 1_000.0 / sim.dt();
+        let q = 5_000.0;
+        let service = FluidQueue::new(q, c).capacity_bps() * sim.dt();
+        assert!(sim.index[0].quiet(1, service) && !sim.index[0].quiet(2, service));
+        assert!(skip_pays(&sim.index, service), "the pass must take the skipping path");
+        let mut fluid = FluidQueue::new(q, c);
+        for &a in &aggregate_arrivals_for_test(&sim) {
+            fluid.step(a, sim.dt());
+        }
+        let [got] = sim.replay(&[c], &[q], false, true);
+        assert_eq!(got.p_l.to_bits(), fluid.loss_rate().to_bits());
+        assert_eq!(got.overflow_slots, 1);
+        assert!((got.p_l * 69_600.0 - 2_000.0).abs() < 1e-6, "p_l {}", got.p_l);
+    }
+
+    /// The materialized aggregate of `sim`'s only combination.
+    fn aggregate_arrivals_for_test(sim: &MuxSim) -> Vec<f64> {
+        crate::mux::aggregate_arrivals(sim.trace(), &sim.combos()[0])
+    }
+
+    #[test]
+    fn index_totals_are_the_lanes_arrived_bits() {
+        let t = generate_screenplay(&ScreenplayConfig::short(300, 9));
+        for n in [1, 5, 20] {
+            let sim = MuxSim::new(&t, n, 4);
+            for (combo, ix) in sim.combos().iter().zip(&sim.index) {
+                let slots = t.slice_bytes().len();
+                let mut lanes =
+                    LaneQueues::<2>::new(&[1e6, 2e6], &[0.0, 10.0], sim.dt(), slots, true);
+                let mut cursor = ArrivalCursor::new(&t, combo);
+                let mut buf = [0.0; 1000];
+                loop {
+                    let k = cursor.next_block(&mut buf);
+                    if k == 0 {
+                        break;
+                    }
+                    lanes.feed([&buf[..k]]);
+                }
+                assert_eq!(ix.total.to_bits(), lanes.arrived()[0].to_bits(), "N = {n}");
+                assert_eq!(ix.peaks.len(), slots.div_ceil(IDLE_BLOCK));
+            }
+        }
     }
 
     #[test]

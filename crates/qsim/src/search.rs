@@ -16,7 +16,9 @@
 //! evenly over those passes and runs each at `2^depth` lanes for its own
 //! depth, so no pass carries lanes whose verdicts it never reads. A pass
 //! also carries only the searched metric: an `Overall` search skips the
-//! worst-errored-second accounting.
+//! worst-errored-second accounting, and over a `MuxSim` its passes also
+//! skip the blocks in which every lane's queue stays empty (DESIGN.md
+//! §10, "Idle blocks"), stepping the rest through [`LaneQueues::step`].
 //!
 //! Lane contract (as for the lane-batched FFT): every lane runs exactly
 //! the op sequence of [`FluidQueue::step_block`] on its own `(C, Q)`,
@@ -169,6 +171,42 @@ impl<const L: usize, const G: usize> LaneQueues<L, G> {
                 }
             }
         }
+    }
+
+    /// The smallest lane's service per slot, `C·dt`.
+    pub fn min_service(&self) -> f64 {
+        self.service.iter().copied().fold(f64::INFINITY, f64::min)
+    }
+
+    /// Whether every lane of group `g` holds a backlog of exactly `+0.0`.
+    pub fn drained(&self, g: usize) -> bool {
+        self.backlog[g].iter().all(|b| b.to_bits() == 0)
+    }
+
+    /// Steps every group through one run of its own arrivals, outside
+    /// the errored-second windows: only for lanes that keep `p_l` alone,
+    /// whose bits do not depend on where runs are cut. The groups' runs
+    /// need not cover the same slots, so a caller that skips slots (see
+    /// [`settle_arrived`](Self::settle_arrived)) can pair any runs of
+    /// equal length.
+    pub fn step(&mut self, runs: [&[f64]; G]) {
+        assert!(!self.worst_second, "errored-second lanes step through `feed`");
+        assert!(runs.iter().all(|r| r.len() == runs[0].len()), "ragged group runs");
+        self.step_run(runs);
+    }
+
+    /// Sets each group's `arrived` total to `arrived`, the whole
+    /// replay's, for a replay that stepped only some of its slots
+    /// through [`step`](Self::step). The offered total is left as
+    /// stepped.
+    pub fn settle_arrived(&mut self, arrived: [f64; G]) {
+        self.arrived = arrived;
+    }
+
+    /// Each group's running arrival total.
+    #[cfg(test)]
+    pub fn arrived(&self) -> [f64; G] {
+        self.arrived
     }
 
     /// The clamp recurrence over one run, all lanes in registers.
@@ -496,6 +534,7 @@ pub(crate) fn search(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::qc::Passes;
     use crate::MuxSim;
     use vbr_video::{generate_screenplay, ScreenplayConfig};
 
@@ -613,6 +652,11 @@ mod tests {
             Counted { sim, lanes: Vec::new() }
         }
 
+        /// The passes a search over `sim` runs.
+        fn passes(&self) -> Passes<'s, 'a> {
+            Passes { sim: self.sim, skip_idle: true }
+        }
+
         fn probes(&self) -> usize {
             self.lanes.iter().map(|l| l.trailing_zeros() as usize).sum()
         }
@@ -620,7 +664,7 @@ mod tests {
 
     impl SearchPass for Counted<'_, '_> {
         fn groups(&self) -> usize {
-            self.sim.groups()
+            self.passes().groups()
         }
 
         fn pass<const L: usize>(
@@ -630,7 +674,7 @@ mod tests {
             metric: LossMetric,
         ) -> Result<[AveragedLoss; L], QsimError> {
             self.lanes.push(L);
-            self.sim.pass(capacities, buffers, metric)
+            self.passes().pass(capacities, buffers, metric)
         }
     }
 
@@ -802,8 +846,8 @@ mod tests {
         let bufs = caps.map(|c| 0.002 * c);
         for threads in 1..=3 {
             vbr_stats::par::with_threads(threads, || {
-                let full = sim.replay(&caps, &bufs, true);
-                let overall = sim.replay(&caps, &bufs, false);
+                let full = sim.replay(&caps, &bufs, true, false);
+                let overall = sim.replay(&caps, &bufs, false, false);
                 for (l, (f, o)) in full.iter().zip(&overall).enumerate() {
                     assert_eq!(o.p_l.to_bits(), f.p_l.to_bits(), "{threads} threads, lane {l}");
                     assert_eq!(o.overflow_slots, f.overflow_slots, "{threads} threads, lane {l}");
