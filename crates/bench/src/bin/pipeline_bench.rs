@@ -1722,6 +1722,66 @@ fn bench_streaming(sizes: &Sizes, report: &mut PerfReport) {
              peak live state is one {block}-sample block + one {chunk}-sample chunk"
         ),
     );
+
+    bench_window_synthesis(sizes, report, 2 * block);
+}
+
+/// One circulant window of the stream (`m` real samples from a Hermitian
+/// half-spectrum): the Hermitian fold written in natural order plus the
+/// transform's bit-reversal swap pass (the layout before the fold took
+/// over the permutation), against `synthesize_hermitian_packed`, whose
+/// fold writes the bit-reversed slots and whose transform skips the
+/// swap. The baseline's fold is the same expressions over the same
+/// twiddles, so both arms give the same bits (asserted first).
+fn bench_window_synthesis(sizes: &Sizes, report: &mut PerfReport, m: usize) {
+    let h = m / 2;
+    let mut rng = Xoshiro256::seed_from_u64(47);
+    let mut w: Vec<Complex> =
+        (0..=h).map(|_| Complex::new(rng.standard_normal(), rng.standard_normal())).collect();
+    w[0].im = 0.0;
+    w[h].im = 0.0;
+    let step = -2.0 * std::f64::consts::PI / m as f64;
+    let twiddles: Vec<(f64, f64)> = (0..h).map(|k| (step * k as f64).sin_cos()).collect();
+    let (real_plan, half_plan) = (vbr_fft::real_plan_for(m), vbr_fft::plan_for(h));
+    let natural = |buf: &mut [Complex]| {
+        let (dc, nyq) = (Complex::from_re(w[0].re), Complex::from_re(w[h].re));
+        let (a, b) = (dc + nyq, dc - nyq);
+        buf[0] = Complex::new(a.re - b.im, a.im + b.re);
+        for (k, c) in buf.iter_mut().enumerate().skip(1) {
+            let (wk, wkh) = (w[k], w[h - k].conj());
+            let (a, d) = (wk + wkh, wk - wkh);
+            let (s, co) = twiddles[k];
+            let (b_re, b_im) = (d.re * co - d.im * s, d.re * s + d.im * co);
+            *c = Complex::new(a.re - b_im, a.im + b_re);
+        }
+        half_plan.forward(buf);
+        std::hint::black_box(buf[h - 1]);
+    };
+    let bitrev = |buf: &mut [Complex]| {
+        real_plan.synthesize_hermitian_packed(w[0].re, w[h].re, |k| w[k], buf);
+        std::hint::black_box(buf[h - 1]);
+    };
+    let (mut a, mut b) = (vec![Complex::ZERO; h], vec![Complex::ZERO; h]);
+    natural(&mut a);
+    bitrev(&mut b);
+    assert!(
+        a.iter().zip(&b).all(|(x, y)| (x.re.to_bits(), x.im.to_bits())
+            == (y.re.to_bits(), y.im.to_bits())),
+        "the bit-reversed fold diverged from the natural-order fold"
+    );
+    let t = time_paired(sizes.budget, || natural(&mut a), || bitrev(&mut b));
+    report.record(
+        "streaming",
+        "window_synthesis_swap_vs_bitrev_fold",
+        t,
+        &format!(
+            "one stream window, m={m} real samples from a Hermitian half-spectrum into one \
+             {h}-point buffer; baseline folds in natural order then runs FftPlan::forward \
+             (swap pass + stages), new path is synthesize_hermitian_packed, whose fold \
+             writes bit-reversed slots and whose transform skips the swap (bits verified \
+             equal first)"
+        ),
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -57,11 +57,24 @@ impl FftPlan {
         isa.run(LanesRun::<true> { plan: self, data, l });
     }
 
+    /// [`forward_lanes`](Self::forward_lanes) of lane groups filled in
+    /// [`fill_order`](Self::fill_order): the lane twin of
+    /// [`FftPlan::forward_filled`], without the swap pass after a
+    /// permuted fill.
+    pub(crate) fn forward_lanes_filled(&self, data: &mut [Complex], l: usize) {
+        if self.fills_permuted(l) {
+            Isa::detect().run(LanesRun::<true, false> { plan: self, data, l });
+        } else {
+            self.forward_lanes(data, l);
+        }
+    }
+
     /// The lane transform, inlined into each ISA copy through
     /// [`LanesRun`] exactly as [`FftPlan::forward`]'s body is; every copy
-    /// gives the same bits (tested below, copy by copy).
+    /// gives the same bits (tested below, copy by copy). `SWAP` off skips
+    /// the bit-reversal pass, as in the scalar body.
     #[inline(always)]
-    fn run_lanes<const FWD: bool>(&self, data: &mut [Complex], l: usize) {
+    fn run_lanes<const FWD: bool, const SWAP: bool>(&self, data: &mut [Complex], l: usize) {
         let n = self.n;
         assert!(l >= 1, "lane count must be >= 1");
         assert_eq!(
@@ -77,11 +90,13 @@ impl FftPlan {
         // Bit-reversal permutes whole lane groups; within a group the
         // lanes keep their slots, so each lane sees exactly the scalar
         // permutation.
-        for i in 1..n {
-            let j = self.bit_rev[i] as usize;
-            if i < j {
-                for v in 0..l {
-                    data.swap(i * l + v, j * l + v);
+        if SWAP {
+            for i in 1..n {
+                let j = self.bit_rev[i] as usize;
+                if i < j {
+                    for v in 0..l {
+                        data.swap(i * l + v, j * l + v);
+                    }
                 }
             }
         }
@@ -116,19 +131,20 @@ impl FftPlan {
     }
 }
 
-/// One lane transform of `l` lanes, compiled per ISA by [`Isa::run`].
-struct LanesRun<'a, const FWD: bool> {
+/// One lane transform of `l` lanes, compiled per ISA by [`Isa::run`];
+/// `SWAP` off for lane groups given bit-reversed.
+struct LanesRun<'a, const FWD: bool, const SWAP: bool = true> {
     plan: &'a FftPlan,
     data: &'a mut [Complex],
     l: usize,
 }
 
-impl<const FWD: bool> Kernel for LanesRun<'_, FWD> {
+impl<const FWD: bool, const SWAP: bool> Kernel for LanesRun<'_, FWD, SWAP> {
     type Output = ();
 
     #[inline(always)]
     fn run(self) {
-        self.plan.run_lanes::<FWD>(self.data, self.l);
+        self.plan.run_lanes::<FWD, SWAP>(self.data, self.l);
     }
 }
 
@@ -184,7 +200,10 @@ impl RealFftPlan {
     /// `half[k*l + v]`); `out` receives `n * l` reals (sample `t` of
     /// lane `v` at `out[t*l + v]`); `scratch` is the lane-interleaved
     /// half-length complex workspace. Per lane, every fold / twiddle /
-    /// emit expression is the scalar plan's — outputs are bit-identical
+    /// emit expression is the scalar plan's, and the folded bins land in
+    /// the same fill order (whole lane groups; bit-reversed, and the lane
+    /// transform without its swap pass, while the `h·l`-point buffer
+    /// fits [`FftPlan::fill_order`]'s bound) — outputs are bit-identical
     /// to `l` scalar syntheses.
     pub fn synthesize_hermitian_lanes(
         &self,
@@ -207,26 +226,32 @@ impl RealFftPlan {
             scratch.clear();
             scratch.resize(h * l, Complex::ZERO);
         }
-        for v in 0..l {
-            let dc = Complex::from_re(half[v].re);
-            let nyq = Complex::from_re(half[h * l + v].re);
-            let a = dc + nyq;
-            let b = dc - nyq;
-            scratch[v] = Complex::new(a.re - b.im, a.im + b.re);
-        }
-        for k in 1..h {
+        // Lane group `k` goes to its group slot in the half plan's fill
+        // order, as the scalar fold places bin `k`.
+        self.half_plan.fill_order(l, |slot, k| {
+            let out = &mut scratch[slot * l..(slot + 1) * l];
+            if k == 0 {
+                for (v, c) in out.iter_mut().enumerate() {
+                    let dc = Complex::from_re(half[v].re);
+                    let nyq = Complex::from_re(half[h * l + v].re);
+                    let a = dc + nyq;
+                    let b = dc - nyq;
+                    *c = Complex::new(a.re - b.im, a.im + b.re);
+                }
+                return;
+            }
             let (tw_re, tw_im) = (self.tw_re[k], self.tw_im[k]);
-            for v in 0..l {
+            for (v, c) in out.iter_mut().enumerate() {
                 let wk = half[k * l + v];
                 let wkh = half[(h - k) * l + v].conj();
                 let a = wk + wkh;
                 let d = wk - wkh;
                 let b_re = d.re * tw_re - d.im * tw_im;
                 let b_im = d.re * tw_im + d.im * tw_re;
-                scratch[k * l + v] = Complex::new(a.re - b_im, a.im + b_re);
+                *c = Complex::new(a.re - b_im, a.im + b_re);
             }
-        }
-        self.half_plan.forward_lanes(scratch, l);
+        });
+        self.half_plan.forward_lanes_filled(scratch, l);
         if out.len() != n * l {
             out.clear();
             out.resize(n * l, 0.0);
@@ -291,9 +316,6 @@ mod tests {
     /// on all lanes, the plan's own transform on the first.
     #[test]
     fn every_isa_copy_of_the_fft_matches_the_portable_body_bitwise() {
-        fn bits(v: &[Complex]) -> Vec<(u64, u64)> {
-            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
-        }
         for log2 in 1..=12 {
             let n = 1usize << log2;
             let plan = plan_for(n);
@@ -341,6 +363,150 @@ mod tests {
             plan.inverse(&mut scalar);
             for j in 0..n {
                 assert_eq!(interleaved[j * l + v], scalar[j], "lane={v} j={j}");
+            }
+        }
+    }
+
+    fn bits(v: &[Complex]) -> Vec<(u64, u64)> {
+        v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    /// A Hermitian half-spectrum of `h + 1` bins (real DC and Nyquist).
+    fn hermitian(h: usize, v: usize) -> Vec<Complex> {
+        let mut half: Vec<Complex> = (0..=h)
+            .map(|k| {
+                let t = (k + 5 * v) as f64;
+                Complex::new((t * 0.57).sin() * 1.5, (t * 0.91).cos())
+            })
+            .collect();
+        half[0].im = 0.0;
+        half[h].im = 0.0;
+        half
+    }
+
+    /// The Hermitian fold written in natural order (bin `k` at slot `k`,
+    /// the layout before the fold took over the bit reversal): the same
+    /// expressions as `RealFftPlan::fold_hermitian`, for the transform
+    /// with its swap pass.
+    fn natural_fold(plan: &RealFftPlan, half: &[Complex], conj: bool) -> Vec<Complex> {
+        let h = plan.n / 2;
+        let (dc, nyq) = (Complex::from_re(half[0].re), Complex::from_re(half[h].re));
+        let (a, b) = (dc + nyq, dc - nyq);
+        let mut buf = vec![Complex::new(a.re - b.im, a.im + b.re)];
+        for k in 1..h {
+            let (wk, wkh) =
+                if conj { (half[k].conj(), half[h - k]) } else { (half[k], half[h - k].conj()) };
+            let a = wk + wkh;
+            let d = wk - wkh;
+            let b_re = d.re * plan.tw_re[k] - d.im * plan.tw_im[k];
+            let b_im = d.re * plan.tw_im[k] + d.im * plan.tw_re[k];
+            buf.push(Complex::new(a.re - b_im, a.im + b_re));
+        }
+        buf
+    }
+
+    /// The packed transform's `n` real samples in order.
+    fn unpack(buf: &[Complex]) -> Vec<u64> {
+        buf.iter().flat_map(|z| [z.re.to_bits(), z.im.to_bits()]).collect()
+    }
+
+    /// The fold into bit-reversed slots plus the swap-free transform
+    /// against the natural-order fold plus the transform that swaps, bit
+    /// for bit: on every ISA copy the CPU supports, at half sizes 1 to
+    /// 2¹⁵ (both parities of log₂) and at 2¹⁶, whose fill stays in
+    /// natural order, through the packed, stored-bin and inverse entry
+    /// points, and through the lane synthesis at 1 to 9 lanes.
+    #[test]
+    fn bit_reversed_fold_matches_natural_fold_and_swap_bitwise() {
+        for log2 in 0..=16 {
+            let h = 1usize << log2;
+            let n = 2 * h;
+            let plan = real_plan_for(n);
+            let half_plan = &*plan.half_plan;
+            let spectra: Vec<Vec<Complex>> = (0..9).map(|v| hermitian(h, v)).collect();
+            let w = &spectra[0];
+            let at = |what: &str| format!("{what}, half size {h}");
+            assert_eq!(half_plan.fills_permuted(1), log2 <= 15);
+
+            // The fold and the transform, copy by copy, both directions
+            // of the fold.
+            for conj in [false, true] {
+                let natural = natural_fold(&plan, w, conj);
+                for isa in Isa::supported() {
+                    let mut want = natural.clone();
+                    isa.run(PlanRun::<true> { plan: half_plan, data: &mut want });
+                    let mut got = vec![Complex::ZERO; h];
+                    if conj {
+                        plan.fold_hermitian::<true>(w[0].re, w[h].re, |k| w[k], &mut got);
+                    } else {
+                        plan.fold_hermitian::<false>(w[0].re, w[h].re, |k| w[k], &mut got);
+                    }
+                    if half_plan.fills_permuted(1) {
+                        isa.run(PlanRun::<true, false> { plan: half_plan, data: &mut got });
+                    } else {
+                        isa.run(PlanRun::<true> { plan: half_plan, data: &mut got });
+                    }
+                    assert!(bits(&got) == bits(&want), "{}", at(&format!("{isa:?}, conj {conj}")));
+                }
+            }
+
+            // The public entry points, on the copy the CPU picks.
+            let mut want = natural_fold(&plan, w, false);
+            half_plan.forward(&mut want);
+            let mut packed = vec![Complex::ZERO; h];
+            plan.synthesize_hermitian_packed(w[0].re, w[h].re, |k| w[k], &mut packed);
+            assert!(bits(&packed) == bits(&want), "{}", at("packed"));
+            let (mut out, mut scratch) = (Vec::new(), Vec::new());
+            plan.synthesize_hermitian(w, &mut out, &mut scratch);
+            let got: Vec<u64> = out.iter().map(|x| x.to_bits()).collect();
+            assert!(got == unpack(&want), "{}", at("stored bins"));
+            let mut want = natural_fold(&plan, w, true);
+            half_plan.forward(&mut want);
+            plan.inverse(w, &mut out, &mut scratch);
+            let inv = 1.0 / n as f64;
+            let want: Vec<u64> =
+                unpack(&want).into_iter().map(|b| (f64::from_bits(b) * inv).to_bits()).collect();
+            let got: Vec<u64> = out.iter().map(|x| x.to_bits()).collect();
+            assert!(got == want, "{}", at("inverse"));
+
+            // Lanes: the lane fold through the public entry, and the lane
+            // transform of the filled groups on every copy.
+            let naturals: Vec<Vec<Complex>> =
+                spectra.iter().map(|w| natural_fold(&plan, w, false)).collect();
+            for l in 1..=9 {
+                let mut interleaved = vec![Complex::ZERO; (h + 1) * l];
+                let mut filled = vec![Complex::ZERO; h * l];
+                for (v, spectrum) in spectra.iter().take(l).enumerate() {
+                    for (k, &z) in spectrum.iter().enumerate() {
+                        interleaved[k * l + v] = z;
+                    }
+                }
+                half_plan.fill_order(l, |slot, k| {
+                    for v in 0..l {
+                        filled[slot * l + v] = naturals[v][k];
+                    }
+                });
+                plan.synthesize_hermitian_lanes(&interleaved, &mut out, &mut scratch, l);
+                for isa in Isa::supported() {
+                    let mut lanes = filled.clone();
+                    if half_plan.fills_permuted(l) {
+                        isa.run(LanesRun::<true, false> { plan: half_plan, data: &mut lanes, l });
+                    } else {
+                        isa.run(LanesRun::<true> { plan: half_plan, data: &mut lanes, l });
+                    }
+                    for (v, natural) in naturals.iter().take(l).enumerate() {
+                        let mut want = natural.clone();
+                        isa.run(PlanRun::<true> { plan: half_plan, data: &mut want });
+                        let got: Vec<Complex> = (0..h).map(|t| lanes[t * l + v]).collect();
+                        let lane = format!("{isa:?}, {l} lanes, lane {v}");
+                        assert!(bits(&got) == bits(&want), "{}", at(&lane));
+                        if isa == Isa::detect() {
+                            let got: Vec<u64> = (0..n).map(|t| out[t * l + v].to_bits()).collect();
+                            let what = format!("lane synthesis, {lane}");
+                            assert!(got == unpack(&want), "{}", at(&what));
+                        }
+                    }
+                }
             }
         }
     }

@@ -244,7 +244,7 @@ impl RealFftPlan {
         buf: &mut [Complex],
     ) {
         self.fold_hermitian::<false>(dc, nyquist, bin, buf);
-        self.half_plan.forward(buf);
+        self.half_plan.forward_filled(buf);
     }
 
     /// Normalised inverse DFT of a Hermitian half-spectrum: the real
@@ -277,7 +277,7 @@ impl RealFftPlan {
             scratch.resize(h, Complex::ZERO);
         }
         self.fold_hermitian::<CONJ>(half[0].re, half[h].re, |k| half[k], scratch);
-        self.half_plan.forward(scratch);
+        self.half_plan.forward_filled(scratch);
         if out.len() != n {
             out.clear();
             out.resize(n, 0.0);
@@ -291,9 +291,13 @@ impl RealFftPlan {
     /// The one synthesis fold: writes into `buf` (length `n/2`) the
     /// vector whose half-length forward FFT carries the real transform
     /// of the Hermitian spectrum with real bins `dc`, `nyquist` and
-    /// interior bins `bin(k)` (conjugated when `CONJ`).
+    /// interior bins `bin(k)` (conjugated when `CONJ`), in the half
+    /// plan's [`fill_order`](FftPlan::fill_order), for
+    /// [`FftPlan::forward_filled`] to transform: up to 2¹⁵ points each
+    /// folded bin `C[k]` lands at its bit-reversed index, so the
+    /// permutation costs no pass of its own.
     #[inline(always)]
-    fn fold_hermitian<const CONJ: bool>(
+    pub(crate) fn fold_hermitian<const CONJ: bool>(
         &self,
         dc: f64,
         nyquist: f64,
@@ -309,12 +313,16 @@ impl RealFftPlan {
         // half-length transform.
         let dc = Complex::from_re(dc);
         let nyq = Complex::from_re(nyquist);
-        {
+        let c0 = {
             let a = dc + nyq;
             let b = dc - nyq;
-            buf[0] = Complex::new(a.re - b.im, a.im + b.re);
-        }
-        for (k, c) in buf.iter_mut().enumerate().skip(1) {
+            Complex::new(a.re - b.im, a.im + b.re)
+        };
+        self.half_plan.fill_order(1, |slot, k| {
+            if k == 0 {
+                buf[slot] = c0;
+                return;
+            }
             let (wk, wkh) = if CONJ {
                 (bin(k).conj(), bin(h - k))
             } else {
@@ -324,8 +332,8 @@ impl RealFftPlan {
             let d = wk - wkh;
             let b_re = d.re * self.tw_re[k] - d.im * self.tw_im[k];
             let b_im = d.re * self.tw_im[k] + d.im * self.tw_re[k];
-            *c = Complex::new(a.re - b_im, a.im + b_re);
-        }
+            buf[slot] = Complex::new(a.re - b_im, a.im + b_re);
+        });
     }
 }
 

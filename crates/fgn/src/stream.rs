@@ -62,16 +62,17 @@
 //! ## Look-ahead on the background worker
 //!
 //! When the pool has an idle worker for the window size, a scalar
-//! refill draws the source's *next* window's normals from a copy of the
-//! source's RNG and posts the window to the `vbr_stats::par` background
-//! worker ([`Lookahead`]), which transforms it while the caller consumes
-//! the window just installed. The next refill takes it back — run by
-//! the worker, or run there and then if the worker had not started it.
-//! The source's own RNG always holds the state a serial refill would
-//! have left, so exports, restores and snapshots cannot tell the
-//! look-ahead ran; a restore or another source's refill just drops the
-//! window in flight. Lane cohorts never take a source with a window in
-//! flight.
+//! refill posts the source's *next* window, with a copy of the source's
+//! RNG, to the `vbr_stats::par` background worker ([`Lookahead`]),
+//! which draws its normals from that copy, folds and transforms it while
+//! the caller consumes the window just installed. The next refill takes
+//! it back — run by the worker, or run there and then if the worker had
+//! not started it. The source's own RNG always holds the state a serial
+//! refill would have left (it takes the copy's state only when it
+//! installs the window), so exports, restores and snapshots cannot tell
+//! the look-ahead ran; a restore or another source's refill just drops
+//! the window in flight. Lane cohorts never take a source with a window
+//! in flight.
 //!
 //! ```
 //! use vbr_fgn::{BatchStream, Family, FgnStream};
@@ -358,22 +359,27 @@ pub struct BatchStream {
     due: Vec<(usize, usize)>,
 }
 
-/// One source's next window, drawn and in flight through a
-/// [`vbr_stats::par::Lookahead`] slot: everything its transform reads,
-/// so the job runs on whichever thread gets to it.
+/// One source's next window in flight through a
+/// [`vbr_stats::par::Lookahead`] slot: everything its job reads, so the
+/// job runs on whichever thread gets to it.
 #[derive(Debug)]
 struct AheadJob {
+    /// The window's workspace, sized for the circulant before posting.
     synth: SynthScratch,
-    /// The source's RNG state right after the window's draws (what a
-    /// serial refill of it would leave).
+    /// A copy of the source's RNG as it stood at the post; once the job
+    /// has run, the state right after the window's draws (what a serial
+    /// refill of it would leave).
     rng: Xoshiro256,
     scales: Arc<SpectrumScales>,
     plan: Arc<RealFftPlan>,
 }
 
 impl AheadJob {
-    /// Transforms the drawn window; allocates nothing.
-    fn transform(&mut self) {
+    /// The whole window, as a serial refill makes it: the draws from the
+    /// job's RNG (uniforms in contract order, then their quantiles), the
+    /// fold and the transform. Allocates nothing.
+    fn run(&mut self) {
+        self.synth.draw(self.scales.m(), &mut self.rng);
         self.synth.transform(&self.scales, &self.plan);
     }
 }
@@ -571,17 +577,19 @@ impl BatchStream {
         self.post_ahead(source);
     }
 
-    /// Draws the next window of `source` and posts it to the pool's
-    /// background worker, to be transformed while the caller consumes
-    /// the window just installed, when `vbr_stats::par::sized_width` of
-    /// the two windows' `m log₂ m` transform work allows it (so small
-    /// windows, and streams driven from inside a pool worker, stay serial
-    /// unless the thread count is pinned). The normals come from a copy
-    /// of the source's RNG in contract order; the source's own RNG is
-    /// untouched until it installs the window. Drawing here rather than
-    /// on the worker splits a window's work about evenly: the caller
-    /// draws (uniforms and quantiles) and consumes, the worker folds and
-    /// transforms, so neither waits long for the other.
+    /// Posts the next window of `source` to the pool's background
+    /// worker, to be made while the caller consumes the window just
+    /// installed, when `vbr_stats::par::sized_width` of the two windows'
+    /// `m log₂ m` transform work allows it (so small windows, and streams
+    /// driven from inside a pool worker, stay serial unless the thread
+    /// count is pinned). The job carries an un-advanced copy of the
+    /// source's RNG and draws the window's normals from it in contract
+    /// order ([`AheadJob::run`]); the source's own RNG is untouched until
+    /// it installs the window. The worker thus does the whole window
+    /// (draw, fold, transform: ~0.65 ms at m = 32 768 on a 2-vCPU VM)
+    /// while a caller like `stream_long` installs, maps and queues the
+    /// one before (~0.55 ms), so neither side waits long for the other
+    /// (DESIGN.md §10, "Block scheme").
     fn post_ahead(&mut self, source: usize) {
         let Some(sp) = &self.spectrum else { return };
         let m = sp.m();
@@ -589,9 +597,9 @@ impl BatchStream {
             return;
         }
         let mut synth = std::mem::take(&mut self.synth);
-        let mut rng = self.sources[source].rng.clone();
-        synth.draw(m, &mut rng);
-        let slot = self.ahead.slot.get_or_insert_with(|| Lookahead::new(AheadJob::transform));
+        synth.size(m);
+        let rng = self.sources[source].rng.clone();
+        let slot = self.ahead.slot.get_or_insert_with(|| Lookahead::new(AheadJob::run));
         slot.post(AheadJob {
             synth,
             rng,
@@ -1320,6 +1328,41 @@ mod tests {
         });
         solos[0].next_block(&mut b);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn owner_makes_the_window_a_busy_worker_never_started() {
+        use std::sync::mpsc::{channel, Receiver, Sender};
+        // Hold the background worker inside another slot's job, so every
+        // window the stream posts waits in the queue unstarted and each
+        // refill takes it back: the owner draws, folds and transforms it
+        // from the job's RNG copy itself. Samples and RNG state must be
+        // the serial stream's, window after window.
+        type Hold = (Sender<()>, Receiver<()>);
+        let (started_tx, started) = channel();
+        let (release, release_rx) = channel();
+        let busy = Lookahead::new(|(started, release): &mut Hold| {
+            started.send(()).unwrap();
+            release.recv().unwrap();
+        });
+        busy.post((started_tx, release_rx));
+        started.recv().unwrap();
+        let block = 16_384;
+        let mut ahead = stream(Family::Fgn, block, None, 8);
+        let mut serial = stream(Family::Fgn, block, None, 8);
+        for round in 0..4 {
+            let len = block - 5 + 3 * round;
+            let (mut a, mut b) = (vec![0.0f64; len], vec![0.0f64; len]);
+            vbr_stats::par::with_threads(2, || ahead.next_block(&mut a));
+            vbr_stats::par::with_threads(1, || serial.next_block(&mut b));
+            assert!(ahead.0.has_pending(0), "round {round}: a window was posted");
+            assert!(!serial.0.has_pending(0), "one worker posts nothing");
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&b), "round {round}: samples");
+            assert_eq!(ahead.export_state(), serial.export_state(), "round {round}: state");
+        }
+        release.send(()).unwrap();
+        assert!(busy.take().is_some());
     }
 
     #[test]

@@ -545,19 +545,28 @@ impl SearchPass for Passes<'_, '_> {
     }
 }
 
-/// Share of a group's blocks that must be quiet at a pass's smallest
-/// service for the pass to skip idle blocks, as `(num, den)`. Below it
-/// the pass stays on the dense path: skipping short gaps saves little
-/// memory traffic, and shorter sums cost more per slot.
+/// Share of an interleaved group's blocks that must be quiet at a
+/// pass's smallest service for the pass to skip idle blocks, as
+/// `(num, den)`. Below it the pass stays on the dense path: a block
+/// that another combination must step feeds the idle ones zeros, so
+/// skipping short gaps saves little memory traffic, and shorter sums
+/// cost more per slot.
 const SKIP_SHARE: (usize, usize) = (1, 2);
 
 /// Whether a pass at smallest lane service `service` skips idle blocks
-/// of the combinations in `index`: at least [`SKIP_SHARE`] of their
-/// blocks are quiet. Depends only on the index and the capacities.
+/// of the combinations in `index`. A lone combination (`G = 1`) skips
+/// as soon as one block is quiet: nothing else is fed zeros, and its
+/// first pass at ~11 % quiet blocks runs faster skipping than dense
+/// (DESIGN.md §10, "Idle blocks"). A group of several skips when at
+/// least [`SKIP_SHARE`] of their blocks are quiet. Depends only on the
+/// index, the capacities and the group size.
 fn skip_pays(index: &[BlockIndex], service: f64) -> bool {
     let blocks: usize = index.iter().map(|ix| ix.peaks.len()).sum();
     let quiet: usize =
         index.iter().map(|ix| (0..ix.peaks.len()).filter(|&b| ix.quiet(b, service)).count()).sum();
+    if index.len() == 1 {
+        return quiet > 0;
+    }
     quiet * SKIP_SHARE.1 >= blocks * SKIP_SHARE.0
 }
 
