@@ -127,8 +127,10 @@ impl BluesteinPlan {
 }
 
 /// Bounded global cache of Bluestein plans, keyed by `(n, direction)`.
-/// A plan costs ~48 bytes/point; the bound keeps the cache modest even
-/// for large non-power-of-two trace lengths.
+/// A plan holds the `n`-point chirp (16 bytes/point) and the kernel FFT
+/// of `next_pow2(2n − 1)` points, so 48–80 bytes per input point: 10.6
+/// MiB at n = 171 000. The bound keeps the cache modest even for large
+/// non-power-of-two trace lengths.
 const MAX_CACHED_PLANS: usize = 16;
 
 static PLANS: Memo<(usize, bool), BluesteinPlan> = Memo::new(MAX_CACHED_PLANS, |_| {});

@@ -1,22 +1,27 @@
 //! Memoization of the deterministic pre-work of LRD generation.
 //!
 //! The expensive but *input-independent* parts of a Davies–Harte or
-//! Hosking generation — the theoretical autocovariance sequence and, for
-//! circulant embedding, the eigenvalue spectrum (one `O(m log m)` FFT) —
-//! depend only on `(H, n)`. Workloads like the MuxSim sweeps, the
-//! robust-estimator benchmarks and batch screenplay generation call the
-//! generators many times with identical parameters, so these caches turn
-//! every repeat into a lookup. Keys use the exact bit pattern of
-//! the float parameter: two `H` values compare equal iff the uncached
-//! computation would be identical, so caching can never change output.
+//! Hosking generation — the circulant eigenvalue spectrum (an
+//! autocovariance build plus one `O(m log m)` FFT) and Hosking's
+//! reflection coefficients (an `O(n²)` recursion) — depend only on
+//! `(H, n)`. Workloads like the MuxSim sweeps, the robust-estimator
+//! benchmarks and batch screenplay generation call the generators many
+//! times with identical parameters, so these caches turn every repeat
+//! into a lookup. Keys use the exact bit pattern of the float
+//! parameter: two `H` values compare equal iff the uncached computation
+//! would be identical, so caching can never change output. The
+//! autocovariances themselves are not cached: the builds above are
+//! their only readers.
 //!
-//! The caches are process-global [`Memo`]s: size-bounded (entries at
-//! the paper scale run to megabytes) with least-recently-used eviction,
-//! and each key is built once — concurrent first callers for the *same*
-//! key wait for one builder instead of racing to duplicate the work,
-//! while different keys still build concurrently. Failed builds are not
-//! cached. Hits, misses and evictions are counted through
-//! `vbr_stats::obs`, and waits for a memo's lock into the shared
+//! The caches are process-global [`Memo`]s, size-bounded twice over:
+//! at most `MAX_ENTRIES` keys and at most `MAX_BYTES` of built
+//! values each, evicting least-recently-used entries (a paper-scale
+//! spectrum is 4 MiB, and a model fit draws at a fresh `H` that no
+//! later call reads back). Each key is built once — concurrent first
+//! callers for the *same* key wait for one builder instead of racing to
+//! duplicate the work, while different keys still build concurrently.
+//! Failed builds are not cached. Hits, misses and evictions are counted
+//! through `vbr_stats::obs`, and waits for a memo's lock into the shared
 //! `plan_cache_contention` counter.
 
 use crate::acvf::{farima_acf, fgn_acvf};
@@ -26,10 +31,20 @@ use std::sync::Arc;
 use vbr_fft::{Memo, MemoEvent};
 use vbr_stats::obs::{self, Counter};
 
-/// Per-cache entry bound: ACVF/spectrum vectors at the 171k-frame paper
-/// scale are ~8 MB each, so a handful of distinct (H, n) pairs is all a
-/// realistic workload holds at once.
+/// Per-cache entry bound: small streams' spectra and short Hosking
+/// runs, a handful of distinct `(H, n)` pairs at once.
 const MAX_ENTRIES: usize = 16;
+
+/// Per-cache byte bound: two spectra at the 171 000-frame paper scale
+/// (2^19 points, 4 MiB each). Repeat draws at one `H` still hit, while
+/// each fresh fitted `H` pushes out the least recently used entry
+/// instead of staying resident.
+const MAX_BYTES: usize = 8 << 20;
+
+/// A cached vector's heap bytes, the memos' weight.
+fn heap_bytes(v: &Vec<f64>) -> usize {
+    v.capacity() * std::mem::size_of::<f64>()
+}
 
 /// A float parameter's exact bit pattern and a length: two `H` values
 /// share an entry iff the uncached computation would be identical.
@@ -45,25 +60,10 @@ fn count(event: MemoEvent) {
     obs::counter_add(counter, 1);
 }
 
-static FGN_ACVF: VecCache = Memo::new(MAX_ENTRIES, count);
-static FARIMA_ACF: VecCache = Memo::new(MAX_ENTRIES, count);
-static FGN_SPECTRUM: VecCache = Memo::new(MAX_ENTRIES, count);
-static FARIMA_SPECTRUM: VecCache = Memo::new(MAX_ENTRIES, count);
-static HOSKING_REFLECTIONS: VecCache = Memo::new(MAX_ENTRIES, count);
-
-/// Memoized [`fgn_acvf`]: autocovariances `γ_0..=γ_max_lag` of
-/// unit-variance fGn, shared across repeat calls with the same
-/// `(hurst, max_lag)`.
-pub fn fgn_acvf_cached(hurst: f64, max_lag: usize) -> Arc<Vec<f64>> {
-    FGN_ACVF.get_or_build((hurst.to_bits(), max_lag), || fgn_acvf(hurst, max_lag))
-}
-
-/// Memoized [`farima_acf`]: autocorrelations `ρ_0..=ρ_max_lag` of
-/// fractional ARIMA(0, d, 0), shared across repeat calls — Hosking's
-/// `O(n²)` recursion re-reads the whole sequence every generation.
-pub fn farima_acf_cached(d: f64, max_lag: usize) -> Arc<Vec<f64>> {
-    FARIMA_ACF.get_or_build((d.to_bits(), max_lag), || farima_acf(d, max_lag))
-}
+static FGN_SPECTRUM: VecCache = Memo::with_budget(MAX_ENTRIES, MAX_BYTES, heap_bytes, count);
+static FARIMA_SPECTRUM: VecCache = Memo::with_budget(MAX_ENTRIES, MAX_BYTES, heap_bytes, count);
+static HOSKING_REFLECTIONS: VecCache =
+    Memo::with_budget(MAX_ENTRIES, MAX_BYTES, heap_bytes, count);
 
 /// Memoized circulant eigenvalue spectrum for fGn embedding: the
 /// composition `circulant_spectrum(&fgn_acvf(hurst, m/2))` — an `O(m)`
@@ -74,7 +74,7 @@ pub fn farima_acf_cached(d: f64, max_lag: usize) -> Arc<Vec<f64>> {
 /// cached.
 pub fn fgn_circulant_spectrum_cached(hurst: f64, m: usize) -> Result<Arc<Vec<f64>>, FgnError> {
     FGN_SPECTRUM.get_or_try_build((hurst.to_bits(), m), || {
-        circulant_spectrum(&fgn_acvf_cached(hurst, m / 2))
+        circulant_spectrum(&fgn_acvf(hurst, m / 2))
     })
 }
 
@@ -86,7 +86,7 @@ pub fn fgn_circulant_spectrum_cached(hurst: f64, m: usize) -> Result<Arc<Vec<f64
 /// not cached.
 pub fn farima_circulant_spectrum_cached(d: f64, m: usize) -> Result<Arc<Vec<f64>>, FgnError> {
     FARIMA_SPECTRUM.get_or_try_build((d.to_bits(), m), || {
-        circulant_spectrum(&farima_acf_cached(d, m / 2))
+        circulant_spectrum(&farima_acf(d, m / 2))
     })
 }
 
@@ -135,8 +135,7 @@ fn hosking_reflections(rho: &[f64], n: usize) -> Vec<f64> {
 /// against the ACF (half the recursion's flops) is never redone.
 pub fn hosking_reflections_cached(d: f64, n: usize) -> Arc<Vec<f64>> {
     HOSKING_REFLECTIONS.get_or_build((d.to_bits(), n), || {
-        let rho = farima_acf_cached(d, n);
-        hosking_reflections(&rho, n)
+        hosking_reflections(&farima_acf(d, n), n)
     })
 }
 
@@ -145,22 +144,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cached_acvf_matches_uncached() {
-        for &(h, n) in &[(0.6, 100usize), (0.8, 4096), (0.3, 33)] {
-            assert_eq!(*fgn_acvf_cached(h, n), fgn_acvf(h, n));
-        }
-        for &(d, n) in &[(0.3, 100usize), (0.0, 50)] {
-            assert_eq!(*farima_acf_cached(d, n), farima_acf(d, n));
-        }
-    }
-
-    #[test]
     fn repeat_lookups_share_storage() {
-        let a = fgn_acvf_cached(0.77, 2048);
-        let b = fgn_acvf_cached(0.77, 2048);
+        let a = fgn_circulant_spectrum_cached(0.77, 2048).unwrap();
+        let b = fgn_circulant_spectrum_cached(0.77, 2048).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         // A different H (even by one ulp) is a different entry.
-        let c = fgn_acvf_cached(0.77 + f64::EPSILON, 2048);
+        let c = fgn_circulant_spectrum_cached(0.77 + f64::EPSILON, 2048).unwrap();
         assert!(!Arc::ptr_eq(&a, &c));
     }
 

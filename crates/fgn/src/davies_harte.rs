@@ -51,7 +51,10 @@ pub fn circulant_spectrum(gamma: &[f64]) -> Result<Vec<f64>, FgnError> {
     if min_eig < -tol {
         return Err(FgnError::NonPsdEmbedding { min_eigenvalue: min_eig, n: half + 1 });
     }
-    Ok(eig.into_iter().map(|z| z.re.max(0.0)).collect())
+    // Collected from a borrow, not `into_iter`, so the spectrum gets its
+    // own m-point allocation: an in-place collect would keep the
+    // 2m-word complex buffer, twice the bytes a cached spectrum needs.
+    Ok(eig.iter().map(|z| z.re.max(0.0)).collect())
 }
 
 /// Exact fGn generator via circulant embedding.

@@ -39,10 +39,7 @@ pub mod traffic;
 
 pub use acvf::{farima_acf, fgn_acvf, hurst_to_d};
 pub use arma::{arma_noise, yule_walker, ArmaFilter};
-pub use cache::{
-    farima_acf_cached, farima_circulant_spectrum_cached, fgn_acvf_cached,
-    fgn_circulant_spectrum_cached,
-};
+pub use cache::{farima_circulant_spectrum_cached, fgn_circulant_spectrum_cached};
 pub use davies_harte::{circulant_spectrum, fbm_path, DaviesHarte};
 pub use error::FgnError;
 pub use hosking::Hosking;
