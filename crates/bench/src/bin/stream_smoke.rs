@@ -122,7 +122,6 @@ fn main() -> ExitCode {
         hurst: 0.8,
         variance: 1.0,
         block: BLOCK,
-        overlap: None,
         table_n: 10_000,
         marginal: (27_791.0, 6_254.0, 9.0),
         dt: 1.0 / (24.0 * 30.0),

@@ -49,8 +49,6 @@ pub struct PipelineConfig {
     pub variance: f64,
     /// Streaming block size in samples.
     pub block: usize,
-    /// Seam overlap in samples (`None` = the stream's default).
-    pub overlap: Option<usize>,
     /// Lookup-table resolution of the marginal transform (0 = exact).
     pub table_n: usize,
     /// Gamma/Pareto marginal parameters (mean, sd, Pareto shape).
@@ -69,16 +67,12 @@ impl PipelineConfig {
     /// FNV-1a hash over every parameter, stored in snapshot headers and
     /// re-derived at restore time to refuse mismatched configurations.
     pub fn param_hash(&self) -> u64 {
-        let mut h = ParamHasher::new()
+        ParamHasher::new()
             .str("vbr-pipeline/v1")
             .f64(self.hurst)
             .f64(self.variance)
-            .usize(self.block);
-        h = match self.overlap {
-            Some(o) => h.u64(1).usize(o),
-            None => h.u64(0),
-        };
-        h.usize(self.table_n)
+            .usize(self.block)
+            .usize(self.table_n)
             .f64(self.marginal.0)
             .f64(self.marginal.1)
             .f64(self.marginal.2)
@@ -397,7 +391,6 @@ mod tests {
             hurst: 0.8,
             variance: 1.0,
             block: 1 << 14,
-            overlap: None,
             table_n: 10_000,
             marginal: (27_791.0, 6_254.0, 9.0),
             dt: 1.0 / 720.0,
@@ -410,7 +403,6 @@ mod tests {
         for variant in [
             PipelineConfig { hurst: 0.7, ..base.clone() },
             PipelineConfig { block: 1 << 13, ..base.clone() },
-            PipelineConfig { overlap: Some(0), ..base.clone() },
             PipelineConfig { seed: 43, ..base.clone() },
             PipelineConfig { marginal: (27_791.0, 6_254.0, 8.0), ..base.clone() },
         ] {

@@ -120,11 +120,6 @@ impl TraceReplay {
         let variance = trace.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
         TraceReplay { trace, pos: 0, mean, variance }
     }
-
-    /// Length of one replay cycle.
-    pub fn cycle_len(&self) -> usize {
-        self.trace.len()
-    }
 }
 
 impl BlockSource for TraceReplay {

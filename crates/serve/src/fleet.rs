@@ -37,55 +37,22 @@
 //!
 //! # Admission
 //!
-//! A [`TenantSpec`] is admitted, queued, or rejected:
-//! * duplicate tenant IDs and unbuildable parameters are rejected with
-//!   typed errors;
-//! * a fleet over its [`AdmissionPolicy`] capacity is rejected;
-//! * a fleet whose recent slots are missing their deadline (overrun
-//!   ratio above `max_overrun_ratio`) *queues* the spec instead of
-//!   placing it — call [`Fleet::drain_pending`] once the fleet is
-//!   healthy again.
+//! A [`TenantSpec`] is placed or rejected, with a typed error: a
+//! duplicate tenant id, a fleet already holding
+//! [`max_sources`](FleetConfig::max_sources) sources, or parameters that
+//! cannot build a generator. A caller that wants a model-driven cap
+//! computes it first (for example `vbr_qsim::admit_by_norros(..)
+//! .max_sources`) and passes it as `max_sources`.
 
 use crate::tenant::{GroupKey, TenantId, TenantSpec};
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::time::{Duration, Instant};
+use std::collections::{HashMap, HashSet};
 use vbr_fgn::{BatchStream, FgnError, StreamState};
-use vbr_qsim::admit_by_norros;
 use vbr_stats::obs::{self, Counter};
 use vbr_stats::par::{num_threads, par_for_each_mut, sized_width};
 use vbr_stats::snapshot::{ParamHasher, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// Section tag of the fleet snapshot ("FLET").
 const TAG_FLEET: u32 = 0x464C_4554;
-
-/// How the fleet decides whether one more source fits.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AdmissionPolicy {
-    /// A fixed source-count cap — operational limit, no model.
-    FixedCap {
-        /// Largest total source count the fleet will hold.
-        max_sources: usize,
-    },
-    /// The Norros effective-bandwidth rule from `vbr_qsim::admission`,
-    /// evaluated with the *candidate's* Hurst parameter for the whole
-    /// fleet (conservative for mixed-H fleets when the candidate has
-    /// the largest H). The resulting cap is cached per Hurst bit
-    /// pattern, so the `O(n_max)` scan is paid once per distinct H.
-    Norros {
-        /// Mean rate of one source in bytes/sec.
-        mean_rate_per_source: f64,
-        /// fBm variance coefficient of one source.
-        variance_coef: f64,
-        /// Link capacity in bytes/sec.
-        capacity_bps: f64,
-        /// Buffer size in bytes.
-        buffer_bytes: f64,
-        /// Target loss probability.
-        loss_target: f64,
-        /// Upper bound on the admission scan.
-        n_max: usize,
-    },
-}
 
 /// Fleet-wide configuration, fixed at construction. Hashed into every
 /// snapshot so a restore into a differently-configured fleet is a typed
@@ -94,91 +61,43 @@ pub enum AdmissionPolicy {
 pub struct FleetConfig {
     /// Samples each source renders per slot.
     pub slot_len: usize,
-    /// Capacity rule for admission.
-    pub policy: AdmissionPolicy,
-    /// Wall-clock budget for one slot (generation and aggregation);
-    /// `None` disables overrun tracking (and with it deadline-based
-    /// queueing).
-    pub slot_deadline: Option<Duration>,
-    /// Queue (rather than place) new tenants once the overrun ratio —
-    /// overrun slots over deadline-eligible slots — exceeds this.
-    pub max_overrun_ratio: f64,
+    /// Largest total source count the fleet will hold.
+    pub max_sources: usize,
 }
 
 impl FleetConfig {
-    /// A minimal config: `slot_len` samples per slot, a fixed cap, and
-    /// no deadline tracking.
+    /// `slot_len` samples per slot and at most `max_sources` sources.
     ///
     /// The first argument is ignored. It was the shard count, which is
     /// now the pool width (one shard per worker, see [`Fleet::new`]); it
     /// stays so that callers written against the three-argument form
     /// still compile.
     pub fn fixed(_ignored: usize, slot_len: usize, max_sources: usize) -> FleetConfig {
-        FleetConfig {
-            slot_len,
-            policy: AdmissionPolicy::FixedCap { max_sources },
-            slot_deadline: None,
-            max_overrun_ratio: 0.5,
-        }
+        FleetConfig { slot_len, max_sources }
     }
 
     /// FNV-1a digest of every configuration field and the snapshot
-    /// layout version, for the snapshot header. Floats hash by bit
-    /// pattern. `v2` is the width-independent layout; a `v1` snapshot
-    /// (one section per shard) is refused as a hash mismatch.
+    /// layout version, for the snapshot header. A snapshot in an older
+    /// layout (`v1`: one section per shard; `v2`: deadline, overrun and
+    /// policy fields) is refused as a hash mismatch.
     pub fn param_hash(&self) -> u64 {
-        let h = ParamHasher::new()
-            .str("vbr-fleet/v2")
+        ParamHasher::new()
+            .str("vbr-fleet/v3")
             .usize(self.slot_len)
-            .u64(match self.slot_deadline {
-                None => 0,
-                Some(d) => d.as_nanos() as u64 + 1,
-            })
-            .f64(self.max_overrun_ratio);
-        match self.policy {
-            AdmissionPolicy::FixedCap { max_sources } => h.str("cap").usize(max_sources),
-            AdmissionPolicy::Norros {
-                mean_rate_per_source,
-                variance_coef,
-                capacity_bps,
-                buffer_bytes,
-                loss_target,
-                n_max,
-            } => h
-                .str("norros")
-                .f64(mean_rate_per_source)
-                .f64(variance_coef)
-                .f64(capacity_bps)
-                .f64(buffer_bytes)
-                .f64(loss_target)
-                .usize(n_max),
-        }
-        .finish()
+            .usize(self.max_sources)
+            .finish()
     }
 }
 
-/// Where an admitted spec landed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// Placed, and generating from the next slot.
-    Admitted,
-    /// Deferred because slot deadlines are slipping; the spec sits in
-    /// the pending queue until [`Fleet::drain_pending`].
-    Queued {
-        /// Position in the pending queue (0 = next to drain).
-        position: usize,
-    },
-}
-
-/// Why a spec was not admitted (and not queued).
+/// Why a spec was not admitted.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AdmitError {
     /// The spec's parameters cannot build a generator (bad H, bad
     /// geometry, non-PSD fARIMA embedding…).
     Invalid(FgnError),
-    /// The admission policy refused the spec.
+    /// The fleet refused the spec (duplicate id or full fleet).
     Rejected {
-        /// What the policy objected to.
+        /// What the fleet objected to.
         reason: &'static str,
     },
 }
@@ -266,17 +185,8 @@ pub struct Fleet {
     /// group id on every shard.
     keys: Vec<GroupKey>,
     group_ids: HashMap<GroupKey, usize>,
-    /// Specs deferred by deadline slip, FIFO.
-    pending: VecDeque<TenantSpec>,
     ids: HashSet<TenantId>,
     slots_done: u64,
-    overruns: u64,
-    /// Deadline-eligible slots: slots of a non-empty fleet advanced while
-    /// a slot deadline was configured. The overrun ratio's denominator —
-    /// the same population the numerator is drawn from.
-    eligible_slots: u64,
-    /// Norros cap per Hurst bit pattern (the scan is `O(n_max)`).
-    norros_cache: HashMap<u64, usize>,
 }
 
 impl Fleet {
@@ -298,12 +208,8 @@ impl Fleet {
             cfg,
             keys: Vec::new(),
             group_ids: HashMap::new(),
-            pending: VecDeque::new(),
             ids: HashSet::new(),
             slots_done: 0,
-            overruns: 0,
-            eligible_slots: 0,
-            norros_cache: HashMap::new(),
         }
     }
 
@@ -323,81 +229,28 @@ impl Fleet {
         self.keys.len()
     }
 
-    /// Specs waiting in the pending queue.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Lockstep slots completed.
     pub fn slots_done(&self) -> u64 {
         self.slots_done
     }
 
-    /// Slots that exceeded the deadline.
-    pub fn overruns(&self) -> u64 {
-        self.overruns
-    }
-
-    /// Overrun slots over deadline-eligible slots — slots advanced with
-    /// at least one source while a deadline was configured, the same
-    /// population overruns are counted from (0 before any eligible slot).
-    pub fn overrun_ratio(&self) -> f64 {
-        if self.eligible_slots == 0 {
-            0.0
-        } else {
-            self.overruns as f64 / self.eligible_slots as f64
-        }
-    }
-
-    /// The policy's current source cap for a candidate spec.
-    fn capacity_for(&mut self, spec: &TenantSpec) -> usize {
-        match self.cfg.policy {
-            AdmissionPolicy::FixedCap { max_sources } => max_sources,
-            AdmissionPolicy::Norros {
-                mean_rate_per_source,
-                variance_coef,
-                capacity_bps,
-                buffer_bytes,
-                loss_target,
-                n_max,
-            } => {
-                let bits = spec.model.hurst().to_bits();
-                *self.norros_cache.entry(bits).or_insert_with(|| {
-                    admit_by_norros(
-                        mean_rate_per_source,
-                        variance_coef,
-                        spec.model.hurst(),
-                        capacity_bps,
-                        buffer_bytes,
-                        loss_target,
-                        n_max,
-                    )
-                    .max_sources
-                })
-            }
-        }
-    }
-
-    /// Admits a spec: rejects duplicates, over-capacity fleets and
-    /// unbuildable parameters; queues when slot deadlines are slipping;
-    /// otherwise places it as the next source in admission order.
-    pub fn admit(&mut self, spec: TenantSpec) -> Result<Admission, AdmitError> {
+    /// Admits a spec: rejects duplicates, a full fleet and unbuildable
+    /// parameters; otherwise places it as the next source in admission
+    /// order.
+    pub fn admit(&mut self, spec: TenantSpec) -> Result<(), AdmitError> {
         if self.ids.contains(&spec.tenant) {
             obs::counter_add(Counter::FleetAdmissionRejects, 1);
             return Err(AdmitError::Rejected { reason: "duplicate tenant id" });
         }
-        let cap = self.capacity_for(&spec);
-        if self.sources() + self.pending.len() >= cap {
+        if self.sources() >= self.cfg.max_sources {
             obs::counter_add(Counter::FleetAdmissionRejects, 1);
-            return Err(AdmitError::Rejected { reason: "fleet at policy capacity" });
+            return Err(AdmitError::Rejected { reason: "fleet at capacity" });
         }
-        if self.cfg.slot_deadline.is_some() && self.overrun_ratio() > self.cfg.max_overrun_ratio {
-            self.pending.push_back(spec);
-            self.ids.insert(spec.tenant);
-            return Ok(Admission::Queued { position: self.pending.len() - 1 });
-        }
-        self.place(spec).map_err(AdmitError::Invalid)?;
-        Ok(Admission::Admitted)
+        let g = self.group_id(GroupKey::of(&spec)).map_err(AdmitError::Invalid)?;
+        self.next_shard().push(g, spec.seed, spec.tenant);
+        self.ids.insert(spec.tenant);
+        obs::counter_add(Counter::FleetSourcesAdmitted, 1);
+        Ok(())
     }
 
     /// The group id of `key`, adding the group to every shard (and so
@@ -423,37 +276,6 @@ impl Fleet {
         &mut self.shards[i]
     }
 
-    /// Places a spec as the next source in admission order (assumes the
-    /// policy checks already passed).
-    fn place(&mut self, spec: TenantSpec) -> Result<(), FgnError> {
-        let g = self.group_id(GroupKey::of(&spec))?;
-        self.next_shard().push(g, spec.seed, spec.tenant);
-        self.ids.insert(spec.tenant);
-        obs::counter_add(Counter::FleetSourcesAdmitted, 1);
-        Ok(())
-    }
-
-    /// Places queued specs while the overrun ratio stays at or under
-    /// the threshold; returns how many were placed. A queued spec whose
-    /// parameters turn out unbuildable is dropped (its id released) —
-    /// it was never generating, so nothing else changes.
-    pub fn drain_pending(&mut self) -> usize {
-        let mut placed = 0;
-        while let Some(spec) = self.pending.front().copied() {
-            if self.overrun_ratio() > self.cfg.max_overrun_ratio {
-                break;
-            }
-            self.pending.pop_front();
-            match self.place(spec) {
-                Ok(()) => placed += 1,
-                Err(_) => {
-                    self.ids.remove(&spec.tenant);
-                }
-            }
-        }
-        placed
-    }
-
     /// Every source's shard and local index, in admission order: local
     /// 0 of every shard, then local 1, … (the round-robin placement).
     fn admission_order(&self) -> impl Iterator<Item = (&Shard, usize)> {
@@ -471,24 +293,11 @@ impl Fleet {
     /// (see the [module docs](self)).
     pub fn advance_slot(&mut self, agg: &mut [f64]) {
         assert_eq!(agg.len(), self.cfg.slot_len, "aggregate buffer must be slot_len long");
-        // Wall-clock stamp for SLO accounting only: never read back into
-        // any generation path.
-        let t0 = Instant::now();
         par_for_each_mut(&mut self.shards, |_, shard| shard.advance_slot());
         self.aggregate(agg);
-        let n = self.sources();
-        if let Some(deadline) = self.cfg.slot_deadline {
-            if n > 0 {
-                self.eligible_slots += 1;
-                if t0.elapsed() > deadline {
-                    self.overruns += 1;
-                    obs::counter_add(Counter::FleetSlotOverruns, 1);
-                }
-            }
-        }
         self.slots_done += 1;
         obs::counter_add(Counter::FleetSlots, 1);
-        obs::counter_add(Counter::FleetSlices, n as u64);
+        obs::counter_add(Counter::FleetSlices, self.sources() as u64);
     }
 
     /// Admission-ordered aggregation. Parallelism splits slot positions,
@@ -518,19 +327,14 @@ impl Fleet {
     }
 
     /// Serialises the whole fleet under the config's parameter hash, with
-    /// `slots_done` as the snapshot sequence number: the slot and overrun
-    /// counters, the group keys in first-admission order, then every
-    /// source's group id and dynamic state in admission order. Nothing in
-    /// it names a shard, so the bytes do not depend on the pool width.
-    /// Pending (queued, never-placed) specs are deliberately *not*
-    /// persisted: they have no dynamic state, and their owners re-submit
-    /// on reconnect.
+    /// `slots_done` as the snapshot sequence number: the slot counter,
+    /// the group keys in first-admission order, then every source's group
+    /// id and dynamic state in admission order. Nothing in it names a
+    /// shard, so the bytes do not depend on the pool width.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = SnapshotWriter::new(self.cfg.param_hash(), self.slots_done);
         w.section(TAG_FLEET, |p| {
             p.put_u64(self.slots_done);
-            p.put_u64(self.overruns);
-            p.put_u64(self.eligible_slots);
             p.put_usize(self.keys.len());
             for key in &self.keys {
                 key.encode(p);
@@ -562,8 +366,6 @@ impl Fleet {
         let mut s = r.section(TAG_FLEET, "fleet")?;
         let mut fleet = Fleet::new(cfg);
         fleet.slots_done = s.get_u64()?;
-        fleet.overruns = s.get_u64()?;
-        fleet.eligible_slots = s.get_u64()?;
         for _ in 0..s.get_usize()? {
             let key = GroupKey::decode(&mut s)?;
             if fleet.group_ids.contains_key(&key) {
@@ -631,8 +433,6 @@ mod tests {
         let mut w = SnapshotWriter::new(cfg.param_hash(), 1);
         w.section(TAG_FLEET, |p| {
             p.put_u64(1);
-            p.put_u64(0);
-            p.put_u64(0);
             p.put_usize(keys.len());
             for key in keys {
                 key.encode(p);
@@ -653,7 +453,7 @@ mod tests {
             (0..7).map(|t| spec(t, if t % 2 == 0 { 0.8 } else { 0.65 }, block)).collect();
         let mut fleet = with_threads(3, || Fleet::new(FleetConfig::fixed(1, block, 1024)));
         for s in &specs {
-            assert!(matches!(fleet.admit(*s), Ok(Admission::Admitted)));
+            fleet.admit(*s).unwrap();
         }
         let slots = 5;
         let got = run_slots(&mut fleet, slots);
@@ -708,7 +508,7 @@ mod tests {
         fleet.admit(spec(2, 0.8, 8)).unwrap();
         assert!(matches!(
             fleet.admit(spec(3, 0.8, 8)),
-            Err(AdmitError::Rejected { reason: "fleet at policy capacity" })
+            Err(AdmitError::Rejected { reason: "fleet at capacity" })
         ));
         assert!(matches!(
             fleet.admit(spec(4, 1.5, 8)),
@@ -754,12 +554,12 @@ mod tests {
         fleet.admit(spec(1, 0.8, 8)).unwrap();
         let bytes = fleet.snapshot();
 
-        let mut other = FleetConfig::fixed(1, 4, 64);
-        other.max_overrun_ratio = 0.9;
-        assert!(matches!(
-            Fleet::restore(other, &bytes),
-            Err(SnapshotError::ParamHashMismatch { .. })
-        ));
+        for other in [FleetConfig::fixed(1, 4, 65), FleetConfig::fixed(1, 8, 64)] {
+            assert!(matches!(
+                Fleet::restore(other, &bytes),
+                Err(SnapshotError::ParamHashMismatch { .. })
+            ));
+        }
 
         let mut flipped = bytes.clone();
         let mid = flipped.len() / 2;
@@ -780,9 +580,9 @@ mod tests {
             .usize(1)
             .usize(cfg.slot_len)
             .u64(0)
-            .f64(cfg.max_overrun_ratio)
+            .f64(0.5)
             .str("cap")
-            .usize(64)
+            .usize(cfg.max_sources)
             .finish();
         let key = GroupKey::of(&spec(1, 0.8, 8));
         let mut donor = Fleet::new(cfg);
@@ -802,6 +602,42 @@ mod tests {
             p.put_usize(1);
             p.put_u64(0);
             p.put_u64(0);
+        });
+        assert!(matches!(
+            Fleet::restore(cfg, &w.finish()),
+            Err(SnapshotError::ParamHashMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn restore_refuses_a_v2_snapshot() {
+        // The layout before the fleet dropped its deadline and policy
+        // fields: a `vbr-fleet/v2` hash over the slot deadline (0 = none),
+        // the overrun-ratio threshold and the fixed-cap policy, and a
+        // fleet section that led with the slot, overrun and eligible-slot
+        // counters.
+        let cfg = FleetConfig::fixed(1, 4, 64);
+        let v2_hash = ParamHasher::new()
+            .str("vbr-fleet/v2")
+            .usize(cfg.slot_len)
+            .u64(0)
+            .f64(0.5)
+            .str("cap")
+            .usize(cfg.max_sources)
+            .finish();
+        let mut donor = Fleet::new(cfg);
+        donor.admit(spec(1, 0.8, 8)).unwrap();
+        let (g, state) = donor.shards[0].export(0);
+        let mut w = SnapshotWriter::new(v2_hash, 0);
+        w.section(TAG_FLEET, |p| {
+            for v in [0, 0, 0] {
+                p.put_u64(v);
+            }
+            p.put_usize(1);
+            donor.keys[0].encode(p);
+            p.put_usize(1);
+            p.put_u64(g as u64);
+            state.encode(p);
         });
         assert!(matches!(
             Fleet::restore(cfg, &w.finish()),
@@ -864,79 +700,5 @@ mod tests {
         state.tail.clear();
         let hostile = write_snapshot(&cfg, &fleet.keys, &[(g as u64, state)]);
         assert!(matches!(Fleet::restore(cfg, &hostile), Err(SnapshotError::Invalid { .. })));
-    }
-
-    #[test]
-    fn overrun_ratio_counts_only_slots_with_sources() {
-        // An unmeetable deadline: the empty fleet's slots are not
-        // eligible, so they neither overrun nor dilute the ratio; every
-        // slot once a source is placed overruns, so it reads 1.0.
-        let mut cfg = FleetConfig::fixed(1, 4, 64);
-        cfg.slot_deadline = Some(Duration::from_nanos(0));
-        let mut fleet = Fleet::new(cfg);
-        let mut slot = [0.0; 4];
-        fleet.advance_slot(&mut slot);
-        assert_eq!((fleet.overruns(), fleet.overrun_ratio()), (0, 0.0));
-        fleet.admit(spec(1, 0.8, 8)).unwrap();
-        fleet.advance_slot(&mut slot);
-        fleet.advance_slot(&mut slot);
-        assert_eq!(fleet.overruns(), 2);
-        assert_eq!(fleet.overrun_ratio(), 1.0);
-    }
-
-    #[test]
-    fn deadline_slip_queues_then_drains() {
-        let mut cfg = FleetConfig::fixed(1, 4, 64);
-        cfg.slot_deadline = Some(Duration::from_nanos(0));
-        cfg.max_overrun_ratio = 0.0;
-        let mut fleet = Fleet::new(cfg);
-        fleet.admit(spec(1, 0.8, 8)).unwrap();
-        let mut slot = [0.0; 4];
-        fleet.advance_slot(&mut slot); // zero-ns deadline → overrun
-        assert!(fleet.overrun_ratio() > 0.0);
-        match fleet.admit(spec(2, 0.8, 8)).unwrap() {
-            Admission::Queued { position } => assert_eq!(position, 0),
-            other => panic!("expected queueing under deadline slip, got {other:?}"),
-        }
-        assert_eq!(fleet.sources(), 1);
-        assert_eq!(fleet.pending(), 1);
-        // Duplicate detection covers queued ids too.
-        assert!(fleet.admit(spec(2, 0.8, 8)).is_err());
-        // Still slipping: the next spec queues behind tenant 2.
-        assert!(matches!(fleet.admit(spec(3, 0.8, 8)), Ok(Admission::Queued { position: 1 })));
-        // Lift the pressure and drain both.
-        let mut healthy = fleet;
-        healthy.cfg.max_overrun_ratio = 1.0;
-        assert_eq!(healthy.drain_pending(), 2);
-        assert_eq!(healthy.pending(), 0);
-        assert_eq!(healthy.sources(), 3);
-    }
-
-    #[test]
-    fn norros_policy_caps_and_caches() {
-        let cfg = FleetConfig {
-            slot_len: 4,
-            policy: AdmissionPolicy::Norros {
-                mean_rate_per_source: 1e6,
-                variance_coef: 50.0,
-                capacity_bps: 5e6,
-                buffer_bytes: 1e4,
-                loss_target: 1e-6,
-                n_max: 100,
-            },
-            slot_deadline: None,
-            max_overrun_ratio: 0.5,
-        };
-        let cap = admit_by_norros(1e6, 50.0, 0.8, 5e6, 1e4, 1e-6, 100).max_sources;
-        assert!(cap >= 1, "test premise: the link fits at least one source");
-        let mut fleet = Fleet::new(cfg);
-        for t in 0..cap as u64 {
-            fleet.admit(spec(t, 0.8, 8)).unwrap();
-        }
-        assert!(matches!(
-            fleet.admit(spec(10_000, 0.8, 8)),
-            Err(AdmitError::Rejected { reason: "fleet at policy capacity" })
-        ));
-        assert_eq!(fleet.norros_cache.len(), 1, "one H → one cached scan");
     }
 }

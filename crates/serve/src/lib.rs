@@ -27,8 +27,9 @@
 //!   width — the workspace determinism contract extended to the serving
 //!   layer.
 //!
-//! Admission control reuses the Norros effective-bandwidth rule from
-//! `vbr_qsim::admission`; snapshots reuse the `vbr_stats::snapshot`
+//! Admission is a fixed source cap: a caller that wants a model-driven
+//! cap computes it with `vbr_qsim::admit_by_norros` and passes it as
+//! `FleetConfig::max_sources`. Snapshots reuse the `vbr_stats::snapshot`
 //! codec (and, through `vbr-bench`'s `CheckpointStore`, its crash-safe
 //! two-generation file rotation).
 #![warn(missing_docs)]
@@ -36,5 +37,5 @@
 pub mod fleet;
 pub mod tenant;
 
-pub use fleet::{Admission, AdmissionPolicy, AdmitError, Fleet, FleetConfig};
+pub use fleet::{AdmitError, Fleet, FleetConfig};
 pub use tenant::{GroupKey, SourceModel, TenantId, TenantSpec};

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use vbr_fgn::CirculantStream;
-use vbr_serve::{Admission, Fleet, FleetConfig, SourceModel, TenantSpec};
+use vbr_serve::{Fleet, FleetConfig, SourceModel, TenantSpec};
 use vbr_stats::par::with_threads;
 
 fn spec(tenant: u64, hurst: f64, variance: f64, block: usize, seed: u64) -> TenantSpec {
@@ -16,10 +16,7 @@ fn spec(tenant: u64, hurst: f64, variance: f64, block: usize, seed: u64) -> Tena
 
 fn admit(fleet: &mut Fleet, specs: &[TenantSpec]) {
     for s in specs {
-        match fleet.admit(*s) {
-            Ok(Admission::Admitted) => {}
-            other => panic!("admission failed: {other:?}"),
-        }
+        fleet.admit(*s).expect("proptest specs are valid and under capacity");
     }
 }
 

@@ -121,24 +121,19 @@ pub enum Counter {
     /// Fleet: sources admitted (lifetime total; the live count is
     /// `admitted − retired`, and the serve layer reports it directly).
     FleetSourcesAdmitted,
-    /// Fleet: admissions rejected or parked by the front door (capacity
-    /// exhausted or slot deadline slipping).
+    /// Fleet: admissions rejected by the front door (duplicate tenant id
+    /// or capacity exhausted).
     FleetAdmissionRejects,
     /// Fleet: lockstep slice-slots completed (one per `advance_slot`).
     FleetSlots,
     /// Fleet: slices generated (sources × slot length, summed over
     /// slots).
     FleetSlices,
-    /// Fleet: slots that overran the configured wall-clock deadline. The
-    /// SLO ratio is `overruns / eligible`, where eligible counts only
-    /// slots advanced with at least one source — the population overruns
-    /// are drawn from, so an empty fleet's slots never dilute the ratio.
-    FleetSlotOverruns,
 }
 
 impl Counter {
     /// All counters, in declaration order (the reporting order).
-    pub const ALL: [Counter; 27] = [
+    pub const ALL: [Counter; 26] = [
         Counter::FftPlanHit,
         Counter::FftPlanMiss,
         Counter::FftPlanEvict,
@@ -165,7 +160,6 @@ impl Counter {
         Counter::FleetAdmissionRejects,
         Counter::FleetSlots,
         Counter::FleetSlices,
-        Counter::FleetSlotOverruns,
     ];
 
     /// Stable snake-case name used in reports and JSON.
@@ -197,7 +191,6 @@ impl Counter {
             Counter::FleetAdmissionRejects => "fleet_admission_rejects",
             Counter::FleetSlots => "fleet_slots",
             Counter::FleetSlices => "fleet_slices",
-            Counter::FleetSlotOverruns => "fleet_slot_overruns",
         }
     }
 }
@@ -291,14 +284,6 @@ impl CounterSnapshot {
     }
 }
 
-/// Zeroes one counter (test isolation, e.g. a fresh
-/// `queue_overflow_slots` total). Only the locally-accumulated count is
-/// cleared; the `FftPlan*` counters also merge fft-side totals that
-/// this cannot touch — use [`CounterSnapshot`] deltas for those.
-pub fn reset_counter(c: Counter) {
-    COUNTERS[c as usize].store(0, Ordering::Relaxed);
-}
-
 /// Zeroes every counter, including the fft-side plan cache counters
 /// (test isolation and report epochs only; library code never calls
 /// this).
@@ -380,17 +365,6 @@ pub fn hist_buckets(h: Hist) -> Vec<(u64, u64)> {
         }
     }
     out
-}
-
-/// Zeroes every histogram (test isolation only). The fft-side size
-/// histogram is cleared together with its counters by
-/// [`reset_counters`], not here.
-pub fn reset_hists() {
-    for h in &HISTS {
-        for b in h {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
