@@ -29,7 +29,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use vbr_bench::checkpoint::{CheckpointStore, Recovery, TraceDigest};
+use vbr_bench::checkpoint::{skipped_files, CheckpointStore, Recovery, TraceDigest};
 use vbr_bench::faults::KillPoint;
 use vbr_fgn::FgnStream;
 use vbr_serve::{Fleet, FleetConfig, SourceModel, TenantSpec};
@@ -269,16 +269,20 @@ fn main() -> ExitCode {
                     println!("fleet_bench: resuming from checkpoint seq {seq}");
                     (f, TraceDigest::from_value(d))
                 }
-                Recovery::Previous { seq, state: (d, f), damaged } => {
+                Recovery::Previous { seq, state: (d, f), damaged, refused } => {
                     eprintln!(
-                        "fleet_bench: newest checkpoint damaged ({damaged} file(s)); \
-                         falling back to generation seq {seq}"
+                        "fleet_bench: newest checkpoint skipped ({}); \
+                         falling back to generation seq {seq}",
+                        skipped_files(damaged, refused)
                     );
                     (f, TraceDigest::from_value(d))
                 }
-                Recovery::ColdStart { damaged } => {
-                    if damaged > 0 {
-                        eprintln!("fleet_bench: all {damaged} checkpoint file(s) damaged; cold start");
+                Recovery::ColdStart { damaged, refused } => {
+                    if damaged + refused > 0 {
+                        eprintln!(
+                            "fleet_bench: no checkpoint restorable ({}); cold start",
+                            skipped_files(damaged, refused)
+                        );
                     } else {
                         println!("fleet_bench: no checkpoint found; cold start");
                     }

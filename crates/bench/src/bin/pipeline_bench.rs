@@ -65,7 +65,7 @@ use vbr_lrd::{
 };
 use vbr_qsim::{aggregate_arrivals, lag_combinations, FluidQueue, LossMetric, LossTarget, MuxSim};
 use vbr_serve::{Fleet, FleetConfig, SourceModel, TenantSpec};
-use vbr_stats::dist::{ContinuousDist, GammaPareto};
+use vbr_stats::dist::{ContinuousDist, Gamma, GammaPareto};
 use vbr_stats::obs;
 use vbr_stats::par::{num_threads, with_threads};
 use vbr_stats::periodogram::{Periodogram, MEMO_CAPACITY};
@@ -188,6 +188,7 @@ fn main() -> ExitCode {
     bench_batch_fgn(&sizes, &mut report);
     bench_fleet(&sizes, &mut report);
     bench_models(&sizes, &mut report);
+    bench_dist(&sizes, &mut report);
     report.print_summary();
 
     if let Some(cpath) = &check {
@@ -1722,66 +1723,6 @@ fn bench_streaming(sizes: &Sizes, report: &mut PerfReport) {
              peak live state is one {block}-sample block + one {chunk}-sample chunk"
         ),
     );
-
-    bench_window_synthesis(sizes, report, 2 * block);
-}
-
-/// One circulant window of the stream (`m` real samples from a Hermitian
-/// half-spectrum): the Hermitian fold written in natural order plus the
-/// transform's bit-reversal swap pass (the layout before the fold took
-/// over the permutation), against `synthesize_hermitian_packed`, whose
-/// fold writes the bit-reversed slots and whose transform skips the
-/// swap. The baseline's fold is the same expressions over the same
-/// twiddles, so both arms give the same bits (asserted first).
-fn bench_window_synthesis(sizes: &Sizes, report: &mut PerfReport, m: usize) {
-    let h = m / 2;
-    let mut rng = Xoshiro256::seed_from_u64(47);
-    let mut w: Vec<Complex> =
-        (0..=h).map(|_| Complex::new(rng.standard_normal(), rng.standard_normal())).collect();
-    w[0].im = 0.0;
-    w[h].im = 0.0;
-    let step = -2.0 * std::f64::consts::PI / m as f64;
-    let twiddles: Vec<(f64, f64)> = (0..h).map(|k| (step * k as f64).sin_cos()).collect();
-    let (real_plan, half_plan) = (vbr_fft::real_plan_for(m), vbr_fft::plan_for(h));
-    let natural = |buf: &mut [Complex]| {
-        let (dc, nyq) = (Complex::from_re(w[0].re), Complex::from_re(w[h].re));
-        let (a, b) = (dc + nyq, dc - nyq);
-        buf[0] = Complex::new(a.re - b.im, a.im + b.re);
-        for (k, c) in buf.iter_mut().enumerate().skip(1) {
-            let (wk, wkh) = (w[k], w[h - k].conj());
-            let (a, d) = (wk + wkh, wk - wkh);
-            let (s, co) = twiddles[k];
-            let (b_re, b_im) = (d.re * co - d.im * s, d.re * s + d.im * co);
-            *c = Complex::new(a.re - b_im, a.im + b_re);
-        }
-        half_plan.forward(buf);
-        std::hint::black_box(buf[h - 1]);
-    };
-    let bitrev = |buf: &mut [Complex]| {
-        real_plan.synthesize_hermitian_packed(w[0].re, w[h].re, |k| w[k], buf);
-        std::hint::black_box(buf[h - 1]);
-    };
-    let (mut a, mut b) = (vec![Complex::ZERO; h], vec![Complex::ZERO; h]);
-    natural(&mut a);
-    bitrev(&mut b);
-    assert!(
-        a.iter().zip(&b).all(|(x, y)| (x.re.to_bits(), x.im.to_bits())
-            == (y.re.to_bits(), y.im.to_bits())),
-        "the bit-reversed fold diverged from the natural-order fold"
-    );
-    let t = time_paired(sizes.budget, || natural(&mut a), || bitrev(&mut b));
-    report.record(
-        "streaming",
-        "window_synthesis_swap_vs_bitrev_fold",
-        t,
-        &format!(
-            "one stream window, m={m} real samples from a Hermitian half-spectrum into one \
-             {h}-point buffer; baseline folds in natural order then runs FftPlan::forward \
-             (swap pass + stages), new path is synthesize_hermitian_packed, whose fold \
-             writes bit-reversed slots and whose transform skips the swap (bits verified \
-             equal first)"
-        ),
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -2114,6 +2055,96 @@ fn bench_models(sizes: &Sizes, report: &mut PerfReport) {
              slots, P_l <= {rate} at T_max = {t_max} s; baseline restores the model and redraws \
              its path before every pass, new path draws it once and replays the stored copy \
              (bit-identical capacity)"
+        ),
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Distribution tier: the Gamma pieces of the synthetic trace's setup path.
+// `Gamma` caches lnΓ(s) and ln λ, and the slice-weight draws come from a
+// stream that owns its generator and reads block-filled variates; both
+// give the bits of the code they replace (asserted before timing).
+// ---------------------------------------------------------------------------
+
+fn bench_dist(sizes: &Sizes, report: &mut PerfReport) {
+    // The paper trace's Gamma body (s ≈ 19.7, λ = 5e-4) across its
+    // central 99.8 %: λx from ~0.55 s to ~1.7 s, both sides of the
+    // series / continued-fraction switch at s + 1.
+    let g = Gamma::from_moments(27_791.0, 6_254.0);
+    let n = sizes.trace_frames;
+    let (lo, hi) = (g.quantile(0.001), g.quantile(0.999));
+    let xs: Vec<f64> = (0..n).map(|i| lo + (hi - lo) * (i as f64 + 0.5) / n as f64).collect();
+    let uncached = |x: f64| vbr_stats::special::gamma_p(g.shape(), g.rate() * x);
+    assert!(
+        xs.iter().all(|&x| uncached(x).to_bits() == g.cdf(x).to_bits()),
+        "Gamma::cdf diverged from special::gamma_p"
+    );
+    let t = time_paired(
+        sizes.budget,
+        || {
+            std::hint::black_box(xs.iter().map(|&x| uncached(x)).sum::<f64>());
+        },
+        || {
+            std::hint::black_box(xs.iter().map(|&x| g.cdf(x)).sum::<f64>());
+        },
+    );
+    report.record(
+        "dist",
+        "gamma_cdf_uncached_vs_cached",
+        t,
+        &format!(
+            "{n} Gamma cdf points (s={:.2}, rate={:.1e}) spread over the 0.001..0.999 \
+             quantiles; baseline calls special::gamma_p, which recomputes lnGamma(s) and \
+             ln x, new path is Gamma::cdf with lnGamma(s) cached at construction (bits \
+             verified equal first)",
+            g.shape(),
+            g.rate()
+        ),
+    );
+
+    // Slice weights: Gamma(22) draws, one `dyn Rng` call per variate and
+    // a scalar quantile per normal, against the buffered draw stream.
+    let w = Gamma::new(22.0, 1.0);
+    let m = sizes.stream_n;
+    let (mut a, mut b) = (vec![0.0f64; m], vec![0.0f64; m]);
+    let sample_loop = |out: &mut [f64]| {
+        let mut rng = Xoshiro256::seed_from_u64(53);
+        for x in out.iter_mut() {
+            *x = w.sample(&mut rng);
+        }
+    };
+    let stream = |out: &mut [f64]| {
+        let mut draws = w.draws(Xoshiro256::seed_from_u64(53));
+        for x in out.iter_mut() {
+            *x = draws.draw();
+        }
+    };
+    sample_loop(&mut a);
+    stream(&mut b);
+    assert!(
+        a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()),
+        "the Gamma draw stream diverged from Gamma::sample"
+    );
+    let t = time_paired(
+        sizes.budget,
+        || {
+            sample_loop(&mut a);
+            std::hint::black_box(a[m - 1]);
+        },
+        || {
+            stream(&mut b);
+            std::hint::black_box(b[m - 1]);
+        },
+    );
+    report.record(
+        "dist",
+        "gamma_sample_dyn_vs_draw_stream",
+        t,
+        &format!(
+            "{m} Gamma(22, 1) slice-weight draws; baseline loops Gamma::sample through \
+             &mut dyn Rng (one generator call and, for normals, one scalar quantile per \
+             variate), new path is Gamma::draws, which block-fills uniforms and runs the \
+             quantile slice kernel over each block (bits verified equal first)"
         ),
     );
 }

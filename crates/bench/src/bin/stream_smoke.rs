@@ -36,7 +36,9 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use vbr_bench::checkpoint::{CheckpointStore, PipelineConfig, PipelineState, Recovery, TraceDigest};
+use vbr_bench::checkpoint::{
+    skipped_files, CheckpointStore, PipelineConfig, PipelineState, Recovery, TraceDigest,
+};
 use vbr_bench::faults::KillPoint;
 use vbr_fgn::{FgnStream, MarginalTransform, TableMode};
 use vbr_qsim::FluidQueue;
@@ -165,17 +167,19 @@ fn main() -> ExitCode {
                 println!("stream_smoke: resuming from checkpoint seq {s}");
                 Some((s, state))
             }
-            Recovery::Previous { seq: s, state, damaged } => {
+            Recovery::Previous { seq: s, state, damaged, refused } => {
                 eprintln!(
-                    "stream_smoke: newest checkpoint damaged ({damaged} file(s)); \
-                     falling back to generation seq {s}"
+                    "stream_smoke: newest checkpoint skipped ({}); \
+                     falling back to generation seq {s}",
+                    skipped_files(damaged, refused)
                 );
                 Some((s, state))
             }
-            Recovery::ColdStart { damaged } => {
-                if damaged > 0 {
+            Recovery::ColdStart { damaged, refused } => {
+                if damaged + refused > 0 {
                     eprintln!(
-                        "stream_smoke: all {damaged} checkpoint file(s) damaged; cold start"
+                        "stream_smoke: no checkpoint restorable ({}); cold start",
+                        skipped_files(damaged, refused)
                     );
                 } else {
                     println!("stream_smoke: no checkpoint found; cold start");

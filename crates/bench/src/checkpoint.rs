@@ -13,10 +13,16 @@
 //! restore time is
 //!
 //! 1. newest valid generation → [`Recovery::Latest`];
-//! 2. newest damaged, previous valid → [`Recovery::Previous`]
+//! 2. newest damaged or refused, previous valid → [`Recovery::Previous`]
 //!    (raises [`Counter::CheckpointFallbacks`] — the alarm);
 //! 3. nothing valid → [`Recovery::ColdStart`] (alarmed only when
-//!    damaged files were present — a first run has nothing to restore).
+//!    damaged or refused files were present — a first run has nothing
+//!    to restore).
+//!
+//! A *damaged* file is unreadable or fails the codec's checks; a
+//! *refused* one is intact but was written under a different parameter
+//! hash (another configuration or snapshot layout), so restoring it
+//! would graft foreign state. The two are counted apart.
 //!
 //! Hostile bytes (truncation, torn writes, bit flips, stale swaps) are
 //! rejected by the snapshot codec's CRCs and the per-field validation in
@@ -219,8 +225,8 @@ pub enum Recovery<T = PipelineState> {
         /// The decoded state.
         state: T,
     },
-    /// The newest generation was damaged; the previous one restored.
-    /// [`Counter::CheckpointFallbacks`] has been raised.
+    /// The newest generation was damaged or refused; the previous one
+    /// restored. [`Counter::CheckpointFallbacks`] has been raised.
     Previous {
         /// Snapshot sequence number of the surviving generation.
         seq: u64,
@@ -228,14 +234,33 @@ pub enum Recovery<T = PipelineState> {
         state: T,
         /// Generation files that existed but failed validation.
         damaged: usize,
+        /// Intact generation files written under another parameter hash.
+        refused: usize,
     },
-    /// Nothing restorable. `damaged == 0` means a genuinely fresh start
-    /// (no checkpoint files at all); `damaged > 0` means every existing
-    /// generation failed validation and the alarm has been raised.
+    /// Nothing restorable. `damaged == refused == 0` means a genuinely
+    /// fresh start (no checkpoint files at all); otherwise every
+    /// existing generation was damaged or refused and the alarm has
+    /// been raised.
     ColdStart {
         /// Generation files that existed but failed validation.
         damaged: usize,
+        /// Intact generation files written under another parameter hash.
+        refused: usize,
     },
+}
+
+/// The generation files a restore passed over, in words for a resume
+/// message: `"1 file(s) damaged"`, `"2 file(s) written by a different
+/// configuration"`, or both joined by `", "`.
+pub fn skipped_files(damaged: usize, refused: usize) -> String {
+    let mut parts = Vec::new();
+    if damaged > 0 {
+        parts.push(format!("{damaged} file(s) damaged"));
+    }
+    if refused > 0 {
+        parts.push(format!("{refused} file(s) written by a different configuration"));
+    }
+    parts.join(", ")
 }
 
 /// A two-generation rotated checkpoint store in a directory.
@@ -296,18 +321,20 @@ impl CheckpointStore {
 
     /// Walks the degradation ladder: decode every generation slot that
     /// exists, take the highest valid sequence, and classify the
-    /// outcome. Damaged slots (unreadable, truncated, corrupt, or
-    /// written under a different configuration) are counted, never
-    /// fatal. Raises [`Counter::CheckpointResumes`] when a state is
-    /// recovered and [`Counter::CheckpointFallbacks`] whenever damage
-    /// forced a rung down the ladder.
+    /// outcome. Damaged slots (unreadable, truncated, corrupt) and
+    /// refused ones (written under a different configuration) are
+    /// counted apart, never fatal. Raises [`Counter::CheckpointResumes`]
+    /// when a state is recovered and [`Counter::CheckpointFallbacks`]
+    /// whenever a damaged or refused slot forced a rung down the ladder.
     pub fn recover(&self, param_hash: u64) -> Recovery {
         self.recover_with(|bytes| PipelineState::decode(bytes, param_hash))
     }
 
     /// The degradation ladder for any snapshot payload: `decode` turns a
-    /// generation file's bytes into `(seq, state)` or a typed error
-    /// (which marks the slot damaged). The [`recover`](Self::recover)
+    /// generation file's bytes into `(seq, state)` or a typed error,
+    /// which marks the slot refused when it is
+    /// [`SnapshotError::ParamHashMismatch`] and damaged otherwise. The
+    /// [`recover`](Self::recover)
     /// semantics — highest valid sequence wins, damage counted, resume
     /// and fallback counters raised — apply unchanged, so the fleet's
     /// shard snapshots get the same never-panic guarantees as the
@@ -317,7 +344,7 @@ impl CheckpointStore {
         decode: impl Fn(&[u8]) -> Result<(u64, T), SnapshotError>,
     ) -> Recovery<T> {
         let mut best: Option<(u64, T)> = None;
-        let mut damaged = 0usize;
+        let (mut damaged, mut refused) = (0usize, 0usize);
         for name in GEN_FILES {
             let path = self.dir.join(name);
             let bytes = match fs::read(&path) {
@@ -334,25 +361,24 @@ impl CheckpointStore {
                         best = Some((seq, state));
                     }
                 }
+                Err(SnapshotError::ParamHashMismatch { .. }) => refused += 1,
                 Err(_) => damaged += 1,
             }
+        }
+        let skipped = damaged + refused > 0;
+        if skipped {
+            obs::counter_add(Counter::CheckpointFallbacks, 1);
         }
         match best {
             Some((seq, state)) => {
                 obs::counter_add(Counter::CheckpointResumes, 1);
-                if damaged > 0 {
-                    obs::counter_add(Counter::CheckpointFallbacks, 1);
-                    Recovery::Previous { seq, state, damaged }
+                if skipped {
+                    Recovery::Previous { seq, state, damaged, refused }
                 } else {
                     Recovery::Latest { seq, state }
                 }
             }
-            None => {
-                if damaged > 0 {
-                    obs::counter_add(Counter::CheckpointFallbacks, 1);
-                }
-                Recovery::ColdStart { damaged }
-            }
+            None => Recovery::ColdStart { damaged, refused },
         }
     }
 }
@@ -377,6 +403,14 @@ mod tests {
             },
             queue: QueueState { backlog: 5.0, arrived: 20.0, lost: 0.0, served: 15.0 },
         }
+    }
+
+    /// Held by every test that raises or reads the process-wide
+    /// fallback counter, so no test's recoveries land between another
+    /// test's before and after readings.
+    fn fallback_counter_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     fn tmp_store(tag: &str) -> CheckpointStore {
@@ -464,6 +498,7 @@ mod tests {
 
     #[test]
     fn damaged_latest_falls_back_to_previous_generation() {
+        let _counter = fallback_counter_lock();
         let store = tmp_store("fallback");
         let hash = 0x2222;
         store.write(&toy_state(100), hash, 4).unwrap();
@@ -474,10 +509,10 @@ mod tests {
             .unwrap();
         let before = obs::counter_value(Counter::CheckpointFallbacks);
         match store.recover(hash) {
-            Recovery::Previous { seq, state, damaged } => {
+            Recovery::Previous { seq, state, damaged, refused } => {
                 assert_eq!(seq, 4);
                 assert_eq!(state.slices_done, 100);
-                assert_eq!(damaged, 1);
+                assert_eq!((damaged, refused), (1, 0));
             }
             other => panic!("expected Previous, got {other:?}"),
         }
@@ -486,6 +521,7 @@ mod tests {
 
     #[test]
     fn all_generations_damaged_is_an_alarmed_cold_start() {
+        let _counter = fallback_counter_lock();
         let store = tmp_store("coldstart");
         let hash = 0x3333;
         store.write(&toy_state(100), hash, 0).unwrap();
@@ -498,12 +534,43 @@ mod tests {
             )
             .unwrap();
         }
-        assert_eq!(store.recover(hash), Recovery::ColdStart { damaged: 2 });
+        assert_eq!(store.recover(hash), Recovery::ColdStart { damaged: 2, refused: 0 });
         // An empty store is a quiet cold start (no alarm).
         let empty = tmp_store("empty");
         let before = obs::counter_value(Counter::CheckpointFallbacks);
-        assert_eq!(empty.recover(hash), Recovery::ColdStart { damaged: 0 });
+        assert_eq!(empty.recover(hash), Recovery::ColdStart { damaged: 0, refused: 0 });
         assert_eq!(obs::counter_value(Counter::CheckpointFallbacks), before);
+    }
+
+    #[test]
+    fn another_configurations_checkpoint_is_refused_not_damaged() {
+        let _counter = fallback_counter_lock();
+        let store = tmp_store("refused");
+        let (hash, other) = (0x6666, 0x6667);
+        store.write(&toy_state(100), hash, 2).unwrap();
+        store.write(&toy_state(200), other, 3).unwrap();
+        let before = obs::counter_value(Counter::CheckpointFallbacks);
+        match store.recover(hash) {
+            Recovery::Previous { seq, state, damaged, refused } => {
+                assert_eq!((seq, state.slices_done), (2, 100));
+                assert_eq!((damaged, refused), (0, 1));
+            }
+            other => panic!("expected Previous, got {other:?}"),
+        }
+        assert_eq!(obs::counter_value(Counter::CheckpointFallbacks), before + 1);
+        // Both generations foreign: a cold start that names them refused.
+        store.write(&toy_state(300), other, 4).unwrap();
+        assert_eq!(store.recover(hash), Recovery::ColdStart { damaged: 0, refused: 2 });
+    }
+
+    #[test]
+    fn skipped_files_names_damage_and_refusal_apart() {
+        assert_eq!(skipped_files(1, 0), "1 file(s) damaged");
+        assert_eq!(skipped_files(0, 2), "2 file(s) written by a different configuration");
+        assert_eq!(
+            skipped_files(1, 1),
+            "1 file(s) damaged, 1 file(s) written by a different configuration"
+        );
     }
 
     #[test]
@@ -531,6 +598,7 @@ mod tests {
 
     #[test]
     fn recover_never_panics_on_any_file_corruption_mode() {
+        let _counter = fallback_counter_lock();
         let hash = 0x5555;
         for mode in crate::faults::FileCorruption::ALL {
             for seed in 0..8u64 {
@@ -545,7 +613,9 @@ mod tests {
                     Recovery::Latest { state, .. } | Recovery::Previous { state, .. } => {
                         assert!(state.slices_done == 100 || state.slices_done == 200);
                     }
-                    Recovery::ColdStart { damaged } => assert!(damaged >= 1),
+                    Recovery::ColdStart { damaged, refused } => {
+                        assert!(damaged >= 1 && refused == 0)
+                    }
                 }
                 std::fs::remove_dir_all(store.dir()).ok();
             }

@@ -4,6 +4,7 @@
 
 use vbr_bench::{CheckpointStore, FaultInjector, FileCorruption, KillPoint, Recovery, TraceDigest};
 use vbr_serve::{Fleet, FleetConfig, SourceModel, TenantSpec};
+use vbr_stats::snapshot::{crc32, ParamHasher, SnapshotReader};
 
 const BLOCK: usize = 16;
 const SLOTS_TOTAL: u64 = 12;
@@ -129,13 +130,69 @@ fn corrupted_checkpoints_degrade_and_never_panic() {
         store.write_bytes(&bytes, CKPT_AT).unwrap();
         store.write_bytes(&bad, CKPT_AT + 1).unwrap();
         match store.recover_with(decode) {
-            Recovery::Previous { seq, state, damaged } => {
+            Recovery::Previous { seq, state, damaged, refused } => {
                 assert_eq!(seq, CKPT_AT);
-                assert_eq!(damaged, 1);
+                assert_eq!((damaged, refused), (1, 0));
                 assert_eq!(finish(state), want, "fallback generation diverged ({mode:?})");
             }
             other => panic!("expected fallback to the intact generation, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// `bytes` (a current fleet snapshot) under the parameter hash of the
+/// `vbr-fleet/v2` layout, its file CRC recomputed: an intact file that
+/// an older build wrote for the same fleet configuration.
+fn v2_hashed(bytes: &[u8]) -> Vec<u8> {
+    let v2_hash = ParamHasher::new()
+        .str("vbr-fleet/v2")
+        .usize(cfg().slot_len)
+        .u64(0)
+        .f64(0.5)
+        .str("cap")
+        .usize(cfg().max_sources)
+        .finish();
+    // Header: magic (8 bytes), codec version (4), parameter hash (8).
+    let mut out = bytes[..bytes.len() - 4].to_vec();
+    out[12..20].copy_from_slice(&v2_hash.to_le_bytes());
+    let crc = crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    assert_eq!(SnapshotReader::open(&out).unwrap().param_hash(), v2_hash);
+    out
+}
+
+#[test]
+fn another_layouts_checkpoint_is_refused_and_a_flipped_byte_is_damaged() {
+    let (want, bytes) = reference_run();
+    let dir = std::env::temp_dir().join(format!("fleet_drill_refused_{}", std::process::id()));
+    let store = CheckpointStore::new(&dir).unwrap();
+
+    // Alone in the store: a cold start that calls it refused.
+    store.write_bytes(&v2_hashed(&bytes), CKPT_AT + 1).unwrap();
+    assert!(matches!(
+        store.recover_with(decode),
+        Recovery::ColdStart { damaged: 0, refused: 1 }
+    ));
+
+    // Beside an intact older generation: that one restores.
+    store.write_bytes(&bytes, CKPT_AT).unwrap();
+    match store.recover_with(decode) {
+        Recovery::Previous { seq, state, damaged, refused } => {
+            assert_eq!((seq, damaged, refused), (CKPT_AT, 0, 1));
+            assert_eq!(finish(state), want);
+        }
+        other => panic!("expected fallback to the intact generation, got {other:?}"),
+    }
+
+    // One flipped byte in the newest generation is damage, not refusal.
+    let mut flipped = bytes.clone();
+    let mid = flipped.len() / 2;
+    flipped[mid] ^= 0x40;
+    store.write_bytes(&flipped, CKPT_AT + 1).unwrap();
+    match store.recover_with(decode) {
+        Recovery::Previous { damaged, refused, .. } => assert_eq!((damaged, refused), (1, 0)),
+        other => panic!("expected fallback to the intact generation, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

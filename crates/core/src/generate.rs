@@ -4,10 +4,10 @@
 use crate::error::ModelError;
 use crate::params::ModelParams;
 use vbr_fgn::{DaviesHarte, Hosking, MarginalTransform, TableMode};
-use vbr_stats::dist::{ContinuousDist, Gamma, GammaPareto, Normal};
+use vbr_stats::dist::{ContinuousDist, GammaPareto, Normal};
 use vbr_stats::error::{check_in_range, check_positive_param};
 use vbr_stats::rng::Xoshiro256;
-use vbr_video::Trace;
+use vbr_video::{dirichlet_slices, Trace};
 
 /// Which marginal distribution the generated traffic has.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -265,9 +265,9 @@ impl SourceModel {
         }
         let frames = self.try_generate_frames(n_frames, seed)?;
         let spf = slices_per_frame;
-        let mut slices = Vec::with_capacity(n_frames * spf);
-        match self.slice_weight_shape {
+        let slices = match self.slice_weight_shape {
             None => {
+                let mut slices = Vec::with_capacity(n_frames * spf);
                 for &fb in &frames {
                     let target = fb.round().max(0.0) as u64;
                     let base = target / spf as u64;
@@ -276,31 +276,12 @@ impl SourceModel {
                         slices.push((base + u64::from(i < rem)) as u32);
                     }
                 }
+                slices
             }
             Some(shape) => {
-                let gamma_w = Gamma::new(shape, 1.0);
-                let mut rng = Xoshiro256::seed_from_u64(seed ^ 0x51CE);
-                let mut weights = vec![0.0f64; spf];
-                for &fb in &frames {
-                    let mut total = 0.0;
-                    for w in weights.iter_mut() {
-                        *w = gamma_w.sample(&mut rng);
-                        total += *w;
-                    }
-                    let target = fb.round().max(0.0) as u64;
-                    let mut assigned = 0u64;
-                    for (i, &w) in weights.iter().enumerate() {
-                        let v = if i + 1 == spf {
-                            target - assigned
-                        } else {
-                            ((w / total) * target as f64).floor() as u64
-                        };
-                        assigned += v;
-                        slices.push(v.min(u32::MAX as u64) as u32);
-                    }
-                }
+                dirichlet_slices(&frames, spf, shape, Xoshiro256::seed_from_u64(seed ^ 0x51CE))
             }
-        }
+        };
         Ok(Trace::from_slices(slices, spf, fps))
     }
 }

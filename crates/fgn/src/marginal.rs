@@ -15,7 +15,11 @@ use vbr_stats::special::{norm_cdf, norm_quantile};
 /// How the target quantile function is evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TableMode {
-    /// Exact quantile evaluation at every point.
+    /// Exact quantile evaluation at every point: `Φ`, then the target's
+    /// own quantile (for a Gamma body, a bracketed Newton on the
+    /// incomplete gamma, ~0.8 µs a point). [`MarginalTransform::map_inplace`]
+    /// spreads a long slice over the worker pool; each point is a pure
+    /// function of its input, so the bits do not depend on the width.
     Exact,
     /// Linear interpolation in a precomputed `N`-point table (the paper
     /// used `N = 10 000`). Probabilities beyond the table's ends are
@@ -64,7 +68,15 @@ pub struct MarginalTransform<D: ContinuousDist> {
     slopes: Vec<f64>,
 }
 
-impl<D: ContinuousDist> MarginalTransform<D> {
+/// Element operations (the unit of [`vbr_stats::par::MIN_PARALLEL_WORK`])
+/// one exact-mode point costs: `Φ` through the incomplete gamma, then
+/// the target's quantile, a bracketed Newton on the incomplete gamma of
+/// the Gamma body. Measured at ~0.8 µs a point against ~6 ns a fluid
+/// queue step (2-vCPU AVX-512F Xeon, one core), so a few thousand
+/// points are worth a pool call.
+const EXACT_POINT_OPS: usize = 128;
+
+impl<D: ContinuousDist + Sync> MarginalTransform<D> {
     /// Builds a transform from `N(src_mean, src_sd²)` to `target`.
     pub fn new(target: D, src_mean: f64, src_sd: f64, mode: TableMode) -> Self {
         assert!(src_sd > 0.0, "source std dev must be positive");
@@ -72,6 +84,9 @@ impl<D: ContinuousDist> MarginalTransform<D> {
             TableMode::Exact => (Vec::new(), Vec::new()),
             TableMode::Table(n) => {
                 assert!(n >= 2, "table needs at least 2 points");
+                // Serial on purpose: on the pool the 10 000-knot build
+                // saves ~2.5 ms but a streaming pipeline's peak RSS
+                // grows ~7 % (DESIGN.md §9, "The trace's setup path").
                 (0..n)
                     .map(|i| {
                         let u = (i as f64 + 0.5) / n as f64;
@@ -209,12 +224,23 @@ impl<D: ContinuousDist> MarginalTransform<D> {
     /// [`map_table_one`](Self::map_table_one) the scalar path uses,
     /// results are bit-identical to mapping one sample at a time, for
     /// any block size.
+    ///
+    /// Exact mode splits the slice into one contiguous chunk per worker
+    /// of [`sized_width`](vbr_stats::par::sized_width) (a pool call
+    /// made from inside a pool worker runs serially). Each point is a
+    /// pure function of its input, so the bits do not depend on the
+    /// width.
     pub fn map_inplace(&self, xs: &mut [f64]) {
         match self.mode {
             TableMode::Exact => {
-                for x in xs {
-                    *x = self.map_exact(*x);
-                }
+                let width = vbr_stats::par::sized_width(xs.len().saturating_mul(EXACT_POINT_OPS));
+                let mut chunks: Vec<&mut [f64]> =
+                    xs.chunks_mut(xs.len().div_ceil(width).max(1)).collect();
+                vbr_stats::par::par_for_each_mut(&mut chunks, |_, chunk| {
+                    for x in chunk.iter_mut() {
+                        *x = self.map_exact(*x);
+                    }
+                });
             }
             TableMode::Table(_) => {
                 let mut chunks = xs.chunks_exact_mut(vbr_stats::simd::LANES);
@@ -389,6 +415,21 @@ mod tests {
                 ys[i] > ys[i - 1],
                 "order flipped at {i}"
             );
+        }
+    }
+
+    #[test]
+    fn exact_map_gives_the_same_bits_at_every_pool_width() {
+        let t = target();
+        let f = MarginalTransform::new(&t, 0.3, 1.7, TableMode::Exact);
+        let mut rng = Xoshiro256::seed_from_u64(14);
+        let xs: Vec<f64> = (0..5_001).map(|_| 0.3 + 1.7 * rng.standard_normal()).collect();
+        let one: Vec<u64> = xs.iter().map(|&x| f.map(x).to_bits()).collect();
+        for threads in [1, 2, 3] {
+            let mut got = xs.clone();
+            vbr_stats::par::with_threads(threads, || f.map_inplace(&mut got));
+            let got: Vec<u64> = got.iter().map(|y| y.to_bits()).collect();
+            assert_eq!(got, one, "{threads} threads");
         }
     }
 

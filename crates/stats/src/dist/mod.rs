@@ -12,7 +12,7 @@ mod pareto;
 
 pub use convolve::{aggregate_marginal, DensityTable};
 pub use exponential::Exponential;
-pub use gamma::Gamma;
+pub use gamma::{Gamma, GammaDraws};
 pub use gamma_pareto::GammaPareto;
 pub use lognormal::Lognormal;
 pub use normal::Normal;

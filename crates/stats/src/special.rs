@@ -102,10 +102,19 @@ pub fn gamma_p(a: f64, x: f64) -> f64 {
     if x <= 0.0 {
         return 0.0;
     }
+    gamma_p_lg(a, x, x.ln(), ln_gamma(a))
+}
+
+/// [`gamma_p`] for `x > 0` with `ln x` and `lnΓ(a)` supplied, for
+/// callers that hold them already (a [`Gamma`](crate::dist::Gamma)
+/// caches `lnΓ(s)`; its quantile's Newton step shares one `ln(λx)`
+/// between cdf and pdf). The same expressions on the same values, so
+/// the same bits as [`gamma_p`].
+pub(crate) fn gamma_p_lg(a: f64, x: f64, ln_x: f64, lg_a: f64) -> f64 {
     if x < a + 1.0 {
-        gamma_p_series(a, x)
+        gamma_p_series_lg(a, x, ln_x, lg_a)
     } else {
-        1.0 - gamma_q_contfrac(a, x)
+        1.0 - gamma_q_contfrac_lg(a, x, ln_x, lg_a)
     }
 }
 
@@ -115,14 +124,21 @@ pub fn gamma_q(a: f64, x: f64) -> f64 {
     if x <= 0.0 {
         return 1.0;
     }
+    gamma_q_lg(a, x, x.ln(), ln_gamma(a))
+}
+
+/// [`gamma_q`] for `x > 0` with `ln x` and `lnΓ(a)` supplied; same bits
+/// (see [`gamma_p_lg`]).
+pub(crate) fn gamma_q_lg(a: f64, x: f64, ln_x: f64, lg_a: f64) -> f64 {
     if x < a + 1.0 {
-        1.0 - gamma_p_series(a, x)
+        1.0 - gamma_p_series_lg(a, x, ln_x, lg_a)
     } else {
-        gamma_q_contfrac(a, x)
+        gamma_q_contfrac_lg(a, x, ln_x, lg_a)
     }
 }
 
-fn gamma_p_series(a: f64, x: f64) -> f64 {
+/// Series for `P(a, x)`, `x < a + 1`; `ln_x = ln x`, `lg_a = lnΓ(a)`.
+fn gamma_p_series_lg(a: f64, x: f64, ln_x: f64, lg_a: f64) -> f64 {
     const MAX_ITER: usize = 500;
     const EPS: f64 = 1e-15;
     let mut ap = a;
@@ -136,10 +152,12 @@ fn gamma_p_series(a: f64, x: f64) -> f64 {
             break;
         }
     }
-    sum * (-x + a * x.ln() - ln_gamma(a)).exp()
+    sum * (-x + a * ln_x - lg_a).exp()
 }
 
-fn gamma_q_contfrac(a: f64, x: f64) -> f64 {
+/// Continued fraction for `Q(a, x)`, `x ≥ a + 1`; `ln_x = ln x`,
+/// `lg_a = lnΓ(a)`.
+fn gamma_q_contfrac_lg(a: f64, x: f64, ln_x: f64, lg_a: f64) -> f64 {
     const MAX_ITER: usize = 500;
     const EPS: f64 = 1e-15;
     const FPMIN: f64 = f64::MIN_POSITIVE / EPS;
@@ -165,15 +183,19 @@ fn gamma_q_contfrac(a: f64, x: f64) -> f64 {
             break;
         }
     }
-    (-x + a * x.ln() - ln_gamma(a)).exp() * h
+    (-x + a * ln_x - lg_a).exp() * h
 }
+
+/// `lnΓ(½) = ln √π`: the bits [`ln_gamma`]`(0.5)` returns (pinned by a
+/// test), so the error functions skip the Lanczos sum on every call.
+const LN_GAMMA_HALF: f64 = f64::from_bits(0x3fe2_50d0_48e7_a1b8);
 
 /// Error function, via the incomplete gamma identity `erf(x) = P(½, x²)`.
 pub fn erf(x: f64) -> f64 {
     if x >= 0.0 {
-        gamma_p(0.5, x * x)
+        half_p(x * x)
     } else {
-        -gamma_p(0.5, x * x)
+        -half_p(x * x)
     }
 }
 
@@ -181,10 +203,26 @@ pub fn erf(x: f64) -> f64 {
 /// in the right tail (`erfc(x) = Q(½, x²)` for `x > 0`).
 pub fn erfc(x: f64) -> f64 {
     if x >= 0.0 {
-        gamma_q(0.5, x * x)
+        half_q(x * x)
     } else {
-        1.0 + gamma_p(0.5, x * x)
+        1.0 + half_p(x * x)
     }
+}
+
+/// [`gamma_p`]`(½, x)` with the cached `lnΓ(½)`.
+fn half_p(x: f64) -> f64 {
+    if x <= 0.0 {
+        return 0.0;
+    }
+    gamma_p_lg(0.5, x, x.ln(), LN_GAMMA_HALF)
+}
+
+/// [`gamma_q`]`(½, x)` with the cached `lnΓ(½)`.
+fn half_q(x: f64) -> f64 {
+    if x <= 0.0 {
+        return 1.0;
+    }
+    gamma_q_lg(0.5, x, x.ln(), LN_GAMMA_HALF)
 }
 
 /// Standard normal CDF `Φ(x)` computed from `erfc` (accurate in both tails).
@@ -592,9 +630,115 @@ fn quantile_slice_body(ps: &mut [f64]) {
     }
 }
 
+/// The incomplete gamma and `erfc` as written before `lnΓ(a)` and
+/// `ln x` were passed in: every call recomputes both. Tests pin the
+/// cached forms to these bit for bit.
+#[cfg(test)]
+pub(crate) mod uncached {
+    use super::ln_gamma;
+
+    fn p_series(a: f64, x: f64) -> f64 {
+        let mut ap = a;
+        let mut sum = 1.0 / a;
+        let mut del = sum;
+        for _ in 0..500 {
+            ap += 1.0;
+            del *= x / ap;
+            sum += del;
+            if del.abs() < sum.abs() * 1e-15 {
+                break;
+            }
+        }
+        sum * (-x + a * x.ln() - ln_gamma(a)).exp()
+    }
+
+    fn q_contfrac(a: f64, x: f64) -> f64 {
+        const FPMIN: f64 = f64::MIN_POSITIVE / 1e-15;
+        let mut b = x + 1.0 - a;
+        let mut c = 1.0 / FPMIN;
+        let mut d = 1.0 / b;
+        let mut h = d;
+        for i in 1..=500 {
+            let an = -(i as f64) * (i as f64 - a);
+            b += 2.0;
+            d = an * d + b;
+            if d.abs() < FPMIN {
+                d = FPMIN;
+            }
+            c = b + an / c;
+            if c.abs() < FPMIN {
+                c = FPMIN;
+            }
+            d = 1.0 / d;
+            let del = d * c;
+            h *= del;
+            if (del - 1.0).abs() < 1e-15 {
+                break;
+            }
+        }
+        (-x + a * x.ln() - ln_gamma(a)).exp() * h
+    }
+
+    pub(crate) fn gamma_p(a: f64, x: f64) -> f64 {
+        if x <= 0.0 {
+            0.0
+        } else if x < a + 1.0 {
+            p_series(a, x)
+        } else {
+            1.0 - q_contfrac(a, x)
+        }
+    }
+
+    pub(crate) fn gamma_q(a: f64, x: f64) -> f64 {
+        if x <= 0.0 {
+            1.0
+        } else if x < a + 1.0 {
+            1.0 - p_series(a, x)
+        } else {
+            q_contfrac(a, x)
+        }
+    }
+
+    pub(crate) fn erfc(x: f64) -> f64 {
+        if x >= 0.0 {
+            gamma_q(0.5, x * x)
+        } else {
+            1.0 + gamma_p(0.5, x * x)
+        }
+    }
+
+    pub(crate) fn erf(x: f64) -> f64 {
+        if x >= 0.0 {
+            gamma_p(0.5, x * x)
+        } else {
+            -gamma_p(0.5, x * x)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cached_forms_match_the_uncached_formulas_bitwise() {
+        // x² below and above a + 1 = 1.5 reaches the series and the
+        // continued fraction; ±0, the deep tails and NaN the guards.
+        let mut xs = vec![0.0, -0.0, 1e-300, -1e-12, 6.0, -6.0, 27.0, f64::NAN];
+        xs.extend((-400..=400).map(|i| i as f64 / 64.0));
+        for x in xs {
+            assert_eq!(erfc(x).to_bits(), uncached::erfc(x).to_bits(), "erfc({x})");
+            assert_eq!(erf(x).to_bits(), uncached::erf(x).to_bits(), "erf({x})");
+            assert_eq!(norm_cdf(x).to_bits(), (0.5 * uncached::erfc(-x / std::f64::consts::SQRT_2)).to_bits());
+        }
+        for a in [0.5, 1.0, 19.7, 22.0] {
+            for k in 0..200 {
+                let x = a * k as f64 / 50.0;
+                assert_eq!(gamma_p(a, x).to_bits(), uncached::gamma_p(a, x).to_bits(), "P({a}, {x})");
+                assert_eq!(gamma_q(a, x).to_bits(), uncached::gamma_q(a, x).to_bits(), "Q({a}, {x})");
+            }
+        }
+    }
 
     #[test]
     fn ln_gamma_known_values() {
@@ -622,6 +766,16 @@ mod tests {
         let lhs = ln_gamma(0.25) + ln_gamma(0.75);
         let rhs = (std::f64::consts::PI * std::f64::consts::SQRT_2).ln();
         assert!((lhs - rhs).abs() < 1e-12);
+    }
+
+    #[test]
+    fn cached_ln_gamma_half_is_the_lanczos_value() {
+        assert_eq!(
+            LN_GAMMA_HALF.to_bits(),
+            ln_gamma(0.5).to_bits(),
+            "{:#018x}",
+            ln_gamma(0.5).to_bits()
+        );
     }
 
     #[test]

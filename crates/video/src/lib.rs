@@ -43,8 +43,8 @@ pub use quant::Quantizer;
 pub use scene_model::{SceneChainConfig, SceneChainModel};
 pub use scenes::{detect_scenes, summarize_scenes, Scene, SceneDetectOptions, SceneSummary};
 pub use screenplay::{
-    generate as generate_screenplay, generate_batch as generate_screenplay_batch, Genre,
-    ScreenplayConfig,
+    dirichlet_slices, generate as generate_screenplay, generate_batch as generate_screenplay_batch,
+    Genre, ScreenplayConfig,
 };
 pub use synth::{SceneSpec, SceneSynthesizer};
 pub use trace::Trace;

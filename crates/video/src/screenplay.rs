@@ -310,17 +310,28 @@ pub fn generate(config: &ScreenplayConfig) -> Trace {
 
     // 6. Split frames into slices with Dirichlet(α) weights.
     let spf = config.slices_per_frame;
-    let mut slice_rng = Xoshiro256::seed_from_u64(config.seed ^ 0x51CE);
-    let gamma_w = Gamma::new(config.slice_weight_shape, 1.0);
-    let mut slices = Vec::with_capacity(n * spf);
+    let slice_rng = Xoshiro256::seed_from_u64(config.seed ^ 0x51CE);
+    let slices = dirichlet_slices(&frame_bytes, spf, config.slice_weight_shape, slice_rng);
+    Trace::from_slices(slices, spf, config.fps)
+}
+
+/// Splits each frame's bytes into `spf` slices with Dirichlet weights —
+/// `spf` Gamma(`shape`, 1) draws from `rng`, frame by frame, each slice
+/// taking its weight's share of the frame. The split is in integers and
+/// keeps the frame total exactly: every slice but the last gets
+/// `⌊w/Σw · total⌋` bytes and the last the rest, where `total` is the
+/// frame's bytes rounded to the nearest integer (0 for a negative or
+/// NaN frame). A slice is capped at `u32::MAX`.
+pub fn dirichlet_slices(frame_bytes: &[f64], spf: usize, shape: f64, rng: Xoshiro256) -> Vec<u32> {
+    let mut draws = Gamma::new(shape, 1.0).draws(rng);
+    let mut slices = Vec::with_capacity(frame_bytes.len() * spf);
     let mut weights = vec![0.0f64; spf];
-    for &fb in &frame_bytes {
+    for &fb in frame_bytes {
         let mut total = 0.0;
         for w in weights.iter_mut() {
-            *w = gamma_w.sample(&mut slice_rng);
+            *w = draws.draw();
             total += *w;
         }
-        // Integer split preserving the frame total exactly.
         let target = fb.round() as u64;
         let mut assigned = 0u64;
         for (i, &w) in weights.iter().enumerate() {
@@ -333,8 +344,7 @@ pub fn generate(config: &ScreenplayConfig) -> Trace {
             slices.push(v.min(u32::MAX as u64) as u32);
         }
     }
-
-    Trace::from_slices(slices, spf, config.fps)
+    slices
 }
 
 /// Generates one trace per configuration on the worker pool — the
@@ -468,6 +478,18 @@ mod tests {
         assert!(hc < hs - 0.02, "conference H {hc} vs sports H {hs}");
         assert!(hc < hm - 0.02, "conference H {hc} vs movie H {hm}");
         assert!(hc > 0.5, "conference must still be LRD, H {hc}");
+    }
+
+    #[test]
+    fn trace_is_the_same_at_every_pool_width() {
+        // The exact marginal map splits across the pool; the slice split
+        // draws from one buffered stream. Neither may move a bit.
+        let cfg = ScreenplayConfig::short(20_000, 12);
+        let one = vbr_stats::par::with_threads(1, || generate(&cfg));
+        for threads in [2, 3] {
+            let got = vbr_stats::par::with_threads(threads, || generate(&cfg));
+            assert!(got == one, "{threads} threads");
+        }
     }
 
     #[test]
