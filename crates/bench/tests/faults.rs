@@ -10,11 +10,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 use vbr_bench::{Corruption, FaultInjector};
-use vbr_fgn::RobustFgn;
+use vbr_fgn::{DaviesHarte, FgnError};
 use vbr_lrd::robust_hurst;
 use vbr_model::{try_estimate_series, EstimateOptions, ModelError, ModelParams, SourceModel};
 use vbr_qsim::{FluidQueue, MuxSim};
 use vbr_stats::error::DataError;
+use vbr_stats::rng::Xoshiro256;
 use vbr_video::Trace;
 
 /// A healthy positive frame-size-like series long enough for estimation.
@@ -130,16 +131,21 @@ fn recovered_estimates_generate_only_finite_traffic() {
 }
 
 #[test]
-fn fgn_fallback_output_is_finite() {
-    // Non-PSD custom covariance: the robust generator must fall back and
-    // still emit purely finite samples.
+fn non_psd_acvf_is_a_typed_error() {
+    // Non-PSD custom covariance: the circulant engine must report the
+    // defect as a typed error, not panic or emit a clamped path.
     let mut gamma = vec![0.0; 257];
     gamma[0] = 1.0;
     gamma[1] = 0.8;
-    let g = RobustFgn::try_new(0.8, 1.0).unwrap();
-    let r = g.generate_from_acvf(&gamma, 200, 17);
-    assert!(r.fallback_reason.is_some());
-    assert!(r.series.iter().all(|v| v.is_finite()));
+    let mut rng = Xoshiro256::seed_from_u64(17);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        DaviesHarte::try_generate_from_acvf(&gamma, 200, &mut rng)
+    }));
+    let result = outcome.expect("try_generate_from_acvf must not panic");
+    assert!(
+        matches!(result, Err(FgnError::NonPsdEmbedding { min_eigenvalue, .. }) if min_eigenvalue < 0.0),
+        "{result:?}"
+    );
 }
 
 #[test]

@@ -33,13 +33,6 @@ pub enum CorrelationVariant {
         /// Lag-1 autocorrelation.
         rho: f64,
     },
-    /// LRD *plus* an ARMA short-range filter — the §4 future-work
-    /// augmentation ("combining this model with an ARMA filter"):
-    /// fractional Gaussian noise passed through an AR(1) stage.
-    LrdAr1 {
-        /// AR(1) coefficient of the short-range stage.
-        rho: f64,
-    },
 }
 
 /// Which exact-LRD generator drives the Gaussian stage.
@@ -114,33 +107,13 @@ impl SourceModel {
         Ok(SourceModel { correlation: CorrelationVariant::Ar1 { rho }, ..Self::full(params) })
     }
 
-    /// The §4 future-work augmentation: LRD with an additional AR(1)
-    /// short-range stage, Gamma/Pareto marginal.
-    pub fn lrd_ar1_gamma_pareto(params: ModelParams, rho: f64) -> Self {
-        assert!((0.0..1.0).contains(&rho), "AR(1) rho must be in [0, 1)");
-        SourceModel { correlation: CorrelationVariant::LrdAr1 { rho }, ..Self::full(params) }
-    }
-
-    /// Fallible [`lrd_ar1_gamma_pareto`](Self::lrd_ar1_gamma_pareto).
-    pub fn try_lrd_ar1_gamma_pareto(
-        params: ModelParams,
-        rho: f64,
-    ) -> Result<Self, ModelError> {
-        params.validate()?;
-        check_in_range("AR(1) rho", rho, 0.0, 1.0)?;
-        Ok(SourceModel {
-            correlation: CorrelationVariant::LrdAr1 { rho },
-            ..Self::full(params)
-        })
-    }
-
     /// Checks that the model's parameters (including any correlation-stage
     /// coefficient) are inside their domains — the fields are public, so a
     /// model can drift invalid after construction.
     pub fn validate(&self) -> Result<(), ModelError> {
         self.params.validate()?;
         match self.correlation {
-            CorrelationVariant::Ar1 { rho } | CorrelationVariant::LrdAr1 { rho } => {
+            CorrelationVariant::Ar1 { rho } => {
                 check_in_range("AR(1) rho", rho, 0.0, 1.0)?;
             }
             CorrelationVariant::Lrd(_) | CorrelationVariant::Iid => {}
@@ -176,10 +149,6 @@ impl SourceModel {
                         out
                     })
                     .collect()
-            }
-            CorrelationVariant::LrdAr1 { rho } => {
-                let fgn = DaviesHarte::new(self.params.hurst, 1.0).generate(n, seed);
-                vbr_fgn::ArmaFilter::ar1(rho).filter(&fgn)
             }
         }
     }
@@ -377,19 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn lrd_ar1_has_both_timescales() {
-        let m = SourceModel::lrd_ar1_gamma_pareto(params(), 0.9);
-        let xs = m.generate_frames(80_000, 12);
-        let r = autocorrelation(&xs, 300);
-        let plain = SourceModel::full(params()).generate_frames(80_000, 12);
-        let r_plain = autocorrelation(&plain, 300);
-        // Stronger short-range correlation than plain LRD...
-        assert!(r[1] > r_plain[1] + 0.1, "r(1): {} vs {}", r[1], r_plain[1]);
-        // ...and the long-range correlations survive the filter.
-        assert!(r[300] > 0.02, "r(300) = {}", r[300]);
-    }
-
-    #[test]
     fn table_mode_truncates_model_tail() {
         // The Fig 16 discussion: "the model does not hold the Pareto tail
         // … it decays too rapidly for very high values". Table mode caps
@@ -455,7 +411,7 @@ mod tests {
         ));
 
         assert!(SourceModel::try_ar1_gamma_pareto(params(), 1.5).is_err());
-        assert!(SourceModel::try_lrd_ar1_gamma_pareto(params(), f64::NAN).is_err());
+        assert!(SourceModel::try_ar1_gamma_pareto(params(), f64::NAN).is_err());
         assert!(SourceModel::try_ar1_gamma_pareto(params(), 0.9).is_ok());
     }
 

@@ -138,8 +138,7 @@ impl DaviesHarte {
     /// where `gamma.len() − 1` must be half of a power of two and
     /// `n ≤ gamma.len()`. This is the raw circulant-embedding engine: it
     /// fails with [`FgnError::NonPsdEmbedding`] when the requested
-    /// covariance cannot be embedded — the failure mode the robust
-    /// generator falls back from.
+    /// covariance cannot be embedded.
     pub fn try_generate_from_acvf(
         gamma: &[f64],
         n: usize,
@@ -364,19 +363,6 @@ pub(crate) fn synthesise_real_lanes_into(
     plan.synthesize_hermitian_lanes(&scratch.half, out, &mut scratch.fft, l);
 }
 
-/// Fractional Brownian motion path: the cumulative sum of fGn,
-/// `B_H(k) = Σ_{i≤k} X_i` — the storage/workload process of the
-/// Norros fluid model (`vbr-qsim::analytic`).
-pub fn fbm_path(fgn: &[f64]) -> Vec<f64> {
-    let mut acc = 0.0;
-    fgn.iter()
-        .map(|&x| {
-            acc += x;
-            acc
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,29 +431,53 @@ mod tests {
     }
 
     #[test]
-    fn fbm_path_is_cumsum_and_self_similar() {
-        let h = 0.8;
-        let fgn = DaviesHarte::new(h, 1.0).generate(65_536, 21);
-        let path = fbm_path(&fgn);
-        assert_eq!(path.len(), fgn.len());
-        assert!((path[0] - fgn[0]).abs() < 1e-12);
-        assert!((path[9] - fgn[..10].iter().sum::<f64>()).abs() < 1e-9);
-        // Self-similarity: Var[B(2t)] / Var[B(t)] = 2^{2H} across fresh
-        // realisations — check via increments over disjoint blocks.
-        let var_at = |span: usize| {
-            let incs: Vec<f64> = path
-                .chunks_exact(span)
-                .map(|c| c.last().unwrap() - c.first().unwrap())
-                .collect();
-            let m = incs.iter().sum::<f64>() / incs.len() as f64;
-            incs.iter().map(|v| (v - m).powi(2)).sum::<f64>() / incs.len() as f64
-        };
-        let ratio = var_at(2_048) / var_at(1_024);
-        let want = 2f64.powf(2.0 * h);
-        assert!(
-            (ratio / want - 1.0).abs() < 0.45,
-            "variance ratio {ratio} vs 2^2H = {want}"
-        );
+    fn try_new_rejects_invalid_parameters_with_typed_errors() {
+        for h in [f64::NAN, 0.0, 1.0, -0.2, 1.5, f64::INFINITY] {
+            match DaviesHarte::try_new(h, 1.0) {
+                Err(FgnError::InvalidHurst { lo, hi, .. }) => {
+                    assert_eq!((lo, hi), (0.0, 1.0), "H = {h}")
+                }
+                other => panic!("H = {h}: expected InvalidHurst, got {other:?}"),
+            }
+        }
+        for v in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(
+                    DaviesHarte::try_new(0.8, v),
+                    Err(FgnError::InvalidVariance { .. })
+                ),
+                "variance {v}"
+            );
+        }
+        assert_eq!(DaviesHarte::try_new(0.8, 1.0).unwrap().hurst(), 0.8);
+    }
+
+    #[test]
+    fn non_psd_acvf_gives_typed_error() {
+        // γ = [1, 0.8, 0, …]: the circulant eigenvalues are
+        // 1 + 1.6 cos(2πj/m), dipping to −0.6 — decisively non-PSD.
+        let mut gamma = vec![0.0; 129];
+        gamma[0] = 1.0;
+        gamma[1] = 0.8;
+        let mut rng = Xoshiro256::seed_from_u64(5);
+        match DaviesHarte::try_generate_from_acvf(&gamma, 100, &mut rng) {
+            Err(FgnError::NonPsdEmbedding { min_eigenvalue, .. }) => {
+                assert!(min_eigenvalue < -0.5, "min eigenvalue {min_eigenvalue}")
+            }
+            other => panic!("expected NonPsdEmbedding, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn psd_custom_acvf_is_embeddable() {
+        // MA(1) with ρ₁ = 0.4 < ½: eigenvalues 1 + 0.8 cos θ > 0.
+        let mut gamma = vec![0.0; 129];
+        gamma[0] = 1.0;
+        gamma[1] = 0.4;
+        let mut rng = Xoshiro256::seed_from_u64(7);
+        let x = DaviesHarte::try_generate_from_acvf(&gamma, 128, &mut rng).unwrap();
+        assert_eq!(x.len(), 128);
+        assert!(x.iter().all(|v| v.is_finite()));
     }
 
     #[test]

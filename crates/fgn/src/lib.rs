@@ -26,26 +26,22 @@
 #![warn(missing_docs)]
 
 pub mod acvf;
-pub mod arma;
 pub mod cache;
 pub mod davies_harte;
 pub mod error;
 pub mod hosking;
 pub mod marginal;
 pub mod mwm;
-pub mod robust;
 pub mod stream;
 pub mod traffic;
 
 pub use acvf::{farima_acf, fgn_acvf, hurst_to_d};
-pub use arma::{arma_noise, yule_walker, ArmaFilter};
 pub use cache::{farima_circulant_spectrum_cached, fgn_circulant_spectrum_cached};
-pub use davies_harte::{circulant_spectrum, fbm_path, DaviesHarte};
+pub use davies_harte::{circulant_spectrum, DaviesHarte};
 pub use error::FgnError;
 pub use hosking::Hosking;
 pub use marginal::{MarginalTransform, TableMode};
 pub use mwm::{MwmConfig, MwmModel};
-pub use robust::{FgnEngine, RobustFgn, RobustFgnResult};
 pub use traffic::{TraceReplay, TrafficModel, TRAFFIC_STATE_TAG};
 pub use stream::{
     farima_via_circulant, BatchStream, BlockSource, CirculantStream, Family, FgnStream,

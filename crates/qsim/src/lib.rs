@@ -35,7 +35,7 @@ mod zero;
 pub use admission::{admit_by_norros, admit_by_simulation, AdmissionResult};
 pub use analytic::{fbm_variance_coef, norros_capacity};
 pub use error::QsimError;
-pub use metrics::{worst_window_loss, DelayStats, SimResult};
+pub use metrics::{worst_window_loss, SimResult};
 pub use mux::{
     aggregate_arrivals, aggregate_arrivals_multi, draw_offsets, lag_combinations, ArrivalCursor,
     CursorState, LagCombination,

@@ -12,21 +12,8 @@ pub struct SimResult {
     pub loss_per_slot: Vec<f64>,
     /// Bytes offered per slot.
     pub arrival_per_slot: Vec<f64>,
-    /// Queue backlog (bytes) at the end of each slot, when recorded.
-    pub backlog_per_slot: Vec<f64>,
     /// Slot duration in seconds.
     pub dt: f64,
-}
-
-/// Summary of queueing delay over a run (virtual delay = backlog/C).
-#[derive(Debug, Clone, Copy)]
-pub struct DelayStats {
-    /// Mean delay in seconds.
-    pub mean_secs: f64,
-    /// 99th-percentile delay in seconds.
-    pub p99_secs: f64,
-    /// Maximum delay in seconds.
-    pub max_secs: f64,
 }
 
 impl SimResult {
@@ -44,32 +31,8 @@ impl SimResult {
             worst_second_loss,
             loss_per_slot,
             arrival_per_slot,
-            backlog_per_slot: Vec::new(),
             dt,
         }
-    }
-
-    /// Attaches the per-slot backlog record.
-    pub fn with_backlog(mut self, backlog_per_slot: Vec<f64>) -> Self {
-        assert_eq!(backlog_per_slot.len(), self.loss_per_slot.len());
-        self.backlog_per_slot = backlog_per_slot;
-        self
-    }
-
-    /// Delay statistics from the backlog record, given the service
-    /// capacity. Panics if the run did not record backlogs.
-    pub fn delay_stats(&self, capacity_bps: f64) -> DelayStats {
-        assert!(
-            !self.backlog_per_slot.is_empty(),
-            "this run did not record backlogs"
-        );
-        assert!(capacity_bps > 0.0);
-        let mut delays: Vec<f64> =
-            self.backlog_per_slot.iter().map(|&b| b / capacity_bps).collect();
-        let mean = delays.iter().sum::<f64>() / delays.len() as f64;
-        delays.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let p99 = delays[((delays.len() as f64) * 0.99) as usize - 1];
-        DelayStats { mean_secs: mean, p99_secs: p99, max_secs: *delays.last().unwrap() }
     }
 
     /// Running loss-rate over a window of `frames` frames, sampled once
@@ -166,21 +129,5 @@ mod tests {
     fn windowed_loss_length_matches() {
         let r = SimResult::new(vec![0.0; 7], vec![1.0; 7], 0.1);
         assert_eq!(r.windowed_loss(3).len(), 7);
-    }
-
-    #[test]
-    fn delay_stats_from_backlog() {
-        let r = SimResult::new(vec![0.0; 4], vec![1.0; 4], 0.1)
-            .with_backlog(vec![0.0, 100.0, 200.0, 100.0]);
-        let d = r.delay_stats(1000.0);
-        assert!((d.mean_secs - 0.1).abs() < 1e-12);
-        assert!((d.max_secs - 0.2).abs() < 1e-12);
-        assert!(d.p99_secs <= d.max_secs);
-    }
-
-    #[test]
-    #[should_panic(expected = "did not record")]
-    fn delay_stats_requires_backlog() {
-        SimResult::new(vec![0.0], vec![1.0], 0.1).delay_stats(1.0);
     }
 }

@@ -193,23 +193,20 @@ impl<'a> MuxSim<'a> {
         &self.combos
     }
 
-    /// Runs one combination, returning full per-slot records including
-    /// the backlog (so delay statistics are available). This is the one
-    /// path that still materializes per-slot series — its *output* is
-    /// `O(slots)` by contract.
+    /// Runs one combination, returning full per-slot loss and arrival
+    /// records. This is the one path that still materializes per-slot
+    /// series — its *output* is `O(slots)` by contract.
     pub fn run_single(&self, combo: usize, capacity_bps: f64, buffer_bytes: f64) -> SimResult {
         let cursor = ArrivalCursor::with_batch(self.trace, &self.combos[combo], self.batch);
         let n = cursor.len();
         let mut q = FluidQueue::new(buffer_bytes, capacity_bps);
         let mut loss = Vec::with_capacity(n);
-        let mut backlog = Vec::with_capacity(n);
         let mut arrivals = Vec::with_capacity(n);
         for a in cursor {
             loss.push(q.step(a, self.dt));
-            backlog.push(q.backlog());
             arrivals.push(a);
         }
-        SimResult::new(loss, arrivals, self.dt).with_backlog(backlog)
+        SimResult::new(loss, arrivals, self.dt)
     }
 
     /// Runs all combinations and averages the loss metrics (the paper

@@ -19,12 +19,8 @@ pub struct FluidQueue {
     buffer_bytes: f64,
     /// Service capacity in bytes per second.
     capacity_bps: f64,
-    /// Current queue content in bytes.
-    backlog: f64,
-    /// Totals for loss accounting.
-    arrived: f64,
-    lost: f64,
-    served: f64,
+    /// Current content and the totals for loss accounting.
+    state: QueueState,
 }
 
 impl FluidQueue {
@@ -52,10 +48,7 @@ impl FluidQueue {
         Ok(FluidQueue {
             buffer_bytes,
             capacity_bps,
-            backlog: 0.0,
-            arrived: 0.0,
-            lost: 0.0,
-            served: 0.0,
+            state: QueueState { backlog: 0.0, arrived: 0.0, lost: 0.0, served: 0.0 },
         })
     }
 
@@ -80,18 +73,7 @@ impl FluidQueue {
     /// Returns the bytes lost in this slot.
     pub fn step(&mut self, arrival: f64, dt: f64) -> f64 {
         debug_assert!(arrival >= 0.0 && dt > 0.0);
-        self.arrived += arrival;
-        let service = self.capacity_bps * dt;
-
-        // Fluid balance: content rises by (arrival − service), floored at
-        // empty; overflow beyond the buffer is lost.
-        let unserved = (self.backlog + arrival - service).max(0.0);
-        let actually_served = self.backlog + arrival - unserved;
-        self.served += actually_served;
-
-        let loss = (unserved - self.buffer_bytes).max(0.0);
-        self.backlog = unserved - loss;
-        self.lost += loss;
+        let loss = self.state.advance(arrival, self.capacity_bps * dt, self.buffer_bytes);
         if loss > 0.0 {
             obs::counter_add(Counter::QueueOverflowSlots, 1);
         }
@@ -101,13 +83,14 @@ impl FluidQueue {
     /// Advances one slot per element of `arrivals` (all of duration
     /// `dt`), returning the total bytes lost over the block.
     ///
-    /// Bit-identical to calling [`step`](Self::step) in a loop — same
-    /// op order per slot — but restructured for block execution: the
-    /// service term `C·dt` is hoisted (it is loop-invariant), and the
-    /// four running totals live in registers for the whole block instead
-    /// of round-tripping through `self` every slot. The backlog clamp
-    /// recurrence is inherently serial (each slot's state feeds the
-    /// next), so that dependency chain is the *only* scalar part; the
+    /// Bit-identical to calling [`step`](Self::step) in a loop — both
+    /// run the same per-slot body — but restructured for block
+    /// execution: the service term `C·dt` is hoisted (it is
+    /// loop-invariant), and the four running totals live in a local
+    /// copy (registers) for the whole block instead of round-tripping
+    /// through `self` every slot. The backlog clamp recurrence is
+    /// inherently serial (each slot's state feeds the next), so that
+    /// dependency chain is the *only* scalar part; the
     /// independent per-slot work (arrival aggregation) belongs in the
     /// vectorizable pass upstream (`ArrivalCursor::next_block`).
     ///
@@ -119,30 +102,18 @@ impl FluidQueue {
         obs::hist_record(Hist::QueueBlockSlots, arrivals.len() as u64);
         let service = self.capacity_bps * dt;
         let buffer = self.buffer_bytes;
-        let mut arrived = self.arrived;
-        let mut served = self.served;
-        let mut lost = self.lost;
-        let mut backlog = self.backlog;
+        let mut state = self.state.clone();
         let mut block_loss = 0.0f64;
         // Overflow slots are tallied in a register and flushed once per
         // block so the hot loop never touches the shared atomic.
         let mut overflow_slots = 0u64;
         for &a in arrivals {
             debug_assert!(a >= 0.0);
-            arrived += a;
-            let unserved = (backlog + a - service).max(0.0);
-            let actually_served = backlog + a - unserved;
-            served += actually_served;
-            let loss = (unserved - buffer).max(0.0);
-            backlog = unserved - loss;
-            lost += loss;
+            let loss = state.advance(a, service, buffer);
             block_loss += loss;
             overflow_slots += (loss > 0.0) as u64;
         }
-        self.arrived = arrived;
-        self.served = served;
-        self.lost = lost;
-        self.backlog = backlog;
+        self.state = state;
         if overflow_slots > 0 {
             obs::counter_add(Counter::QueueOverflowSlots, overflow_slots);
         }
@@ -181,36 +152,31 @@ impl FluidQueue {
 
     /// Current backlog in bytes.
     pub fn backlog(&self) -> f64 {
-        self.backlog
+        self.state.backlog
     }
 
     /// Total bytes offered so far.
     pub fn arrived(&self) -> f64 {
-        self.arrived
+        self.state.arrived
     }
 
     /// Total bytes lost so far.
     pub fn lost(&self) -> f64 {
-        self.lost
+        self.state.lost
     }
 
     /// Total bytes served so far.
     pub fn served(&self) -> f64 {
-        self.served
+        self.state.served
     }
 
     /// Overall loss fraction `lost/arrived` (0 when nothing arrived).
     pub fn loss_rate(&self) -> f64 {
-        if self.arrived > 0.0 {
-            self.lost / self.arrived
+        if self.state.arrived > 0.0 {
+            self.state.lost / self.state.arrived
         } else {
             0.0
         }
-    }
-
-    /// Maximum queueing delay `Q/C` in seconds.
-    pub fn max_delay(&self) -> f64 {
-        self.buffer_bytes / self.capacity_bps
     }
 
     /// Captures the queue's dynamic state for a checkpoint. The static
@@ -218,12 +184,7 @@ impl FluidQueue {
     /// restore target is rebuilt from configuration and guarded by the
     /// snapshot's parameter hash.
     pub fn export_state(&self) -> QueueState {
-        QueueState {
-            backlog: self.backlog,
-            arrived: self.arrived,
-            lost: self.lost,
-            served: self.served,
-        }
+        self.state.clone()
     }
 
     /// Grafts a previously exported state onto this queue so stepping
@@ -252,10 +213,7 @@ impl FluidQueue {
         if (st.arrived - balance).abs() > 1e-6 * st.arrived.max(1.0) {
             return Err(SnapshotError::Invalid { what: "queue conservation law" });
         }
-        self.backlog = st.backlog;
-        self.arrived = st.arrived;
-        self.lost = st.lost;
-        self.served = st.served;
+        self.state = st.clone();
         Ok(())
     }
 }
@@ -277,6 +235,22 @@ pub struct QueueState {
 }
 
 impl QueueState {
+    /// One slot of the fluid balance, the body that both
+    /// [`FluidQueue::step`] and [`FluidQueue::step_block`] run: content
+    /// rises by `arrival − service`, floored at empty, and overflow
+    /// beyond `buffer` is lost. Updates the totals and returns the bytes
+    /// lost in the slot.
+    #[inline(always)]
+    fn advance(&mut self, arrival: f64, service: f64, buffer: f64) -> f64 {
+        self.arrived += arrival;
+        let unserved = (self.backlog + arrival - service).max(0.0);
+        self.served += self.backlog + arrival - unserved;
+        let loss = (unserved - buffer).max(0.0);
+        self.backlog = unserved - loss;
+        self.lost += loss;
+        loss
+    }
+
     /// Appends the state to a snapshot section payload.
     pub fn encode(&self, p: &mut Payload) {
         p.put_f64(self.backlog);
@@ -394,12 +368,6 @@ mod tests {
         let mut q = FluidQueue::new(0.0, 1000.0);
         let loss = q.step(3.0, 0.001); // 3 B offered, 1 B served, no buffer
         assert!((loss - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn max_delay_definition() {
-        let q = FluidQueue::new(200.0, 100_000.0);
-        assert!((q.max_delay() - 0.002).abs() < 1e-12);
     }
 
     #[test]

@@ -3,17 +3,15 @@
 //!
 //! The LRD pipeline is a chain of numerically delicate stages whose
 //! failure modes are *silent by design*: `robust_hurst` swaps
-//! estimators, `RobustFgn` swaps generators, the caches rebuild evicted
-//! entries — output always appears, and nothing says which path
-//! produced it. This module makes those paths visible without touching
-//! them:
+//! estimators, the caches rebuild evicted entries — output always
+//! appears, and nothing says which path produced it. This module makes
+//! those paths visible without touching them:
 //!
 //! - **Counters** ([`Counter`]) are always-on monotonic `u64`s behind
 //!   relaxed atomics: cache hits/misses/evictions, stream blocks, seam
-//!   cross-fades, fallback activations, Whittle iterations, queue
-//!   overflow slots. Hot loops accumulate locally and flush once per
-//!   block, so the steady-state cost is one `fetch_add` per block, not
-//!   per sample.
+//!   cross-fades, Whittle iterations, queue overflow slots. Hot loops
+//!   accumulate locally and flush once per block, so the steady-state
+//!   cost is one `fetch_add` per block, not per sample.
 //! - **Histograms** ([`Hist`]) are log₂-bucketed counters for value
 //!   distributions (FFT sizes, span durations, queue block lengths).
 //! - **Spans and events** record *which* stage ran, nested how, for how
@@ -78,8 +76,6 @@ pub enum Counter {
     StreamBlocks,
     /// Streaming generators: window seams joined by a cross-fade.
     SeamCrossFades,
-    /// `RobustFgn`: Davies–Harte rejected, Hosking fallback activated.
-    HoskingFallback,
     /// Whittle estimator: golden-section iterations executed.
     WhittleIterations,
     /// `robust_hurst`: ensemble runs completed.
@@ -133,7 +129,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in declaration order (the reporting order).
-    pub const ALL: [Counter; 26] = [
+    pub const ALL: [Counter; 25] = [
         Counter::FftPlanHit,
         Counter::FftPlanMiss,
         Counter::FftPlanEvict,
@@ -145,7 +141,6 @@ impl Counter {
         Counter::PeriodogramEvict,
         Counter::StreamBlocks,
         Counter::SeamCrossFades,
-        Counter::HoskingFallback,
         Counter::WhittleIterations,
         Counter::RobustHurstRuns,
         Counter::EstimatorFallback,
@@ -176,7 +171,6 @@ impl Counter {
             Counter::PeriodogramEvict => "periodogram_evict",
             Counter::StreamBlocks => "stream_blocks",
             Counter::SeamCrossFades => "seam_cross_fades",
-            Counter::HoskingFallback => "hosking_fallback",
             Counter::WhittleIterations => "whittle_iterations",
             Counter::RobustHurstRuns => "robust_hurst_runs",
             Counter::EstimatorFallback => "estimator_fallback",

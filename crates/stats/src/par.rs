@@ -49,6 +49,12 @@ thread_local! {
 /// order: the innermost active [`with_threads`] scope, then the
 /// `VBR_THREADS` environment variable, then the machine's available
 /// parallelism. Always at least 1.
+///
+/// The first two are read on every call. The machine's parallelism is
+/// read once per process: `available_parallelism` reads cgroup files,
+/// which costs microseconds, against nanoseconds for an environment
+/// lookup, and small pool calls (a short screenplay's marginal map)
+/// make one `num_threads` call each.
 pub fn num_threads() -> usize {
     if let Some(n) = THREAD_OVERRIDE.with(|o| o.get()) {
         return n.max(1);
@@ -59,7 +65,8 @@ pub fn num_threads() -> usize {
     {
         return n.max(1);
     }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    static MACHINE: OnceLock<usize> = OnceLock::new();
+    *MACHINE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Runs `f` with the parallel layer pinned to `threads` workers,

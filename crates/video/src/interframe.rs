@@ -10,7 +10,7 @@
 //! intraframe) is inserted every `gop` frames to bound drift, as real
 //! coders do.
 
-use crate::coder::{CodedFrame, CoderConfig, IntraframeCoder};
+use crate::coder::{CodedFrame, IntraframeCoder};
 use crate::frame::Frame;
 
 /// An interframe coder: intraframe I-frames plus DCT-coded residual
@@ -96,19 +96,10 @@ impl InterframeCoder {
     }
 }
 
-/// Convenience: train an intraframe coder and wrap it for interframe use.
-pub fn train_interframe(
-    config: CoderConfig,
-    training: &[Frame],
-    gop: usize,
-) -> InterframeCoder {
-    InterframeCoder::new(IntraframeCoder::train(config, training), gop)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coder::psnr;
+    use crate::coder::{psnr, CoderConfig};
     use crate::synth::{SceneSpec, SceneSynthesizer};
 
     fn scene(motion: f64, seed: u64) -> SceneSynthesizer {
@@ -121,11 +112,8 @@ mod tests {
     }
 
     fn coder_for(frames: &[Frame], gop: usize) -> InterframeCoder {
-        train_interframe(
-            CoderConfig { quant_step: 16.0, slices_per_frame: 4 },
-            frames,
-            gop,
-        )
+        let config = CoderConfig { quant_step: 16.0, slices_per_frame: 4 };
+        InterframeCoder::new(IntraframeCoder::train(config, frames), gop)
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod zigzag;
 
 pub use coder::{psnr, CodedFrame, CoderConfig, IntraframeCoder};
 pub use error::TraceError;
-pub use interframe::{train_interframe, FrameKind, InterframeCoder};
+pub use interframe::{FrameKind, InterframeCoder};
 pub use frame::Frame;
 pub use quant::Quantizer;
 pub use scene_model::{SceneChainConfig, SceneChainModel};

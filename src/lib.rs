@@ -56,8 +56,7 @@ pub use vbr_video::Trace;
 pub mod prelude {
     pub use vbr_fgn::{
         BlockSource, CirculantStream, DaviesHarte, Family, FgnError, FgnStream, Hosking,
-        MarginalTransform, MwmConfig, MwmModel, RobustFgn, TableMode, TraceReplay,
-        TrafficModel,
+        MarginalTransform, MwmConfig, MwmModel, TableMode, TraceReplay, TrafficModel,
     };
     pub use vbr_lrd::{
         hurst_report, robust_hurst, rs_analysis, variance_time, wavelet_hurst, whittle_log,
